@@ -377,6 +377,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
+def _enumeration_index(allocation: Allocation, n: int) -> int:
+    """Position of an allocation in ``ce_exists``'s enumeration order: the
+    mixed-radix number of its owners, item 0 most significant."""
+    index = 0
+    for item in range(allocation.m):
+        index = index * n + allocation.owner_of(item)
+    return index
+
+
 def cmd_exists(args) -> int:
     inst = load_instance(_read_json(args.instance))
     try:
@@ -384,7 +393,12 @@ def cmd_exists(args) -> int:
     except InstanceTooLargeError as exc:
         _emit({"status": "instance-too-large", "error": str(exc)})
         return EXIT_UNSUPPORTED
-    doc = {"allocations_checked": inst.n ** inst.m, "exists": witness is not None}
+    checked = (
+        inst.n ** inst.m
+        if witness is None
+        else _enumeration_index(witness.allocation, inst.n) + 1
+    )
+    doc = {"allocations_checked": checked, "exists": witness is not None}
     if witness is not None:
         doc["witness"] = {
             "allocation": _allocation_doc(witness, inst),
@@ -436,6 +450,8 @@ def _sweep_incomes(m: int, n: int, seed: str) -> IncomeVector:
 
 
 def cmd_sweep(args) -> int:
+    if args.trials < 1:
+        raise ParseError("--trials must be at least 1")
     named = None
     if args.profile != "random":
         if args.profile not in NAMED_INSTANCES:
@@ -450,6 +466,8 @@ def cmd_sweep(args) -> int:
         if args.items is None or args.agents is None:
             raise ParseError("--items and --agents are required with --profile random")
         m, n = args.items, args.agents
+        if m < 1 or n < 1:
+            raise ParseError("--items and --agents must be at least 1")
         if m > 5 or n > 4:
             raise ParseError("sweep supports at most 5 items and 4 agents")
     payloads = [(t, m, n, args.seed, named) for t in range(args.trials)]

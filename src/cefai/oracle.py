@@ -4,14 +4,31 @@ For every one of the ``n^m`` allocations the oracle asks whether some
 strictly positive price vector satisfies both equilibrium conditions.
 Strict inequalities are turned into weak ones with a shared slack
 variable ``s`` (capped at 1): the open system has a solution iff the
-closed system admits ``s > 0``.  Feasibility is decided by exact
-rational Fourier-Motzkin elimination after Gaussian elimination of the
-budget equalities, so boundary cases can never be fabricated or lost to
-rounding.
+closed system admits ``s > 0``.
 
-Two cheap necessary conditions prune allocations before the elimination
-runs; both are provable consequences of the full system, so pruning
-never changes the answer (and can be switched off for cross-checking).
+The budget equalities are substituted away: the lowest item of each
+non-empty bundle costs its owner's income minus the bundle's other
+prices, which leaves ``k <= m - 1`` free prices ``z``.  Every remaining
+condition then reads ``s <= a·z + c`` with ``a`` an integer vector, and
+of the rows with equal ``a`` only the smallest ``c`` matters.  The
+largest ``s`` is found through the dual LP
+
+    minimise sum(y_r c_r)  subject to  sum(y_r) = 1,  sum(y_r a_r) = 0,  y >= 0
+
+by an integer simplex: the ``c`` are scaled by the incomes' common
+denominator, pivots are fraction-free (Edmonds-Bareiss, exact division)
+and follow Bland's rule, so the simplex cannot cycle.  A positive
+optimum gives prices through the multipliers of the tight rows.
+Otherwise the dual solution is a Farkas certificate: every solution has
+``s = sum(y_r s) <= sum(y_r (a_r·z + c_r)) = sum(y_r c_r) <= 0``.  The
+certificate is checked in integers before an allocation counts as
+infeasible, just as ``ce_exists`` re-checks each witness with
+``verify_ce``; nothing is rounded, so boundary cases can never be
+fabricated or lost.
+
+Two cheap necessary conditions prune allocations before the LP runs;
+both are provable consequences of the full system, so pruning never
+changes the answer (and can be switched off for cross-checking).
 """
 
 from __future__ import annotations
@@ -19,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 from typing import Sequence
 
-from .core import Bundle, PreferenceOrder, all_bundles, bundle_size, is_subset, items_of
+from .core import Bundle, PreferenceOrder, all_bundles, bundle_size, items_of
 from .market import (
     Allocation,
     CEPair,
@@ -43,242 +60,192 @@ class InstanceTooLargeError(ValueError):
         )
 
 
-# A row of length m+2 over (p_0..p_{m-1}, s, 1) encodes
-#     sum(row[v] * var_v) + row[m+1] >= 0     (or == 0 for equalities).
-Row = tuple[int, ...]
+class _MarketRows:
+    """What every allocation of one market shares: the incomes scaled to
+    integers by their common denominator, and for each agent and own
+    bundle the bundles the agent prefers that do not contain it (a
+    bundle containing the own one costs more than the income anyway).
 
-
-def _scale_to_int(frac_row: Sequence[Fraction]) -> Row:
-    denom = 1
-    for v in frac_row:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in frac_row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-def _normalize(row: Sequence[int]) -> Row:
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-    if g > 1:
-        row = [v // g for v in row]
-    return tuple(row)
-
-
-class _Infeasible(Exception):
-    pass
-
-
-def _substitute(row: list[Fraction], var: int, expr: list[Fraction]) -> None:
-    coeff = row[var]
-    if coeff == 0:
-        return
-    row[var] = Fraction(0)
-    for u, e in enumerate(expr):
-        if e:
-            row[u] += coeff * e
-
-
-def _gauss(equalities: list[list[Fraction]], width: int):
-    """Eliminate equality rows; returns substitutions in elimination order.
-
-    Each substitution is (var, expr) with var = expr·(vars, 1); rows that
-    reduce to 0 = nonzero raise ``_Infeasible``.
+    The bundle lists are built on first use and kept as lists, not
+    tuples: CPython keeps freed tuples of every length up to 20 on free
+    lists that only a full garbage collection empties, and these lists
+    come in many lengths.
     """
-    subs: list[tuple[int, list[Fraction]]] = []
-    for row in equalities:
-        row = list(row)
-        for var, expr in subs:
-            _substitute(row, var, expr)
-        pivot = next((v for v in range(width - 2) if row[v] != 0), None)
-        if pivot is None:
-            if row[-1] != 0:
-                raise _Infeasible
-            continue
-        coeff = row[pivot]
-        expr = [Fraction(0)] * width
-        for u in range(width):
-            if u != pivot and row[u] != 0:
-                expr[u] = -row[u] / coeff
-        subs.append((pivot, expr))
-    return subs
+
+    def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
+        self.profile = profile
+        self.m = profile[0].m
+        self.scale = lcm(*(t.denominator for t in incomes))
+        self.income = [t.numerator * (self.scale // t.denominator) for t in incomes]
+        self._better: list[dict[Bundle, list[Bundle]]] = [{} for _ in profile]
+
+    def better(self, agent: int, own: Bundle) -> list[Bundle]:
+        bundles = self._better[agent].get(own)
+        if bundles is None:
+            rank = self.profile[agent].rank
+            own_rank = rank[own]
+            bundles = [
+                y for y in all_bundles(self.m) if rank[y] > own_rank and y & own != own
+            ]
+            self._better[agent][own] = bundles
+        return bundles
 
 
-def _fourier_motzkin(rows: set[Row], variables: list[int], width: int):
-    """Eliminate ``variables`` from weak inequality rows.
+def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
+    """The system ``s <= a·z + c`` of one allocation, scaled by ``rows.scale``.
 
-    Returns (final rows, stack of (var, rows before its elimination)) for
-    back-substitution.  Raises ``_Infeasible`` on a contradiction.
+    Returns ``(items, bundles, a, c)``: the free items ascending, the
+    non-empty bundles as (lowest item bit, other items, scaled income),
+    and per distinct ``a`` the vector over the free items with its
+    smallest ``c``.  Column 0 is ``a = 0`` (the cap ``s <= 1`` among
+    others) and column ``1 + f`` is ``a = e_f`` (the floor row of the
+    f-th free item), which gives the simplex its starting basis.
     """
-    stack: list[tuple[int, list[Row]]] = []
-    active = set(rows)
-    remaining = list(variables)
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: sum(1 for r in active if r[v] > 0)
-            * sum(1 for r in active if r[v] < 0),
-        )
-        remaining.remove(best)
-        pos = [r for r in active if r[best] > 0]
-        neg = [r for r in active if r[best] < 0]
-        keep = {r for r in active if r[best] == 0}
-        stack.append((best, pos + neg))
-        for p in pos:
-            for q in neg:
-                combined = [
-                    p[i] * (-q[best]) + q[i] * p[best] for i in range(width)
-                ]
-                if not any(combined[:-1]):
-                    if combined[-1] < 0:
-                        raise _Infeasible
-                    continue
-                keep.add(_normalize(combined))
-        active = keep
-    return active, stack
-
-
-def _bounds(rows, var: int, values: dict[int, Fraction]):
-    lo = hi = None
-    for row in rows:
-        coeff = row[var]
-        if coeff == 0:
-            continue
-        rest = row[-1] + sum(
-            Fraction(row[u]) * values[u]
-            for u in range(len(row) - 1)
-            if u != var and row[u] != 0
-        )
-        bound = -Fraction(rest, coeff)
-        if coeff > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    return lo, hi
-
-
-def _pick_within(lo: Fraction | None, hi: Fraction | None) -> Fraction:
-    if lo is not None and hi is not None:
-        return (lo + hi) / 2
-    if lo is not None:
-        return lo + 1
-    if hi is not None:
-        return hi - 1
-    return Fraction(0)
-
-
-def _ce_system(
-    profile: Sequence[PreferenceOrder],
-    incomes: IncomeVector,
-    masks: Sequence[Bundle],
-):
-    """Budget equalities and slack-encoded strict inequalities for one
-    allocation.  Variables: item prices, then the slack s."""
-    m = profile[0].m
-    s_var = m
-    width = m + 2
-    empty_income = [incomes[i] for i in range(len(masks)) if masks[i] == 0]
-    floor = max(empty_income) if empty_income else Fraction(0)
-
-    inequalities: list[list[Fraction]] = []
-    for j in range(m):
-        row = [Fraction(0)] * width
-        row[j] = Fraction(1)
-        row[s_var] = Fraction(-1)
-        row[-1] = -floor
-        inequalities.append(row)
-    cap = [Fraction(0)] * width
-    cap[s_var] = Fraction(-1)
-    cap[-1] = Fraction(1)
-    inequalities.append(cap)
-
-    equalities: list[list[Fraction]] = []
+    m = rows.m
+    income = rows.income
+    empty = [income[i] for i, own in enumerate(masks) if own == 0]
+    floor = max(empty) if empty else 0
+    bundles = []
+    free = 0
     for i, own in enumerate(masks):
-        if own == 0:
-            continue  # singleton floors above already dominate every bundle
-        row = [Fraction(0)] * width
-        for j in items_of(own):
-            row[j] = Fraction(1)
-        row[-1] = -incomes[i]
-        equalities.append(row)
-        own_rank = profile[i].rank_of(own)
-        for y in all_bundles(m):
-            if profile[i].rank[y] <= own_rank:
-                continue
-            if is_subset(own, y):
-                continue  # costs the bundle price plus extra items: implied
-            row = [Fraction(0)] * width
-            for j in items_of(y):
-                row[j] = Fraction(1)
-            row[s_var] = Fraction(-1)
-            row[-1] = -incomes[i]
-            inequalities.append(row)
-    return equalities, inequalities, width
+        if own:
+            low = own & -own
+            bundles.append((low, own ^ low, income[i]))
+            free |= own ^ low
+    items = items_of(free)
+
+    # Row key: the items with coefficient +1 in a, then those with -1
+    # shifted by m; the cap and the floors go in first, in column order.
+    best = {0: rows.scale}
+    for j in items:
+        best[1 << j] = -floor
+    groups = [([low for low, _, _ in bundles], floor)]
+    for i, own in enumerate(masks):
+        if own:
+            groups.append((rows.better(i, own), income[i]))
+    for targets, threshold in groups:
+        for y in targets:
+            inside = 0
+            c = -threshold
+            for low, rest, t in bundles:
+                if y & low:
+                    inside |= rest
+                    c += t
+            key = (y & free & ~inside) | ((inside & ~y) << m)
+            old = best.get(key)
+            if old is None or c < old:
+                best[key] = c
+    a = [[(key >> j & 1) - (key >> (m + j) & 1) for j in items] for key in best]
+    return items, bundles, a, list(best.values())
+
+
+def _dual_simplex(a: list[list[int]], c: list[int]):
+    """Minimise ``sum(y_j c_j)`` subject to ``sum(y_j) = 1``,
+    ``sum(y_j a_j) = 0`` and ``y >= 0``, in integers.
+
+    ``a[0]`` must be the zero vector and ``a[1 + f]`` the unit vector
+    ``e_f``: they form the starting basis, whose inverse is integer.  The
+    tableau holds ``d * B^-1 [A | b]`` with ``d = det B > 0`` and is
+    pivoted fraction-free under Bland's rule.  The search stops at the
+    optimum, or as soon as the objective is at most 0, which already
+    settles the question the oracle asks.
+
+    Returns ``(y, reduced, d)``: the basic columns' multipliers and every
+    column's reduced cost, both times ``d``, with minus ``d`` times the
+    objective appended to ``reduced``.
+    """
+    k = len(a[0])
+    width = len(a)
+    # Row 0 is sum(y) = 1 and row 1 + f the f-th component of sum(y a) = 0,
+    # both multiplied by the starting basis inverse [[1, -1...], [0, I]].
+    table = [[1 - sum(col) for col in a] + [1]]
+    table.extend([col[f] for col in a] + [0] for f in range(k))
+    basis = list(range(k + 1))
+    reduced = [
+        c[j] - sum(c[i] * table[i][j] for i in range(k + 1)) for j in range(width)
+    ]
+    reduced.append(-c[0])
+    d = 1
+    while reduced[-1] < 0:
+        q = next((j for j in range(width) if reduced[j] < 0), None)
+        if q is None:
+            break
+        p = -1
+        for i, row in enumerate(table):
+            if row[q] > 0:
+                if p < 0:
+                    p = i
+                    continue
+                lhs = row[-1] * table[p][q]
+                rhs = table[p][-1] * row[q]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[p]):
+                    p = i
+        if p < 0:
+            # The primal always has solutions (s far below 0), so the dual
+            # is bounded.
+            raise AssertionError(
+                "dual simplex found an unbounded ray; the tableau is broken"
+            )
+        pivot = table[p]
+        e = pivot[q]
+        for i, row in enumerate(table):
+            if i != p:
+                table[i] = _eliminate(row, pivot, q, e, d)
+        reduced = _eliminate(reduced, pivot, q, e, d)
+        basis[p] = q
+        d = e
+    return {basis[i]: row[-1] for i, row in enumerate(table)}, reduced, d
+
+
+def _eliminate(row: list[int], pivot: list[int], q: int, e: int, d: int) -> list[int]:
+    """One fraction-free pivot step on ``row``; every division is exact."""
+    f = row[q]
+    if f == 0:
+        return row if e == d else [e * x // d for x in row]
+    return [(e * x - f * z) // d for x, z in zip(row, pivot)]
+
+
+def _check_farkas(a: list[list[int]], c: list[int], y: dict[int, int], d: int) -> None:
+    """Raise unless ``y / d`` proves that no solution has ``s > 0``:
+    ``y >= 0``, ``sum(y) = d > 0``, ``sum(y a) = 0`` and ``sum(y c) <= 0``."""
+    if (
+        d <= 0
+        or any(v < 0 for v in y.values())
+        or sum(y.values()) != d
+        or any(sum(v * a[j][f] for j, v in y.items()) for f in range(len(a[0])))
+        or sum(v * c[j] for j, v in y.items()) > 0
+    ):
+        raise AssertionError("Farkas certificate failed its check; the simplex is buggy")
 
 
 def feasible_ce_prices(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
     allocation: Allocation,
+    rows: _MarketRows | None = None,
 ) -> PriceVector | None:
     """A strictly positive price vector making the allocation an
-    equilibrium, or None when the system is infeasible."""
-    masks = allocation.bundles
-    m = profile[0].m
-    s_var = m
-    equalities, inequalities, width = _ce_system(profile, incomes, masks)
-    try:
-        subs = _gauss(equalities, width)
-        rows = set()
-        for frac_row in inequalities:
-            frac_row = list(frac_row)
-            for var, expr in subs:
-                _substitute(frac_row, var, expr)
-            row = _scale_to_int(frac_row)
-            if not any(row[:-1]):
-                if row[-1] < 0:
-                    raise _Infeasible
-                continue
-            rows.add(row)
-        eliminated = {var for var, _ in subs}
-        free = [v for v in range(m) if v not in eliminated]
-        rows, stack = _fourier_motzkin(rows, free, width)
-    except _Infeasible:
-        return None
+    equilibrium, or None when the system is infeasible.
 
-    s_lo = s_hi = None
-    for row in rows:
-        if row[s_var] == 0:
-            if row[-1] < 0:
-                return None
-            continue
-        bound = -Fraction(row[-1], row[s_var])
-        if row[s_var] > 0:
-            s_lo = bound if s_lo is None else max(s_lo, bound)
-        else:
-            s_hi = bound if s_hi is None else min(s_hi, bound)
-    if s_hi is None:
-        s_hi = Fraction(1)  # the cap row always bounds s; defensive only
-    if s_lo is not None and s_lo > s_hi:
+    ``rows`` holds what the allocations of one market share; ``ce_exists``
+    builds it once per market.
+    """
+    if rows is None:
+        rows = _MarketRows(profile, incomes)
+    items, bundles, a, c = _slack_rows(rows, allocation.bundles)
+    y, reduced, d = _dual_simplex(a, c)
+    if reduced[-1] >= 0:  # the largest slack is not positive
+        _check_farkas(a, c, y, d)
         return None
-    if s_hi <= 0:
-        return None
-
-    values = {v: Fraction(0) for v in range(width - 1)}
-    values[s_var] = s_hi
-    for var, held in reversed(stack):
-        lo, hi = _bounds(held, var, values)
-        values[var] = _pick_within(lo, hi)
-    for var, expr in reversed(subs):
-        values[var] = expr[-1] + sum(
-            expr[u] * values[u] for u in range(width - 1) if expr[u]
-        )
-    return PriceVector.of(values[j] for j in range(m))
+    # The simplex multipliers are (s, -z), here times d: column 0 has a = 0,
+    # column 1 + f has a = e_f, and c_j - reduced_j = s - a_j·z on every
+    # column.  Every row holds with the optimal slack s > 0.
+    s = c[0] * d - reduced[0]
+    z = {j: s - c[1 + f] * d + reduced[1 + f] for f, j in enumerate(items)}
+    for low, rest, t in bundles:
+        z[low.bit_length() - 1] = t * d - sum(z[j] for j in items_of(rest))
+    scale = d * rows.scale
+    return PriceVector.of(Fraction(z[j], scale) for j in range(rows.m))
 
 
 def _passes_prefilters(
@@ -328,6 +295,7 @@ def ce_exists(
     m = profile[0].m
     if m > MAX_ORACLE_ITEMS:
         raise InstanceTooLargeError(m)
+    rows = _MarketRows(profile, incomes)
     for assignment in product(range(n), repeat=m):
         masks = [0] * n
         for item, agent in enumerate(assignment):
@@ -335,7 +303,7 @@ def ce_exists(
         if use_prefilters and not _passes_prefilters(profile, incomes, masks):
             continue
         prices = feasible_ce_prices(
-            profile, incomes, Allocation(m=m, bundles=tuple(masks))
+            profile, incomes, Allocation(m=m, bundles=tuple(masks)), rows
         )
         if prices is None:
             continue
@@ -343,7 +311,7 @@ def ce_exists(
         report = verify_ce(profile, incomes, pair)
         if not report.valid:
             raise AssertionError(
-                "feasibility witness failed verification; elimination is buggy: "
+                "feasibility witness failed verification; the simplex is buggy: "
                 + "; ".join(v.describe() for v in report.violations)
             )
         return pair

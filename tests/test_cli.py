@@ -134,6 +134,21 @@ class TestExistsCommand:
         code, doc = run(capsys, "exists", path)
         assert code == EXIT_OK
         assert doc["exists"] and doc["witness"]["prices"] == {"x": "2"}
+        assert doc["allocations_checked"] == 1
+
+    def test_allocations_checked_stops_at_witness(self, tmp_path, capsys):
+        # Bob (agent 1) must own x, the second allocation enumerated
+        instance = {
+            "items": ["x"],
+            "agents": [
+                {"name": "Alice", "income": "1", "preference": {"partial": {}}},
+                {"name": "Bob", "income": "2", "preference": {"partial": {}}},
+            ],
+        }
+        path = write(tmp_path, "one.json", instance)
+        code, doc = run(capsys, "exists", path)
+        assert code == EXIT_OK
+        assert doc["witness"]["allocation"] == {"Alice": "", "Bob": "x"}
         assert doc["allocations_checked"] == 2
 
     def test_none(self, tmp_path, capsys):
@@ -148,6 +163,7 @@ class TestExistsCommand:
         code, doc = run(capsys, "exists", path)
         assert code == EXIT_INVALID
         assert doc["exists"] is False
+        assert doc["allocations_checked"] == 2
 
 
 class TestSweepCommand:
@@ -166,6 +182,22 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert doc["existence_count"] == 0
         assert len(doc["no_ce_points"]) == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--items", "0", "--agents", "2"],
+            ["--items", "3", "--agents", "0"],
+            ["--items", "3", "--agents", "2", "--trials", "0"],
+            ["--profile", "counterexample-4x3", "--trials", "-1"],
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, capsys, argv):
+        code = main(["sweep", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestInstanceFiles:

@@ -10,14 +10,27 @@ from cefai.core import random_preference
 from cefai.market import Allocation, CEPair, IncomeVector, PriceVector, verify_ce
 from cefai.oracle import (
     InstanceTooLargeError,
+    _check_farkas,
+    _dual_simplex,
+    _MarketRows,
+    _slack_rows,
     ce_exists,
     feasible_ce_prices,
     no_ce_on_region,
 )
-from cefai.instances import counterexample_4x3, random_generic_incomes
+from cefai.instances import NAMED_INSTANCES, counterexample_4x3, random_generic_incomes
 from cefai.solver import solve
 
 from conftest import chain_preference
+from fm_reference import fm_feasible_ce_prices
+
+
+def every_allocation(m: int, n: int):
+    for assign in product(range(n), repeat=m):
+        masks = [0] * n
+        for item, agent in enumerate(assign):
+            masks[agent] |= 1 << item
+        yield Allocation(m=m, bundles=tuple(masks))
 
 
 class TestSingleItem:
@@ -64,6 +77,85 @@ class TestAgainstSolver:
             witness = ce_exists(profile, incomes)
             if witness is not None:
                 assert verify_ce(profile, incomes, witness).valid
+
+
+class TestAgainstFourierMotzkin:
+    """The simplex and the Fourier-Motzkin reference agree on every
+    allocation, and every price vector either returns is an equilibrium."""
+
+    def check_every_allocation(self, profile, incomes) -> list[bool]:
+        outcomes = []
+        for alloc in every_allocation(profile[0].m, len(profile)):
+            fast = feasible_ce_prices(profile, incomes, alloc)
+            slow = fm_feasible_ce_prices(profile, incomes, alloc)
+            assert (fast is None) == (slow is None), alloc.bundles
+            for prices in (fast, slow):
+                if prices is not None:
+                    pair = CEPair(prices=prices, allocation=alloc)
+                    assert verify_ce(profile, incomes, pair).valid, alloc.bundles
+            outcomes.append(fast is not None)
+        return outcomes
+
+    def test_random_markets(self, rng):
+        outcomes = []
+        for _ in range(150):
+            m, n = rng.randint(1, 4), rng.randint(1, 3)
+            # a coarse grid, so that tied incomes and boundary cases occur
+            incomes = IncomeVector.of(
+                Fraction(rng.randint(1, 12), rng.choice([1, 2, 3])) for _ in range(n)
+            )
+            profile = [
+                random_preference(m, seed=rng.randrange(10**6)) for _ in range(n)
+            ]
+            outcomes += self.check_every_allocation(profile, incomes)
+        assert len(outcomes) > 1500 and any(outcomes) and not all(outcomes)
+
+    def test_counterexample_4x3_reference(self):
+        inst = counterexample_4x3()
+        outcomes = self.check_every_allocation(
+            list(inst.completed_profile()), inst.reference
+        )
+        assert len(outcomes) == 81 and not any(outcomes)
+
+
+class TestFarkasCertificate:
+    """Infeasibility is certified by dual multipliers checked in integers."""
+
+    def certificate(self):
+        # Alice owns items 0 and 2, Bob item 3 and Carl item 1: passes both
+        # prefilters, and its certificate combines two rows.
+        inst = counterexample_4x3()
+        rows = _MarketRows(list(inst.completed_profile()), inst.reference)
+        _, _, a, c = _slack_rows(rows, (0b0101, 0b1000, 0b0010))
+        y, reduced, d = _dual_simplex(a, c)
+        assert reduced[-1] >= 0  # no positive slack
+        assert sum(1 for v in y.values() if v > 0) >= 2
+        return a, c, y, d
+
+    def test_accepted(self):
+        _check_farkas(*self.certificate())
+
+    def test_nudged_multiplier_rejected(self):
+        a, c, y, d = self.certificate()
+        j = next(j for j, v in y.items() if v > 0)
+        with pytest.raises(AssertionError):
+            _check_farkas(a, c, {**y, j: y[j] + 1}, d)
+
+    def test_unbalanced_multipliers_rejected(self):
+        # the sum stays d, but distinct rows no longer cancel
+        a, c, y, d = self.certificate()
+        j, k = [j for j, v in y.items() if v > 0][:2]
+        with pytest.raises(AssertionError):
+            _check_farkas(a, c, {**y, j: y[j] + 1, k: y[k] - 1}, d)
+
+    def test_positive_objective_rejected(self):
+        a, c, y, d = self.certificate()
+        j = next(j for j, v in y.items() if v > 0)
+        raised = list(c)
+        raised[j] += -sum(v * c[i] for i, v in y.items()) // y[j] + 1
+        assert sum(v * raised[i] for i, v in y.items()) > 0
+        with pytest.raises(AssertionError):
+            _check_farkas(a, raised, y, d)
 
 
 class TestPrefilters:
@@ -113,8 +205,13 @@ class TestNoCEInstance:
         profile = list(inst.completed_profile())
         assert ce_exists(profile, inst.reference) is None
 
+    @pytest.mark.parametrize("name", ["counterexample-4x4", "counterexample-5x2"])
+    def test_other_reference_points_certified(self, name):
+        inst = NAMED_INSTANCES[name]()
+        assert ce_exists(list(inst.completed_profile()), inst.reference) is None
+
     def test_random_price_search_never_contradicts(self):
-        # independent of the elimination code: structured random prices with
+        # independent of the oracle's LP: structured random prices with
         # the budget equalities enforced by rescaling never produce a valid pair
         inst = counterexample_4x3()
         profile = list(inst.completed_profile())
