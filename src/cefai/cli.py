@@ -10,9 +10,10 @@ Commands:
   repro     run the full reproduction suite and print the summary table
 
 Instance files are JSON; all rationals are exact strings like "27/2"
-(never floats).  See the README for the schema.  Exit codes: 0 success
-or valid, 1 reproduction mismatch, 2 invalid or nonexistent equilibrium,
-3 non-generic incomes, 4 unsupported market size, 5 parse error.
+(never floats).  ``INSTANCE_SCHEMA`` below gives the schema.  Exit
+codes: 0 success or valid, 1 reproduction mismatch, 2 invalid or
+nonexistent equilibrium, 3 non-generic incomes, 4 unsupported market
+size, 5 parse error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .core import (
     PartialRelations,
     PreferenceOrder,
     additive_preference,
-    all_bundles,
     chain_pairs,
     complete_partial,
     format_bundle,
@@ -39,7 +39,7 @@ from .core import (
     random_preference,
     subsets_of_size,
 )
-from .instances import NAMED_INSTANCES, NamedInstance, random_generic_incomes
+from .instances import NAMED_INSTANCES, NamedInstance
 from .market import (
     Allocation,
     CEPair,
@@ -180,6 +180,8 @@ def _parse_preference(doc: Any, m: int, names: Sequence[str], agent: str) -> Pre
             return additive_preference(m, values)
         if "partial" in doc:
             spec = doc["partial"]
+            if not isinstance(spec, dict):
+                raise ParseError(f"agent {agent}: 'partial' must be an object")
             pairs = []
             for chain in ([spec["chain"]] if "chain" in spec else []):
                 groups = [_chain_element(e, m, names) for e in chain]
@@ -190,7 +192,7 @@ def _parse_preference(doc: Any, m: int, names: Sequence[str], agent: str) -> Pre
             return complete_partial(PartialRelations(m=m, pairs=tuple(pairs)))
     except ParseError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"agent {agent}: {exc}") from exc
     raise ParseError(f"agent {agent}: unknown preference kind {set(doc)}")
 
@@ -201,6 +203,12 @@ def load_instance(doc: dict) -> ParsedInstance:
     for key in ("items", "agents"):
         if key not in doc:
             raise ParseError(f"instance file is missing {key!r}")
+    if not isinstance(doc["items"], list):
+        raise ParseError("'items' must be a list of names")
+    if not isinstance(doc["agents"], list) or not all(
+        isinstance(agent, dict) for agent in doc["agents"]
+    ):
+        raise ParseError("'agents' must be a list of objects")
     names = tuple(str(x) for x in doc["items"])
     if len(set(names)) != len(names):
         raise ParseError("item names must be distinct")
@@ -219,10 +227,17 @@ def load_instance(doc: dict) -> ParsedInstance:
         raise ParseError(str(exc)) from exc
     region = None
     if "region" in doc:
+        if not isinstance(doc["region"], list) or not all(
+            isinstance(row, list) for row in doc["region"]
+        ):
+            raise ParseError("'region' must be a list of coefficient rows")
         rows = [
             [_fraction(v, "region coefficient") for v in row] for row in doc["region"]
         ]
-        region = IncomeRegion.of(len(profile), rows)
+        try:
+            region = IncomeRegion.of(len(profile), rows)
+        except ValueError as exc:
+            raise ParseError(f"region: {exc}") from exc
     return ParsedInstance(
         item_names=names,
         agent_names=tuple(agent_names),
@@ -269,19 +284,24 @@ def instance_to_document(inst: NamedInstance) -> dict:
 
 
 def load_candidate(doc: dict, inst: ParsedInstance) -> CEPair:
+    if not isinstance(doc, dict):
+        raise ParseError("candidate file must contain a JSON object")
     for key in ("prices", "allocation"):
         if key not in doc:
             raise ParseError(f"candidate document is missing {key!r}")
+        if not isinstance(doc[key], dict):
+            raise ParseError(f"candidate {key!r} must be an object keyed by name")
     prices = []
     for name in inst.item_names:
         if name not in doc["prices"]:
             raise ParseError(f"candidate prices are missing item {name!r}")
         prices.append(_fraction(doc["prices"][name], f"price of {name}"))
-    bundles = []
     alloc = doc["allocation"]
-    for name in inst.agent_names:
-        bundles.append(parse_bundle(str(alloc.get(name, "")), inst.item_names))
     try:
+        bundles = [
+            parse_bundle(str(alloc.get(name, "")), inst.item_names)
+            for name in inst.agent_names
+        ]
         return CEPair(
             prices=PriceVector.of(prices),
             allocation=Allocation(m=inst.m, bundles=tuple(bundles)),
@@ -335,7 +355,7 @@ def cmd_solve(args) -> int:
         "range": transcript.range_label,
         "game": transcript.game_label,
         "order": [inst.agent_names[i] for i in transcript.order],
-        "epsilon": str(transcript.epsilon),
+        "epsilon": str(transcript.execution.epsilon),
         "path": list(transcript.execution.path),
         "picks": [
             {

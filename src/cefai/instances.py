@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .core import (
     PartialRelations,
@@ -21,7 +22,6 @@ from .core import (
     complete_partial,
     parse_bundle,
     random_completion,
-    subsets_of_size,
 )
 from .market import EmptyRegionSamplerError, IncomeRegion, IncomeVector
 from .solver import is_generic, range_labels, range_predicates
@@ -114,8 +114,8 @@ def counterexample_5x2() -> NamedInstance:
     quartets = [
         "".join(sorted(set(names) - {missing}, key=names.index)) for missing in names
     ]
-    triplets = ["".join(c) for c in _combo_strings(names, 3)]
-    pairs = ["".join(c) for c in _combo_strings(names, 2)]
+    triplets = ["".join(c) for c in combinations(names, 3)]
+    pairs = ["".join(c) for c in combinations(names, 2)]
     alice = _chain(
         m,
         names,
@@ -153,12 +153,6 @@ def counterexample_5x2() -> NamedInstance:
         region=region,
         reference=region.reference,
     )
-
-
-def _combo_strings(names: str, k: int):
-    from itertools import combinations
-
-    return combinations(names, k)
 
 
 def counterexample_4x3() -> NamedInstance:

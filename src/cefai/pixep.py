@@ -25,11 +25,11 @@ bundles only, so prices never enter the strategic analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import Bundle, PreferenceOrder, format_bundle, items_of
+from .core import PreferenceOrder
 from .market import (
     Allocation,
     CEPair,
@@ -448,9 +448,10 @@ def execute_to_ce(
     Every leaf must pass :func:`check_requirements` against the incomes
     (checked up front); each equilibrium play is then priced with its
     leaf's resolved ε and filtered through exact verification.  Raises
-    ``NoValidSpeError`` when no play passes: for the income-range
-    constructions in :mod:`cefai.solver` that would disprove the theory,
-    so it is a loud internal-consistency alarm rather than a user error.
+    ``NoValidSpeError`` when no play passes.  That is an expected outcome,
+    not an internal error: :func:`cefai.solver.solve` catches it to try
+    the range's fallback games, and some profiles have no equilibrium at
+    all (``counterexample-4x3``), so every game fails on them.
     """
     resolved: dict[int, Fraction] = {}
     for leaf in leaves(game):

@@ -9,20 +9,17 @@ test suite both drive these.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import PreferenceOrder, random_preference
 from .fairness import audit_ce_fairness
 from .instances import (
     NamedInstance,
-    counterexample_4x3,
     counterexample_4x4,
     counterexample_5x2,
-    random_generic_incomes,
     stratified_incomes,
 )
-from .market import CEPair, IncomeVector, verify_ce
+from .market import CEPair, IncomeVector
 from .market import affordable_dominating_bundles, preferred_dominated_bundles
 from .oracle import ce_exists
 from .pixep import NoValidSpeError
@@ -60,7 +57,6 @@ def _run_case(
     n: int,
     per_range: int,
     seed: int,
-    certify_failures: bool = True,
 ) -> SoundnessReport:
     """Solve ``per_range`` stratified instances per income range of the case.
 
@@ -84,7 +80,7 @@ def _run_case(
             try:
                 pair, transcript = solve(profile, incomes)
             except NoValidSpeError:
-                if certify_failures and ce_exists(profile, incomes) is None:
+                if ce_exists(profile, incomes) is None:
                     no_ce += 1
                 else:
                     unexplained.append((incomes, trials))
@@ -124,30 +120,6 @@ def soundness_m4n2(per_range: int = 250, seed: int = 12) -> SoundnessReport:
 
 def soundness_m4n3(per_range: int = 100, seed: int = 13) -> SoundnessReport:
     return _run_case("m4,n3", 4, 3, per_range, seed=seed)
-
-
-@dataclass(frozen=True)
-class OracleAgreement:
-    checked: int
-    confirmed: int
-    witnesses: tuple[CEPair, ...]
-
-
-def oracle_confirmations(
-    records: Sequence[SolveRecord], count: int
-) -> OracleAgreement:
-    """Exhaustively confirm existence on a prefix of solved records."""
-    confirmed = 0
-    witnesses = []
-    sample = records[:count]
-    for rec in sample:
-        witness = ce_exists(rec.profile, rec.incomes)
-        if witness is not None:
-            confirmed += 1
-            witnesses.append(witness)
-    return OracleAgreement(
-        checked=len(sample), confirmed=confirmed, witnesses=tuple(witnesses)
-    )
 
 
 @dataclass(frozen=True)
@@ -243,24 +215,14 @@ class FairnessAudit:
         return self.violations == 0
 
 
-def audit_fairness(
-    records: Sequence[SolveRecord],
-    extra_witnesses: Sequence[tuple[Sequence[PreferenceOrder], IncomeVector, CEPair]] = (),
-    d_max: int = 4,
-) -> FairnessAudit:
-    applicable = violations = audits = 0
+def audit_fairness(records: Sequence[SolveRecord], d_max: int = 4) -> FairnessAudit:
+    applicable = violations = 0
     for rec in records:
         report = audit_ce_fairness(rec.profile, rec.incomes, rec.pair, d_max=d_max)
-        audits += 1
-        applicable += report.applicable
-        violations += len(report.violations)
-    for profile, incomes, pair in extra_witnesses:
-        report = audit_ce_fairness(profile, incomes, pair, d_max=d_max)
-        audits += 1
         applicable += report.applicable
         violations += len(report.violations)
     return FairnessAudit(
-        pairs_audited=audits, applicable=applicable, violations=violations
+        pairs_audited=len(records), applicable=applicable, violations=violations
     )
 
 

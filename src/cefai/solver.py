@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import PreferenceOrder
 from .market import Allocation, CEPair, DimensionMismatchError, IncomeVector
@@ -34,6 +34,7 @@ from .pixep import (
     NoValidSpeError,
     Pixep,
     execute_to_ce,
+    leaves,
 )
 
 _AGENT_LETTERS = "ABCDEFGH"
@@ -139,11 +140,10 @@ def is_generic(incomes: IncomeVector, m: int, n: int | None = None) -> bool:
 # Income-range predicates over the sorted incomes, in dispatch order.
 # Exactly one predicate per case holds for generic incomes.
 
-def _ranges_m3(c_effective: Callable[[Sequence[Fraction]], Fraction]):
-    return [
-        ("m3:a>b+c", lambda t: t[0] > t[1] + c_effective(t)),
-        ("m3:a<b+c", lambda t: t[0] < t[1] + c_effective(t)),
-    ]
+_RANGES_M3 = [
+    ("m3:a>b+c", lambda t: t[0] > t[1] + t[2]),
+    ("m3:a<b+c", lambda t: t[0] < t[1] + t[2]),
+]
 
 
 _RANGES_M4N2 = [
@@ -180,7 +180,7 @@ def range_predicates(m: int, n: int) -> list[tuple[str, Callable]]:
         if n == 2:
             # with only two incomes the third is 0, so a > b+c always holds
             return [("m3:a>b+c", lambda t: True)]
-        return _ranges_m3(lambda t: t[2])
+        return _RANGES_M3
     if n == 2:
         return _RANGES_M4N2
     return _RANGES_M4N3
@@ -200,288 +200,133 @@ def active_range(m: int, n: int, sorted_incomes: Sequence[Fraction]) -> str:
     return matches[0]
 
 
-def _pix(seq: str, *prices: AffinePrice) -> Pixep:
-    agents = [_AGENT_LETTERS.index(ch) for ch in seq]
-    return Pixep.of(zip(agents, prices))
+def _baaa(a: Fraction, b: Fraction, c: Fraction) -> tuple:
+    split = max(c, (a - b) / 2)
+    return ((b, 0), (a - 2 * split, -2), (split, +1), (split, +1))
 
 
-def _price(c0, c1=0) -> AffinePrice:
-    return AffinePrice.of(c0, c1)
+# Every leaf game, by name, as its prices (c0, c1), meaning c0 + c1·ε, one
+# per position, over the sorted incomes a > b > c; a missing income is 0,
+# which turns the three-agent formulas into the two-agent ones.  A leaf's
+# turn sequence is its name without the "=" that marks an alternative
+# price vector for the same sequence.
+_LEAVES: dict[str, Callable[[Fraction, Fraction, Fraction], tuple]] = {
+    "A": lambda a, b, c: ((a, 0),),
+    "AB": lambda a, b, c: ((a, 0), (b, 0)),
+    "ABA": lambda a, b, c: ((a - c, -1), (b, 0), (c, +1)),
+    "ABC": lambda a, b, c: ((a, 0), (b, 0), (c, 0)),
+    "AABA": lambda a, b, c: ((a - b - c, -2), (b, +1), (b, 0), (c, +1)),
+    "AABC": lambda a, b, c: ((a - b, -1), (b, +1), (b, 0), (c, 0)),
+    "ABAC": lambda a, b, c: ((b, +1), (b, 0), (a - b, -1), (c, 0)),
+    "ABAB": lambda a, b, c: ((a - c, -2), (b - c, -1), (c, +2), (c, +1)),
+    "AABB": lambda a, b, c: ((a / 2, 0), (a / 2, 0), (b / 2, 0), (b / 2, 0)),
+    "ABBC": lambda a, b, c: ((a, 0), (b / 2, 0), (b / 2, 0), (c, 0)),
+    "ABCA": lambda a, b, c: ((a, -1), (b, 0), (c, 0), (0, +1)),
+    "ABCB": lambda a, b, c: ((a, 0), (b, -1), (c, 0), (0, +1)),
+    "BAAA": _baaa,
+    "BAAC": lambda a, b, c: ((b, 0), (a - c, -1), (c, +1), (c, 0)),
+    "BAAC=": lambda a, b, c: ((b, 0), (a / 2, 0), (a / 2, 0), (c, 0)),
+    "BACA": lambda a, b, c: ((b, 0), (c, +1), (c, 0), (a - c, -1)),
+}
+
+# Where a leaf meets the price requirements on only part of the incomes,
+# its guard says where: the guard is the R2/R3 condition that
+# ``check_requirements`` checks.  A fallback is tried only where its
+# guard holds.
+_GUARDS: dict[str, Callable[[Fraction, Fraction, Fraction], bool]] = {
+    "BAAA": lambda a, b, c: a > 3 * max(c, (a - b) / 2),
+    "BAAC=": lambda a, b, c: 2 * b > a > 2 * c,
+    "AABB": lambda a, b, c: b > 2 * c,
+    "ABBC": lambda a, b, c: b > 2 * c,
+}
+
+# A choice game: (chooser, (option label, game), ...), each game a leaf
+# name or another choice game; the last option is the default.
+_ABAB_OR_SPLIT = (
+    0, ("ABAB", "ABAB"), ("else", (1, ("BAAA", "BAAA"), ("AABB", "AABB")))
+)
+
+# Each income range's primary game, then the leaves tried after it, in
+# order.  The primary constructions are not complete: for some profiles
+# their equilibrium plays fail the affordability conditions (an agent
+# with split turns can afford a bundle that dominates their own and
+# prefer it), while a fallback leaf that meets the price requirements on
+# the same incomes can still implement an equilibrium.
+_RANGE_GAMES: dict[str, tuple] = {
+    "m1": ("A", ()),
+    "m2": ("AB", ()),
+    "m3:a>b+c": ("ABA", ()),
+    "m3:a<b+c": ("ABC", ()),
+    "m4n2:a>2b": ("AABA", ()),
+    "m4n2:a<2b": (_ABAB_OR_SPLIT, ("ABAB", "BAAA", "AABB")),
+    "m4n3:range1": ("AABA", ("AABC", "ABAC", "ABCB")),
+    "m4n3:range2": ("AABC", ("ABAC", "ABCB")),
+    "m4n3:range3": ("ABAC", ("ABCB", "ABCA", "BAAC=", "BAAA", "AABB", "ABBC")),
+    "m4n3:range4": (_ABAB_OR_SPLIT, ("ABAB", "AABB", "ABBC", "ABAC", "ABCB")),
+    "m4n3:range5": (
+        (0, ("ABCB", "ABCB"), ("BAAC", "BAAC")),
+        ("ABCB", "BAAC", "BAAC=", "ABCA"),
+    ),
+    "m4n3:range6": (
+        (1, ("ABAB", "ABAB"), ("else", (0, ("ABBC", "ABBC"), ("BAAC", "BAAC")))),
+        ("BAAC", "BAAC=", "ABBC", "AABB", "ABAB", "ABCB", "ABCA", "BAAA"),
+    ),
+    "m4n3:range7": (
+        (0, ("ABCB", "ABCB"), ("BACA", "BACA")),
+        ("ABCB", "BACA", "ABCA"),
+    ),
+}
+
+
+def _guard(name: str, abc: tuple) -> bool:
+    guard = _GUARDS.get(name)
+    return guard is None or guard(*abc)
+
+
+def _leaf(name: str, abc: tuple) -> Leaf:
+    agents = [_AGENT_LETTERS.index(ch) for ch in name.rstrip("=")]
+    prices = [AffinePrice.of(c0, c1) for c0, c1 in _LEAVES[name](*abc)]
+    return Leaf(Pixep.of(zip(agents, prices)), name)
+
+
+def _game(spec, abc: tuple) -> GameNode:
+    if isinstance(spec, str):
+        return _leaf(spec, abc)
+    chooser, *options = spec
+    return ChoiceNode(
+        agent=chooser, options=tuple((label, _game(sub, abc)) for label, sub in options)
+    )
 
 
 def _candidate_games(
     label: str, t: Sequence[Fraction], m: int
-) -> list[tuple[str, GameNode]]:
-    """Games to try for one income range, in order of preference.
-
-    The first entry is the range's primary construction.  The rest are
-    alternative pixeps that satisfy the price requirements on the same
-    income range; they matter because the primary construction is not
-    complete: for some preference profiles its equilibrium plays fail
-    the affordability conditions (an agent with split turns can afford
-    a bundle that dominates his own and prefer it), while one of the
-    alternatives still implements an equilibrium whenever one exists.
-    """
-    a = t[0]
-    b = t[1] if len(t) > 1 else None
-    c = t[2] if len(t) > 2 else None
-    candidates = [(label, _build_game(label, t, m))]
-
-    def add(sublabel: str, game: GameNode) -> None:
-        candidates.append((f"{label}+{sublabel}", game))
-
-    if label.startswith("m4n3:"):
-        abcb = Leaf(
-            _pix("ABCB", _price(a), _price(b, -1), _price(c), _price(0, +1)), "ABCB"
-        )
-        abca = Leaf(
-            _pix("ABCA", _price(a, -1), _price(b), _price(c), _price(0, +1)), "ABCA"
-        )
-        p_split = max(c, (a - b) / 2)
-        baaa = (
-            Leaf(
-                _pix("BAAA", _price(b), _price(a - 2 * p_split, -2),
-                     _price(p_split, +1), _price(p_split, +1)),
-                "BAAA",
-            )
-            if a > 3 * p_split
-            else None
-        )
-        abac = Leaf(
-            _pix("ABAC", _price(b, +1), _price(b), _price(a - b, -1), _price(c)),
-            "ABAC",
-        )
-        aabc = Leaf(
-            _pix("AABC", _price(a - b, -1), _price(b, +1), _price(b), _price(c)),
-            "AABC",
-        )
-        baac = Leaf(
-            _pix("BAAC", _price(b), _price(a - c, -1), _price(c, +1), _price(c)),
-            "BAAC",
-        )
-        baac_half = (
-            Leaf(
-                _pix("BAAC", _price(b), _price(a / 2), _price(a / 2), _price(c)),
-                "BAAC=",
-            )
-            if 2 * b > a > 2 * c
-            else None
-        )
-        abab = Leaf(
-            _pix("ABAB",
-                 _price(a - c, -2), _price(b - c, -1), _price(c, +2), _price(c, +1)),
-            "ABAB",
-        )
-        aabb = Leaf(
-            _pix("AABB", _price(a / 2), _price(a / 2), _price(b / 2), _price(b / 2)),
-            "AABB",
-        )
-        abbc = Leaf(
-            _pix("ABBC", _price(a), _price(b / 2), _price(b / 2), _price(c)), "ABBC"
-        )
-        baca = Leaf(
-            _pix("BACA", _price(b), _price(c, +1), _price(c), _price(a - c, -1)),
-            "BACA",
-        )
-        if label == "m4n3:range1":
-            add("AABC", aabc)
-            add("ABAC", abac)
-            add("ABCB", abcb)
-        elif label == "m4n3:range2":
-            add("ABAC", abac)
-            add("ABCB", abcb)
-        elif label == "m4n3:range3":
-            add("ABCB", abcb)
-            add("ABCA", abca)
-            if baac_half is not None:
-                add("BAAC=", baac_half)
-            if baaa is not None:
-                add("BAAA", baaa)
-            if b > 2 * c:
-                add("AABB", aabb)
-                add("ABBC", abbc)
-        elif label == "m4n3:range4":
-            add("ABAB", abab)
-            add("AABB", aabb)
-            add("ABBC", abbc)
-            add("ABAC", abac)
-            add("ABCB", abcb)
-        elif label == "m4n3:range5":
-            add("ABCB", abcb)
-            add("BAAC", baac)
-            if baac_half is not None:
-                add("BAAC=", baac_half)
-            add("ABCA", abca)
-            if baaa is not None:
-                add("BAAA", baaa)
-        elif label == "m4n3:range6":
-            add("BAAC", baac)
-            if baac_half is not None:
-                add("BAAC=", baac_half)
-            add("ABBC", abbc)
-            add("AABB", aabb)
-            add("ABAB", abab)
-            add("ABCB", abcb)
-            add("ABCA", abca)
-            if baaa is not None:
-                add("BAAA", baaa)
-        elif label == "m4n3:range7":
-            add("ABCB", abcb)
-            add("BACA", baca)
-            add("ABCA", abca)
-    elif label == "m4n2:a<2b":
-        half = (a - b) / 2
-        add("ABAB", Leaf(
-            _pix("ABAB", _price(a, -2), _price(b, -1), _price(0, +2), _price(0, +1)),
-            "ABAB",
-        ))
-        add("BAAA", Leaf(
-            _pix("BAAA", _price(b), _price(b, -2), _price(half, +1), _price(half, +1)),
-            "BAAA",
-        ))
-        add("AABB", Leaf(
-            _pix("AABB", _price(a / 2), _price(a / 2), _price(b / 2), _price(b / 2)),
-            "AABB",
-        ))
-    return candidates
-
-
-def _build_game(label: str, t: Sequence[Fraction], m: int) -> GameNode:
-    """The pixep or choice game for one income range, over sorted agents."""
-    a = t[0]
-    b = t[1] if len(t) > 1 else None
-    c = t[2] if len(t) > 2 else None
-
+) -> Iterator[tuple[str, GameNode]]:
+    """Games to try for one income range, over sorted agents, in order of
+    preference: the range's primary game, then each fallback leaf whose
+    guard holds, labelled ``range+leaf``."""
     if label.endswith("n1"):
-        share = Fraction(a, m)
-        return Leaf(Pixep.of((0, _price(share)) for _ in range(m)), "A" * m)
-    if label == "m1":
-        return Leaf(_pix("A", _price(a)), "A")
-    if label == "m2":
-        return Leaf(_pix("AB", _price(a), _price(b)), "AB")
-
-    if label == "m3:a>b+c":
-        c3 = c if c is not None else Fraction(0)
-        return Leaf(
-            _pix("ABA", _price(a - c3, -1), _price(b), _price(c3, +1)), "ABA"
-        )
-    if label == "m3:a<b+c":
-        return Leaf(_pix("ABC", _price(a), _price(b), _price(c)), "ABC")
-
-    if label == "m4n2:a>2b":
-        return Leaf(
-            _pix("AABA", _price(a - b, -2), _price(b, +1), _price(b), _price(0, +1)),
-            "AABA",
-        )
-    if label == "m4n2:a<2b":
-        abab = Leaf(
-            _pix("ABAB", _price(a, -2), _price(b, -1), _price(0, +2), _price(0, +1)),
-            "ABAB",
-        )
-        half = (a - b) / 2
-        baaa = Leaf(
-            _pix("BAAA", _price(b), _price(b, -2), _price(half, +1), _price(half, +1)),
-            "BAAA",
-        )
-        aabb = Leaf(
-            _pix("AABB", _price(a / 2), _price(a / 2), _price(b / 2), _price(b / 2)),
-            "AABB",
-        )
-        return ChoiceNode(
-            agent=0,
-            options=(
-                ("ABAB", abab),
-                ("else", ChoiceNode(agent=1, options=(("BAAA", baaa), ("AABB", aabb)))),
-            ),
-        )
-
-    if label == "m4n3:range1":
-        return Leaf(
-            _pix("AABA",
-                 _price(a - b - c, -2), _price(b, +1), _price(b), _price(c, +1)),
-            "AABA",
-        )
-    if label == "m4n3:range2":
-        return Leaf(
-            _pix("AABC", _price(a - b, -1), _price(b, +1), _price(b), _price(c)),
-            "AABC",
-        )
-    if label == "m4n3:range3":
-        return Leaf(
-            _pix("ABAC", _price(b, +1), _price(b), _price(a - b, -1), _price(c)),
-            "ABAC",
-        )
-    if label == "m4n3:range4":
-        if not (b > 2 * c and a > 3 * c):
+        share = AffinePrice.of(Fraction(t[0], m))
+        yield label, Leaf(Pixep.of((0, share) for _ in range(m)), "A" * m)
+        return
+    abc = (*t[:3], 0, 0)[:3]
+    primary, fallbacks = _RANGE_GAMES[label]
+    game = _game(primary, abc)
+    for leaf in leaves(game):
+        if not _guard(leaf.label, abc):
             raise AssertionError(
-                "range 4 must imply b > 2c and a > 3c; dispatch is inconsistent"
+                f"{label} must meet the guard of its {leaf.label} leaf; "
+                "dispatch is inconsistent"
             )
-        abab = Leaf(
-            _pix("ABAB",
-                 _price(a - c, -2), _price(b - c, -1), _price(c, +2), _price(c, +1)),
-            "ABAB",
-        )
-        p = max(c, (a - b) / 2)
-        baaa = Leaf(
-            _pix("BAAA",
-                 _price(b), _price(a - 2 * p, -2), _price(p, +1), _price(p, +1)),
-            "BAAA",
-        )
-        aabb = Leaf(
-            _pix("AABB", _price(a / 2), _price(a / 2), _price(b / 2), _price(b / 2)),
-            "AABB",
-        )
-        return ChoiceNode(
-            agent=0,
-            options=(
-                ("ABAB", abab),
-                ("else", ChoiceNode(agent=1, options=(("BAAA", baaa), ("AABB", aabb)))),
-            ),
-        )
-    if label == "m4n3:range5":
-        abcb = Leaf(
-            _pix("ABCB", _price(a), _price(b, -1), _price(c), _price(0, +1)), "ABCB"
-        )
-        baac = Leaf(
-            _pix("BAAC", _price(b), _price(a - c, -1), _price(c, +1), _price(c)),
-            "BAAC",
-        )
-        return ChoiceNode(agent=0, options=(("ABCB", abcb), ("BAAC", baac)))
-    if label == "m4n3:range6":
-        abab = Leaf(
-            _pix("ABAB",
-                 _price(a - c, -2), _price(b - c, -1), _price(c, +2), _price(c, +1)),
-            "ABAB",
-        )
-        abbc = Leaf(
-            _pix("ABBC", _price(a), _price(b / 2), _price(b / 2), _price(c)), "ABBC"
-        )
-        baac = Leaf(
-            _pix("BAAC", _price(b), _price(a - c, -1), _price(c, +1), _price(c)),
-            "BAAC",
-        )
-        return ChoiceNode(
-            agent=1,
-            options=(
-                ("ABAB", abab),
-                ("else", ChoiceNode(agent=0, options=(("ABBC", abbc), ("BAAC", baac)))),
-            ),
-        )
-    if label == "m4n3:range7":
-        abcb = Leaf(
-            _pix("ABCB", _price(a), _price(b, -1), _price(c), _price(0, +1)), "ABCB"
-        )
-        baca = Leaf(
-            _pix("BACA", _price(b), _price(c, +1), _price(c), _price(a - c, -1)),
-            "BACA",
-        )
-        return ChoiceNode(agent=0, options=(("ABCB", abcb), ("BACA", baca)))
-    raise AssertionError(f"no game construction for range {label}")
+    yield label, game
+    for name in fallbacks:
+        if _guard(name, abc):
+            yield f"{label}+{name}", _leaf(name, abc)
 
 
 @dataclass(frozen=True)
 class SolveTranscript:
-    """Audit trail of one solve: replaying it reproduces the same pair."""
+    """Audit trail of one solve: the sorted order, the range, the game and
+    the chosen play (whose ``epsilon`` resolved the prices)."""
 
     m: int
     n: int
@@ -490,14 +335,6 @@ class SolveTranscript:
     game_label: str  # range label, suffixed when a fallback game was used
     game: GameNode
     execution: Execution  # over sorted agent indices
-    epsilon: Fraction
-    ce: CEPair  # over original agent indices
-
-    def replay(
-        self, profile: Sequence[PreferenceOrder], incomes: IncomeVector
-    ) -> CEPair:
-        pair, _ = solve(profile, incomes)
-        return pair
 
 
 def solve(
@@ -557,7 +394,5 @@ def solve(
         game_label=game_label,
         game=game,
         execution=execution,
-        epsilon=execution.epsilon,
-        ce=pair,
     )
     return pair, transcript

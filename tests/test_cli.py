@@ -271,6 +271,49 @@ class TestInstanceFiles:
         code = main(["solve", str(path)])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "instance_patch, candidate",
+        [
+            pytest.param({"agents": ["Alice", "Bob", "Carl"]}, None,
+                         id="agents-not-objects"),
+            pytest.param({"region": [["1", "-1"]]}, None, id="region-row-width"),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2", "preference": {"partial": "x"}}]},
+                None,
+                id="partial-not-object",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2",
+                             "preference": {"partial": {"pairs": [5]}}}]},
+                None,
+                id="pair-not-list",
+            ),
+            pytest.param(
+                {},
+                {"prices": {"x": "6", "y": "13/2", "z": "7/2"},
+                 "allocation": {"Alice": "yy", "Bob": "x", "Carl": ""}},
+                id="bundle-repeats-item",
+            ),
+            pytest.param(
+                {},
+                {"prices": {"x": "6", "y": "13/2", "z": "7/2"},
+                 "allocation": ["yz", "x", ""]},
+                id="allocation-not-object",
+            ),
+        ],
+    )
+    def test_malformed_input_exit_code(self, tmp_path, capsys, instance_patch, candidate):
+        path = write(tmp_path, "instance.json", {**aba_instance(), **instance_patch})
+        if candidate is None:
+            argv = ["solve", path]
+        else:
+            argv = ["verify", path, write(tmp_path, "candidate.json", candidate)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_schema_is_a_json_object(self):
         assert INSTANCE_SCHEMA["type"] == "object"
         assert set(INSTANCE_SCHEMA["required"]) == {"items", "agents"}

@@ -228,10 +228,10 @@ class TestExecuteToCE:
         # a profile whose market admits no equilibrium at all: every play of
         # any requirement-satisfying game must fail verification
         from cefai.instances import counterexample_4x3
-        from cefai.solver import _build_game
+        from cefai.solver import _candidate_games
 
         inst = counterexample_4x3()
         profile = list(inst.completed_profile())
-        game = _build_game("m4n3:range3", inst.reference.t, 4)
+        _, game = next(_candidate_games("m4n3:range3", inst.reference.t, 4))
         with pytest.raises(NoValidSpeError):
             execute_to_ce(game, profile, inst.reference)

@@ -1,16 +1,22 @@
 """Income-range dispatch: hyperplanes, genericity, and verified solves."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cefai.core import random_preference
 from cefai.market import IncomeVector, verify_ce
-from cefai.pixep import NoValidSpeError
+from cefai.pixep import (
+    EmptyEpsilonIntervalError,
+    NoValidSpeError,
+    check_requirements,
+    leaves,
+)
 from cefai.solver import (
     NotGenericError,
     UnsupportedCaseError,
-    active_range,
     excluded_hyperplanes,
     is_generic,
     range_labels,
@@ -71,6 +77,42 @@ class TestRanges:
         assert range_labels(3, 2) == ["m3:a>b+c"]
 
 
+def _table_ranges():
+    for m, n in [(1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        for label in range_labels(m, n):
+            yield m, n, label
+
+
+def _passes_requirements(leaf, incomes) -> bool:
+    try:
+        check_requirements(leaf.pixep, incomes)
+    except EmptyEpsilonIntervalError:
+        return False
+    return True
+
+
+class TestGameTable:
+    @pytest.mark.parametrize("m,n,label", list(_table_ranges()))
+    def test_guards_match_requirements(self, m, n, label):
+        # a fallback's guard holds exactly where its prices meet R2/R3, every
+        # leaf of the primary game meets them, and every fallback is tried
+        # somewhere in its range
+        from cefai.solver import _RANGE_GAMES, _game, _guard, _leaf
+
+        primary, fallbacks = _RANGE_GAMES[label]
+        live = set()
+        for incomes in stratified_incomes(m, n, label, seed=5, count=100):
+            abc = (*incomes.t[:3], 0, 0)[:3]
+            for leaf in leaves(_game(primary, abc)):
+                assert _passes_requirements(leaf, incomes), (leaf.label, incomes)
+            for name in fallbacks:
+                passes = _passes_requirements(_leaf(name, abc), incomes)
+                assert _guard(name, abc) == passes, (name, incomes)
+                if passes:
+                    live.add(name)
+        assert live == set(fallbacks)
+
+
 class TestSolve:
     def worked_profile(self):
         alice = chain_preference(3, Y | Z, X | Z)
@@ -85,7 +127,7 @@ class TestSolve:
         assert transcript.range_label == "m3:a>b+c"
         assert pair.allocation.bundles == (Y | Z, X, 0)
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
-        assert transcript.epsilon == Fraction(1, 2)
+        assert transcript.execution.epsilon == Fraction(1, 2)
         assert verify_ce(profile, incomes, pair).valid
 
     def test_three_items_one_each_branch(self):
@@ -160,8 +202,8 @@ class TestSolve:
     def test_replay_reproduces_pair(self):
         profile = self.worked_profile()
         incomes = IncomeVector.of([10, 6, 3])
-        pair, transcript = solve(profile, incomes)
-        assert transcript.replay(profile, incomes) == pair
+        pair, _ = solve(profile, incomes)
+        assert solve(profile, incomes)[0] == pair
 
     def test_no_ce_instance_raises(self):
         from cefai.instances import counterexample_4x3
@@ -169,3 +211,81 @@ class TestSolve:
         inst = counterexample_4x3()
         with pytest.raises(NoValidSpeError):
             solve(list(inst.completed_profile()), inst.reference)
+
+
+# Every supported size; range labels come from the dispatcher itself.
+_PINNED_SIZES = [
+    (1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4),
+    (3, 2), (3, 3), (3, 4), (4, 2), (4, 3),
+]
+# (range, index into the seed-0 stratified stream) of the instances whose
+# primary game has no equilibrium play, so that a fallback game wins.
+_PINNED_FALLBACKS = [
+    ("m4n3:range3", 69),   # +BAAA
+    ("m4n3:range3", 139),  # +AABB
+    ("m4n3:range6", 63),   # +BAAC
+    ("m4n3:range6", 70),   # +BAAC=
+    ("m4n3:range6", 139),  # +AABB
+]
+
+
+def _pinned_corpus():
+    for m, n in _PINNED_SIZES:
+        for r_index, label in enumerate(range_labels(m, n)):
+            points = stratified_incomes(m, n, label, seed=7 + r_index, count=3)
+            for k, incomes in enumerate(points):
+                profile = [
+                    random_preference(m, seed=1000 * (10 * m + n) + 10 * k + i)
+                    for i in range(n)
+                ]
+                yield profile, incomes
+    for label, index in _PINNED_FALLBACKS:
+        incomes = stratified_incomes(4, 3, label, seed=0, count=index + 1)[index]
+        yield [random_preference(4, seed=10_000 * index + i) for i in range(3)], incomes
+
+
+def _solve_line(profile, incomes) -> str:
+    pair, transcript = solve(profile, incomes)
+    execution = transcript.execution
+    return " | ".join(
+        [
+            transcript.range_label,
+            transcript.game_label,
+            "/".join(execution.path),
+            repr(transcript.order),
+            str(execution.epsilon),
+            repr(execution.picks),
+            ",".join(str(p) for p in pair.prices),
+            repr(pair.allocation.bundles),
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def pinned_lines():
+    return [_solve_line(*case) for case in _pinned_corpus()]
+
+
+class TestPinnedOutputs:
+    """Solve output on a fixed corpus, pinned so that a refactor of the
+    game constructions must reproduce it exactly."""
+
+    def test_game_labels(self, pinned_lines):
+        labels = Counter(line.split(" | ")[1] for line in pinned_lines)
+        assert labels == {
+            "m1n1": 3, "m2n1": 3, "m3n1": 3, "m4n1": 3, "m1": 6, "m2": 9,
+            "m3:a>b+c": 9, "m3:a<b+c": 6,
+            "m4n2:a>2b": 3, "m4n2:a<2b": 3,
+            "m4n3:range1": 3, "m4n3:range2": 3, "m4n3:range3": 3,
+            "m4n3:range4": 3, "m4n3:range5": 3, "m4n3:range6": 3,
+            "m4n3:range7": 3,
+            "m4n3:range3+BAAA": 1, "m4n3:range3+AABB": 1,
+            "m4n3:range6+BAAC": 1, "m4n3:range6+BAAC=": 1,
+            "m4n3:range6+AABB": 1,
+        }
+
+    def test_digest(self, pinned_lines):
+        digest = hashlib.sha256("\n".join(pinned_lines).encode()).hexdigest()
+        assert digest == (
+            "d9eb21db74b7dffd0ecae56dc0384c807e80b91069d08a9f775ffb43a451c743"
+        )
