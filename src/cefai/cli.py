@@ -120,6 +120,14 @@ INSTANCE_SCHEMA: dict = {
 }
 
 
+#: Most decimal digits in the numerator or denominator of an input
+#: rational.  Printed values are sums and quotients of a few inputs, so
+#: this keeps them under Python's default limit of 4300 digits for
+#: converting an integer to text.
+MAX_DIGITS = 400
+_DIGIT_BOUND = 10**MAX_DIGITS
+
+
 class ParseError(ValueError):
     pass
 
@@ -147,9 +155,12 @@ def _fraction(value: Any, context: str) -> Fraction:
             f"{context}: floats are not allowed, use exact strings like '27/2'"
         )
     try:
-        return Fraction(str(value))
+        result = Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{context}: {exc}") from exc
+    if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
+        raise ParseError(f"{context}: more than {MAX_DIGITS} digits")
+    return result
 
 
 def _chain_element(element: Any, m: int, names: Sequence[str]) -> list[Bundle]:
@@ -253,7 +264,9 @@ def _read_json(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers too long to convert; RecursionError, nesting too deep.
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -144,6 +144,8 @@ def parse_bundle(text: str, names: Sequence[str]) -> Bundle:
     with ``+``.  The empty string and the empty-set symbol both parse
     to the empty bundle.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a bundle is written as a string, got {text!r}")
     text = text.strip()
     if text in ("", EMPTY_BUNDLE_SYMBOL):
         return 0

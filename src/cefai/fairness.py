@@ -8,17 +8,22 @@ agents, the agent's equilibrium bundle is at least as good as the
 l-out-of-d maximin bundle of everything K received.  Special cases:
 envy-freeness (K one agent, l = d = 1, equal incomes) and the classic
 maximin-share guarantee (K everyone, l = 1, d = n, equal incomes).
+
+The premise ``t_agent >= (l/d) * t_K`` is decided in integers: the
+incomes are scaled once by their common denominator (see
+``cefai.market``), and the premise reads ``d * t_agent >= l * t_K`` in
+the scaled incomes, which holds exactly when it holds in the original
+``Fraction``s because the scale is positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 from .core import Bundle, PreferenceOrder, items_of
-from .market import Allocation, CEPair, IncomeVector
+from .market import Allocation, CEPair, IncomeVector, common_scale, scaled_integers
 
 MAX_MAXIMIN_ITEMS = 6
 MAX_MAXIMIN_PARTS = 6
@@ -94,6 +99,11 @@ def maximin(q: MaximinQuery) -> Bundle:
     return best_bundle
 
 
+def _share_premise(own: int, group_total: int, l: int, d: int) -> bool:
+    """``own >= (l/d) * group_total`` for scaled integer incomes."""
+    return d * own >= l * group_total
+
+
 @dataclass(frozen=True)
 class GuaranteeCheck:
     agent: int
@@ -122,10 +132,8 @@ def check_guarantee(
     holdings.
     """
     group = tuple(group)
-    premise = incomes[agent] >= Fraction(l, d) * sum(
-        (incomes[i] for i in group), Fraction(0)
-    )
-    if not premise:
+    income = scaled_integers(incomes, common_scale(incomes))
+    if not _share_premise(income[agent], sum(income[i] for i in group), l, d):
         return GuaranteeCheck(agent, group, l, d, False, True, 0)
     union = 0
     for i in group:
@@ -160,37 +168,39 @@ def audit_ce_fairness(
     small item counts (extra parts come out empty) while the premise
     only gets harder to meet.
     """
-    n = len(profile)
-    agents = range(n)
-    checked = applicable = 0
+    agents = range(len(profile))
+    income = scaled_integers(incomes, common_scale(incomes))
+    shares = [(l, d) for d in range(1, d_max + 1) for l in range(1, d + 1)]
+    groups = []
+    for size in agents:
+        for group in combinations(agents, size + 1):
+            union = 0
+            for i in group:
+                union |= ce.allocation[i]
+            groups.append((group, union, sum(income[i] for i in group)))
+    checked = len(agents) * len(groups) * len(shares)
+    applicable = 0
     violations = []
-    cache: dict[tuple[int, Bundle, int, int], Bundle] = {}
     for agent in agents:
         pref = profile[agent]
-        own = ce.allocation[agent]
-        for size in range(1, n + 1):
-            for group in combinations(agents, size):
-                union = 0
-                for i in group:
-                    union |= ce.allocation[i]
-                group_income = sum((incomes[i] for i in group), Fraction(0))
-                for d in range(1, d_max + 1):
-                    for l in range(1, d + 1):
-                        checked += 1
-                        if incomes[agent] < Fraction(l, d) * group_income:
-                            continue
-                        applicable += 1
-                        key = (agent, union, l, d)
-                        guaranteed = cache.get(key)
-                        if guaranteed is None:
-                            guaranteed = maximin(MaximinQuery(pref, union, l, d))
-                            cache[key] = guaranteed
-                        if not pref.weakly_prefers(own, guaranteed):
-                            violations.append(
-                                GuaranteeCheck(
-                                    agent, group, l, d, True, False, guaranteed
-                                )
-                            )
+        rank = pref.rank
+        own_rank = rank[ce.allocation[agent]]
+        own_income = income[agent]
+        cache: dict[tuple[Bundle, int, int], Bundle] = {}
+        for group, union, group_income in groups:
+            for l, d in shares:
+                if not _share_premise(own_income, group_income, l, d):
+                    continue
+                applicable += 1
+                key = (union, l, d)
+                guaranteed = cache.get(key)
+                if guaranteed is None:
+                    guaranteed = maximin(MaximinQuery(pref, union, l, d))
+                    cache[key] = guaranteed
+                if own_rank < rank[guaranteed]:
+                    violations.append(
+                        GuaranteeCheck(agent, group, l, d, True, False, guaranteed)
+                    )
     return FairnessReport(
         checked=checked, applicable=applicable, violations=tuple(violations)
     )

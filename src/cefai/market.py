@@ -5,12 +5,21 @@ A pair (price vector, allocation) is a competitive equilibrium when
 1. every agent holding a non-empty bundle pays exactly their income, and
 2. no agent can afford any bundle they strictly prefer to their own.
 
-Both conditions are checked with exact rational arithmetic; the
-affordability threshold for an agent is their income (for non-empty
-bundles this coincides with the bundle price via condition 1, and for
-empty-handed agents it is the reading under which "cannot afford any
-non-empty bundle" makes sense).  A literal mode that thresholds on the
-agent's own bundle price instead is available for comparison.
+Both conditions are checked exactly; the affordability threshold for
+an agent is their income (for non-empty bundles this coincides with the
+bundle price via condition 1, and for empty-handed agents it is the
+reading under which "cannot afford any non-empty bundle" makes sense).
+A literal mode that thresholds on the agent's own bundle price instead
+is available for comparison.
+
+Every money value a caller sees is an exact ``Fraction``.  Inside a
+check the values are scaled to integers: ``common_scale`` is the least
+common multiple of their denominators, and ``scaled_integers``
+multiplies each value by it, which keeps every sum and comparison exact
+and makes each one an integer operation.  ``verify_ce`` prices all
+``2^m`` bundles in one subset-sum pass over the scaled prices and builds
+a ``Fraction`` (the integer over the scale) only for a violation it
+reports.
 """
 
 from __future__ import annotations
@@ -19,17 +28,20 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    Bundle,
-    PreferenceOrder,
-    all_bundles,
-    bundle_size,
-    format_bundle,
-    item_names,
-    items_of,
-)
+from .core import Bundle, PreferenceOrder, all_bundles, format_bundle, items_of
+
+
+def common_scale(*vectors: Iterable[Fraction]) -> int:
+    """The least common multiple of the denominators of every value given."""
+    return lcm(*(v.denominator for vector in vectors for v in vector))
+
+
+def scaled_integers(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Each value times ``scale``, a multiple of every value's denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 class DimensionMismatchError(ValueError):
@@ -194,26 +206,48 @@ def verify_ce(
     if any(pref.m != m for pref in profile) or cand.allocation.m != m or len(cand.prices) != m:
         raise DimensionMismatchError("item universes differ across inputs")
 
+    scale = common_scale(cand.prices, incomes)
+    unit = scaled_integers(cand.prices, scale)
+    income = scaled_integers(incomes, scale)
+    price = [0] * (1 << m)
+    for b in range(1, 1 << m):
+        low = b & -b
+        price[b] = price[b ^ low] + unit[low.bit_length() - 1]
+
     violations: list[CEViolation] = []
     for i, pref in enumerate(profile):
         own = cand.allocation[i]
-        own_price = cand.prices.bundle_price(own)
-        if own != 0 and own_price != incomes[i]:
+        own_price = price[own]
+        if own != 0 and own_price != income[i]:
             violations.append(
-                CEViolation(i, ViolationKind.BUDGET_MISMATCH, own, own_price, incomes[i])
-            )
-        threshold = own_price if strict_literal else incomes[i]
-        own_rank = pref.rank_of(own)
-        for y in all_bundles(m):
-            if pref.rank[y] <= own_rank:
-                continue
-            y_price = cand.prices.bundle_price(y)
-            if y_price <= threshold:
-                violations.append(
-                    CEViolation(
-                        i, ViolationKind.AFFORDABLE_BETTER_BUNDLE, y, y_price, threshold
-                    )
+                CEViolation(
+                    i,
+                    ViolationKind.BUDGET_MISMATCH,
+                    own,
+                    Fraction(own_price, scale),
+                    incomes[i],
                 )
+            )
+        threshold = own_price if strict_literal else income[i]
+        rank = pref.rank
+        own_rank = rank[own]
+        better = [
+            y
+            for y, (r, y_price) in enumerate(zip(rank, price))
+            if r > own_rank and y_price <= threshold
+        ]
+        if better:
+            exact_threshold = Fraction(threshold, scale)
+            violations.extend(
+                CEViolation(
+                    i,
+                    ViolationKind.AFFORDABLE_BETTER_BUNDLE,
+                    y,
+                    Fraction(price[y], scale),
+                    exact_threshold,
+                )
+                for y in better
+            )
     return CEReport(valid=not violations, violations=tuple(violations))
 
 

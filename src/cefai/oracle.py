@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Sequence
 
 from .core import Bundle, PreferenceOrder, all_bundles, bundle_size, items_of
@@ -47,6 +46,8 @@ from .market import (
     IncomeRegion,
     IncomeVector,
     PriceVector,
+    common_scale,
+    scaled_integers,
     verify_ce,
 )
 
@@ -75,8 +76,8 @@ class _MarketRows:
     def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
         self.profile = profile
         self.m = profile[0].m
-        self.scale = lcm(*(t.denominator for t in incomes))
-        self.income = [t.numerator * (self.scale // t.denominator) for t in incomes]
+        self.scale = common_scale(incomes)
+        self.income = scaled_integers(incomes, self.scale)
         self._better: list[dict[Bundle, list[Bundle]]] = [{} for _ in profile]
 
     def better(self, agent: int, own: Bundle) -> list[Bundle]:

@@ -1,0 +1,89 @@
+"""Reference equilibrium verification and share audit in ``Fraction``s.
+
+An independent cross-check for ``cefai.market.verify_ce`` and
+``cefai.fairness.audit_ce_fairness``, which scale prices and incomes to
+integers: the same checks written one bundle and one comparison at a
+time over exact rationals, the way the definitions read.  Slow, but
+simple enough to trust, so the tests compare the library against it
+field by field on seeded random pairs.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
+
+from cefai.core import Bundle, PreferenceOrder, all_bundles
+from cefai.fairness import FairnessReport, GuaranteeCheck, MaximinQuery, maximin
+from cefai.market import CEPair, CEReport, CEViolation, IncomeVector, ViolationKind
+
+
+def reference_verify_ce(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    cand: CEPair,
+    strict_literal: bool = False,
+) -> CEReport:
+    """Both equilibrium conditions, every bundle priced by summing ``Fraction``s."""
+    m = profile[0].m
+    violations: list[CEViolation] = []
+    for i, pref in enumerate(profile):
+        own = cand.allocation[i]
+        own_price = cand.prices.bundle_price(own)
+        if own != 0 and own_price != incomes[i]:
+            violations.append(
+                CEViolation(i, ViolationKind.BUDGET_MISMATCH, own, own_price, incomes[i])
+            )
+        threshold = own_price if strict_literal else incomes[i]
+        own_rank = pref.rank_of(own)
+        for y in all_bundles(m):
+            if pref.rank[y] <= own_rank:
+                continue
+            y_price = cand.prices.bundle_price(y)
+            if y_price <= threshold:
+                violations.append(
+                    CEViolation(
+                        i, ViolationKind.AFFORDABLE_BETTER_BUNDLE, y, y_price, threshold
+                    )
+                )
+    return CEReport(valid=not violations, violations=tuple(violations))
+
+
+def reference_audit_ce_fairness(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    ce: CEPair,
+    d_max: int = 4,
+) -> FairnessReport:
+    """Every (agent, group, l, d) with the premise ``t_agent >= (l/d) * t_group``
+    compared in ``Fraction``s."""
+    n = len(profile)
+    agents = range(n)
+    checked = applicable = 0
+    violations = []
+    for agent in agents:
+        pref = profile[agent]
+        own = ce.allocation[agent]
+        for size in range(1, n + 1):
+            for group in combinations(agents, size):
+                union: Bundle = 0
+                for i in group:
+                    union |= ce.allocation[i]
+                group_income = sum((incomes[i] for i in group), Fraction(0))
+                for d in range(1, d_max + 1):
+                    for l in range(1, d + 1):
+                        checked += 1
+                        if incomes[agent] < Fraction(l, d) * group_income:
+                            continue
+                        applicable += 1
+                        guaranteed = maximin(MaximinQuery(pref, union, l, d))
+                        if not pref.weakly_prefers(own, guaranteed):
+                            violations.append(
+                                GuaranteeCheck(
+                                    agent, group, l, d, True, False, guaranteed
+                                )
+                            )
+    return FairnessReport(
+        checked=checked, applicable=applicable, violations=tuple(violations)
+    )

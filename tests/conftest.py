@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from cefai.core import PreferenceOrder
-from cefai.pixep import ChoiceNode, GameNode, Leaf, Pixep
+from cefai.pixep import GameNode, Leaf, Pixep
 
 
 def _final_bundle(pix: Pixep, play: tuple[int, ...], agent: int, base: int = 0) -> int:

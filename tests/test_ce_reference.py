@@ -1,0 +1,96 @@
+"""``verify_ce`` and ``audit_ce_fairness`` against their ``Fraction`` references."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cefai.core import item_names
+from cefai.fairness import audit_ce_fairness
+from cefai.market import Allocation, CEPair, IncomeVector, PriceVector, verify_ce
+from cefai.oracle import ce_exists
+
+from ce_reference import reference_audit_ce_fairness, reference_verify_ce
+from conftest import random_profile
+
+CELLS = [(m, n) for m in range(1, 6) for n in range(1, 5)]
+PAIRS_PER_CELL = 100
+
+
+def _money(rng: random.Random) -> Fraction:
+    # Small numerators and denominators, so that bundle prices often tie
+    # with incomes and the `<=` boundary is exercised.
+    return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+
+
+def random_pairs(m: int, n: int, seed: int, count: int):
+    """``count`` (profile, incomes, pair) triples of one cell, in three
+    kinds: arbitrary prices and incomes, incomes equal to the owners'
+    bundle prices (no budget violation), and an equilibrium found by the
+    oracle where the cell is small enough to enumerate."""
+    rng = random.Random(f"ce-reference:{m}:{n}:{seed}")
+    out = []
+    while len(out) < count:
+        profile = random_profile(rng, m, n)
+        owners = [rng.randrange(n) for _ in range(m)]
+        bundles = tuple(
+            sum(1 << j for j in range(m) if owners[j] == i) for i in range(n)
+        )
+        prices = PriceVector.of(_money(rng) for _ in range(m))
+        kind = len(out) % 3
+        if kind == 2 and n**m <= 256:
+            incomes = IncomeVector.of(_money(rng) for _ in range(n))
+            witness = ce_exists(profile, incomes)
+            if witness is not None:
+                out.append((profile, incomes, witness))
+                continue
+            kind = 1
+        if kind == 1:
+            incomes = IncomeVector.of(
+                prices.bundle_price(b) if b else _money(rng) for b in bundles
+            )
+        else:
+            incomes = IncomeVector.of(_money(rng) for _ in range(n))
+        out.append((profile, incomes, CEPair(prices, Allocation(m=m, bundles=bundles))))
+    return out
+
+
+def _violation_fields(report):
+    return [(v.agent, v.kind, v.bundle, v.price, v.threshold) for v in report.violations]
+
+
+@pytest.mark.parametrize("m,n", CELLS, ids=[f"m{m}n{n}" for m, n in CELLS])
+class TestAgainstReference:
+    def test_verify_ce(self, m, n):
+        names = item_names(m)
+        valid = invalid = 0
+        for profile, incomes, pair in random_pairs(m, n, seed=1, count=PAIRS_PER_CELL):
+            for strict in (False, True):
+                got = verify_ce(profile, incomes, pair, strict_literal=strict)
+                want = reference_verify_ce(profile, incomes, pair, strict_literal=strict)
+                assert got.valid == want.valid
+                assert _violation_fields(got) == _violation_fields(want)
+                assert all(
+                    type(v.price) is Fraction and type(v.threshold) is Fraction
+                    for v in got.violations
+                )
+                assert [v.describe() for v in got.violations] == [
+                    v.describe() for v in want.violations
+                ]
+                assert [v.describe(names) for v in got.violations] == [
+                    v.describe(names) for v in want.violations
+                ]
+                valid += want.valid
+                invalid += not want.valid
+        assert invalid > 0
+        if n**m <= 256:
+            assert valid > 0
+
+    def test_audit_ce_fairness(self, m, n):
+        rng = random.Random(f"audit:{m}:{n}")
+        for profile, incomes, pair in random_pairs(m, n, seed=2, count=PAIRS_PER_CELL):
+            d_max = rng.randint(1, 4)
+            got = audit_ce_fairness(profile, incomes, pair, d_max=d_max)
+            want = reference_audit_ce_fairness(profile, incomes, pair, d_max=d_max)
+            assert (got.checked, got.applicable) == (want.checked, want.applicable)
+            assert got.violations == want.violations

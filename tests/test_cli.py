@@ -272,6 +272,23 @@ class TestInstanceFiles:
         assert code == EXIT_PARSE
 
     @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"items": ' + b"1" * 5000 + b"}", id="integer-too-long"),
+            pytest.param(b'{"items": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                         id="nesting-too-deep"),
+            pytest.param(b'{"items": ["\xff"]}', id="not-utf8"),
+        ],
+    )
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
         "instance_patch, candidate",
         [
             pytest.param({"agents": ["Alice", "Bob", "Carl"]}, None,
@@ -287,6 +304,24 @@ class TestInstanceFiles:
                              "preference": {"partial": {"pairs": [5]}}}]},
                 None,
                 id="pair-not-list",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2",
+                             "preference": {"partial": {"pairs": [[None, "xz"]]}}}]},
+                None,
+                id="bundle-not-string",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "1e5000",
+                             "preference": {"partial": {}}}]},
+                None,
+                id="income-too-long",
+            ),
+            pytest.param(
+                {},
+                {"prices": {"x": "1e5000", "y": "13/2", "z": "7/2"},
+                 "allocation": {"Alice": "yz", "Bob": "x", "Carl": ""}},
+                id="price-too-long",
             ),
             pytest.param(
                 {},

@@ -1,7 +1,5 @@
 """Bundles and strict monotone preference orders."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,6 +1,5 @@
 """Share guarantees: maximin bundles and the generalized guarantee."""
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,7 +11,7 @@ from cefai.fairness import (
     check_guarantee,
     maximin,
 )
-from cefai.market import Allocation, CEPair, IncomeVector, PriceVector
+from cefai.market import Allocation, CEPair, IncomeVector
 from cefai.instances import random_generic_incomes
 from cefai.solver import solve
 

@@ -6,7 +6,6 @@ import pytest
 
 from cefai.core import (
     all_bundles,
-    is_subset,
     parse_bundle,
     satisfies_relations,
 )
@@ -17,7 +16,6 @@ from cefai.instances import (
     random_generic_incomes,
     stratified_incomes,
 )
-from cefai.market import EmptyRegionSamplerError, IncomeVector
 from cefai.solver import is_generic, range_labels, range_predicates
 
 

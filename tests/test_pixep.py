@@ -1,15 +1,12 @@
 """Priced picking sequences: requirements, ε resolution, equilibrium plays."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from cefai.core import PartialRelations, complete_partial
 from cefai.market import DimensionMismatchError, IncomeVector
 from cefai.pixep import (
     AffinePrice,
-    ChoiceNode,
     EmptyEpsilonIntervalError,
     Leaf,
     NoValidSpeError,
