@@ -3,97 +3,16 @@
 Solvers that implement an equilibrium as a subgame-perfect play of a
 priced picking sequence, an exact verifier for candidate equilibria, a
 brute-force existence oracle, generalized share-guarantee audits, and
-the canonical markets where no equilibrium exists.
+the canonical markets where no equilibrium exists.  The top-level names
+below are the entry points; everything else lives in the submodules.
 """
 
-from .core import (
-    Bundle,
-    CyclicRelationsError,
-    DuplicateBundleError,
-    MissingBundleError,
-    MonotonicityViolationError,
-    PartialRelations,
-    PreferenceOrder,
-    TiedSubsetSumsError,
-    additive_preference,
-    all_bundles,
-    bundle_of,
-    complete_partial,
-    format_bundle,
-    item_names,
-    items_of,
-    make_preference,
-    parse_bundle,
-    random_completion,
-    random_preference,
-)
-from .market import (
-    Allocation,
-    BundleRelation,
-    CEPair,
-    CEReport,
-    CEViolation,
-    DimensionMismatchError,
-    EmptyRegionSamplerError,
-    IncomeRegion,
-    IncomeVector,
-    PriceVector,
-    ViolationKind,
-    classify_bundle,
-    is_dominated_by,
-    verify_ce,
-)
-from .pixep import (
-    AffinePrice,
-    ChoiceNode,
-    EmptyEpsilonIntervalError,
-    EpsilonInterval,
-    Execution,
-    GameNode,
-    Leaf,
-    NoValidSpeError,
-    Pixep,
-    R1ViolationError,
-    check_requirements,
-    execute_to_ce,
-    resolve_epsilon,
-    spe_outcomes,
-)
-from .solver import (
-    Hyperplane,
-    NotGenericError,
-    SolveTranscript,
-    UnsupportedCaseError,
-    active_range,
-    excluded_hyperplanes,
-    is_generic,
-    range_labels,
-    solve,
-    violated_hyperplane,
-)
-from .oracle import (
-    InstanceTooLargeError,
-    RegionReport,
-    ce_exists,
-    feasible_ce_prices,
-    no_ce_on_region,
-)
-from .fairness import (
-    FairnessReport,
-    GuaranteeCheck,
-    MaximinQuery,
-    audit_ce_fairness,
-    check_guarantee,
-    maximin,
-)
-from .instances import (
-    NAMED_INSTANCES,
-    NamedInstance,
-    counterexample_4x3,
-    counterexample_4x4,
-    counterexample_5x2,
-    random_generic_incomes,
-    stratified_incomes,
-)
+from .core import PreferenceOrder, make_preference
+from .fairness import audit_ce_fairness
+from .instances import NAMED_INSTANCES
+from .market import Allocation, CEPair, IncomeVector, PriceVector, verify_ce
+from .oracle import ce_exists
+from .pixep import NoValidSpeError
+from .solver import NotGenericError, UnsupportedCaseError, solve
 
 __version__ = "0.1.0"

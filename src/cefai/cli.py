@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +42,8 @@ from .core import (
     random_preference,
     subsets_of_size,
 )
-from .instances import NAMED_INSTANCES, NamedInstance
+from .fairness import MAX_MAXIMIN_PARTS
+from .instances import NAMED_INSTANCES, NamedInstance, random_generic_incomes
 from .market import (
     Allocation,
     CEPair,
@@ -443,48 +447,26 @@ def cmd_exists(args) -> int:
 
 def _sweep_trial(payload) -> tuple[int, bool, list[str]]:
     (trial, m, n, seed, named_label) = payload
+    rng = random.Random(f"sweep:{seed}:{trial}")
     if named_label is not None:
         inst = NAMED_INSTANCES[named_label]()
         profile = inst.completed_profile()
-        incomes = inst.region.sample(seed=f"{seed}:{trial}", count=1)[0]
+        incomes = inst.region.sample(rng.randrange(1 << 62), 1)[0]
     else:
         profile = tuple(
-            random_preference(m, seed=hash_stable(f"{seed}:{trial}:{i}"))
-            for i in range(n)
+            random_preference(m, seed=rng.randrange(1 << 62)) for _ in range(n)
         )
-        incomes = _sweep_incomes(m, n, f"{seed}:{trial}")
+        incomes = random_generic_incomes(m, n, seed=rng.randrange(1 << 62))[0]
     witness = ce_exists(list(profile), incomes)
     return (trial, witness is not None, [str(t) for t in incomes])
-
-
-def hash_stable(text: str) -> int:
-    import hashlib
-
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def _sweep_incomes(m: int, n: int, seed: str) -> IncomeVector:
-    import random as _random
-
-    rng = _random.Random(f"sweep:{seed}")
-    while True:
-        values = sorted(
-            (Fraction(rng.randint(1, 2000), 100) for _ in range(n)), reverse=True
-        )
-        if len(set(values)) == n:
-            try:
-                from .solver import is_generic
-
-                if not is_generic(IncomeVector.of(values), m):
-                    continue
-            except UnsupportedCaseError:
-                pass
-            return IncomeVector.of(values)
 
 
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise ParseError("--trials must be at least 1")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ParseError(f"--jobs must be between 1 and {cpus}, the number of CPUs")
     named = None
     if args.profile != "random":
         if args.profile not in NAMED_INSTANCES:
@@ -536,6 +518,10 @@ def cmd_instance(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise ParseError(f"--scale must be finite and positive, got {args.scale}")
+    if not 1 <= args.dmax <= MAX_MAXIMIN_PARTS:
+        raise ParseError(f"--dmax must be between 1 and {MAX_MAXIMIN_PARTS}")
     report = existence_table(scale=args.scale, seed=args.seed, d_max=args.dmax)
     for line in report.details:
         print(line)

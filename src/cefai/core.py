@@ -97,10 +97,6 @@ def items_of(bundle: Bundle) -> tuple[int, ...]:
     return tuple(items)
 
 
-def bundle_size(bundle: Bundle) -> int:
-    return bundle.bit_count()
-
-
 def is_subset(s: Bundle, t: Bundle) -> bool:
     return s & ~t == 0
 
@@ -185,21 +181,12 @@ class PreferenceOrder:
     def weakly_prefers(self, s: Bundle, t: Bundle) -> bool:
         return self.rank[s] >= self.rank[t]
 
-    def best(self, bundles: Iterable[Bundle]) -> Bundle:
-        return max(bundles, key=self.rank.__getitem__)
-
-    def worst(self, bundles: Iterable[Bundle]) -> Bundle:
-        return min(bundles, key=self.rank.__getitem__)
-
     def ranking(self) -> list[Bundle]:
         """All bundles from worst to best."""
         order = [0] * len(self.rank)
         for bundle, r in enumerate(self.rank):
             order[r] = bundle
         return order
-
-    def top(self) -> Bundle:
-        return (1 << self.m) - 1
 
 
 def _check_universe(m: int) -> None:

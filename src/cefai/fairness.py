@@ -63,35 +63,30 @@ def _union_table(x: Bundle, l: int, d: int) -> tuple[tuple[Bundle, ...], ...]:
     return cached
 
 
-@dataclass(frozen=True)
-class MaximinQuery:
-    pref: PreferenceOrder
-    x: Bundle
-    l: int
-    d: int
-
-    def __post_init__(self):
-        if not 1 <= self.l <= self.d:
-            raise ValueError(f"need 1 <= l <= d, got l={self.l}, d={self.d}")
-        if self.d > MAX_MAXIMIN_PARTS:
-            raise ValueError(f"at most {MAX_MAXIMIN_PARTS} parts supported")
-        if self.x.bit_count() > MAX_MAXIMIN_ITEMS:
-            raise ValueError(f"at most {MAX_MAXIMIN_ITEMS} items supported")
+def _check_bounds(m: int, l: int, d: int) -> None:
+    """The limits of :func:`maximin`, checked where a query enters."""
+    if not 1 <= l <= d:
+        raise ValueError(f"need 1 <= l <= d, got l={l}, d={d}")
+    if d > MAX_MAXIMIN_PARTS:
+        raise ValueError(f"at most {MAX_MAXIMIN_PARTS} parts supported")
+    if m > MAX_MAXIMIN_ITEMS:
+        raise ValueError(f"at most {MAX_MAXIMIN_ITEMS} items supported")
 
 
-def maximin(q: MaximinQuery) -> Bundle:
+def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     """The l-out-of-d maximin bundle of X under the given preferences.
 
     Brute force: maximize over all partitions of X into d parts (empty
     parts allowed) the worst union of l parts.  The result is a single
-    bundle since the order is strict.
+    bundle since the order is strict.  The caller keeps ``l``, ``d`` and
+    the item count within :func:`_check_bounds`.
     """
-    if q.l == q.d:
-        return q.x
-    rank = q.pref.rank
+    if l == d:
+        return x
+    rank = pref.rank
     best_rank = -1
     best_bundle = 0
-    for unions in _union_table(q.x, q.l, q.d):
+    for unions in _union_table(x, l, d):
         worst = min(unions, key=rank.__getitem__)
         if rank[worst] > best_rank:
             best_rank = rank[worst]
@@ -129,8 +124,11 @@ def check_guarantee(
     Applicable when ``incomes[agent] >= (l/d) * sum of group incomes``
     (exact comparison); in that case the agent's bundle must be at least
     as good as the l-out-of-d maximin bundle of the group's combined
-    holdings.
+    holdings.  Raises ``ValueError`` unless ``1 <= l <= d <=
+    MAX_MAXIMIN_PARTS`` and the market has at most ``MAX_MAXIMIN_ITEMS``
+    items.
     """
+    _check_bounds(profile[agent].m, l, d)
     group = tuple(group)
     income = scaled_integers(incomes, common_scale(incomes))
     if not _share_premise(income[agent], sum(income[i] for i in group), l, d):
@@ -138,7 +136,7 @@ def check_guarantee(
     union = 0
     for i in group:
         union |= alloc[i]
-    guaranteed = maximin(MaximinQuery(profile[agent], union, l, d))
+    guaranteed = maximin(profile[agent], union, l, d)
     holds = profile[agent].weakly_prefers(alloc[agent], guaranteed)
     return GuaranteeCheck(agent, group, l, d, True, holds, guaranteed)
 
@@ -166,8 +164,11 @@ def audit_ce_fairness(
     1 <= l <= d <= d_max; for a pair that passed verification all
     applicable instances must hold.  Parts beyond d_max add nothing for
     small item counts (extra parts come out empty) while the premise
-    only gets harder to meet.
+    only gets harder to meet.  Raises ``ValueError`` unless ``1 <= d_max
+    <= MAX_MAXIMIN_PARTS`` and the market has at most
+    ``MAX_MAXIMIN_ITEMS`` items.
     """
+    _check_bounds(ce.allocation.m, 1, d_max)
     agents = range(len(profile))
     income = scaled_integers(incomes, common_scale(incomes))
     shares = [(l, d) for d in range(1, d_max + 1) for l in range(1, d + 1)]
@@ -195,7 +196,7 @@ def audit_ce_fairness(
                 key = (union, l, d)
                 guaranteed = cache.get(key)
                 if guaranteed is None:
-                    guaranteed = maximin(MaximinQuery(pref, union, l, d))
+                    guaranteed = maximin(pref, union, l, d)
                     cache[key] = guaranteed
                 if own_rank < rank[guaranteed]:
                     violations.append(

@@ -1,6 +1,6 @@
 """Canonical market instances and reproducible income samplers.
 
-The two named instances are markets whose preferences rule out any
+The three named instances are markets whose preferences rule out any
 equilibrium on an open region of income space; each carries its partial
 preference relations, the income region, and an exact reference point
 inside it.  The partial relations are all the non-existence argument
@@ -11,7 +11,6 @@ available for robustness runs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,8 +22,8 @@ from .core import (
     parse_bundle,
     random_completion,
 )
-from .market import EmptyRegionSamplerError, IncomeRegion, IncomeVector
-from .solver import is_generic, range_labels, range_predicates
+from .market import IncomeRegion, IncomeVector, _sample_incomes
+from .solver import UnsupportedCaseError, is_generic, range_labels, range_predicates
 
 
 @dataclass(frozen=True)
@@ -228,40 +227,34 @@ NAMED_INSTANCES = {
 }
 
 
-def _grid_incomes(rng: random.Random, n: int, denominator: int, high: int):
-    return IncomeVector.of(
-        sorted(
-            (Fraction(rng.randint(1, high * denominator), denominator) for _ in range(n)),
-            reverse=True,
-        )
-    )
+# Both samplers draw each income from the multiples of 1/_GRID in
+# (0, _HIGH] and sort the draw highest first.
+_GRID = 100
+_HIGH = 20
+
+
+def _generic(incomes: IncomeVector, m: int) -> bool:
+    """Off the solver's excluded hyperplanes where the solver covers the
+    size; distinct incomes where it does not."""
+    try:
+        return is_generic(incomes, m)
+    except UnsupportedCaseError:
+        return len(set(incomes)) == len(incomes)
 
 
 def random_generic_incomes(
-    m: int, n: int, seed: int, count: int = 1, *, max_attempts: int = 100_000
+    m: int, n: int, seed: int, count: int = 1
 ) -> list[IncomeVector]:
     """Generic income vectors (descending), deterministic per seed."""
-    rng = random.Random(f"incomes:{m}:{n}:{seed}")
-    points = []
-    for _ in range(max_attempts):
-        cand = _grid_incomes(rng, n, 100, 20)
-        if is_generic(cand, m):
-            points.append(cand)
-            if len(points) == count:
-                return points
-    raise EmptyRegionSamplerError(
-        f"found only {len(points)}/{count} generic points in {max_attempts} attempts"
+    return _sample_incomes(
+        f"incomes:{m}:{n}:{seed}", [1] * n, [_HIGH * _GRID] * n, _GRID,
+        descending=True, accept=lambda incomes: _generic(incomes, m),
+        count=count, budget=100_000, what="generic points",
     )
 
 
 def stratified_incomes(
-    m: int,
-    n: int,
-    range_label: str,
-    seed: int,
-    count: int,
-    *,
-    max_attempts: int | None = None,
+    m: int, n: int, range_label: str, seed: int, count: int
 ) -> list[IncomeVector]:
     """Generic income vectors hitting exactly one dispatch range.
 
@@ -276,17 +269,9 @@ def stratified_incomes(
             f"valid: {', '.join(range_labels(m, n))}"
         )
     predicate = table[range_label]
-    if max_attempts is None:
-        max_attempts = max(100_000, 5000 * count)
-    rng = random.Random(f"stratified:{m}:{n}:{range_label}:{seed}")
-    points = []
-    for _ in range(max_attempts):
-        cand = _grid_incomes(rng, n, 100, 20)
-        if predicate(cand.t) and is_generic(cand, m):
-            points.append(cand)
-            if len(points) == count:
-                return points
-    raise EmptyRegionSamplerError(
-        f"found only {len(points)}/{count} samples of {range_label} "
-        f"in {max_attempts} attempts"
+    return _sample_incomes(
+        f"stratified:{m}:{n}:{range_label}:{seed}", [1] * n, [_HIGH * _GRID] * n, _GRID,
+        descending=True,
+        accept=lambda incomes: predicate(incomes.t) and is_generic(incomes, m),
+        count=count, budget=max(100_000, 5000 * count), what=f"samples of {range_label}",
     )

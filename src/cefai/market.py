@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Bundle, PreferenceOrder, all_bundles, format_bundle, items_of
 
@@ -251,12 +251,6 @@ def verify_ce(
     return CEReport(valid=not violations, violations=tuple(violations))
 
 
-class BundleRelation(enum.Enum):
-    DOMINATING = "dominating"
-    DOMINATED = "dominated"
-    UNRELATED = "unrelated"
-
-
 def is_dominated_by(
     x: Bundle, y: Bundle, positions: Mapping[int, int]
 ) -> bool:
@@ -280,17 +274,6 @@ def is_dominated_by(
     if len(ys) < len(xs):
         return False
     return all(ys[k] <= xs[k] for k in range(len(xs)))
-
-
-def classify_bundle(
-    positions: Mapping[int, int], own: Bundle, other: Bundle
-) -> BundleRelation:
-    """Relation of ``other`` to the agent's ``own`` bundle."""
-    if is_dominated_by(own, other, positions):
-        return BundleRelation.DOMINATING
-    if is_dominated_by(other, own, positions):
-        return BundleRelation.DOMINATED
-    return BundleRelation.UNRELATED
 
 
 def affordable_dominating_bundles(
@@ -343,6 +326,12 @@ def preferred_dominated_bundles(
     return offenders
 
 
+# Region samples are multiples of 1/_REGION_GRID; without a reference
+# point each coordinate lies in (0, _REGION_BOX].
+_REGION_GRID = 1000
+_REGION_BOX = 20
+
+
 @dataclass(frozen=True)
 class IncomeRegion:
     """An open region of income space cut out by strict linear constraints.
@@ -382,42 +371,58 @@ class IncomeRegion:
             sum(c * t for c, t in zip(row, incomes)) > 0 for row in self.constraints
         )
 
-    def sample(
-        self,
-        seed: int,
-        count: int,
-        *,
-        denominator: int = 1000,
-        box_high: int = 20,
-        max_attempts: int | None = None,
-    ) -> list[IncomeVector]:
+    def sample(self, seed: int, count: int) -> list[IncomeVector]:
         """Rejection-sample ``count`` rational points of the region.
 
-        Coordinates are drawn from a rational grid (multiples of
-        ``1/denominator``) inside a box; when the region carries a
-        reference point the box hugs it (between half and double each
-        coordinate), otherwise it is (0, box_high].  Deterministic per
-        seed.
+        Coordinates lie on a rational grid inside a box: between half and
+        double each coordinate of the reference point when the region has
+        one.  Deterministic per seed.
         """
-        rng = random.Random(f"region:{seed}")
-        if max_attempts is None:
-            max_attempts = max(200_000, 5000 * count)
         if self.reference is not None:
-            lows = [max(1, int(t * denominator // 2)) for t in self.reference]
-            highs = [int(t * denominator * 2) for t in self.reference]
+            lows = [max(1, int(t * _REGION_GRID // 2)) for t in self.reference]
+            highs = [int(t * _REGION_GRID * 2) for t in self.reference]
         else:
             lows = [1] * self.n
-            highs = [box_high * denominator] * self.n
-        points = []
-        for _ in range(max_attempts):
-            cand = IncomeVector.of(
-                Fraction(rng.randint(lo, hi), denominator)
-                for lo, hi in zip(lows, highs)
-            )
-            if self.contains(cand):
-                points.append(cand)
-                if len(points) == count:
-                    return points
-        raise EmptyRegionSamplerError(
-            f"found only {len(points)}/{count} region points in {max_attempts} attempts"
+            highs = [_REGION_BOX * _REGION_GRID] * self.n
+        return _sample_incomes(
+            f"region:{seed}", lows, highs, _REGION_GRID,
+            descending=False, accept=self.contains,
+            count=count, budget=max(200_000, 5000 * count), what="region points",
         )
+
+
+def _sample_incomes(
+    key: str,
+    lows: Sequence[int],
+    highs: Sequence[int],
+    denominator: int,
+    *,
+    descending: bool,
+    accept: Callable[[IncomeVector], bool],
+    count: int,
+    budget: int,
+    what: str,
+) -> list[IncomeVector]:
+    """The first ``count`` accepted draws of a seeded rejection sampler.
+
+    Each draw gives agent k the income ``randint(lows[k], highs[k]) /
+    denominator`` from ``random.Random(key)``, sorted highest first when
+    ``descending``.  Raises ``EmptyRegionSamplerError`` when ``budget``
+    draws do not yield ``count`` incomes that ``accept`` admits.
+    """
+    rng = random.Random(key)
+    points = []
+    for _ in range(budget):
+        values = [
+            Fraction(rng.randint(lo, hi), denominator) for lo, hi in zip(lows, highs)
+        ]
+        if descending:
+            values.sort(reverse=True)
+        cand = IncomeVector.of(values)
+        if accept(cand):
+            points.append(cand)
+            if len(points) == count:
+                return points
+    raise EmptyRegionSamplerError(
+        f"found only {len(points)}/{count} {what} in {budget} attempts"
+    )

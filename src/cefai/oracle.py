@@ -33,17 +33,15 @@ changes the answer (and can be switched off for cross-checking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .core import Bundle, PreferenceOrder, all_bundles, bundle_size, items_of
+from .core import Bundle, PreferenceOrder, all_bundles, items_of
 from .market import (
     Allocation,
     CEPair,
     DimensionMismatchError,
-    IncomeRegion,
     IncomeVector,
     PriceVector,
     common_scale,
@@ -265,7 +263,7 @@ def _passes_prefilters(
     if empty_income:
         floor = max(empty_income)
         for j, own in enumerate(masks):
-            if own and incomes[j] <= bundle_size(own) * floor:
+            if own and incomes[j] <= own.bit_count() * floor:
                 return False
     for i, pref in enumerate(profile):
         own_rank = pref.rank_of(masks[i])
@@ -317,32 +315,3 @@ def ce_exists(
             )
         return pair
     return None
-
-
-@dataclass(frozen=True)
-class RegionReport:
-    checked: int
-    failures: tuple[tuple[IncomeVector, CEPair], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.failures
-
-
-def no_ce_on_region(
-    profile: Sequence[PreferenceOrder],
-    region: IncomeRegion,
-    seed: int,
-    trials: int,
-) -> RegionReport:
-    """Sample incomes in the region and report any equilibrium found.
-
-    An empty failure list certifies (by exhaustive per-point checking)
-    that no sampled income vector admits an equilibrium.
-    """
-    failures = []
-    for point in region.sample(seed, trials):
-        witness = ce_exists(profile, point)
-        if witness is not None:
-            failures.append((point, witness))
-    return RegionReport(checked=trials, failures=tuple(failures))

@@ -442,35 +442,29 @@ def execute_to_ce(
     game: GameNode,
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
-) -> list[tuple[Execution, CEPair]]:
-    """Solve the game and keep the plays whose outcome is an equilibrium.
+) -> tuple[Execution, CEPair]:
+    """The first subgame-perfect play, in :func:`spe_outcomes` order, whose
+    outcome is an equilibrium, with its prices.
 
     Every leaf must pass :func:`check_requirements` against the incomes
     (checked up front); each equilibrium play is then priced with its
-    leaf's resolved ε and filtered through exact verification.  Raises
+    leaf's resolved ε and checked by exact verification.  Raises
     ``NoValidSpeError`` when no play passes.  That is an expected outcome,
     not an internal error: :func:`cefai.solver.solve` catches it to try
     the range's fallback games, and some profiles have no equilibrium at
     all (``counterexample-4x3``), so every game fails on them.
     """
-    resolved: dict[int, Fraction] = {}
-    for leaf in leaves(game):
-        if id(leaf) not in resolved:
-            resolved[id(leaf)] = resolve_epsilon(leaf.pixep, incomes)
+    resolved = {id(leaf): resolve_epsilon(leaf.pixep, incomes) for leaf in leaves(game)}
 
-    valid: list[tuple[Execution, CEPair]] = []
     for execution in spe_outcomes(game, profile):
         eps = resolved[id(execution.leaf)]
         by_item = [Fraction(0)] * execution.allocation.m
         for pos, _, item in execution.picks:
             by_item[item] = execution.leaf.pixep.price_at(pos - 1).at(eps)
         prices = PriceVector.of(by_item)
-        priced = replace(execution, prices=prices, epsilon=eps)
         cand = CEPair(prices=prices, allocation=execution.allocation)
         if verify_ce(profile, incomes, cand).valid:
-            valid.append((priced, cand))
-    if not valid:
-        raise NoValidSpeError(
-            "no subgame-perfect play of the game yields a valid equilibrium"
-        )
-    return valid
+            return replace(execution, prices=prices, epsilon=eps), cand
+    raise NoValidSpeError(
+        "no subgame-perfect play of the game yields a valid equilibrium"
+    )

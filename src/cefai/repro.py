@@ -43,7 +43,6 @@ class SoundnessReport:
     solved: int
     no_ce_certified: int
     unexplained: tuple[tuple[IncomeVector, int], ...]
-    range_counts: dict
     records: tuple[SolveRecord, ...]
 
     @property
@@ -67,11 +66,10 @@ def _run_case(
     records = []
     no_ce = 0
     unexplained = []
-    range_counts: dict[str, int] = {}
     trials = 0
     for r_index, r_label in enumerate(range_labels(m, n)):
         points = stratified_incomes(m, n, r_label, seed=seed + r_index, count=per_range)
-        for k, incomes in enumerate(points):
+        for incomes in points:
             trials += 1
             profile = tuple(
                 random_preference(m, seed=seed * 1_000_003 + trials * n + i)
@@ -85,9 +83,6 @@ def _run_case(
                 else:
                     unexplained.append((incomes, trials))
                 continue
-            range_counts[transcript.range_label] = (
-                range_counts.get(transcript.range_label, 0) + 1
-            )
             records.append(
                 SolveRecord(m, n, profile, incomes, pair, transcript)
             )
@@ -97,12 +92,11 @@ def _run_case(
         solved=len(records),
         no_ce_certified=no_ce,
         unexplained=tuple(unexplained),
-        range_counts=range_counts,
         records=tuple(records),
     )
 
 
-def soundness_m3(trials_per_n: int = 500, seed: int = 11) -> list[SoundnessReport]:
+def soundness_m3(trials_per_n: int, seed: int) -> list[SoundnessReport]:
     """Solver soundness for three items with 2, 3, and 4 agents."""
     reports = []
     for n in (2, 3, 4):
@@ -112,14 +106,6 @@ def soundness_m3(trials_per_n: int = 500, seed: int = 11) -> list[SoundnessRepor
             _run_case(f"m3,n{n}", 3, n, per_range, seed=seed + 100 * n)
         )
     return reports
-
-
-def soundness_m4n2(per_range: int = 250, seed: int = 12) -> SoundnessReport:
-    return _run_case("m4,n2", 4, 2, per_range, seed=seed)
-
-
-def soundness_m4n3(per_range: int = 100, seed: int = 13) -> SoundnessReport:
-    return _run_case("m4,n3", 4, 3, per_range, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -270,11 +256,11 @@ def existence_table(
     )
     cells.append(TableCell("1,2,3", "2-4", "Yes", "Yes" if ok_m3 else "No"))
 
-    m42 = soundness_m4n2(per_range=per, seed=seed + 1)
+    m42 = _run_case("m4,n2", 4, 2, per, seed=seed + 1)
     details.append(f"4 items, 2 agents: {m42.solved}/{m42.trials} solved")
     cells.append(TableCell("4", "2", "Yes", "Yes" if m42.all_solved else "No"))
 
-    m43 = soundness_m4n3(per_range=per, seed=seed + 2)
+    m43 = _run_case("m4,n3", 4, 3, per, seed=seed + 2)
     measured_m43 = "Yes" if m43.all_solved else "No"
     details.append(
         f"4 items, 3 agents: {m43.solved}/{m43.trials} solved, "

@@ -130,10 +130,8 @@ def violated_hyperplane(incomes: IncomeVector, m: int) -> Hyperplane | None:
     return None
 
 
-def is_generic(incomes: IncomeVector, m: int, n: int | None = None) -> bool:
+def is_generic(incomes: IncomeVector, m: int) -> bool:
     """True iff the incomes avoid every excluded hyperplane exactly."""
-    if n is not None and n != len(incomes):
-        raise DimensionMismatchError(f"income vector has {len(incomes)} agents, not {n}")
     return violated_hyperplane(incomes, m) is None
 
 
@@ -232,10 +230,10 @@ _LEAVES: dict[str, Callable[[Fraction, Fraction, Fraction], tuple]] = {
 # Where a leaf meets the price requirements on only part of the incomes,
 # its guard says where: the guard is the R2/R3 condition that
 # ``check_requirements`` checks.  A fallback is tried only where its
-# guard holds.
+# guard holds.  BAAC= needs ``2b > a > 2c``, which ranges 3, 5 and 6, the
+# only ranges that list it, imply; so it needs no guard.
 _GUARDS: dict[str, Callable[[Fraction, Fraction, Fraction], bool]] = {
     "BAAA": lambda a, b, c: a > 3 * max(c, (a - b) / 2),
-    "BAAC=": lambda a, b, c: 2 * b > a > 2 * c,
     "AABB": lambda a, b, c: b > 2 * c,
     "ABBC": lambda a, b, c: b > 2 * c,
 }
@@ -363,17 +361,13 @@ def solve(
     sorted_profile = [profile[i] for i in order]
     label = active_range(m, n, sorted_incomes.t)
 
-    execution = sorted_pair = game = game_label = None
-    for sublabel, candidate in _candidate_games(label, sorted_incomes.t, m):
+    for game_label, game in _candidate_games(label, sorted_incomes.t, m):
         try:
-            execution, sorted_pair = execute_to_ce(
-                candidate, sorted_profile, sorted_incomes
-            )[0]
+            execution, sorted_pair = execute_to_ce(game, sorted_profile, sorted_incomes)
+            break
         except NoValidSpeError:
             continue
-        game, game_label = candidate, sublabel
-        break
-    if execution is None:
+    else:
         raise NoValidSpeError(
             f"no candidate game for income range {label} has an equilibrium "
             "play for this profile; an exhaustive existence check of the "

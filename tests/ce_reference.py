@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Sequence
 
 from cefai.core import Bundle, PreferenceOrder, all_bundles
-from cefai.fairness import FairnessReport, GuaranteeCheck, MaximinQuery, maximin
+from cefai.fairness import FairnessReport, GuaranteeCheck, maximin
 from cefai.market import CEPair, CEReport, CEViolation, IncomeVector, ViolationKind
 
 
@@ -77,7 +77,7 @@ def reference_audit_ce_fairness(
                         if incomes[agent] < Fraction(l, d) * group_income:
                             continue
                         applicable += 1
-                        guaranteed = maximin(MaximinQuery(pref, union, l, d))
+                        guaranteed = maximin(pref, union, l, d)
                         if not pref.weakly_prefers(own, guaranteed):
                             violations.append(
                                 GuaranteeCheck(

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, documents, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -194,6 +195,37 @@ class TestSweepCommand:
     )
     def test_out_of_range_arguments_rejected(self, capsys, argv):
         code = main(["sweep", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    # Only values that start no worker: the check runs before the pool.
+    @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_rejected(self, capsys, jobs):
+        code = main(
+            ["sweep", "--items", "2", "--agents", "2", "--trials", "1", "--jobs", str(jobs)]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+class TestReproCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dmax", "0"],
+            ["--dmax", "7"],
+            ["--scale", "nan"],
+            ["--scale", "inf"],
+            ["--scale", "0"],
+            ["--scale", "-1"],
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, capsys, argv):
+        code = main(["repro", *argv])
         captured = capsys.readouterr()
         assert code == EXIT_PARSE
         assert captured.out == ""

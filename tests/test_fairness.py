@@ -6,12 +6,13 @@ import pytest
 
 from cefai.core import additive_preference, items_of, random_preference
 from cefai.fairness import (
-    MaximinQuery,
+    MAX_MAXIMIN_ITEMS,
+    MAX_MAXIMIN_PARTS,
     audit_ce_fairness,
     check_guarantee,
     maximin,
 )
-from cefai.market import Allocation, CEPair, IncomeVector
+from cefai.market import Allocation, CEPair, IncomeVector, PriceVector
 from cefai.instances import random_generic_incomes
 from cefai.solver import solve
 
@@ -44,12 +45,12 @@ class TestMaximin:
     def test_keeping_all_parts_returns_everything(self):
         pref = random_preference(4, seed=3)
         for d in (1, 2, 3):
-            assert maximin(MaximinQuery(pref, 0b1011, d, d)) == 0b1011
+            assert maximin(pref, 0b1011, d, d) == 0b1011
 
     def test_additive_three_items_divider(self):
         # values 4,2,1: splitting into 3 singletons leaves the 1-valued item
         pref = additive_preference(3, [4, 2, 1])
-        assert maximin(MaximinQuery(pref, 0b111, 1, 3)) == 0b100
+        assert maximin(pref, 0b111, 1, 3) == 0b100
 
     def test_agrees_with_direct_enumeration(self, rng):
         for _ in range(25):
@@ -57,7 +58,7 @@ class TestMaximin:
             x = rng.randrange(1, 16)
             d = rng.randint(1, 4)
             l = rng.randint(1, d)
-            assert maximin(MaximinQuery(pref, x, l, d)) == brute_maximin(pref, x, l, d)
+            assert maximin(pref, x, l, d) == brute_maximin(pref, x, l, d)
 
     def test_monotone_in_parts_kept(self, rng):
         for _ in range(15):
@@ -65,8 +66,8 @@ class TestMaximin:
             x = rng.randrange(1, 16)
             d = rng.randint(2, 4)
             for l in range(1, d):
-                lower = maximin(MaximinQuery(pref, x, l, d))
-                higher = maximin(MaximinQuery(pref, x, l + 1, d))
+                lower = maximin(pref, x, l, d)
+                higher = maximin(pref, x, l + 1, d)
                 assert pref.weakly_prefers(higher, lower)
 
     def test_more_parts_never_help_the_divider(self, rng):
@@ -74,14 +75,9 @@ class TestMaximin:
             pref = random_preference(4, seed=rng.randrange(10**6))
             x = rng.randrange(1, 16)
             for d in range(1, 4):
-                coarse = maximin(MaximinQuery(pref, x, 1, d))
-                fine = maximin(MaximinQuery(pref, x, 1, d + 1))
+                coarse = maximin(pref, x, 1, d)
+                fine = maximin(pref, x, 1, d + 1)
                 assert pref.weakly_prefers(coarse, fine)
-
-    def test_bounds_enforced(self):
-        pref = random_preference(3, seed=0)
-        with pytest.raises(ValueError):
-            MaximinQuery(pref, 0b111, 2, 1)
 
 
 class TestCheckGuarantee:
@@ -117,7 +113,35 @@ class TestCheckGuarantee:
         assert result.holds
 
 
+    def test_bounds_enforced(self):
+        # l > d, l < 1, too many parts, too many items
+        for m, l, d in [
+            (3, 2, 1), (3, 0, 1), (3, 1, MAX_MAXIMIN_PARTS + 1), (MAX_MAXIMIN_ITEMS + 1, 1, 1)
+        ]:
+            pref = random_preference(m, seed=0)
+            alloc = Allocation(m=m, bundles=((1 << m) - 1, 0))
+            with pytest.raises(ValueError):
+                check_guarantee([pref, pref], IncomeVector.of([2, 1]), alloc, 0, [1], l, d)
+
+
 class TestAudit:
+    @pytest.mark.parametrize("d_max", [0, MAX_MAXIMIN_PARTS + 1])
+    def test_d_max_bounds_enforced(self, d_max):
+        pref = random_preference(3, seed=1)
+        pair, _ = solve([pref], IncomeVector.of([5]))
+        with pytest.raises(ValueError):
+            audit_ce_fairness([pref], IncomeVector.of([5]), pair, d_max=d_max)
+
+    def test_item_count_enforced(self):
+        m = MAX_MAXIMIN_ITEMS + 1
+        pref = random_preference(m, seed=1)
+        pair = CEPair(
+            prices=PriceVector.of([1] * m),
+            allocation=Allocation(m=m, bundles=((1 << m) - 1,)),
+        )
+        with pytest.raises(ValueError):
+            audit_ce_fairness([pref], IncomeVector.of([m]), pair)
+
     def test_solver_output_always_clean(self, rng):
         from cefai.pixep import NoValidSpeError
 

@@ -1,4 +1,5 @@
-"""Source hygiene that no installed linter checks: unused imports."""
+"""Source hygiene that no installed linter checks: unused imports and
+definitions that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # The package's __init__ imports names only to export them.
-CHECKED = sorted(
+MODULES = sorted(
     p for p in (ROOT / "src" / "cefai").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+)
+CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py"))
+# Where a use of a module's definitions may appear.
+USERS = sorted(
+    p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +53,92 @@ def test_scanner_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, bool, int, int]]:
+    """Top-level functions and classes, and the public methods of the
+    classes, as (name, is a method, first line, last line)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, False, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.name, True, item.lineno, item.end_lineno)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+    return found
+
+
+def uses(tree: ast.Module) -> list[tuple[str, bool, int]]:
+    """Every name read or imported, every attribute taken, and every part of
+    a string constant that spells a dotted name (``getattr`` targets, the
+    benchmark's rebinding table), as (name, could name a method, line).
+    A bare name is a variable or a module-level definition, never a method.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, False, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, False, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, True, node.end_lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.extend((part, True, node.lineno) for part in parts)
+    return found
+
+
+def unused_definitions(module: str, sources: dict[str, str]) -> list[str]:
+    """Definitions of ``sources[module]`` whose name no source uses outside
+    the definition itself."""
+    used: dict[str, list[tuple[str, bool, int]]] = {}
+    for path, source in sources.items():
+        for name, attribute, line in uses(ast.parse(source)):
+            used.setdefault(name, []).append((path, attribute, line))
+    return [
+        f"{name} (line {first})"
+        for name, method, first, last in definitions(ast.parse(sources[module]))
+        if not any(
+            (attribute or not method) and (path != module or not first <= line <= last)
+            for path, attribute, line in used.get(name, ())
+        )
+    ]
+
+
+def test_dead_code_scanner_flags_unused_and_accepts_used():
+    module = (
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def unused_method(self):\n"
+        "        return self.unused_method()\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "def rebound():\n"
+        "    pass\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1)\n"
+        "unused_method = recursive = 1\n"
+    )
+    user = 'from m import Box\nBox().used()\nTABLE = ("m", "Box.rebound")\n'
+    assert unused_definitions("m", {"m": module, "user": user}) == [
+        "unused_method (line 4)", "recursive (line 10)"
+    ]
+    assert unused_definitions("m", {"m": module}) == [
+        "Box (line 1)", "used (line 2)", "unused_method (line 4)",
+        "rebound (line 8)", "recursive (line 10)",
+    ]
+
+
+@pytest.fixture(scope="module")
+def user_sources():
+    return {str(p): p.read_text() for p in USERS}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_definitions(path, user_sources):
+    assert unused_definitions(str(path), user_sources) == []

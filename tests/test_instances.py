@@ -1,5 +1,6 @@
 """Bundled instances and income samplers."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from cefai.core import (
     satisfies_relations,
 )
 from cefai.instances import (
+    NAMED_INSTANCES,
     counterexample_4x3,
     counterexample_4x4,
     counterexample_5x2,
     random_generic_incomes,
     stratified_incomes,
 )
+from cefai.market import IncomeRegion
 from cefai.solver import is_generic, range_labels, range_predicates
 
 
@@ -119,3 +122,45 @@ class TestSamplers:
         for point in random_generic_incomes(4, 3, seed=2, count=5):
             assert is_generic(point, 4)
             assert list(point) == sorted(point, reverse=True)
+
+    @pytest.mark.parametrize("m, n", [(5, 2), (5, 4), (4, 4)])
+    def test_generic_sampler_beyond_the_solver(self, m, n):
+        # the solver excludes no hyperplanes here: generic means distinct
+        points = random_generic_incomes(m, n, seed=3, count=50)
+        assert all(len(set(point)) == n for point in points)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _points(points) -> str:
+    return " ".join(",".join(str(t) for t in point) for point in points)
+
+
+class TestPinnedDraws:
+    """The seeded draws, pinned so that a change to a sampler must
+    reproduce them bit for bit."""
+
+    def test_random_generic_incomes(self):
+        lines = [
+            f"{m} {n} {seed}: {_points(random_generic_incomes(m, n, seed=seed, count=4))}"
+            for m in range(1, 5)
+            for n in range(1, 5 if m < 4 else 4)
+            for seed in range(3)
+        ]
+        assert _digest(lines) == (
+            "003e65f208e1fa087abd150110b96435a9041872085c8d2981ed25294088721b"
+        )
+
+    def test_region_sample(self):
+        regions = [(name, NAMED_INSTANCES[name]().region) for name in sorted(NAMED_INSTANCES)]
+        regions.append(("free", IncomeRegion.of(3, [(1, -1, 0), (0, 1, -1)])))
+        lines = [
+            f"{name} {seed}: {_points(region.sample(seed, 4))}"
+            for name, region in regions
+            for seed in range(3)
+        ]
+        assert _digest(lines) == (
+            "5c074cc98ba6975ca65a78887741ce0280402da0bc1b4634e9f1a82581c9b3b5"
+        )

@@ -8,14 +8,12 @@ import pytest
 from cefai.core import all_bundles
 from cefai.market import (
     Allocation,
-    BundleRelation,
     CEPair,
     DimensionMismatchError,
     IncomeRegion,
     IncomeVector,
     PriceVector,
     ViolationKind,
-    classify_bundle,
     is_dominated_by,
     verify_ce,
 )
@@ -141,12 +139,11 @@ class TestDomination:
 
     def test_classification_examples(self):
         own = by_positions(1, 4)
-        assert classify_bundle(POSITIONS_4, own, by_positions(1, 3, 4)) \
-            is BundleRelation.DOMINATING
-        assert classify_bundle(POSITIONS_4, own, by_positions(1)) \
-            is BundleRelation.DOMINATED
-        assert classify_bundle(POSITIONS_4, own, by_positions(2, 3, 4)) \
-            is BundleRelation.UNRELATED
+        # {1,3,4} dominates {1,4}, {1} is dominated by it, {2,3,4} neither
+        assert is_dominated_by(own, by_positions(1, 3, 4), POSITIONS_4)
+        assert is_dominated_by(by_positions(1), own, POSITIONS_4)
+        assert not is_dominated_by(own, by_positions(2, 3, 4), POSITIONS_4)
+        assert not is_dominated_by(by_positions(2, 3, 4), own, POSITIONS_4)
 
     def test_antisymmetry_exhaustive_length_5(self):
         positions = {j: j + 1 for j in range(5)}

@@ -16,9 +16,9 @@ from cefai.oracle import (
     _slack_rows,
     ce_exists,
     feasible_ce_prices,
-    no_ce_on_region,
 )
 from cefai.instances import NAMED_INSTANCES, counterexample_4x3, random_generic_incomes
+from cefai.repro import certify_counterexample
 from cefai.solver import solve
 
 from conftest import chain_preference
@@ -240,11 +240,10 @@ class TestNoCEInstance:
                 assert not verify_ce(profile, incomes, pair).valid
 
     def test_region_sampling(self):
-        inst = counterexample_4x3()
-        report = no_ce_on_region(
-            list(inst.completed_profile()), inst.region, seed=9, trials=10
+        report = certify_counterexample(
+            counterexample_4x3(), points=10, alt_completions=0, seed=9
         )
-        assert report.checked == 10
+        assert (report.points_checked, report.completions) == (11, 1)
         assert report.clean
 
 

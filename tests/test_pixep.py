@@ -200,9 +200,7 @@ class TestExecuteToCE:
         carl = chain_preference(3)
         incomes = IncomeVector.of([10, 6, 3])
         game = Leaf(aba_pixep(10, 6, 3))
-        results = execute_to_ce(game, [alice, bob, carl], incomes)
-        assert results
-        execution, pair = results[0]
+        execution, pair = execute_to_ce(game, [alice, bob, carl], incomes)
         assert execution.epsilon == Fraction(1, 2)
         assert pair.allocation.bundles == (Y | Z, X, 0)
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
