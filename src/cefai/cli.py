@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import (
+    EMPTY_BUNDLE_SYMBOL,
     Bundle,
     PartialRelations,
     PreferenceOrder,
@@ -69,7 +70,16 @@ INSTANCE_SCHEMA: dict = {
     "type": "object",
     "required": ["items", "agents"],
     "properties": {
-        "items": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+        "items": {
+            "type": "array",
+            "items": {"type": "string"},
+            "minItems": 1,
+            "uniqueItems": True,
+            "description": "distinct item names, each non-empty, not '∅', without "
+            "'+' and without surrounding whitespace; bundles concatenate "
+            "one-character names ('xy') and otherwise join names with '+' "
+            "('x+yz')",
+        },
         "agents": {
             "type": "array",
             "minItems": 1,
@@ -77,7 +87,7 @@ INSTANCE_SCHEMA: dict = {
                 "type": "object",
                 "required": ["name", "income", "preference"],
                 "properties": {
-                    "name": {"type": "string"},
+                    "name": {"type": "string", "description": "distinct per agent"},
                     "income": {"type": "string", "description": "exact rational, e.g. '27/2'"},
                     "preference": {
                         "type": "object",
@@ -225,6 +235,15 @@ def load_instance(doc: dict) -> ParsedInstance:
     ):
         raise ParseError("'agents' must be a list of objects")
     names = tuple(str(x) for x in doc["items"])
+    if not names:
+        raise ParseError("'items' must name at least one item")
+    for name in names:
+        if not name or name != name.strip() or "+" in name or name == EMPTY_BUNDLE_SYMBOL:
+            raise ParseError(
+                f"item name {name!r} cannot be written in a bundle: a name is "
+                f"non-empty, not {EMPTY_BUNDLE_SYMBOL!r}, and has no '+' and no "
+                "surrounding whitespace"
+            )
     if len(set(names)) != len(names):
         raise ParseError("item names must be distinct")
     m = len(names)
@@ -236,6 +255,8 @@ def load_instance(doc: dict) -> ParsedInstance:
         agent_names.append(name)
         incomes.append(_fraction(agent.get("income"), f"income of {name}"))
         profile.append(_parse_preference(agent.get("preference"), m, names, name))
+    if len(set(agent_names)) != len(agent_names):
+        raise ParseError("agent names must be distinct")
     try:
         income_vector = IncomeVector.of(incomes)
     except ValueError as exc:

@@ -136,9 +136,12 @@ def format_bundle(bundle: Bundle, names: Sequence[str] | None = None) -> str:
 def parse_bundle(text: str, names: Sequence[str]) -> Bundle:
     """Inverse of :func:`format_bundle` for the given item names.
 
-    Single-character names concatenate (``"xy"``); longer names join
-    with ``+``.  The empty string and the empty-set symbol both parse
-    to the empty bundle.
+    Single-character names concatenate (``"xy"``, and ``"x+y"`` is read
+    too); when any name is longer, names join with ``+``.  The empty
+    string and the empty-set symbol both parse to the empty bundle.
+
+    >>> parse_bundle("yz", ["x", "yz"])
+    2
     """
     if not isinstance(text, str):
         raise TypeError(f"a bundle is written as a string, got {text!r}")
@@ -146,7 +149,8 @@ def parse_bundle(text: str, names: Sequence[str]) -> Bundle:
     if text in ("", EMPTY_BUNDLE_SYMBOL):
         return 0
     index = {name: j for j, name in enumerate(names)}
-    parts = text.split("+") if "+" in text else list(text)
+    joined = "+" in text or any(len(name) != 1 for name in names)
+    parts = text.split("+") if joined else list(text)
     mask = 0
     for part in parts:
         if part not in index:

@@ -23,12 +23,17 @@ from .core import (
     random_completion,
 )
 from .market import IncomeRegion, IncomeVector, _sample_incomes
-from .solver import UnsupportedCaseError, is_generic, range_labels, range_predicates
+from .solver import (
+    NotGenericError,
+    UnsupportedCaseError,
+    active_range,
+    is_generic,
+    range_labels,
+)
 
 
 @dataclass(frozen=True)
 class NamedInstance:
-    label: str
     item_names: tuple[str, ...]
     agent_names: tuple[str, ...]
     relations: tuple[PartialRelations, ...]
@@ -93,7 +98,6 @@ def counterexample_4x4() -> NamedInstance:
         reference=IncomeVector.of([Fraction(27, 2), 9, 8, 5]),
     )
     return NamedInstance(
-        label="no-ce-4-items-4-agents",
         item_names=tuple(names),
         agent_names=("Alice", "Bob", "Carl", "Dana"),
         relations=(alice, bob, carl, dana),
@@ -145,7 +149,6 @@ def counterexample_5x2() -> NamedInstance:
         reference=IncomeVector.of([1, Fraction(4, 5)]),
     )
     return NamedInstance(
-        label="no-ce-5-items-2-agents",
         item_names=tuple(names),
         agent_names=("Alice", "Bob"),
         relations=(alice, bob),
@@ -207,7 +210,6 @@ def counterexample_4x3() -> NamedInstance:
         reference=IncomeVector.of([16, 9, 6]),
     )
     return NamedInstance(
-        label="no-ce-4-items-3-agents",
         item_names=tuple(names),
         agent_names=("Alice", "Bob", "Carl"),
         relations=(
@@ -262,16 +264,20 @@ def stratified_incomes(
     Raises ``ValueError`` for an unknown label and
     ``EmptyRegionSamplerError`` when the retry budget runs out.
     """
-    table = dict(range_predicates(m, n))
-    if range_label not in table:
+    if range_label not in range_labels(m, n):
         raise ValueError(
             f"unknown range {range_label!r} for {m} items / {n} agents; "
             f"valid: {', '.join(range_labels(m, n))}"
         )
-    predicate = table[range_label]
+
+    def accept(incomes: IncomeVector) -> bool:
+        try:
+            return active_range(incomes, m).label == range_label
+        except NotGenericError:
+            return False
+
     return _sample_incomes(
         f"stratified:{m}:{n}:{range_label}:{seed}", [1] * n, [_HIGH * _GRID] * n, _GRID,
-        descending=True,
-        accept=lambda incomes: predicate(incomes.t) and is_generic(incomes, m),
+        descending=True, accept=accept,
         count=count, budget=max(100_000, 5000 * count), what=f"samples of {range_label}",
     )

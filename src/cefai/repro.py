@@ -28,8 +28,6 @@ from .solver import SolveTranscript, range_labels, solve
 
 @dataclass(frozen=True)
 class SolveRecord:
-    m: int
-    n: int
     profile: tuple[PreferenceOrder, ...]
     incomes: IncomeVector
     pair: CEPair
@@ -38,11 +36,10 @@ class SolveRecord:
 
 @dataclass(frozen=True)
 class SoundnessReport:
-    label: str
     trials: int
     solved: int
     no_ce_certified: int
-    unexplained: tuple[tuple[IncomeVector, int], ...]
+    unexplained: int
     records: tuple[SolveRecord, ...]
 
     @property
@@ -50,13 +47,7 @@ class SoundnessReport:
         return self.solved == self.trials
 
 
-def _run_case(
-    label: str,
-    m: int,
-    n: int,
-    per_range: int,
-    seed: int,
-) -> SoundnessReport:
+def _run_case(m: int, n: int, per_range: int, seed: int) -> SoundnessReport:
     """Solve ``per_range`` stratified instances per income range of the case.
 
     Failures are classified: instances where exhaustive search certifies
@@ -64,9 +55,7 @@ def _run_case(
     unexplained failures (which would indicate a solver gap).
     """
     records = []
-    no_ce = 0
-    unexplained = []
-    trials = 0
+    no_ce = unexplained = trials = 0
     for r_index, r_label in enumerate(range_labels(m, n)):
         points = stratified_incomes(m, n, r_label, seed=seed + r_index, count=per_range)
         for incomes in points:
@@ -81,17 +70,14 @@ def _run_case(
                 if ce_exists(profile, incomes) is None:
                     no_ce += 1
                 else:
-                    unexplained.append((incomes, trials))
+                    unexplained += 1
                 continue
-            records.append(
-                SolveRecord(m, n, profile, incomes, pair, transcript)
-            )
+            records.append(SolveRecord(profile, incomes, pair, transcript))
     return SoundnessReport(
-        label=label,
         trials=trials,
         solved=len(records),
         no_ce_certified=no_ce,
-        unexplained=tuple(unexplained),
+        unexplained=unexplained,
         records=tuple(records),
     )
 
@@ -102,15 +88,12 @@ def soundness_m3(trials_per_n: int, seed: int) -> list[SoundnessReport]:
     for n in (2, 3, 4):
         labels = range_labels(3, n)
         per_range = -(-trials_per_n // len(labels))  # ceil division
-        reports.append(
-            _run_case(f"m3,n{n}", 3, n, per_range, seed=seed + 100 * n)
-        )
+        reports.append(_run_case(3, n, per_range, seed=seed + 100 * n))
     return reports
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    label: str
     points_checked: int
     completions: int
     ce_hits: int
@@ -139,7 +122,6 @@ def certify_counterexample(
             if ce_exists(profile, point) is not None:
                 hits += 1
     return CounterexampleReport(
-        label=inst.label,
         points_checked=len(income_points),
         completions=len(profiles),
         ce_hits=hits,
@@ -256,16 +238,16 @@ def existence_table(
     )
     cells.append(TableCell("1,2,3", "2-4", "Yes", "Yes" if ok_m3 else "No"))
 
-    m42 = _run_case("m4,n2", 4, 2, per, seed=seed + 1)
+    m42 = _run_case(4, 2, per, seed=seed + 1)
     details.append(f"4 items, 2 agents: {m42.solved}/{m42.trials} solved")
     cells.append(TableCell("4", "2", "Yes", "Yes" if m42.all_solved else "No"))
 
-    m43 = _run_case("m4,n3", 4, 3, per, seed=seed + 2)
+    m43 = _run_case(4, 3, per, seed=seed + 2)
     measured_m43 = "Yes" if m43.all_solved else "No"
     details.append(
         f"4 items, 3 agents: {m43.solved}/{m43.trials} solved, "
         f"{m43.no_ce_certified} instances certified to have no equilibrium, "
-        f"{len(m43.unexplained)} unexplained"
+        f"{m43.unexplained} unexplained"
     )
     cell_m43 = TableCell("4", "3", "Yes", measured_m43)
     if not cell_m43.matches:

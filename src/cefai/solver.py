@@ -11,30 +11,41 @@ three agents with four items.  Four agents with four items, or five or
 more items, admit no such construction: see :mod:`cefai.instances` for
 the witnesses.
 
-Incomes must be *generic*: off a finite list of hyperplanes (all
-adjacent-income equalities plus a few case-specific ones like
-``a = b + c``).  On a hyperplane the range split is ill-defined and the
-solver refuses rather than guessing.
+Each income range is cut out by integer linear forms over the sorted
+incomes that are positive on it.  Incomes must be *generic*: off the
+adjacent-income equalities (which make the sort strict) and off the
+boundaries of the ranges, the hyperplanes where one of those forms
+vanishes (like ``a = b + c``).  On a hyperplane the range split is
+ill-defined and the solver refuses rather than guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .core import PreferenceOrder
-from .market import Allocation, CEPair, DimensionMismatchError, IncomeVector
+from .market import (
+    Allocation,
+    CEPair,
+    DimensionMismatchError,
+    IncomeVector,
+    common_scale,
+    scaled_integers,
+)
 from .pixep import (
     AffinePrice,
     ChoiceNode,
+    EmptyEpsilonIntervalError,
     Execution,
     GameNode,
     Leaf,
     NoValidSpeError,
     Pixep,
     execute_to_ce,
-    leaves,
 )
 
 _AGENT_LETTERS = "ABCDEFGH"
@@ -57,62 +68,109 @@ class NotGenericError(ValueError):
         super().__init__(f"incomes lie on the excluded hyperplane {hyperplane.label}")
 
 
+def _letter(k: int) -> str:
+    return _AGENT_LETTERS[k].lower() if k < len(_AGENT_LETTERS) else f"t{k}"
+
+
+def _value(form: Sequence[int], sorted_incomes: Sequence) -> int:
+    return sum(map(mul, form, sorted_incomes))
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """An excluded income equality, over incomes sorted descending.
 
     ``coeffs[k]`` multiplies the k-th highest income; the hyperplane is
-    the set where the combination vanishes.
+    the set where the combination vanishes.  The first nonzero
+    coefficient is positive and the last is nonzero.
     """
 
     coeffs: tuple[int, ...]
-    label: str
 
-    def contains(self, sorted_incomes: Sequence[Fraction]) -> bool:
-        return (
-            sum(c * t for c, t in zip(self.coeffs, sorted_incomes)) == 0
-        )
+    @property
+    def label(self) -> str:
+        """The equality with positive terms on the left, e.g. ``a + c = 2b``."""
+        def side(sign: int) -> str:
+            return " + ".join(
+                f"{abs(c) if abs(c) != 1 else ''}{_letter(k)}"
+                for k, c in enumerate(self.coeffs)
+                if c * sign > 0
+            )
+
+        return f"{side(1)} = {side(-1)}"
+
+    def contains(self, sorted_incomes: Sequence[int]) -> bool:
+        return _value(self.coeffs, sorted_incomes) == 0
 
 
-def _letter(k: int) -> str:
-    return _AGENT_LETTERS[k].lower() if k < len(_AGENT_LETTERS) else f"t{k}"
+@dataclass(frozen=True)
+class IncomeRange:
+    """One income range of a market size: the integer forms over the
+    sorted incomes ``(a, b, c)`` that are positive on it, its primary
+    game, and the fallback leaves tried after it, in order.
 
-
-def excluded_hyperplanes(m: int, n: int) -> list[Hyperplane]:
-    """The full list of income equalities excluded for the (m, n) case.
-
-    Contains every adjacent equality of the descending income sort
-    (these make the sort strict) plus the case-specific split
-    boundaries.  Unsupported sizes raise ``UnsupportedCaseError``.
+    A game is a leaf name of ``_LEAVES`` or a choice game
+    ``(chooser, (option label, game), ...)`` whose last option is the
+    default.  The equal split of the one-agent sizes has no game here.
     """
-    if not _supported(m, n):
-        raise UnsupportedCaseError(m, n)
 
-    def plane(coeffs: dict[int, int], label: str) -> Hyperplane:
-        width = max(coeffs) + 1
-        row = tuple(coeffs.get(k, 0) for k in range(width))
-        return Hyperplane(coeffs=row, label=label)
+    label: str
+    forms: tuple[tuple[int, int, int], ...]
+    primary: str | tuple | None
+    fallbacks: tuple[str, ...] = ()
 
-    planes = [
-        plane({k: 1, k + 1: -1}, f"{_letter(k)} = {_letter(k + 1)}")
-        for k in range(n - 1)
-    ]
-    if m == 3 and n >= 3:
-        planes.append(plane({0: 1, 1: -1, 2: -1}, "a = b + c"))
-    if m == 4 and n == 2:
-        planes.append(plane({0: 1, 1: -2}, "a = 2b"))
-    if m == 4 and n == 3:
-        planes.extend(
-            [
-                plane({0: 1, 1: -2, 2: -1}, "a = 2b + c"),
-                plane({0: 1, 1: -2}, "a = 2b"),
-                plane({0: 1, 1: -1, 2: -1}, "a = b + c"),
-                plane({0: 1, 1: -2, 2: 1}, "a + c = 2b"),
-                plane({0: 1, 2: -2}, "a = 2c"),
-                plane({1: 1, 2: -2}, "b = 2c"),
-            ]
-        )
-    return planes
+    def holds(self, sorted_incomes: Sequence) -> bool:
+        """True iff every form is positive at the sorted incomes (or at
+        any positive multiple of them)."""
+        return all(_value(form, sorted_incomes) > 0 for form in self.forms)
+
+
+_ABAB_OR_SPLIT = (
+    0, ("ABAB", "ABAB"), ("else", (1, ("BAAA", "BAAA"), ("AABB", "AABB")))
+)
+
+# The income ranges of each size, in dispatch order.  The primary
+# constructions are not complete: for some profiles their equilibrium
+# plays fail the affordability conditions (an agent with split turns can
+# afford a bundle that dominates their own and prefer it), while a
+# fallback leaf that meets the price requirements on the same incomes
+# can still implement an equilibrium.  A fallback is tried only where
+# its prices meet the requirements, which ``execute_to_ce`` checks.
+_RANGES: dict[str, tuple[IncomeRange, ...]] = {
+    "m1": (IncomeRange("m1", (), "A"),),
+    "m2": (IncomeRange("m2", (), "AB"),),
+    "m3": (
+        IncomeRange("m3:a>b+c", ((1, -1, -1),), "ABA"),
+        IncomeRange("m3:a<b+c", ((-1, 1, 1),), "ABC"),
+    ),
+    "m4n2": (
+        IncomeRange("m4n2:a>2b", ((1, -2, 0),), "AABA"),
+        IncomeRange("m4n2:a<2b", ((-1, 2, 0),), _ABAB_OR_SPLIT, ("ABAB", "BAAA", "AABB")),
+    ),
+    "m4n3": (
+        # a > 2b + c
+        IncomeRange("m4n3:range1", ((1, -2, -1),), "AABA", ("AABC", "ABAC", "ABCB")),
+        # 2b + c > a > 2b
+        IncomeRange("m4n3:range2", ((-1, 2, 1), (1, -2, 0)), "AABC", ("ABAC", "ABCB")),
+        # 2b > a > b + c and a + c > 2b
+        IncomeRange("m4n3:range3", ((-1, 2, 0), (1, -1, -1), (1, -2, 1)), "ABAC",
+                    ("ABCB", "ABCA", "BAAC=", "BAAA", "AABB", "ABBC")),
+        # 2b > a > b + c and 2b > a + c
+        IncomeRange("m4n3:range4", ((-1, 2, 0), (1, -1, -1), (-1, 2, -1)), _ABAB_OR_SPLIT,
+                    ("ABAB", "AABB", "ABBC", "ABAC", "ABCB")),
+        # b + c > a > 2c and 2c > b
+        IncomeRange("m4n3:range5", ((-1, 1, 1), (1, 0, -2), (0, -1, 2)),
+                    (0, ("ABCB", "ABCB"), ("BAAC", "BAAC")),
+                    ("ABCB", "BAAC", "BAAC=", "ABCA")),
+        # b + c > a > 2c and b > 2c
+        IncomeRange("m4n3:range6", ((-1, 1, 1), (1, 0, -2), (0, 1, -2)),
+                    (1, ("ABAB", "ABAB"), ("else", (0, ("ABBC", "ABBC"), ("BAAC", "BAAC")))),
+                    ("BAAC", "BAAC=", "ABBC", "AABB", "ABAB", "ABCB", "ABCA", "BAAA")),
+        # 2c > a
+        IncomeRange("m4n3:range7", ((-1, 0, 2),), (0, ("ABCB", "ABCB"), ("BACA", "BACA")),
+                    ("ABCB", "BACA", "ABCA")),
+    ),
+}
 
 
 def _supported(m: int, n: int) -> bool:
@@ -121,13 +179,58 @@ def _supported(m: int, n: int) -> bool:
     return m <= 3 or (m == 4 and n <= 3)
 
 
+@cache
+def range_table(m: int, n: int) -> tuple[IncomeRange, ...]:
+    """The income ranges of the (m, n) case, in dispatch order; exactly
+    one holds at generic incomes.  Unsupported sizes raise
+    ``UnsupportedCaseError``."""
+    if not _supported(m, n):
+        raise UnsupportedCaseError(m, n)
+    if n == 1:
+        return (IncomeRange(f"m{m}n1", (), None),)
+    if m == 3 and n == 2:
+        # with only two incomes c is 0: a > b + c always holds, a < b + c never
+        return _RANGES["m3"][:1]
+    return _RANGES[f"m{m}" if m <= 3 else f"m{m}n{n}"]
+
+
+def range_labels(m: int, n: int) -> list[str]:
+    return [row.label for row in range_table(m, n)]
+
+
+@cache
+def excluded_hyperplanes(m: int, n: int) -> tuple[Hyperplane, ...]:
+    """The income equalities excluded for the (m, n) case.
+
+    The adjacent equalities of the descending income sort (these make
+    the sort strict), then the boundary of every form of the range
+    table, signed so that its first nonzero coefficient is positive, in
+    order of first appearance.  Unsupported sizes raise
+    ``UnsupportedCaseError``.
+    """
+    adjacent = [(0,) * k + (1, -1) for k in range(n - 1)]
+    planes: dict[tuple[int, ...], Hyperplane] = {}
+    for form in adjacent + [form[:n] for row in range_table(m, n) for form in row.forms]:
+        while not form[-1]:
+            form = form[:-1]
+        sign = 1 if next(c for c in form if c) > 0 else -1
+        coeffs = tuple(sign * c for c in form)
+        planes.setdefault(coeffs, Hyperplane(coeffs))
+    return tuple(planes.values())
+
+
+def _sorted_integers(incomes: IncomeVector) -> list[int]:
+    """The incomes scaled to integers and sorted descending; a positive
+    scaling keeps the sign of every form."""
+    return sorted(scaled_integers(incomes, common_scale(incomes)), reverse=True)
+
+
+def _first_plane(m: int, t: list[int]) -> Hyperplane | None:
+    return next((hp for hp in excluded_hyperplanes(m, len(t)) if hp.contains(t)), None)
+
+
 def violated_hyperplane(incomes: IncomeVector, m: int) -> Hyperplane | None:
-    order = incomes.descending_order()
-    sorted_incomes = [incomes[i] for i in order]
-    for hp in excluded_hyperplanes(m, len(incomes)):
-        if hp.contains(sorted_incomes):
-            return hp
-    return None
+    return _first_plane(m, _sorted_integers(incomes))
 
 
 def is_generic(incomes: IncomeVector, m: int) -> bool:
@@ -135,66 +238,22 @@ def is_generic(incomes: IncomeVector, m: int) -> bool:
     return violated_hyperplane(incomes, m) is None
 
 
-# Income-range predicates over the sorted incomes, in dispatch order.
-# Exactly one predicate per case holds for generic incomes.
+def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
+    """The income range the incomes fall in.
 
-_RANGES_M3 = [
-    ("m3:a>b+c", lambda t: t[0] > t[1] + t[2]),
-    ("m3:a<b+c", lambda t: t[0] < t[1] + t[2]),
-]
-
-
-_RANGES_M4N2 = [
-    ("m4n2:a>2b", lambda t: t[0] > 2 * t[1]),
-    ("m4n2:a<2b", lambda t: t[0] < 2 * t[1]),
-]
-
-_RANGES_M4N3 = [
-    ("m4n3:range1", lambda t: t[0] > 2 * t[1] + t[2]),
-    ("m4n3:range2", lambda t: 2 * t[1] + t[2] > t[0] > 2 * t[1]),
-    ("m4n3:range3",
-     lambda t: 2 * t[1] > t[0] > t[1] + t[2] and t[0] + t[2] > 2 * t[1]),
-    ("m4n3:range4",
-     lambda t: 2 * t[1] > t[0] > t[1] + t[2] and 2 * t[1] > t[0] + t[2]),
-    ("m4n3:range5",
-     lambda t: t[1] + t[2] > t[0] > 2 * t[2] and 2 * t[2] > t[1]),
-    ("m4n3:range6",
-     lambda t: t[1] + t[2] > t[0] > 2 * t[2] and t[1] > 2 * t[2]),
-    ("m4n3:range7", lambda t: 2 * t[2] > t[0]),
-]
-
-
-def range_predicates(m: int, n: int) -> list[tuple[str, Callable]]:
-    """(label, predicate) table for the sorted-income dispatch."""
-    if not _supported(m, n):
-        raise UnsupportedCaseError(m, n)
-    if n == 1:
-        return [(f"m{m}n1", lambda t: True)]
-    if m == 1:
-        return [("m1", lambda t: True)]
-    if m == 2:
-        return [("m2", lambda t: True)]
-    if m == 3:
-        if n == 2:
-            # with only two incomes the third is 0, so a > b+c always holds
-            return [("m3:a>b+c", lambda t: True)]
-        return _RANGES_M3
-    if n == 2:
-        return _RANGES_M4N2
-    return _RANGES_M4N3
-
-
-def range_labels(m: int, n: int) -> list[str]:
-    return [label for label, _ in range_predicates(m, n)]
-
-
-def active_range(m: int, n: int, sorted_incomes: Sequence[Fraction]) -> str:
-    matches = [
-        label for label, pred in range_predicates(m, n) if pred(sorted_incomes)
-    ]
+    Raises ``UnsupportedCaseError`` for an unsupported size and
+    ``NotGenericError`` on an excluded hyperplane.
+    """
+    t = _sorted_integers(incomes)
+    offending = _first_plane(m, t)
+    if offending is not None:
+        raise NotGenericError(offending)
+    matches = [row for row in range_table(m, len(t)) if row.holds(t)]
     if len(matches) != 1:
-        raise NotGenericError(violated_hyperplane(IncomeVector.of(sorted_incomes), m)
-                              or Hyperplane((), "unknown boundary"))
+        raise AssertionError(
+            f"{len(matches)} income ranges hold at generic incomes; the range table "
+            "is inconsistent"
+        )
     return matches[0]
 
 
@@ -227,59 +286,6 @@ _LEAVES: dict[str, Callable[[Fraction, Fraction, Fraction], tuple]] = {
     "BACA": lambda a, b, c: ((b, 0), (c, +1), (c, 0), (a - c, -1)),
 }
 
-# Where a leaf meets the price requirements on only part of the incomes,
-# its guard says where: the guard is the R2/R3 condition that
-# ``check_requirements`` checks.  A fallback is tried only where its
-# guard holds.  BAAC= needs ``2b > a > 2c``, which ranges 3, 5 and 6, the
-# only ranges that list it, imply; so it needs no guard.
-_GUARDS: dict[str, Callable[[Fraction, Fraction, Fraction], bool]] = {
-    "BAAA": lambda a, b, c: a > 3 * max(c, (a - b) / 2),
-    "AABB": lambda a, b, c: b > 2 * c,
-    "ABBC": lambda a, b, c: b > 2 * c,
-}
-
-# A choice game: (chooser, (option label, game), ...), each game a leaf
-# name or another choice game; the last option is the default.
-_ABAB_OR_SPLIT = (
-    0, ("ABAB", "ABAB"), ("else", (1, ("BAAA", "BAAA"), ("AABB", "AABB")))
-)
-
-# Each income range's primary game, then the leaves tried after it, in
-# order.  The primary constructions are not complete: for some profiles
-# their equilibrium plays fail the affordability conditions (an agent
-# with split turns can afford a bundle that dominates their own and
-# prefer it), while a fallback leaf that meets the price requirements on
-# the same incomes can still implement an equilibrium.
-_RANGE_GAMES: dict[str, tuple] = {
-    "m1": ("A", ()),
-    "m2": ("AB", ()),
-    "m3:a>b+c": ("ABA", ()),
-    "m3:a<b+c": ("ABC", ()),
-    "m4n2:a>2b": ("AABA", ()),
-    "m4n2:a<2b": (_ABAB_OR_SPLIT, ("ABAB", "BAAA", "AABB")),
-    "m4n3:range1": ("AABA", ("AABC", "ABAC", "ABCB")),
-    "m4n3:range2": ("AABC", ("ABAC", "ABCB")),
-    "m4n3:range3": ("ABAC", ("ABCB", "ABCA", "BAAC=", "BAAA", "AABB", "ABBC")),
-    "m4n3:range4": (_ABAB_OR_SPLIT, ("ABAB", "AABB", "ABBC", "ABAC", "ABCB")),
-    "m4n3:range5": (
-        (0, ("ABCB", "ABCB"), ("BAAC", "BAAC")),
-        ("ABCB", "BAAC", "BAAC=", "ABCA"),
-    ),
-    "m4n3:range6": (
-        (1, ("ABAB", "ABAB"), ("else", (0, ("ABBC", "ABBC"), ("BAAC", "BAAC")))),
-        ("BAAC", "BAAC=", "ABBC", "AABB", "ABAB", "ABCB", "ABCA", "BAAA"),
-    ),
-    "m4n3:range7": (
-        (0, ("ABCB", "ABCB"), ("BACA", "BACA")),
-        ("ABCB", "BACA", "ABCA"),
-    ),
-}
-
-
-def _guard(name: str, abc: tuple) -> bool:
-    guard = _GUARDS.get(name)
-    return guard is None or guard(*abc)
-
 
 def _leaf(name: str, abc: tuple) -> Leaf:
     agents = [_AGENT_LETTERS.index(ch) for ch in name.rstrip("=")]
@@ -297,41 +303,29 @@ def _game(spec, abc: tuple) -> GameNode:
 
 
 def _candidate_games(
-    label: str, t: Sequence[Fraction], m: int
+    row: IncomeRange, t: Sequence[Fraction], m: int
 ) -> Iterator[tuple[str, GameNode]]:
     """Games to try for one income range, over sorted agents, in order of
-    preference: the range's primary game, then each fallback leaf whose
-    guard holds, labelled ``range+leaf``."""
-    if label.endswith("n1"):
+    preference: the range's primary game, then each fallback leaf,
+    labelled ``range+leaf``."""
+    if row.primary is None:
         share = AffinePrice.of(Fraction(t[0], m))
-        yield label, Leaf(Pixep.of((0, share) for _ in range(m)), "A" * m)
+        yield row.label, Leaf(Pixep.of((0, share) for _ in range(m)), "A" * m)
         return
     abc = (*t[:3], 0, 0)[:3]
-    primary, fallbacks = _RANGE_GAMES[label]
-    game = _game(primary, abc)
-    for leaf in leaves(game):
-        if not _guard(leaf.label, abc):
-            raise AssertionError(
-                f"{label} must meet the guard of its {leaf.label} leaf; "
-                "dispatch is inconsistent"
-            )
-    yield label, game
-    for name in fallbacks:
-        if _guard(name, abc):
-            yield f"{label}+{name}", _leaf(name, abc)
+    yield row.label, _game(row.primary, abc)
+    for name in row.fallbacks:
+        yield f"{row.label}+{name}", _leaf(name, abc)
 
 
 @dataclass(frozen=True)
 class SolveTranscript:
-    """Audit trail of one solve: the sorted order, the range, the game and
-    the chosen play (whose ``epsilon`` resolved the prices)."""
+    """Audit trail of one solve: the sorted order, the range, the game
+    label and the chosen play (whose ``epsilon`` resolved the prices)."""
 
-    m: int
-    n: int
     order: tuple[int, ...]  # agent indices, income-descending
     range_label: str
     game_label: str  # range label, suffixed when a fallback game was used
-    game: GameNode
     execution: Execution  # over sorted agent indices
 
 
@@ -342,7 +336,7 @@ def solve(
 
     The returned allocation is indexed by the original agent order.  The
     transcript records the sorted order, the active income range, the
-    game, and the chosen play.
+    label of the game that won, and the chosen play.
     """
     n = len(profile)
     if len(incomes) != n:
@@ -350,26 +344,28 @@ def solve(
             f"profile has {n} agents but incomes has {len(incomes)}"
         )
     m = profile[0].m
-    if not _supported(m, n):
-        raise UnsupportedCaseError(m, n)
-    offending = violated_hyperplane(incomes, m)
-    if offending is not None:
-        raise NotGenericError(offending)
+    row = active_range(incomes, m)
 
     order = incomes.descending_order()
     sorted_incomes = IncomeVector.of(incomes[i] for i in order)
     sorted_profile = [profile[i] for i in order]
-    label = active_range(m, n, sorted_incomes.t)
 
-    for game_label, game in _candidate_games(label, sorted_incomes.t, m):
+    for game_label, game in _candidate_games(row, sorted_incomes.t, m):
         try:
             execution, sorted_pair = execute_to_ce(game, sorted_profile, sorted_incomes)
             break
         except NoValidSpeError:
             continue
+        except EmptyEpsilonIntervalError as exc:
+            # a fallback whose prices miss the requirements here is skipped
+            if game_label == row.label:
+                raise AssertionError(
+                    f"every leaf of the {row.label} primary game must meet the "
+                    "price requirements; dispatch is inconsistent"
+                ) from exc
     else:
         raise NoValidSpeError(
-            f"no candidate game for income range {label} has an equilibrium "
+            f"no candidate game for income range {row.label} has an equilibrium "
             "play for this profile; an exhaustive existence check of the "
             "instance is advised, since such profiles can lack any equilibrium"
         )
@@ -381,12 +377,9 @@ def solve(
         prices=sorted_pair.prices, allocation=Allocation(m=m, bundles=tuple(bundles))
     )
     transcript = SolveTranscript(
-        m=m,
-        n=n,
         order=order,
-        range_label=label,
+        range_label=row.label,
         game_label=game_label,
-        game=game,
         execution=execution,
     )
     return pair, transcript

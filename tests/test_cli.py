@@ -40,6 +40,15 @@ def aba_instance():
     }
 
 
+# Agents whose preferences name no bundle, so that only the items matter.
+_PLAIN_AGENTS = {
+    "agents": [
+        {"name": "Alice", "income": "2", "preference": {"partial": {}}},
+        {"name": "Bob", "income": "1", "preference": {"partial": {}}},
+    ]
+}
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -92,6 +101,27 @@ class TestVerifyCommand:
         code, doc = run(capsys, "verify", path, candidate)
         assert code == EXIT_OK
         assert doc["valid"] is True
+
+    def test_round_trip_with_multi_character_item_names(self, tmp_path, capsys):
+        # bundles of multi-character names are joined with '+'; a ranking
+        # and the solver's output must both read back as written
+        instance = {
+            "items": ["x", "yz"],
+            "agents": [
+                {"name": "A", "income": "5",
+                 "preference": {"ranking": ["", "x", "yz", "x+yz"]}},
+                {"name": "B", "income": "3", "preference": {"additive": ["1", "3"]}},
+            ],
+        }
+        path = write(tmp_path, "two.json", instance)
+        code, solved = run(capsys, "solve", path)
+        assert code == EXIT_OK
+        assert sorted(solved["allocation"].values()) == ["x", "yz"]
+        candidate = write(tmp_path, "candidate.json", solved)
+        code, doc = run(capsys, "verify", path, candidate)
+        assert code == EXIT_OK
+        assert doc["valid"] is True
+        assert load_instance(instance).profile[0].ranking() == [0, 0b01, 0b10, 0b11]
 
     def test_tampered_price_fails_exactly(self, tmp_path, capsys):
         path = write(tmp_path, "aba.json", aba_instance())
@@ -367,6 +397,19 @@ class TestInstanceFiles:
                  "allocation": ["yz", "x", ""]},
                 id="allocation-not-object",
             ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2", "preference": {"partial": {}}},
+                            {"name": "A", "income": "1", "preference": {"partial": {}}}]},
+                None,
+                id="duplicate-agent-names",
+            ),
+            pytest.param({"items": ["x", ""], **_PLAIN_AGENTS}, None, id="item-name-empty"),
+            pytest.param({"items": ["x", "y+z"], **_PLAIN_AGENTS}, None, id="item-name-plus"),
+            pytest.param({"items": ["x", "∅"], **_PLAIN_AGENTS}, None,
+                         id="item-name-empty-set"),
+            pytest.param({"items": ["x", " y"], **_PLAIN_AGENTS}, None,
+                         id="item-name-whitespace"),
+            pytest.param({"items": [], **_PLAIN_AGENTS}, None, id="items-empty"),
         ],
     )
     def test_malformed_input_exit_code(self, tmp_path, capsys, instance_patch, candidate):

@@ -1,5 +1,5 @@
-"""Source hygiene that no installed linter checks: unused imports and
-definitions that nothing uses."""
+"""Source hygiene that no installed linter checks: unused imports,
+definitions that nothing uses, and dataclass fields that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -142,3 +142,76 @@ def user_sources():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_definitions(path, user_sources):
     assert unused_definitions(str(path), user_sources) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """The fields of every top-level dataclass, as (class, field, line)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found.extend(
+                (node.name, item.target.id, item.lineno)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return found
+
+
+def attributes_read(sources: dict[str, str]) -> set[str]:
+    return {
+        node.attr
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(source: str, read: set[str]) -> list[str]:
+    """Dataclass fields of a module's ``source`` whose name is not among the
+    attributes ``read`` anywhere.  Passing a value to the constructor is not a read."""
+    return [
+        f"{cls}.{name} (line {line})"
+        for cls, name, line in dataclass_fields(ast.parse(source))
+        if name not in read
+    ]
+
+
+def test_field_scanner_flags_unread_and_accepts_read():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    read: int\n"
+        "    written_only: int\n"
+        "    def total(self):\n"
+        "        return self.read\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    stored: int = 0\n"
+        "class NotADataclass:\n"
+        "    annotated: int\n"
+    )
+    user = "from m import Report, Plain\nReport(read=1, written_only=2)\nPlain(stored=3).stored\n"
+    read = attributes_read({"m": module, "user": user})
+    assert unread_fields(module, read) == ["Report.written_only (line 5)"]
+    assert unread_fields(module, attributes_read({"m": module})) == [
+        "Report.written_only (line 5)", "Plain.stored (line 10)"
+    ]
+
+
+@pytest.fixture(scope="module")
+def read_attributes(user_sources):
+    return attributes_read(user_sources)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_dataclass_fields(path, read_attributes):
+    assert unread_fields(path.read_text(), read_attributes) == []

@@ -19,7 +19,7 @@ from cefai.instances import (
     stratified_incomes,
 )
 from cefai.market import IncomeRegion
-from cefai.solver import is_generic, range_labels, range_predicates
+from cefai.solver import is_generic, range_labels, range_table
 
 
 class TestCounterexample4x4:
@@ -103,9 +103,7 @@ class TestSamplers:
                 for point in stratified_incomes(m, n, label, seed=1, count=4):
                     assert is_generic(point, m)
                     matches = [
-                        lab
-                        for lab, pred in range_predicates(m, n)
-                        if pred(point.t)
+                        row.label for row in range_table(m, n) if row.holds(point.t)
                     ]
                     assert matches == [label]
 

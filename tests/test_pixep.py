@@ -223,10 +223,12 @@ class TestExecuteToCE:
         # a profile whose market admits no equilibrium at all: every play of
         # any requirement-satisfying game must fail verification
         from cefai.instances import counterexample_4x3
-        from cefai.solver import _candidate_games
+        from cefai.solver import _candidate_games, active_range
 
         inst = counterexample_4x3()
         profile = list(inst.completed_profile())
-        _, game = next(_candidate_games("m4n3:range3", inst.reference.t, 4))
+        row = active_range(inst.reference, 4)
+        assert row.label == "m4n3:range3"
+        _, game = next(_candidate_games(row, inst.reference.t, 4))
         with pytest.raises(NoValidSpeError):
             execute_to_ce(game, profile, inst.reference)

@@ -1,13 +1,16 @@
 """Income-range dispatch: hyperplanes, genericity, and verified solves."""
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cefai.core import random_preference
+from cefai.core import bundle_of, items_of, make_preference, random_preference
+from cefai.instances import counterexample_4x3, random_generic_incomes, stratified_incomes
 from cefai.market import IncomeVector, verify_ce
+from cefai.oracle import ce_exists
 from cefai.pixep import (
     EmptyEpsilonIntervalError,
     NoValidSpeError,
@@ -20,11 +23,10 @@ from cefai.solver import (
     excluded_hyperplanes,
     is_generic,
     range_labels,
-    range_predicates,
+    range_table,
     solve,
     violated_hyperplane,
 )
-from cefai.instances import random_generic_incomes, stratified_incomes
 
 from conftest import chain_preference
 
@@ -62,6 +64,24 @@ class TestHyperplanes:
     def test_sorting_applied_before_checking(self):
         assert not is_generic(IncomeVector.of([2, 4]), 4)
 
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 9)] + [(4, 1), (4, 2), (4, 3)]
+    )
+    def test_pinned_labels_in_order(self, m, n):
+        adjacent = ["a = b", "b = c", "c = d", "d = e", "e = f", "f = g", "g = h"]
+        boundaries = {
+            (4, 2): ["a = 2b"],
+            (4, 3): ["a = 2b + c", "a = 2b", "a = b + c", "a + c = 2b", "a = 2c", "b = 2c"],
+        }
+        if m == 3 and n >= 3:
+            boundaries[m, n] = ["a = b + c"]
+        expected = adjacent[: n - 1] + boundaries.get((m, n), [])
+        assert [hp.label for hp in excluded_hyperplanes(m, n)] == expected
+
+    def test_labels_beyond_the_letters(self):
+        labels = [hp.label for hp in excluded_hyperplanes(2, 10)]
+        assert labels[-2:] == ["h = t8", "t8 = t9"]
+
 
 class TestRanges:
     def test_exactly_one_range_matches(self):
@@ -69,7 +89,7 @@ class TestRanges:
             for label in range_labels(m, n):
                 for incomes in stratified_incomes(m, n, label, seed=2, count=5):
                     matches = [
-                        lab for lab, pred in range_predicates(m, n) if pred(incomes.t)
+                        row.label for row in range_table(m, n) if row.holds(incomes.t)
                     ]
                     assert matches == [label]
 
@@ -93,24 +113,35 @@ def _passes_requirements(leaf, incomes) -> bool:
 
 class TestGameTable:
     @pytest.mark.parametrize("m,n,label", list(_table_ranges()))
-    def test_guards_match_requirements(self, m, n, label):
-        # a fallback's guard holds exactly where its prices meet R2/R3, every
-        # leaf of the primary game meets them, and every fallback is tried
-        # somewhere in its range
-        from cefai.solver import _RANGE_GAMES, _game, _guard, _leaf
+    def test_primary_leaves_pass_and_every_fallback_is_live(self, m, n, label):
+        # every leaf of the primary game meets the price requirements (R2/R3)
+        # throughout its range, and each fallback meets them somewhere there,
+        # so no listed fallback is never tried
+        from cefai.solver import _candidate_games
 
-        primary, fallbacks = _RANGE_GAMES[label]
+        (row,) = [row for row in range_table(m, n) if row.label == label]
         live = set()
         for incomes in stratified_incomes(m, n, label, seed=5, count=100):
-            abc = (*incomes.t[:3], 0, 0)[:3]
-            for leaf in leaves(_game(primary, abc)):
+            games = _candidate_games(row, incomes.t, m)
+            _, primary = next(games)
+            for leaf in leaves(primary):
                 assert _passes_requirements(leaf, incomes), (leaf.label, incomes)
-            for name in fallbacks:
-                passes = _passes_requirements(_leaf(name, abc), incomes)
-                assert _guard(name, abc) == passes, (name, incomes)
-                if passes:
-                    live.add(name)
-        assert live == set(fallbacks)
+            for _, leaf in games:
+                if _passes_requirements(leaf, incomes):
+                    live.add(leaf.label)
+        assert live == set(row.fallbacks)
+
+    def test_primary_leaf_failing_requirements_is_loud(self, monkeypatch):
+        # a primary leaf whose prices miss R2 is an inconsistent table, never
+        # a game to skip
+        from cefai import solver
+
+        monkeypatch.setitem(
+            solver._LEAVES, "AABA", lambda a, b, c: ((c, 0), (a - b - c, 0), (b, 0), (b, 0))
+        )
+        profile = [random_preference(4, seed=s) for s in (1, 2, 3)]
+        with pytest.raises(AssertionError, match="m4n3:range1 primary"):
+            solve(profile, IncomeVector.of([20, 7, 3]))
 
 
 class TestSolve:
@@ -289,3 +320,49 @@ class TestPinnedOutputs:
         assert digest == (
             "d9eb21db74b7dffd0ecae56dc0384c807e80b91069d08a9f775ffb43a451c743"
         )
+
+
+def _permuted(pref, perm):
+    """The same preference with item j renamed to ``perm[j]``."""
+    ranking = [bundle_of(perm[j] for j in items_of(b)) for b in pref.ranking()]
+    return make_preference(pref.m, ranking)
+
+
+def _permutation_cases():
+    rng = random.Random("item-permutation")
+    for m, n in [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]:
+        for r_index, label in enumerate(range_labels(m, n)):
+            for incomes in stratified_incomes(m, n, label, seed=40 + r_index, count=6):
+                profile = [random_preference(m, seed=rng.randrange(1 << 40)) for _ in range(n)]
+                yield profile, incomes, rng.sample(range(m), m)
+    inst = counterexample_4x3()  # no equilibrium at all: both sides fail
+    yield list(inst.completed_profile()), inst.reference, [2, 0, 3, 1]
+
+
+def _solve_or_none(profile, incomes):
+    try:
+        pair, _ = solve(profile, incomes)
+    except NoValidSpeError:
+        return None
+    assert verify_ce(profile, incomes, pair).valid
+    return pair
+
+
+class TestItemPermutation:
+    """Renaming the items in every agent's order at once changes neither
+    whether ``solve`` succeeds nor whether an equilibrium exists.  The pairs
+    found may differ, since both search in item order."""
+
+    def test_solve_and_existence_commute(self):
+        outcomes = set()
+        for profile, incomes, perm in _permutation_cases():
+            permuted = [_permuted(pref, perm) for pref in profile]
+            solved = _solve_or_none(profile, incomes) is not None
+            assert solved == (_solve_or_none(permuted, incomes) is not None)
+            witness = ce_exists(profile, incomes)
+            permuted_witness = ce_exists(permuted, incomes)
+            assert (witness is None) == (permuted_witness is None)
+            for prefs, pair in ((profile, witness), (permuted, permuted_witness)):
+                assert pair is None or verify_ce(prefs, incomes, pair).valid
+            outcomes.add((solved, witness is not None))
+        assert outcomes == {(True, True), (False, False)}
