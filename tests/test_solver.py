@@ -15,6 +15,7 @@ from cefai.pixep import (
     EmptyEpsilonIntervalError,
     NoValidSpeError,
     check_requirements,
+    execute_to_ce,
     leaves,
 )
 from cefai.solver import (
@@ -111,15 +112,29 @@ def _passes_requirements(leaf, incomes) -> bool:
     return True
 
 
+def _is_played(leaf, profile, incomes) -> bool:
+    """Whether execute_to_ce gets past the price requirements of ``leaf``."""
+    try:
+        execute_to_ce(leaf, profile, incomes)
+    except EmptyEpsilonIntervalError:
+        return False
+    except NoValidSpeError:
+        pass
+    return True
+
+
 class TestGameTable:
     @pytest.mark.parametrize("m,n,label", list(_table_ranges()))
-    def test_primary_leaves_pass_and_every_fallback_is_live(self, m, n, label):
-        # every leaf of the primary game meets the price requirements (R2/R3)
-        # throughout its range, and each fallback meets them somewhere there,
-        # so no listed fallback is never tried
+    def test_guards_match_requirements(self, m, n, label):
+        # a fallback's guard is the price-requirement check (R2/R3) that
+        # execute_to_ce runs before playing a leaf: the leaf is played exactly
+        # where check_requirements passes.  Every leaf of the primary game
+        # passes throughout its range, and each fallback passes somewhere
+        # there, so no listed fallback is never tried
         from cefai.solver import _candidate_games
 
         (row,) = [row for row in range_table(m, n) if row.label == label]
+        profile = [random_preference(m, seed=10 * n + i) for i in range(n)]
         live = set()
         for incomes in stratified_incomes(m, n, label, seed=5, count=100):
             games = _candidate_games(row, incomes.t, m)
@@ -127,7 +142,9 @@ class TestGameTable:
             for leaf in leaves(primary):
                 assert _passes_requirements(leaf, incomes), (leaf.label, incomes)
             for _, leaf in games:
-                if _passes_requirements(leaf, incomes):
+                passes = _passes_requirements(leaf, incomes)
+                assert _is_played(leaf, profile, incomes) == passes, (leaf.label, incomes)
+                if passes:
                     live.add(leaf.label)
         assert live == set(row.fallbacks)
 
