@@ -163,6 +163,21 @@ class ParsedInstance:
         return len(self.agent_names)
 
 
+# The JSON type of each value the json module reads, for messages that
+# must not print the value itself (it may be nested too deep to print).
+_JSON_TYPES = {
+    type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+    str: "a string", list: "an array", dict: "an object",
+}
+
+
+def _require_string(value: Any, context: str) -> str:
+    if not isinstance(value, str):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ParseError(f"{context} must be a string, not {kind}")
+    return value
+
+
 def _fraction(value: Any, context: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError(
@@ -234,10 +249,11 @@ def load_instance(doc: dict) -> ParsedInstance:
         isinstance(agent, dict) for agent in doc["agents"]
     ):
         raise ParseError("'agents' must be a list of objects")
-    names = tuple(str(x) for x in doc["items"])
+    names = tuple(doc["items"])
     if not names:
         raise ParseError("'items' must name at least one item")
     for name in names:
+        _require_string(name, "an item name")
         if not name or name != name.strip() or "+" in name or name == EMPTY_BUNDLE_SYMBOL:
             raise ParseError(
                 f"item name {name!r} cannot be written in a bundle: a name is "
@@ -251,7 +267,7 @@ def load_instance(doc: dict) -> ParsedInstance:
     incomes = []
     profile = []
     for i, agent in enumerate(doc["agents"]):
-        name = str(agent.get("name", f"agent{i}"))
+        name = _require_string(agent.get("name", f"agent{i}"), f"the name of agent {i}")
         agent_names.append(name)
         incomes.append(_fraction(agent.get("income"), f"income of {name}"))
         profile.append(_parse_preference(agent.get("preference"), m, names, name))
@@ -335,11 +351,12 @@ def load_candidate(doc: dict, inst: ParsedInstance) -> CEPair:
             raise ParseError(f"candidate prices are missing item {name!r}")
         prices.append(_fraction(doc["prices"][name], f"price of {name}"))
     alloc = doc["allocation"]
+    texts = [
+        _require_string(alloc.get(name, ""), f"the bundle of {name}")
+        for name in inst.agent_names
+    ]
     try:
-        bundles = [
-            parse_bundle(str(alloc.get(name, "")), inst.item_names)
-            for name in inst.agent_names
-        ]
+        bundles = [parse_bundle(text, inst.item_names) for text in texts]
         return CEPair(
             prices=PriceVector.of(prices),
             allocation=Allocation(m=inst.m, bundles=tuple(bundles)),

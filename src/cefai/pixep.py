@@ -14,6 +14,12 @@ pixep usable as an equilibrium device:
 
 ``check_requirements`` verifies R1 exactly and reduces R2/R3 to an
 interval of feasible ε values; ``resolve_epsilon`` picks the midpoint.
+R1-R3 and the cap ``resolve_epsilon`` puts on ε are decided on scaled
+integers (the position constants and incomes over one common
+denominator, the ε-slopes over another), the way
+:func:`cefai.market.verify_ce` checks an equilibrium; ``Fraction``s
+appear only at the boundary: the interval, the ε and the error messages
+handed out.
 
 Games are either a single pixep (a :class:`Leaf`) or a sequential
 choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
@@ -36,6 +42,8 @@ from .market import (
     DimensionMismatchError,
     IncomeVector,
     PriceVector,
+    common_scale,
+    scaled_integers,
     verify_ce,
 )
 
@@ -151,6 +159,39 @@ class EpsilonInterval:
         return (self.lo + self.hi) / 2
 
 
+def _scaled(
+    pix: Pixep, incomes: IncomeVector
+) -> tuple[int, int, list[int], list[int], list[int]]:
+    """The pixep and incomes in integers: ``(scale, slope_scale,
+    constants, slopes, incomes)``, where position k's price is
+    ``constants[k]/scale + slopes[k]/slope_scale · ε`` and agent i's
+    income is ``incomes[i]/scale``."""
+    constants = [price.c0 for _, price in pix.positions]
+    slopes = [price.c1 for _, price in pix.positions]
+    scale = common_scale(constants, incomes)
+    slope_scale = common_scale(slopes)
+    return (
+        scale,
+        slope_scale,
+        scaled_integers(constants, scale),
+        scaled_integers(slopes, slope_scale),
+        scaled_integers(incomes, scale),
+    )
+
+
+def _describe(pix: Pixep, incomes: IncomeVector, key: tuple[str, int]) -> str:
+    """The text of one R2/R3 constraint of :func:`check_requirements`."""
+    kind, index = key
+    last_price = pix.positions[-1][1]
+    if kind == "R2":
+        (agent_k, price_k), (agent_next, price_next) = pix.positions[index:index + 2]
+        turn = "switch" if agent_k != agent_next else "run"
+        return f"R2 {turn} at positions {index + 1}->{index + 2}: {price_k} vs {price_next}"
+    if kind == "R3":
+        return f"R3: last price {last_price} vs income {incomes[index]} of absent agent {index}"
+    return f"positivity of last price {last_price}"
+
+
 def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     """Verify R1 exactly and intersect all R2/R3 constraints on ε.
 
@@ -158,65 +199,71 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     resolved price vector is valid.  Raises ``R1ViolationError`` or
     ``EmptyEpsilonIntervalError`` (naming the binding constraints) when
     the pixep cannot implement the incomes.
+
+    R1-R3 are decided on scaled integers: the position constants and the
+    incomes share one common denominator, the ε-slopes another, and each
+    bound on ε is kept as an integer ratio.  ``Fraction``s are built only
+    at the boundary: the two ends of the returned interval, and the
+    texts of a raised error.
     """
     n = len(incomes)
     for agent, _ in pix.positions:
         if not 0 <= agent < n:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
-    sums: dict[int, AffinePrice] = {}
-    for agent, price in pix.positions:
-        sums[agent] = sums.get(agent, AffinePrice.of(0)) + price
-    for agent, total in sums.items():
-        if total.c0 != incomes[agent] or total.c1 != 0:
+    scale, slope_scale, constants, slopes, income = _scaled(pix, incomes)
+    agents = [agent for agent, _ in pix.positions]
+    sums: dict[int, list[int]] = {}
+    for agent, c0, c1 in zip(agents, constants, slopes):
+        total = sums.setdefault(agent, [0, 0])
+        total[0] += c0
+        total[1] += c1
+    for agent, (c0, c1) in sums.items():
+        if c0 != income[agent] or c1 != 0:
+            total = AffinePrice(Fraction(c0, scale), Fraction(c1, slope_scale))
             raise R1ViolationError(
                 agent, f": prices sum to {total}, income is {incomes[agent]}"
             )
 
-    # Each constraint is alpha + beta*eps > 0 (strict) or >= 0.
-    constraints: list[tuple[Fraction, Fraction, bool, str]] = []
-    for k in range(pix.m - 1):
-        agent_k, price_k = pix.positions[k]
-        agent_next, price_next = pix.positions[k + 1]
-        diff = price_k - price_next
-        strict = agent_k != agent_next
-        kind = "switch" if strict else "run"
-        constraints.append(
-            (diff.c0, diff.c1, strict,
-             f"R2 {kind} at positions {k + 1}->{k + 2}: {price_k} vs {price_next}")
-        )
-    last_agent, last_price = pix.positions[-1]
-    present = pix.agents()
-    for j in range(n):
-        if j not in present:
-            constraints.append(
-                (last_price.c0 - incomes[j], last_price.c1, True,
-                 f"R3: last price {last_price} vs income {incomes[j]} of absent agent {j}")
-            )
-    constraints.append(
-        (last_price.c0, last_price.c1, True, f"positivity of last price {last_price}")
-    )
+    # Each constraint is alpha + beta*eps > 0 (strict) or >= 0, alpha in
+    # units of 1/scale and beta in units of 1/slope_scale, named by a key
+    # that _describe turns into text.
+    constraints = [
+        (("R2", k), constants[k] - constants[k + 1], slopes[k] - slopes[k + 1],
+         agents[k] != agents[k + 1])
+        for k in range(pix.m - 1)
+    ]
+    last_c0, last_c1 = constants[-1], slopes[-1]
+    constraints += [
+        (("R3", j), last_c0 - income[j], last_c1, True)
+        for j in range(n) if j not in sums
+    ]
+    constraints.append((("positivity", 0), last_c0, last_c1, True))
 
-    lo, lo_desc = Fraction(0), "ε > 0"
-    hi: Fraction | None = None
-    hi_desc = ""
-    for alpha, beta, strict, desc in constraints:
+    # A bound -alpha/beta on ε is the ratio num/den (den > 0), in units of
+    # slope_scale/scale; bounds are compared by cross-multiplying.
+    lo_num, lo_den, lo_key = 0, 1, None
+    hi_num, hi_den, hi_key = 0, 1, None
+    for key, alpha, beta, strict in constraints:
         if beta == 0:
             if alpha < 0 or (strict and alpha == 0):
-                raise EmptyEpsilonIntervalError(f"unsatisfiable: {desc}")
+                raise EmptyEpsilonIntervalError(
+                    f"unsatisfiable: {_describe(pix, incomes, key)}"
+                )
         elif beta > 0:
-            bound = -alpha / beta
-            if bound > lo:
-                lo, lo_desc = bound, desc
-        else:
-            bound = alpha / (-beta)
-            if hi is None or bound < hi:
-                hi, hi_desc = bound, desc
-    if hi is not None and lo >= hi:
+            if -alpha * lo_den > lo_num * beta:
+                lo_num, lo_den, lo_key = -alpha, beta, key
+        elif hi_key is None or alpha * hi_den < hi_num * -beta:
+            hi_num, hi_den, hi_key = alpha, -beta, key
+    if hi_key is not None and lo_num * hi_den >= hi_num * lo_den:
+        lo_desc = "ε > 0" if lo_key is None else _describe(pix, incomes, lo_key)
         raise EmptyEpsilonIntervalError(
-            f"empty ε interval: ({lo_desc}) against ({hi_desc})"
+            f"empty ε interval: ({lo_desc}) against ({_describe(pix, incomes, hi_key)})"
         )
-    return EpsilonInterval(lo=lo, hi=hi)
+    return EpsilonInterval(
+        lo=Fraction(lo_num * slope_scale, lo_den * scale),
+        hi=None if hi_key is None else Fraction(hi_num * slope_scale, hi_den * scale),
+    )
 
 
 def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
@@ -227,23 +274,28 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     position prices, so these are all the affine expressions the
     equilibrium verification can ever compare against an income.  Below
     the bound, each comparison keeps the sign it has in the small-ε
-    limit.
+    limit.  Computed on scaled integers, like :func:`check_requirements`.
     """
-    prices = [price for _, price in pix.positions]
-    subset_sums = [AffinePrice.of(0)]
-    for price in prices:
-        subset_sums += [total + price for total in subset_sums]
-    bound: Fraction | None = None
-    for total in subset_sums:
-        for t in incomes:
-            alpha = total.c0 - t
-            beta = total.c1
-            if alpha == 0 or beta == 0 or (alpha > 0) == (beta > 0):
+    scale, slope_scale, constants, slopes, income = _scaled(pix, incomes)
+    sums = {(0, 0)}
+    for c0, c1 in zip(constants, slopes):
+        sums |= {(s0 + c0, s1 + c1) for s0, s1 in sums}
+    # A subset sum s0 + s1*eps meets income t at eps = (t - s0)/s1, the
+    # ratio num/den (den > 0) in units of slope_scale/scale.
+    best_num, best_den = 0, 0
+    for t in set(income):
+        for s0, s1 in sums:
+            if s1 > 0:
+                num, den = t - s0, s1
+            elif s1 < 0:
+                num, den = s0 - t, -s1
+            else:
                 continue
-            flip = -alpha / beta
-            if bound is None or flip < bound:
-                bound = flip
-    return bound
+            if num > 0 and (best_den == 0 or num * best_den < best_num * den):
+                best_num, best_den = num, den
+    if best_den == 0:
+        return None
+    return Fraction(best_num * slope_scale, best_den * scale)
 
 
 def resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:

@@ -1,0 +1,137 @@
+"""Reference ε resolution in ``Fraction``s.
+
+An independent cross-check for ``cefai.pixep.check_requirements``,
+``_sign_flip_bound`` and ``resolve_epsilon``, which decide R1-R3 and the
+sign-flip cap on scaled integers: the same functions written one
+``AffinePrice`` and one comparison at a time over exact rationals, the
+way the requirements read.  Slow, but simple enough to trust, so the
+tests compare the library against it value by value and message by
+message on random pixeps.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cefai.market import DimensionMismatchError, IncomeVector
+from cefai.pixep import (
+    AffinePrice,
+    EmptyEpsilonIntervalError,
+    EpsilonInterval,
+    Pixep,
+    R1ViolationError,
+)
+
+
+def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
+    """Verify R1 exactly and intersect all R2/R3 constraints on ε.
+
+    Also requires the last (cheapest) price to stay positive, so every
+    resolved price vector is valid.  Raises ``R1ViolationError`` or
+    ``EmptyEpsilonIntervalError`` (naming the binding constraints) when
+    the pixep cannot implement the incomes.
+    """
+    n = len(incomes)
+    for agent, _ in pix.positions:
+        if not 0 <= agent < n:
+            raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
+
+    sums: dict[int, AffinePrice] = {}
+    for agent, price in pix.positions:
+        sums[agent] = sums.get(agent, AffinePrice.of(0)) + price
+    for agent, total in sums.items():
+        if total.c0 != incomes[agent] or total.c1 != 0:
+            raise R1ViolationError(
+                agent, f": prices sum to {total}, income is {incomes[agent]}"
+            )
+
+    # Each constraint is alpha + beta*eps > 0 (strict) or >= 0.
+    constraints: list[tuple[Fraction, Fraction, bool, str]] = []
+    for k in range(pix.m - 1):
+        agent_k, price_k = pix.positions[k]
+        agent_next, price_next = pix.positions[k + 1]
+        diff = price_k - price_next
+        strict = agent_k != agent_next
+        kind = "switch" if strict else "run"
+        constraints.append(
+            (diff.c0, diff.c1, strict,
+             f"R2 {kind} at positions {k + 1}->{k + 2}: {price_k} vs {price_next}")
+        )
+    last_agent, last_price = pix.positions[-1]
+    present = pix.agents()
+    for j in range(n):
+        if j not in present:
+            constraints.append(
+                (last_price.c0 - incomes[j], last_price.c1, True,
+                 f"R3: last price {last_price} vs income {incomes[j]} of absent agent {j}")
+            )
+    constraints.append(
+        (last_price.c0, last_price.c1, True, f"positivity of last price {last_price}")
+    )
+
+    lo, lo_desc = Fraction(0), "ε > 0"
+    hi: Fraction | None = None
+    hi_desc = ""
+    for alpha, beta, strict, desc in constraints:
+        if beta == 0:
+            if alpha < 0 or (strict and alpha == 0):
+                raise EmptyEpsilonIntervalError(f"unsatisfiable: {desc}")
+        elif beta > 0:
+            bound = -alpha / beta
+            if bound > lo:
+                lo, lo_desc = bound, desc
+        else:
+            bound = alpha / (-beta)
+            if hi is None or bound < hi:
+                hi, hi_desc = bound, desc
+    if hi is not None and lo >= hi:
+        raise EmptyEpsilonIntervalError(
+            f"empty ε interval: ({lo_desc}) against ({hi_desc})"
+        )
+    return EpsilonInterval(lo=lo, hi=hi)
+
+
+def reference_sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
+    """Smallest ε > 0 at which any bundle-price-vs-income comparison
+    changes sign.
+
+    Every bundle priced by an execution costs the sum of some subset of
+    position prices, so these are all the affine expressions the
+    equilibrium verification can ever compare against an income.  Below
+    the bound, each comparison keeps the sign it has in the small-ε
+    limit.
+    """
+    prices = [price for _, price in pix.positions]
+    subset_sums = [AffinePrice.of(0)]
+    for price in prices:
+        subset_sums += [total + price for total in subset_sums]
+    bound: Fraction | None = None
+    for total in subset_sums:
+        for t in incomes:
+            alpha = total.c0 - t
+            beta = total.c1
+            if alpha == 0 or beta == 0 or (alpha > 0) == (beta > 0):
+                continue
+            flip = -alpha / beta
+            if bound is None or flip < bound:
+                bound = flip
+    return bound
+
+
+def reference_resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:
+    """Concrete ε: the midpoint of the feasible interval, capped so that
+    no bundle-price-vs-income comparison crosses its small-ε sign.
+
+    The cap is what makes "holds for every sufficiently small ε > 0"
+    checkable at a single concrete value; without it a midpoint deep in
+    the interval can make an otherwise-unaffordable bundle affordable.
+    """
+    interval = reference_check_requirements(pix, incomes)
+    eps = interval.midpoint()
+    flip = reference_sign_flip_bound(pix, incomes)
+    if flip is not None:
+        eps = min(eps, flip / 2)
+    if eps <= interval.lo:  # only reachable with a positive lower bound
+        eps = interval.midpoint()
+    return eps
+

@@ -410,6 +410,31 @@ class TestInstanceFiles:
             pytest.param({"items": ["x", " y"], **_PLAIN_AGENTS}, None,
                          id="item-name-whitespace"),
             pytest.param({"items": [], **_PLAIN_AGENTS}, None, id="items-empty"),
+            pytest.param({"items": ["x", None], **_PLAIN_AGENTS}, None,
+                         id="item-name-null"),
+            pytest.param({"items": [1, "y"], **_PLAIN_AGENTS}, None,
+                         id="item-name-number"),
+            pytest.param(
+                {"agents": [{"name": None, "income": "2", "preference": {"partial": {}}}]},
+                None,
+                id="agent-name-null",
+            ),
+            pytest.param(
+                {"agents": [{"name": ["A"], "income": "2", "preference": {"partial": {}}}]},
+                None,
+                id="agent-name-array",
+            ),
+            # items named so that the bundle's text form would parse
+            pytest.param(
+                {"items": ["None", "y"], **_PLAIN_AGENTS},
+                {"prices": {"None": "1", "y": "1"}, "allocation": {"Alice": None, "Bob": "y"}},
+                id="bundle-null",
+            ),
+            pytest.param(
+                {"items": ["1", "y"], **_PLAIN_AGENTS},
+                {"prices": {"1": "1", "y": "1"}, "allocation": {"Alice": 1, "Bob": "y"}},
+                id="bundle-number",
+            ),
         ],
     )
     def test_malformed_input_exit_code(self, tmp_path, capsys, instance_patch, candidate):

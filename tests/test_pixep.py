@@ -12,6 +12,7 @@ from cefai.pixep import (
     NoValidSpeError,
     Pixep,
     R1ViolationError,
+    _sign_flip_bound,
     check_requirements,
     execute_to_ce,
     resolve_epsilon,
@@ -56,6 +57,17 @@ class TestRequirements:
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (0, Fraction(1, 3))
         assert resolve_epsilon(pix, incomes) == Fraction(1, 6)
+
+    def test_cap_below_lower_bound_falls_back_to_midpoint(self):
+        # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
+        # ε <= 10, and 12-ε meets the income at ε = 8, so the cap 8/2 lies
+        # below the interval and ε is its midpoint
+        pix = Pixep.of([(0, AffinePrice.of(12, -1)), (0, AffinePrice.of(-8, +1))])
+        incomes = IncomeVector.of([4])
+        interval = check_requirements(pix, incomes)
+        assert (interval.lo, interval.hi) == (8, 10)
+        assert _sign_flip_bound(pix, incomes) == 8
+        assert resolve_epsilon(pix, incomes) == 9
 
     def test_empty_interval_when_income_too_small(self):
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3
