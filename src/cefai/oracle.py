@@ -6,6 +6,33 @@ Strict inequalities are turned into weak ones with a shared slack
 variable ``s`` (capped at 1): the open system has a solution iff the
 closed system admits ``s > 0``.
 
+Everything is decided on the incomes scaled to integers by their common
+denominator (``market.common_scale``), once per market in
+``_MarketRows``.  That is exact: every condition is a homogeneous linear
+(in)equality in prices and incomes together, so ``(X, p)`` is an
+equilibrium at incomes ``t`` iff ``(X, λp)`` is one at ``λt`` for any
+``λ > 0``.  Prices found for the scaled incomes are divided back.
+
+Budget equalities and strictly positive prices lose no generality.
+Preferences are strictly monotone (a proper superset is strictly
+better), and every item is allocated.  Suppose ``(X, p)`` only keeps
+budgets, ``p(X_i) <= t_i``, with prices of any sign, and no agent
+affords a bundle it prefers to its own.  With ``n >= 2``:
+
+* every price is positive: if item ``g`` of agent ``h`` had
+  ``p_g <= 0``, another agent ``i`` would afford
+  ``X_i ∪ {g}`` at ``p(X_i) + p_g <= t_i``, a bundle it prefers;
+* every non-empty bundle can be priced at its owner's income: raise
+  the price of one item of ``X_i`` by the slack ``t_i - p(X_i)``.  No
+  other budget changes, since bundles are disjoint, and every bundle
+  gets weakly dearer, so no agent can afford a bundle it could not
+  afford before.
+
+So the oracle's system, with budget equalities and ``p > 0``, has a
+solution iff the looser one does.  With ``n = 1`` the agent holds every
+item, has no better bundle, and any positive prices summing to its
+income will do.
+
 The budget equalities are substituted away: the lowest item of each
 non-empty bundle costs its owner's income minus the bundle's other
 prices, which leaves ``k <= m - 1`` free prices ``z``.  Every remaining
@@ -15,20 +42,21 @@ largest ``s`` is found through the dual LP
 
     minimise sum(y_r c_r)  subject to  sum(y_r) = 1,  sum(y_r a_r) = 0,  y >= 0
 
-by an integer simplex: the ``c`` are scaled by the incomes' common
-denominator, pivots are fraction-free (Edmonds-Bareiss, exact division)
-and follow Bland's rule, so the simplex cannot cycle.  A positive
-optimum gives prices through the multipliers of the tight rows.
-Otherwise the dual solution is a Farkas certificate: every solution has
+by an integer simplex: the ``c`` are in scaled incomes, pivots are
+fraction-free (Edmonds-Bareiss, exact division) and follow Bland's
+rule, so the simplex cannot cycle.  A positive optimum gives prices
+through the multipliers of the tight rows.  Otherwise the dual solution
+is a Farkas certificate: every solution has
 ``s = sum(y_r s) <= sum(y_r (a_r·z + c_r)) = sum(y_r c_r) <= 0``.  The
 certificate is checked in integers before an allocation counts as
 infeasible, just as ``ce_exists`` re-checks each witness with
 ``verify_ce``; nothing is rounded, so boundary cases can never be
 fabricated or lost.
 
-Two cheap necessary conditions prune allocations before the LP runs;
-both are provable consequences of the full system, so pruning never
-changes the answer (and can be switched off for cross-checking).
+Two cheap necessary conditions, compared on the scaled integer incomes,
+prune allocations before the LP runs; both are provable consequences of
+the full system, so pruning never changes the answer (and can be
+switched off for cross-checking).
 """
 
 from __future__ import annotations
@@ -61,9 +89,11 @@ class InstanceTooLargeError(ValueError):
 
 class _MarketRows:
     """What every allocation of one market shares: the incomes scaled to
-    integers by their common denominator, and for each agent and own
-    bundle the bundles the agent prefers that do not contain it (a
-    bundle containing the own one costs more than the income anyway).
+    integers by their common denominator; for each agent, the other
+    agents whose income is at most its own (prefilter (2)); and for each
+    agent and own bundle the bundles the agent prefers that do not
+    contain it (a bundle containing the own one costs more than the
+    income anyway).  Agents with different item universes are refused.
 
     The bundle lists are built on first use and kept as lists, not
     tuples: CPython keeps freed tuples of every length up to 20 on free
@@ -74,8 +104,14 @@ class _MarketRows:
     def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
         self.profile = profile
         self.m = profile[0].m
+        if any(pref.m != self.m for pref in profile):
+            raise DimensionMismatchError("item universes differ across inputs")
         self.scale = common_scale(incomes)
         self.income = scaled_integers(incomes, self.scale)
+        self.poorer = [
+            [j for j, t in enumerate(self.income) if j != i and t <= own]
+            for i, own in enumerate(self.income)
+        ]
         self._better: list[dict[Bundle, list[Bundle]]] = [{} for _ in profile]
 
     def better(self, agent: int, own: Bundle) -> list[Bundle]:
@@ -247,30 +283,28 @@ def feasible_ce_prices(
     return PriceVector.of(Fraction(z[j], scale) for j in range(rows.m))
 
 
-def _passes_prefilters(
-    profile: Sequence[PreferenceOrder],
-    incomes: IncomeVector,
-    masks: Sequence[Bundle],
-) -> bool:
-    """Cheap necessary conditions for equilibrium feasibility.
+def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
+    """Cheap necessary conditions for equilibrium feasibility, decided on
+    the scaled integer incomes.
 
     (1) every item must cost more than any empty-handed agent's income,
     so a k-item bundle's owner needs an income above k times that; and
     (2) an agent never affords another's bundle priced at a smaller or
-    equal income, so preferring it is immediately fatal.
+    equal income, so preferring it is immediately fatal (the empty
+    bundle ranks lowest, so it is never preferred).
     """
-    empty_income = [incomes[i] for i in range(len(masks)) if masks[i] == 0]
-    if empty_income:
-        floor = max(empty_income)
+    income = rows.income
+    empty = [income[i] for i, own in enumerate(masks) if own == 0]
+    if empty:
+        floor = max(empty)
         for j, own in enumerate(masks):
-            if own and incomes[j] <= own.bit_count() * floor:
+            if own and income[j] <= own.bit_count() * floor:
                 return False
-    for i, pref in enumerate(profile):
-        own_rank = pref.rank_of(masks[i])
-        for j, other in enumerate(masks):
-            if j == i or other == 0:
-                continue
-            if incomes[j] <= incomes[i] and pref.rank[other] > own_rank:
+    for i, pref in enumerate(rows.profile):
+        rank = pref.rank
+        own_rank = rank[masks[i]]
+        for j in rows.poorer[i]:
+            if rank[masks[j]] > own_rank:
                 return False
     return True
 
@@ -299,7 +333,7 @@ def ce_exists(
         masks = [0] * n
         for item, agent in enumerate(assignment):
             masks[agent] |= 1 << item
-        if use_prefilters and not _passes_prefilters(profile, incomes, masks):
+        if use_prefilters and not _passes_prefilters(rows, masks):
             continue
         prices = feasible_ce_prices(
             profile, incomes, Allocation(m=m, bundles=tuple(masks)), rows
