@@ -1,11 +1,12 @@
-"""Reference equilibrium verification and share audit in ``Fraction``s.
+"""Reference equilibrium verification, share audit and oracle prefilters
+in ``Fraction``s.
 
-An independent cross-check for ``cefai.market.verify_ce`` and
-``cefai.fairness.audit_ce_fairness``, which scale prices and incomes to
-integers: the same checks written one bundle and one comparison at a
-time over exact rationals, the way the definitions read.  Slow, but
-simple enough to trust, so the tests compare the library against it
-field by field on seeded random pairs.
+An independent cross-check for ``cefai.market.verify_ce``,
+``cefai.fairness.audit_ce_fairness`` and the oracle's prefilters, which
+scale prices and incomes to integers: the same checks written one bundle
+and one comparison at a time over exact rationals, the way the
+definitions read.  Slow, but simple enough to trust, so the tests
+compare the library against it field by field on seeded random pairs.
 """
 
 from __future__ import annotations
@@ -87,3 +88,31 @@ def reference_audit_ce_fairness(
     return FairnessReport(
         checked=checked, applicable=applicable, violations=tuple(violations)
     )
+
+
+def reference_passes_prefilters(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    masks: Sequence[Bundle],
+) -> bool:
+    """Cheap necessary conditions for equilibrium feasibility.
+
+    (1) every item must cost more than any empty-handed agent's income,
+    so a k-item bundle's owner needs an income above k times that; and
+    (2) an agent never affords another's bundle priced at a smaller or
+    equal income, so preferring it is immediately fatal.
+    """
+    empty_income = [incomes[i] for i in range(len(masks)) if masks[i] == 0]
+    if empty_income:
+        floor = max(empty_income)
+        for j, own in enumerate(masks):
+            if own and incomes[j] <= own.bit_count() * floor:
+                return False
+    for i, pref in enumerate(profile):
+        own_rank = pref.rank_of(masks[i])
+        for j, other in enumerate(masks):
+            if j == i or other == 0:
+                continue
+            if incomes[j] <= incomes[i] and pref.rank[other] > own_rank:
+                return False
+    return True

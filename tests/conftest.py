@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 from cefai.core import PartialRelations, complete_partial, random_preference
+from cefai.market import Allocation, IncomeVector
 from cefai.pixep import AffinePrice, ChoiceNode, Leaf, Pixep
 
 
@@ -60,6 +63,26 @@ def random_game(rng: random.Random, m: int, n: int):
 
 def random_profile(rng: random.Random, m: int, n: int):
     return tuple(random_preference(m, seed=rng.randrange(10**9)) for _ in range(n))
+
+
+def tied_incomes(rng: random.Random, n: int) -> IncomeVector:
+    """Incomes on a coarse grid with denominators up to 3, so that one
+    income is often a multiple of another; about half the draws also
+    copy one agent's income onto another, so that ties occur."""
+    values = [Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        values[j] = values[i]
+    return IncomeVector.of(values)
+
+
+def every_allocation(m: int, n: int):
+    """Every allocation of m items to n agents, in the oracle's order."""
+    for assign in product(range(n), repeat=m):
+        masks = [0] * n
+        for item, agent in enumerate(assign):
+            masks[agent] |= 1 << item
+        yield Allocation(m=m, bundles=tuple(masks))
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
-"""``verify_ce`` and ``audit_ce_fairness`` against their ``Fraction`` references."""
+"""``verify_ce``, ``audit_ce_fairness`` and the oracle's prefilters against
+their ``Fraction`` references."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,15 @@ import pytest
 from cefai.core import item_names
 from cefai.fairness import audit_ce_fairness
 from cefai.market import Allocation, CEPair, IncomeVector, PriceVector, verify_ce
-from cefai.oracle import ce_exists
+from cefai.instances import NAMED_INSTANCES
+from cefai.oracle import _MarketRows, _passes_prefilters, ce_exists
 
-from ce_reference import reference_audit_ce_fairness, reference_verify_ce
-from conftest import random_profile
+from ce_reference import (
+    reference_audit_ce_fairness,
+    reference_passes_prefilters,
+    reference_verify_ce,
+)
+from conftest import every_allocation, random_profile, tied_incomes
 
 CELLS = [(m, n) for m in range(1, 6) for n in range(1, 5)]
 PAIRS_PER_CELL = 100
@@ -94,3 +101,35 @@ class TestAgainstReference:
             want = reference_audit_ce_fairness(profile, incomes, pair, d_max=d_max)
             assert (got.checked, got.applicable) == (want.checked, want.applicable)
             assert got.violations == want.violations
+
+
+MARKETS_PER_CELL = 8
+
+
+def _prefilter_markets():
+    """Seeded random markets of every cell, tied incomes included, then
+    each named instance at its reference point and 10 region points."""
+    for m, n in CELLS:
+        rng = random.Random(f"prefilters:{m}:{n}")
+        for _ in range(MARKETS_PER_CELL):
+            yield random_profile(rng, m, n), tied_incomes(rng, n)
+    for inst in (factory() for factory in NAMED_INSTANCES.values()):
+        profile = inst.completed_profile()
+        for incomes in [inst.reference, *inst.region.sample(seed=5, count=10)]:
+            yield profile, incomes
+
+
+class TestPrefiltersAgainstReference:
+    def test_same_verdict_on_every_allocation(self):
+        verdicts = Counter()
+        tied = 0
+        for profile, incomes in _prefilter_markets():
+            rows = _MarketRows(profile, incomes)
+            tied += len(set(incomes)) < len(incomes)
+            for alloc in every_allocation(profile[0].m, len(profile)):
+                got = _passes_prefilters(rows, alloc.bundles)
+                want = reference_passes_prefilters(profile, incomes, alloc.bundles)
+                assert got == want, (list(incomes), alloc.bundles)
+                verdicts[got] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 5000
+        assert tied >= 40

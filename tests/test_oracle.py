@@ -1,13 +1,22 @@
 """Exhaustive existence oracle: exact feasibility over all allocations."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from cefai.core import random_preference
-from cefai.market import Allocation, CEPair, IncomeVector, PriceVector, verify_ce
+from cefai.market import (
+    Allocation,
+    CEPair,
+    DimensionMismatchError,
+    IncomeVector,
+    PriceVector,
+    verify_ce,
+)
 from cefai.oracle import (
     InstanceTooLargeError,
     _check_farkas,
@@ -21,16 +30,8 @@ from cefai.instances import NAMED_INSTANCES, counterexample_4x3, random_generic_
 from cefai.repro import certify_counterexample
 from cefai.solver import solve
 
-from conftest import chain_preference
+from conftest import chain_preference, every_allocation, random_profile, tied_incomes
 from fm_reference import fm_feasible_ce_prices
-
-
-def every_allocation(m: int, n: int):
-    for assign in product(range(n), repeat=m):
-        masks = [0] * n
-        for item, agent in enumerate(assign):
-            masks[agent] |= 1 << item
-        yield Allocation(m=m, bundles=tuple(masks))
 
 
 class TestSingleItem:
@@ -160,6 +161,7 @@ class TestFarkasCertificate:
 
 class TestPrefilters:
     def test_never_change_the_answer(self, rng):
+        cases = []
         for _ in range(25):
             m, n = rng.choice([(2, 2), (3, 2), (3, 3)])
             incomes = IncomeVector.of(
@@ -170,11 +172,83 @@ class TestPrefilters:
             profile = [
                 random_preference(m, seed=rng.randrange(10**6)) for _ in range(n)
             ]
+            cases.append((profile, incomes))
+        for _ in range(40):
+            m, n = rng.choice([(4, 2), (4, 3), (4, 4), (5, 2)])
+            cases.append((random_profile(rng, m, n), tied_incomes(rng, n)))
+        found = Counter()
+        for profile, incomes in cases:
             fast = ce_exists(profile, incomes)
             slow = ce_exists(profile, incomes, use_prefilters=False)
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast == slow  # same first witness in enumeration order
+            found[profile[0].m, fast is not None] += 1
+        assert found[4, True] and found[5, True]
+        assert any(not yes for _, yes in found)
+
+
+class TestItemUniverses:
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 2)])
+    def test_mixed_universes_refused(self, sizes):
+        seeds = {2: 0, 3: 1000}
+        profile = [random_preference(m, seed=seeds[m]) for m in sizes]
+        incomes = IncomeVector.of([2, 2])
+        with pytest.raises(DimensionMismatchError, match="item universes differ"):
+            ce_exists(profile, incomes)
+        alloc = Allocation(m=sizes[0], bundles=((1 << sizes[0]) - 1, 0))
+        with pytest.raises(DimensionMismatchError, match="item universes differ"):
+            feasible_ce_prices(profile, incomes, alloc)
+
+
+_WITNESS_CELLS = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]
+
+
+def _witness_line(m: int, n: int, profile, incomes) -> str:
+    witness = ce_exists(profile, incomes)
+    fields = [f"m{m}n{n}", ",".join(str(t) for t in incomes)]
+    if witness is None:
+        return " | ".join(fields + ["no"])
+    prices = ",".join(str(p) for p in witness.prices)
+    return " | ".join(fields + ["yes", repr(witness.allocation.bundles), prices])
+
+
+@pytest.fixture(scope="module")
+def witness_lines():
+    lines = []
+    for m, n in _WITNESS_CELLS:
+        rng = random.Random(f"pinned-witnesses:{m}:{n}")
+        for _ in range(10):
+            lines.append(_witness_line(m, n, random_profile(rng, m, n), tied_incomes(rng, n)))
+    return lines
+
+
+class TestPinnedWitnesses:
+    """``ce_exists`` output on a fixed corpus, tied incomes included: the
+    yes/no answer, the first witness allocation in enumeration order and
+    its prices.  A change to the enumeration order or to the simplex must
+    reproduce it, or say why not."""
+
+    def test_answers(self, witness_lines):
+        answers = Counter(
+            (line.split(" | ")[0], line.split(" | ")[2]) for line in witness_lines
+        )
+        assert answers == {
+            ("m3n2", "yes"): 8, ("m3n2", "no"): 2,
+            ("m3n3", "yes"): 9, ("m3n3", "no"): 1,
+            ("m3n4", "yes"): 7, ("m3n4", "no"): 3,
+            ("m4n2", "yes"): 7, ("m4n2", "no"): 3,
+            ("m4n3", "yes"): 9, ("m4n3", "no"): 1,
+            ("m4n4", "yes"): 8, ("m4n4", "no"): 2,
+            ("m5n2", "yes"): 10,
+            ("m5n3", "yes"): 9, ("m5n3", "no"): 1,
+        }
+
+    def test_digest(self, witness_lines):
+        digest = hashlib.sha256("\n".join(witness_lines).encode()).hexdigest()
+        assert digest == (
+            "4e3c0328e87c3e934f78bec1137c834a16abbd686c8f1a42aa906f867ed05c6c"
+        )
 
 
 class TestScaleEquivariance:
