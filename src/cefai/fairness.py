@@ -78,11 +78,16 @@ def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
 
     Brute force: maximize over all partitions of X into d parts (empty
     parts allowed) the worst union of l parts.  The result is a single
-    bundle since the order is strict.  The caller keeps ``l``, ``d`` and
-    the item count within :func:`_check_bounds`.
+    bundle since the order is strict.  Two cases need no search: keeping
+    every part (``l == d``) keeps X, and when X has at most ``d - l``
+    items every partition has at least l empty parts, so the adversary
+    can leave the empty bundle.  The caller keeps ``l``, ``d`` and the
+    item count within :func:`_check_bounds`.
     """
     if l == d:
         return x
+    if x.bit_count() <= d - l:
+        return 0
     rank = pref.rank
     best_rank = -1
     best_bundle = 0
@@ -189,15 +194,23 @@ def audit_ce_fairness(
         own_income = income[agent]
         cache: dict[tuple[Bundle, int, int], Bundle] = {}
         for group, union, group_income in groups:
+            size = union.bit_count()
             for l, d in shares:
-                if not _share_premise(own_income, group_income, l, d):
+                if d * own_income < l * group_income:  # the share premise fails
                     continue
                 applicable += 1
-                key = (union, l, d)
-                guaranteed = cache.get(key)
-                if guaranteed is None:
-                    guaranteed = maximin(pref, union, l, d)
-                    cache[key] = guaranteed
+                # With l == d the maximin bundle is the union itself; with
+                # size <= d - l it is empty, which no bundle ranks below.
+                if l == d:
+                    guaranteed = union
+                elif size <= d - l:
+                    continue
+                else:
+                    key = (union, l, d)
+                    guaranteed = cache.get(key)
+                    if guaranteed is None:
+                        guaranteed = maximin(pref, union, l, d)
+                        cache[key] = guaranteed
                 if own_rank < rank[guaranteed]:
                     violations.append(
                         GuaranteeCheck(agent, group, l, d, True, False, guaranteed)

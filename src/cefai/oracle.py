@@ -263,10 +263,16 @@ def feasible_ce_prices(
     equilibrium, or None when the system is infeasible.
 
     ``rows`` holds what the allocations of one market share; ``ce_exists``
-    builds it once per market.
+    builds it once per market.  An allocation of another item count or
+    agent count than the market's raises ``DimensionMismatchError``.
     """
     if rows is None:
         rows = _MarketRows(profile, incomes)
+    if allocation.m != rows.m or allocation.n != len(rows.income):
+        raise DimensionMismatchError(
+            f"allocation of {allocation.m} items to {allocation.n} agents, market has "
+            f"{rows.m} items and {len(rows.income)} agents"
+        )
     items, bundles, a, c = _slack_rows(rows, allocation.bundles)
     y, reduced, d = _dual_simplex(a, c)
     if reduced[-1] >= 0:  # the largest slack is not positive

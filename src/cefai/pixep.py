@@ -298,6 +298,21 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     return Fraction(best_num * slope_scale, best_den * scale)
 
 
+def _capped_epsilon(
+    pix: Pixep, incomes: IncomeVector, interval: EpsilonInterval
+) -> Fraction:
+    """The midpoint of ``interval``, the pixep's feasible ε interval,
+    capped by half its sign-flip bound unless that falls to the interval's
+    lower end."""
+    eps = interval.midpoint()
+    flip = _sign_flip_bound(pix, incomes)
+    if flip is not None:
+        eps = min(eps, flip / 2)
+    if eps <= interval.lo:  # only reachable with a positive lower bound
+        eps = interval.midpoint()
+    return eps
+
+
 def resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:
     """Concrete ε: the midpoint of the feasible interval, capped so that
     no bundle-price-vs-income comparison crosses its small-ε sign.
@@ -306,14 +321,7 @@ def resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:
     checkable at a single concrete value; without it a midpoint deep in
     the interval can make an otherwise-unaffordable bundle affordable.
     """
-    interval = check_requirements(pix, incomes)
-    eps = interval.midpoint()
-    flip = _sign_flip_bound(pix, incomes)
-    if flip is not None:
-        eps = min(eps, flip / 2)
-    if eps <= interval.lo:  # only reachable with a positive lower bound
-        eps = interval.midpoint()
-    return eps
+    return _capped_epsilon(pix, incomes, check_requirements(pix, incomes))
 
 
 @dataclass(frozen=True)
@@ -351,61 +359,91 @@ class Execution:
 
 
 def _leaf_plays(
-    pix: Pixep,
-    profile: Sequence[PreferenceOrder],
-    m: int,
-    memo: dict,
-    picked: tuple[int, ...],
+    pix: Pixep, profile: Sequence[PreferenceOrder], m: int
 ) -> tuple[tuple[int, ...], ...]:
-    """All SPE continuations from the state where ``picked[i]`` is the
-    bundle agent i holds so far.  A play is the tuple of items picked at
-    the remaining positions, in order."""
-    cached = memo.get(picked)
-    if cached is not None:
-        return cached
-    taken = 0
-    for b in picked:
-        taken |= b
-    pos = taken.bit_count()
-    if pos == m:
-        memo[picked] = ((),)
-        return ((),)
-    mover = pix.agent_at(pos)
-    mover_later = [
-        k for k in range(pos + 1, m) if pix.agent_at(k) == mover
+    """All SPE plays of one pixep, each the tuple of items picked at
+    positions 0..m-1, in a fixed order: by the item picked first, then
+    recursively.
+
+    A state packs the free items (bits 0 to m-1) and the bundle each
+    agent with a turn still to come holds so far (agent i's at bits
+    ``m*(i+1)`` and up) into one int that keys the memo; the bundles of
+    agents without a turn left cannot change the continuation, so they
+    are dropped.  Per position, the mover, its rank vector and the
+    offsets of its later turns within a continuation are looked up once
+    per call.
+    """
+    movers = [agent for agent, _ in pix.positions]
+    ranks = [profile[agent].rank for agent in movers]
+    shifts = [m * (agent + 1) for agent in movers]
+    later = [
+        tuple(k - pos - 1 for k in range(pos + 1, m) if movers[k] == movers[pos])
+        for pos in range(m)
     ]
-    rank = profile[mover].rank
+    full = (1 << m) - 1
+    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    remaining = [j for j in range(m) if not taken & (1 << j)]
-    options: list[tuple[int, tuple[tuple[int, ...], ...], list[int]]] = []
-    worst: list[int] = []
-    for x in remaining:
-        next_picked = list(picked)
-        next_picked[mover] |= 1 << x
-        subplays = _leaf_plays(pix, profile, m, memo, tuple(next_picked))
-        base = next_picked[mover]
-        finals = []
-        for play in subplays:
-            bundle = base
-            for k in mover_later:
-                bundle |= 1 << play[k - pos - 1]
-            finals.append(rank[bundle])
-        options.append((x, subplays, finals))
-        worst.append(min(finals))
+    def plays_from(state: int, pos: int) -> tuple[tuple[int, ...], ...]:
+        if pos >= m - 1:  # the last item is taken, or none is left
+            return (((state & full).bit_length() - 1,),) if pos < m else ((),)
+        cached = memo.get(state)
+        if cached is not None:
+            return cached
+        rank, shift, offsets = ranks[pos], shifts[pos], later[pos]
+        held = (state >> shift) & full
+        # The mover's bundle stays in the state only if it moves again.
+        kept = state if offsets else state & ~(full << shift)
+        # Per free item x, in increasing order: (x, continuations, the
+        # mover's final rank under each or None when all are equal, worst).
+        options = []
+        rest = state & full
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            child = kept ^ bit | bit << shift if offsets else kept ^ bit
+            subplays = plays_from(child, pos + 1)
+            base = held | bit
+            if offsets:
+                finals = []
+                for play in subplays:
+                    bundle = base
+                    for offset in offsets:
+                        bundle |= 1 << play[offset]
+                    finals.append(rank[bundle])
+                worst = min(finals)
+            else:
+                finals = None
+                worst = rank[base]
+            options.append((bit.bit_length() - 1, subplays, finals, worst))
 
-    plays: list[tuple[int, ...]] = []
-    for idx, (x, subplays, finals) in enumerate(options):
         # A pick is part of some SPE iff, against every alternative item,
-        # there is an SPE continuation there that the mover does not envy.
-        threshold = max(
-            (worst[k] for k in range(len(options)) if k != idx), default=None
-        )
-        for play, value in zip(subplays, finals):
-            if threshold is None or value >= threshold:
-                plays.append((x,) + play)
-    result = tuple(plays)
-    memo[picked] = result
-    return result
+        # there is an SPE continuation there that the mover does not envy:
+        # its final rank reaches the largest worst rank among the other
+        # items, which the top two worst ranks give.  Ranks are >= 0, so
+        # -1 stands for "no other item".
+        top, second, top_index = -1, -1, -1
+        for index, option in enumerate(options):
+            worst = option[3]
+            if worst > top:
+                top, second, top_index = worst, top, index
+            elif worst > second:
+                second = worst
+        plays = []
+        for index, (x, subplays, finals, worst) in enumerate(options):
+            threshold = second if index == top_index else top
+            if worst >= threshold:
+                plays.extend((x,) + play for play in subplays)
+            elif finals is not None:
+                plays.extend(
+                    (x,) + play
+                    for play, value in zip(subplays, finals)
+                    if value >= threshold
+                )
+        result = tuple(plays)
+        memo[state] = result
+        return result
+
+    return plays_from(full, 0)
 
 
 def _allocation_of(leaf: Leaf, play: tuple[int, ...], n: int, m: int) -> Allocation:
@@ -428,8 +466,7 @@ def _node_outcomes(
                 raise DimensionMismatchError(
                     f"pixep references agent {agent}, profile has {n}"
                 )
-        memo: dict = {}
-        plays = _leaf_plays(game.pixep, profile, m, memo, (0,) * n)
+        plays = _leaf_plays(game.pixep, profile, m)
         return [
             ((), game, play, _allocation_of(game, play, n, m)) for play in plays
         ]
@@ -499,20 +536,27 @@ def execute_to_ce(
     outcome is an equilibrium, with its prices.
 
     Every leaf must pass :func:`check_requirements` against the incomes
-    (checked up front); each equilibrium play is then priced with its
-    leaf's resolved ε and checked by exact verification.  Raises
-    ``NoValidSpeError`` when no play passes.  That is an expected outcome,
-    not an internal error: :func:`cefai.solver.solve` catches it to try
-    the range's fallback games, and some profiles have no equilibrium at
-    all (``counterexample-4x3``), so every game fails on them.
+    (checked up front, before any SPE work); each equilibrium play is
+    then priced with its leaf's resolved ε, capped the way
+    :func:`resolve_epsilon` caps it when the leaf's first play is priced,
+    and checked by exact verification.  Raises ``NoValidSpeError`` when
+    no play passes.  That is an expected outcome, not an internal error:
+    :func:`cefai.solver.solve` catches it to try the range's fallback
+    games, and some profiles have no equilibrium at all
+    (``counterexample-4x3``), so every game fails on them.
     """
-    resolved = {id(leaf): resolve_epsilon(leaf.pixep, incomes) for leaf in leaves(game)}
+    intervals = {id(leaf): check_requirements(leaf.pixep, incomes) for leaf in leaves(game)}
+    resolved: dict[int, Fraction] = {}
 
     for execution in spe_outcomes(game, profile):
-        eps = resolved[id(execution.leaf)]
+        leaf = execution.leaf
+        eps = resolved.get(id(leaf))
+        if eps is None:
+            eps = _capped_epsilon(leaf.pixep, incomes, intervals[id(leaf)])
+            resolved[id(leaf)] = eps
         by_item = [Fraction(0)] * execution.allocation.m
         for pos, _, item in execution.picks:
-            by_item[item] = execution.leaf.pixep.price_at(pos - 1).at(eps)
+            by_item[item] = leaf.pixep.price_at(pos - 1).at(eps)
         prices = PriceVector.of(by_item)
         cand = CEPair(prices=prices, allocation=execution.allocation)
         if verify_ce(profile, incomes, cand).valid:

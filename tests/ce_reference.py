@@ -1,22 +1,24 @@
-"""Reference equilibrium verification, share audit and oracle prefilters
-in ``Fraction``s.
+"""Reference equilibrium verification, share audit, maximin bundles and
+oracle prefilters in ``Fraction``s.
 
 An independent cross-check for ``cefai.market.verify_ce``,
-``cefai.fairness.audit_ce_fairness`` and the oracle's prefilters, which
-scale prices and incomes to integers: the same checks written one bundle
-and one comparison at a time over exact rationals, the way the
-definitions read.  Slow, but simple enough to trust, so the tests
-compare the library against it field by field on seeded random pairs.
+``cefai.fairness.audit_ce_fairness``, ``cefai.fairness.maximin`` and the
+oracle's prefilters, which scale prices and incomes to integers, skip
+searches whose answer is fixed and share partition tables: the same
+checks written one bundle and one comparison at a time over exact
+rationals, the way the definitions read.  Slow, but simple enough to
+trust, so the tests compare the library against it field by field on
+seeded random pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
-from cefai.core import Bundle, PreferenceOrder, all_bundles
-from cefai.fairness import FairnessReport, GuaranteeCheck, maximin
+from cefai.core import Bundle, PreferenceOrder, all_bundles, items_of
+from cefai.fairness import FairnessReport, GuaranteeCheck
 from cefai.market import CEPair, CEReport, CEViolation, IncomeVector, ViolationKind
 
 
@@ -51,6 +53,28 @@ def reference_verify_ce(
     return CEReport(valid=not violations, violations=tuple(violations))
 
 
+def brute_maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
+    """The l-out-of-d maximin bundle of X, restating the definition over
+    every assignment of X's items to d labelled parts: the best, over
+    assignments, of the worst union of l parts."""
+    items = items_of(x)
+    best = None
+    for assignment in product(range(d), repeat=len(items)):
+        parts = [0] * d
+        for item, part in zip(items, assignment):
+            parts[part] |= 1 << item
+        worst = None
+        for chosen in combinations(range(d), l):
+            union = 0
+            for k in chosen:
+                union |= parts[k]
+            if worst is None or pref.prefers(worst, union):
+                worst = union
+        if best is None or pref.prefers(worst, best):
+            best = worst
+    return best
+
+
 def reference_audit_ce_fairness(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
@@ -58,7 +82,8 @@ def reference_audit_ce_fairness(
     d_max: int = 4,
 ) -> FairnessReport:
     """Every (agent, group, l, d) with the premise ``t_agent >= (l/d) * t_group``
-    compared in ``Fraction``s."""
+    compared in ``Fraction``s, each maximin bundle by :func:`brute_maximin`
+    (kept per agent, since several groups can hold the same union)."""
     n = len(profile)
     agents = range(n)
     checked = applicable = 0
@@ -66,6 +91,7 @@ def reference_audit_ce_fairness(
     for agent in agents:
         pref = profile[agent]
         own = ce.allocation[agent]
+        shares: dict[tuple[Bundle, int, int], Bundle] = {}
         for size in range(1, n + 1):
             for group in combinations(agents, size):
                 union: Bundle = 0
@@ -78,7 +104,10 @@ def reference_audit_ce_fairness(
                         if incomes[agent] < Fraction(l, d) * group_income:
                             continue
                         applicable += 1
-                        guaranteed = maximin(pref, union, l, d)
+                        key = (union, l, d)
+                        if key not in shares:
+                            shares[key] = brute_maximin(pref, union, l, d)
+                        guaranteed = shares[key]
                         if not pref.weakly_prefers(own, guaranteed):
                             violations.append(
                                 GuaranteeCheck(

@@ -1,7 +1,7 @@
 """Independent brute-force references for the subgame-perfect solver.
 
 Two oracles, deliberately free of the production engine's memoization
-and state abstraction:
+and state abstraction, compare the *sets* of plays:
 
 * ``tree_spe_plays`` recurses over the raw history tree (every pick
   sequence prefix is its own node) applying the one-deviation rule with
@@ -12,6 +12,12 @@ and state abstraction:
   one-deviation check at every history, and collects their root plays.
   Only feasible for small games (the profile count is the product over
   positions of choices**histories).
+
+The engine's *order* matters too: ``execute_to_ce`` returns the first
+play that verifies.  ``reference_spe_plays`` keeps the engine's earlier,
+plainer enumeration (memoized on the tuple of bundles held, rebuilding
+the free-item list and every option's final bundles at each state) and
+lists the plays in the order it produced them.
 """
 
 from __future__ import annotations
@@ -209,3 +215,85 @@ def _final_bundle_from(pix: Pixep, play, start_pos: int, agent: int, base: int) 
         if pix.agent_at(start_pos + k) == agent:
             bundle |= 1 << item
     return bundle
+
+
+def _reference_leaf_plays(pix: Pixep, profile, m: int, memo: dict, picked: tuple[int, ...]):
+    """All SPE continuations from the state where ``picked[i]`` is the
+    bundle agent i holds so far, in the engine's order."""
+    cached = memo.get(picked)
+    if cached is not None:
+        return cached
+    taken = 0
+    for b in picked:
+        taken |= b
+    pos = taken.bit_count()
+    if pos == m:
+        memo[picked] = ((),)
+        return ((),)
+    mover = pix.agent_at(pos)
+    mover_later = [k for k in range(pos + 1, m) if pix.agent_at(k) == mover]
+    rank = profile[mover].rank
+
+    remaining = [j for j in range(m) if not taken & (1 << j)]
+    options = []
+    worst = []
+    for x in remaining:
+        next_picked = list(picked)
+        next_picked[mover] |= 1 << x
+        subplays = _reference_leaf_plays(pix, profile, m, memo, tuple(next_picked))
+        base = next_picked[mover]
+        finals = []
+        for play in subplays:
+            bundle = base
+            for k in mover_later:
+                bundle |= 1 << play[k - pos - 1]
+            finals.append(rank[bundle])
+        options.append((x, subplays, finals))
+        worst.append(min(finals))
+
+    plays = []
+    for idx, (x, subplays, finals) in enumerate(options):
+        threshold = max(
+            (worst[k] for k in range(len(options)) if k != idx), default=None
+        )
+        for play, value in zip(subplays, finals):
+            if threshold is None or value >= threshold:
+                plays.append((x,) + play)
+    result = tuple(plays)
+    memo[picked] = result
+    return result
+
+
+def reference_spe_plays(game: GameNode, profile) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """Every subgame-perfect play as a (choice path, pick sequence) pair,
+    in the order ``spe_outcomes`` must list them: per choice node, the
+    options in order; per leaf, the plays in the order above."""
+    m = profile[0].m
+    if isinstance(game, Leaf):
+        plays = _reference_leaf_plays(game.pixep, profile, m, {}, (0,) * len(profile))
+        return [((), play) for play in plays]
+    rank = profile[game.agent].rank
+
+    def value(entry, option):
+        path, play = entry
+        node = option
+        for label in path:
+            node = dict(node.options)[label]
+        return rank[_final_bundle(node.pixep, play, game.agent)]
+
+    outs = [
+        [(entry, value(entry, child)) for entry in reference_spe_plays(child, profile)]
+        for _, child in game.options
+    ]
+    mins = [min(v for _, v in out) for out in outs]
+    default = len(game.options) - 1
+    results = []
+    for k, (label, _) in enumerate(game.options[:-1]):
+        for (path, play), v in outs[k]:
+            if v > mins[default] and all(v >= mins[k2] for k2 in range(default) if k2 != k):
+                results.append(((label,) + path, play))
+    default_label = game.options[default][0]
+    for (path, play), v in outs[default]:
+        if all(mins[k] <= v for k in range(default)):
+            results.append(((default_label,) + path, play))
+    return results

@@ -1,10 +1,8 @@
 """Share guarantees: maximin bundles and the generalized guarantee."""
 
-from itertools import combinations
-
 import pytest
 
-from cefai.core import additive_preference, items_of, random_preference
+from cefai.core import additive_preference, random_preference
 from cefai.fairness import (
     MAX_MAXIMIN_ITEMS,
     MAX_MAXIMIN_PARTS,
@@ -16,29 +14,8 @@ from cefai.market import Allocation, CEPair, IncomeVector, PriceVector
 from cefai.instances import random_generic_incomes
 from cefai.solver import solve
 
+from ce_reference import brute_maximin
 from conftest import chain_preference
-
-
-def brute_maximin(pref, x, l, d):
-    """Direct restatement of the definition over labeled-part assignments."""
-    from itertools import product as iproduct
-
-    items = items_of(x)
-    best = None
-    for assignment in iproduct(range(d), repeat=len(items)):
-        parts = [0] * d
-        for item, part in zip(items, assignment):
-            parts[part] |= 1 << item
-        worst = None
-        for chosen in combinations(range(d), l):
-            union = 0
-            for k in chosen:
-                union |= parts[k]
-            if worst is None or pref.prefers(worst, union):
-                worst = union
-        if best is None or pref.prefers(worst, best):
-            best = worst
-    return best
 
 
 class TestMaximin:
@@ -52,13 +29,19 @@ class TestMaximin:
         pref = additive_preference(3, [4, 2, 1])
         assert maximin(pref, 0b111, 1, 3) == 0b100
 
-    def test_agrees_with_direct_enumeration(self, rng):
-        for _ in range(25):
-            pref = random_preference(4, seed=rng.randrange(10**6))
-            x = rng.randrange(1, 16)
-            d = rng.randint(1, 4)
-            l = rng.randint(1, d)
-            assert maximin(pref, x, l, d) == brute_maximin(pref, x, l, d)
+    def test_agrees_with_direct_enumeration(self):
+        # every X over 4 items and every 1 <= l <= d <= 4, under seeded
+        # preferences; the brute force also answers the |X| <= d - l
+        # queries, which maximin answers without a search
+        for seed in range(6):
+            pref = random_preference(4, seed=seed)
+            for x in range(16):
+                for d in range(1, 5):
+                    for l in range(1, d + 1):
+                        want = brute_maximin(pref, x, l, d)
+                        assert maximin(pref, x, l, d) == want, (seed, x, l, d)
+                        if x.bit_count() <= d - l:
+                            assert want == 0
 
     def test_monotone_in_parts_kept(self, rng):
         for _ in range(15):

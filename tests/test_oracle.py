@@ -201,6 +201,22 @@ class TestItemUniverses:
             feasible_ce_prices(profile, incomes, alloc)
 
 
+class TestAllocationShape:
+    # a 3-item, 2-agent market
+    profile = [random_preference(3, seed=1), random_preference(3, seed=2)]
+    incomes = IncomeVector.of([3, 2])
+
+    def test_fewer_items_than_the_market_refused(self):
+        alloc = Allocation(m=2, bundles=(0b01, 0b10))
+        with pytest.raises(DimensionMismatchError, match="2 items to 2 agents"):
+            feasible_ce_prices(self.profile, self.incomes, alloc)
+
+    def test_more_agents_than_the_market_refused(self):
+        alloc = Allocation(m=3, bundles=(0b001, 0b010, 0b100))
+        with pytest.raises(DimensionMismatchError, match="3 items to 3 agents"):
+            feasible_ce_prices(self.profile, self.incomes, alloc)
+
+
 _WITNESS_CELLS = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3)]
 
 

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from cefai.core import random_preference
+from cefai.instances import stratified_incomes
 from cefai.market import DimensionMismatchError, IncomeVector
+from cefai import pixep
 from cefai.pixep import (
     AffinePrice,
+    ChoiceNode,
     EmptyEpsilonIntervalError,
     Leaf,
     NoValidSpeError,
@@ -15,12 +19,19 @@ from cefai.pixep import (
     _sign_flip_bound,
     check_requirements,
     execute_to_ce,
+    leaves,
     resolve_epsilon,
     spe_outcomes,
 )
+from cefai.solver import _candidate_games, range_labels, range_table
 
 from conftest import chain_preference, random_game, random_profile
-from spe_oracle import all_profile_spe_plays, count_profiles, tree_spe_plays
+from spe_oracle import (
+    all_profile_spe_plays,
+    count_profiles,
+    reference_spe_plays,
+    tree_spe_plays,
+)
 
 X, Y, Z = 0b001, 0b010, 0b100
 
@@ -205,6 +216,40 @@ class TestSpeOutcomes:
                 assert e.allocation[1] == best
 
 
+def _ordered_plays(game, profile):
+    return [(e.path, tuple(item for _, _, item in e.picks)) for e in spe_outcomes(game, profile)]
+
+
+class TestSpeOrder:
+    # execute_to_ce returns the first play that verifies, so the engine must
+    # list the plays in the reference's order, not merely the same set
+
+    def test_random_games_match_reference_order(self, rng):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for _ in range(12):
+                    game = random_game(rng, m, n)
+                    profile = random_profile(rng, m, n)
+                    assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
+
+    @pytest.mark.parametrize(
+        "m,n", [(1, 1), (1, 2), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3)]
+    )
+    def test_solver_games_match_reference_order(self, m, n):
+        # every primary and fallback game of the range table, at stratified
+        # points of its range, under seeded profiles
+        games = 0
+        for r_index, label in enumerate(range_labels(m, n)):
+            (row,) = [row for row in range_table(m, n) if row.label == label]
+            points = stratified_incomes(m, n, label, seed=11 + r_index, count=4)
+            for k, incomes in enumerate(points):
+                profile = [random_preference(m, seed=1000 * k + 10 * n + i) for i in range(n)]
+                for _, game in _candidate_games(row, incomes.t, m):
+                    assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
+                    games += 1
+        assert games >= 4 * len(range_labels(m, n))
+
+
 class TestExecuteToCE:
     def test_worked_example_prices(self):
         alice = chain_preference(3, Y | Z, X | Z)
@@ -230,6 +275,67 @@ class TestExecuteToCE:
         pref = chain_preference(1)
         with pytest.raises(EmptyEpsilonIntervalError):
             execute_to_ce(Leaf(pix), [pref, pref], IncomeVector.of([5, 5]))
+
+    def test_failing_leaf_refused_before_any_spe_work(self, monkeypatch):
+        # the default leaf BBA misses R2 (a switch to a dearer price); its
+        # plays come after the first option's, whose first play verifies, so
+        # none of them would be priced, yet the game is refused up front
+        alice = chain_preference(3, Y | Z, X | Z)
+        bob = chain_preference(3, X, Y, Z)
+        profile = [alice, bob, chain_preference(3)]
+        incomes = IncomeVector.of([10, 6, 3])
+        good = Leaf(aba_pixep(10, 6, 3))
+        bad = Leaf(Pixep.of([(1, AffinePrice.of(3)), (1, AffinePrice.of(3)),
+                             (0, AffinePrice.of(10))]))
+        game = ChoiceNode(agent=0, options=(("first", good), ("default", bad)))
+        plays = spe_outcomes(game, profile)
+        assert plays[0].path == ("first",)
+        execution, _ = execute_to_ce(good, profile, incomes)
+        assert execution.picks == plays[0].picks
+
+        def no_spe_work(*args):
+            raise AssertionError("SPE enumeration ran before the requirements check")
+
+        monkeypatch.setattr(pixep, "spe_outcomes", no_spe_work)
+        with pytest.raises(EmptyEpsilonIntervalError):
+            execute_to_ce(game, profile, incomes)
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (4, 3)])
+    def test_sign_flip_bound_only_for_priced_leaves(self, monkeypatch, m, n):
+        # on the solver's choice games, the cap is computed at most once per
+        # leaf, and exactly for the leaves of the plays priced: those up to
+        # and including the returned one, or all of them when none verifies
+        flips = []
+        original = pixep._sign_flip_bound
+
+        def counted(pix, incomes):
+            flips.append(pix)
+            return original(pix, incomes)
+
+        monkeypatch.setattr(pixep, "_sign_flip_bound", counted)
+        skipped = 0
+        for r_index, label in enumerate(range_labels(m, n)):
+            (row,) = [row for row in range_table(m, n) if row.label == label]
+            if not isinstance(row.primary, tuple):
+                continue
+            for k, incomes in enumerate(
+                stratified_incomes(m, n, label, seed=3 + r_index, count=8)
+            ):
+                profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
+                _, game = next(_candidate_games(row, incomes.t, m))
+                plays = spe_outcomes(game, profile)
+                flips.clear()
+                try:
+                    execution, _ = execute_to_ce(game, profile, incomes)
+                    returned = (execution.path, execution.picks)
+                    plays = plays[:[(e.path, e.picks) for e in plays].index(returned) + 1]
+                except NoValidSpeError:
+                    pass
+                priced = {id(e.leaf.pixep) for e in plays}
+                assert len(flips) == len({id(pix) for pix in flips})
+                assert {id(pix) for pix in flips} == priced
+                skipped += len(list(leaves(game))) - len(priced)
+        assert skipped > 0
 
     def test_no_valid_play_raises(self):
         # a profile whose market admits no equilibrium at all: every play of
