@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cefai.core import random_preference
-from cefai.instances import stratified_incomes
+from cefai.instances import counterexample_4x3, stratified_incomes
 from cefai.market import DimensionMismatchError, IncomeVector
 from cefai import pixep
 from cefai.pixep import (
@@ -23,7 +23,7 @@ from cefai.pixep import (
     resolve_epsilon,
     spe_outcomes,
 )
-from cefai.solver import _candidate_games, range_labels, range_table
+from cefai.solver import _candidate_games, active_range, range_table
 
 from conftest import chain_preference, random_game, random_profile
 from spe_oracle import (
@@ -239,15 +239,14 @@ class TestSpeOrder:
         # every primary and fallback game of the range table, at stratified
         # points of its range, under seeded profiles
         games = 0
-        for r_index, label in enumerate(range_labels(m, n)):
-            (row,) = [row for row in range_table(m, n) if row.label == label]
-            points = stratified_incomes(m, n, label, seed=11 + r_index, count=4)
+        for r_index, row in enumerate(range_table(m, n)):
+            points = stratified_incomes(m, n, row.label, seed=11 + r_index, count=4)
             for k, incomes in enumerate(points):
                 profile = [random_preference(m, seed=1000 * k + 10 * n + i) for i in range(n)]
                 for _, game in _candidate_games(row, incomes.t, m):
                     assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
                     games += 1
-        assert games >= 4 * len(range_labels(m, n))
+        assert games >= 4 * len(range_table(m, n))
 
 
 class TestExecuteToCE:
@@ -314,12 +313,11 @@ class TestExecuteToCE:
 
         monkeypatch.setattr(pixep, "_sign_flip_bound", counted)
         skipped = 0
-        for r_index, label in enumerate(range_labels(m, n)):
-            (row,) = [row for row in range_table(m, n) if row.label == label]
+        for r_index, row in enumerate(range_table(m, n)):
             if not isinstance(row.primary, tuple):
                 continue
             for k, incomes in enumerate(
-                stratified_incomes(m, n, label, seed=3 + r_index, count=8)
+                stratified_incomes(m, n, row.label, seed=3 + r_index, count=8)
             ):
                 profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
                 _, game = next(_candidate_games(row, incomes.t, m))
@@ -340,9 +338,6 @@ class TestExecuteToCE:
     def test_no_valid_play_raises(self):
         # a profile whose market admits no equilibrium at all: every play of
         # any requirement-satisfying game must fail verification
-        from cefai.instances import counterexample_4x3
-        from cefai.solver import _candidate_games, active_range
-
         inst = counterexample_4x3()
         profile = list(inst.completed_profile())
         row = active_range(inst.reference, 4)
