@@ -178,6 +178,14 @@ def _require_string(value: Any, context: str) -> str:
     return value
 
 
+def _require_list(value: Any, context: str) -> list:
+    # a string would otherwise be read character by character
+    if not isinstance(value, list):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ParseError(f"{context} must be an array, not {kind}")
+    return value
+
+
 def _fraction(value: Any, context: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError(
@@ -198,10 +206,14 @@ def _chain_element(element: Any, m: int, names: Sequence[str]) -> list[Bundle]:
     if isinstance(element, list):
         return [parse_bundle(text, names) for text in element]
     if isinstance(element, dict) and "size" in element:
+        size = element["size"]
+        if type(size) is not int:  # not a bool or a float either
+            raise ParseError("a chain element's size must be an integer such as 2")
         excluded = {
-            parse_bundle(text, names) for text in element.get("except", [])
+            parse_bundle(text, names)
+            for text in _require_list(element.get("except", []), "'except'")
         }
-        return [b for b in subsets_of_size(m, int(element["size"])) if b not in excluded]
+        return [b for b in subsets_of_size(m, size) if b not in excluded]
     raise ParseError(f"bad chain element {element!r}")
 
 
@@ -213,20 +225,21 @@ def _parse_preference(doc: Any, m: int, names: Sequence[str], agent: str) -> Pre
         )
     try:
         if "ranking" in doc:
-            ranking = [parse_bundle(text, names) for text in doc["ranking"]]
-            return make_preference(m, ranking)
+            texts = _require_list(doc["ranking"], f"agent {agent}: 'ranking'")
+            return make_preference(m, [parse_bundle(text, names) for text in texts])
         if "additive" in doc:
-            values = [_fraction(v, f"agent {agent} additive value") for v in doc["additive"]]
-            return additive_preference(m, values)
+            values = _require_list(doc["additive"], f"agent {agent}: 'additive'")
+            exact = [_fraction(v, f"agent {agent} additive value") for v in values]
+            return additive_preference(m, exact)
         if "partial" in doc:
             spec = doc["partial"]
             if not isinstance(spec, dict):
                 raise ParseError(f"agent {agent}: 'partial' must be an object")
-            pairs = []
-            for chain in ([spec["chain"]] if "chain" in spec else []):
-                groups = [_chain_element(e, m, names) for e in chain]
-                pairs.extend(chain_pairs(groups))
-            for pair in spec.get("pairs", []):
+            chain = _require_list(spec.get("chain", []), f"agent {agent}: 'chain'")
+            pairs = chain_pairs([_chain_element(e, m, names) for e in chain])
+            for pair in _require_list(spec.get("pairs", []), f"agent {agent}: 'pairs'"):
+                if len(_require_list(pair, f"agent {agent}: a pair")) != 2:
+                    raise ParseError(f"agent {agent}: a pair is [better, worse]")
                 better, worse = pair
                 pairs.append((parse_bundle(better, names), parse_bundle(worse, names)))
             return complete_partial(PartialRelations(m=m, pairs=tuple(pairs)))

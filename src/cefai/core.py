@@ -8,6 +8,15 @@ verifiers rely on.  All money amounts elsewhere in the package are
 
 A preference order ranks all ``2^m`` bundles strictly (no indifference)
 and monotonically (a bundle beats each of its proper subsets).
+
+Three builders complete such an order from constraints: ``complete_partial``
+and ``random_completion`` from asserted pairs ``better > worse``, and
+``random_preference`` from none.  All three run one engine,
+``_linear_extension``: a topological sort of the subset lattice plus the
+pairs that emits bundles worst-first.  They differ only in which available
+bundle comes next: the one with the fewest items (ties by smallest
+bitmask), or a seeded uniform draw.  Contradictory pairs raise
+``CyclicRelationsError`` naming a cycle.
 """
 
 from __future__ import annotations
@@ -16,8 +25,9 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Bundle = int
 
@@ -175,9 +185,6 @@ class PreferenceOrder:
     m: int
     rank: tuple[int, ...]
 
-    def rank_of(self, bundle: Bundle) -> int:
-        return self.rank[bundle]
-
     def prefers(self, s: Bundle, t: Bundle) -> bool:
         """True iff bundle ``s`` is strictly better than ``t``."""
         return self.rank[s] > self.rank[t]
@@ -222,7 +229,7 @@ def make_preference(m: int, ranking: Sequence[Bundle]) -> PreferenceOrder:
     >>> make_preference(2, [0b00, 0b11, 0b01, 0b10])
     Traceback (most recent call last):
         ...
-    cefai.core.MonotonicityViolationError: x is a proper subset of xy but is ranked above it
+    cefai.core.MonotonicityViolationError: y is a proper subset of yz but is ranked above it
     """
     _check_universe(m)
     size = 1 << m
@@ -286,31 +293,7 @@ def chain_pairs(
     return pairs
 
 
-def _predecessor_graph(rel: PartialRelations):
-    """Edges u -> v meaning u must be emitted (ranked) before v."""
-    m = rel.m
-    size = 1 << m
-    succ: list[list[int]] = [[] for _ in range(size)]
-    indegree = [0] * size
-    for s in range(size):
-        for j in range(m):
-            bit = 1 << j
-            if not s & bit:
-                succ[s].append(s | bit)
-                indegree[s | bit] += 1
-    seen = set()
-    for better, worse in rel.pairs:
-        if not (0 <= better < size and 0 <= worse < size):
-            raise ValueError("relation refers to a bundle outside the universe")
-        if (better, worse) in seen:
-            continue
-        seen.add((better, worse))
-        succ[worse].append(better)
-        indegree[better] += 1
-    return succ, indegree
-
-
-def _find_cycle(succ: list[list[int]], stuck: set[int]) -> list[int]:
+def _find_cycle(succ: Sequence[Sequence[int]], stuck: set[int]) -> list[int]:
     color = {}
     parent = {}
     for start in sorted(stuck):
@@ -344,6 +327,70 @@ def _find_cycle(succ: list[list[int]], stuck: set[int]) -> list[int]:
     return sorted(stuck)  # should not happen; stuck nodes always hold a cycle
 
 
+@lru_cache(maxsize=None)  # one entry per item count, at most MAX_ITEMS + 1
+def _lattice(m: int) -> tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]:
+    """Each bundle's one-larger supersets (added item ascending) and its
+    number of one-smaller subsets."""
+    succ = tuple(
+        tuple(s | 1 << j for j in range(m) if not s >> j & 1) for s in range(1 << m)
+    )
+    return succ, tuple(b.bit_count() for b in range(1 << m))
+
+
+def _linear_extension(
+    rel: PartialRelations,
+    pop: Callable[[list], Bundle],
+    push: Callable[[list, Bundle], None],
+) -> PreferenceOrder:
+    """Emit all bundles worst-first, extending the subset lattice and the
+    asserted pairs.
+
+    A bundle becomes available once every bundle that must rank below it
+    (its one-smaller subsets and the worse side of each pair it wins) was
+    emitted.  ``push`` adds a bundle to the available list, in whatever
+    form ``pop`` reads it, as it becomes available (the first ones in
+    ascending bitmask order); ``pop`` removes the one to emit next.
+    """
+    m = rel.m
+    _check_universe(m)
+    size = 1 << m
+    lattice, indegree = _lattice(m)
+    succ, indegree = list(lattice), list(indegree)
+    for better, worse in dict.fromkeys(rel.pairs):  # each distinct pair once
+        if not (0 <= better < size and 0 <= worse < size):
+            raise ValueError("relation refers to a bundle outside the universe")
+        succ[worse] += (better,)  # a new tuple: the cached ones stay as they are
+        indegree[better] += 1
+    available: list = []
+    for bundle in range(size):
+        if indegree[bundle] == 0:
+            push(available, bundle)
+    ranking = []
+    while available:
+        bundle = pop(available)
+        ranking.append(bundle)
+        for nxt in succ[bundle]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                push(available, nxt)
+    if len(ranking) < size:
+        stuck = {b for b in range(size) if indegree[b] > 0}
+        raise CyclicRelationsError(_find_cycle(succ, stuck), m)
+    return make_preference(m, ranking)
+
+
+def _random_extension(rel: PartialRelations, rng_key: str) -> PreferenceOrder:
+    """:func:`_linear_extension` drawing the next bundle uniformly."""
+    rng = random.Random(rng_key)
+
+    def pop(available: list[Bundle]) -> Bundle:
+        idx = rng.randrange(len(available))
+        available[idx], available[-1] = available[-1], available[idx]
+        return available.pop()
+
+    return _linear_extension(rel, pop, list.append)
+
+
 def complete_partial(rel: PartialRelations) -> PreferenceOrder:
     """Extend partial relations to a full strict monotone order.
 
@@ -355,23 +402,11 @@ def complete_partial(rel: PartialRelations) -> PreferenceOrder:
     >>> complete_partial(rel).ranking() == [0b00, 0b01, 0b10, 0b11]
     True
     """
-    _check_universe(rel.m)
-    size = 1 << rel.m
-    succ, indegree = _predecessor_graph(rel)
-    heap = [(b.bit_count(), b) for b in range(size) if indegree[b] == 0]
-    heapq.heapify(heap)
-    ranking = []
-    while heap:
-        _, bundle = heapq.heappop(heap)
-        ranking.append(bundle)
-        for nxt in succ[bundle]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(heap, (nxt.bit_count(), nxt))
-    if len(ranking) < size:
-        stuck = {b for b in range(size) if indegree[b] > 0}
-        raise CyclicRelationsError(_find_cycle(succ, stuck), rel.m)
-    return make_preference(rel.m, ranking)
+    return _linear_extension(
+        rel,
+        lambda heap: heapq.heappop(heap)[1],
+        lambda heap, bundle: heapq.heappush(heap, (bundle.bit_count(), bundle)),
+    )
 
 
 def satisfies_relations(pref: PreferenceOrder, rel: PartialRelations) -> bool:
@@ -387,8 +422,8 @@ def additive_preference(
     All 2^m subset sums must be pairwise distinct, otherwise the order
     would not be strict.
 
-    >>> additive_preference(3, [4, 2, 1]).ranking() == list(range(8))
-    True
+    >>> additive_preference(3, [4, 2, 1]).ranking()
+    [0, 4, 2, 6, 1, 5, 3, 7]
     """
     _check_universe(m)
     if len(values) != m:
@@ -412,25 +447,7 @@ def random_preference(m: int, seed: int) -> PreferenceOrder:
     A random topological order of the subset lattice: repeatedly pick
     uniformly among the bundles whose proper subsets were all emitted.
     """
-    _check_universe(m)
-    rng = random.Random(f"preference:{seed}")
-    size = 1 << m
-    missing = [b.bit_count() for b in range(size)]
-    available = [0]
-    ranking = []
-    while available:
-        idx = rng.randrange(len(available))
-        available[idx], available[-1] = available[-1], available[idx]
-        bundle = available.pop()
-        ranking.append(bundle)
-        for j in range(m):
-            bit = 1 << j
-            if not bundle & bit:
-                t = bundle | bit
-                missing[t] -= 1
-                if missing[t] == 0:
-                    available.append(t)
-    return make_preference(m, ranking)
+    return _random_extension(PartialRelations(m=m, pairs=()), f"preference:{seed}")
 
 
 def random_completion(rel: PartialRelations, seed: int) -> PreferenceOrder:
@@ -439,22 +456,4 @@ def random_completion(rel: PartialRelations, seed: int) -> PreferenceOrder:
     Like :func:`complete_partial` but the next bundle is drawn uniformly
     from the currently unconstrained ones; deterministic per seed.
     """
-    _check_universe(rel.m)
-    rng = random.Random(f"completion:{seed}")
-    size = 1 << rel.m
-    succ, indegree = _predecessor_graph(rel)
-    available = [b for b in range(size) if indegree[b] == 0]
-    ranking = []
-    while available:
-        idx = rng.randrange(len(available))
-        available[idx], available[-1] = available[-1], available[idx]
-        bundle = available.pop()
-        ranking.append(bundle)
-        for nxt in succ[bundle]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                available.append(nxt)
-    if len(ranking) < size:
-        stuck = {b for b in range(size) if indegree[b] > 0}
-        raise CyclicRelationsError(_find_cycle(succ, stuck), rel.m)
-    return make_preference(rel.m, ranking)
+    return _random_extension(rel, f"completion:{seed}")

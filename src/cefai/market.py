@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Bundle, PreferenceOrder, all_bundles, format_bundle, items_of
+from .core import Bundle, PreferenceOrder, format_bundle, items_of
 
 
 def common_scale(*vectors: Iterable[Fraction]) -> int:
@@ -274,56 +274,6 @@ def is_dominated_by(
     if len(ys) < len(xs):
         return False
     return all(ys[k] <= xs[k] for k in range(len(xs)))
-
-
-def affordable_dominating_bundles(
-    allocation: Allocation,
-    prices: PriceVector,
-    incomes: IncomeVector,
-    positions: Mapping[int, int],
-) -> list[tuple[int, Bundle]]:
-    """Violations of "no agent can afford a bundle dominating his own".
-
-    Returns (agent, bundle) pairs where the bundle dominates the agent's
-    allocated bundle yet costs no more than the agent's income.  Empty
-    for every execution of a well-formed priced picking sequence.
-    """
-    offenders = []
-    for agent in range(allocation.n):
-        own = allocation[agent]
-        for other in all_bundles(allocation.m):
-            if other == own:
-                continue
-            if not is_dominated_by(own, other, positions):
-                continue
-            if prices.bundle_price(other) <= incomes[agent]:
-                offenders.append((agent, other))
-    return offenders
-
-
-def preferred_dominated_bundles(
-    profile: Sequence[PreferenceOrder],
-    allocation: Allocation,
-    positions: Mapping[int, int],
-    contiguous_agents: Iterable[int],
-) -> list[tuple[int, Bundle]]:
-    """Violations of "a contiguous-turn agent wants no dominated bundle".
-
-    Only agents whose pick positions form one contiguous block carry the
-    guarantee; callers supply that set.
-    """
-    offenders = []
-    for agent in contiguous_agents:
-        own = allocation[agent]
-        pref = profile[agent]
-        for other in all_bundles(allocation.m):
-            if other == own:
-                continue
-            if not is_dominated_by(other, own, positions):
-                continue
-            if pref.prefers(other, own):
-                offenders.append((agent, other))
-    return offenders
 
 
 # Region samples are multiples of 1/_REGION_GRID; without a reference

@@ -55,8 +55,7 @@ fabricated or lost.
 
 Two cheap necessary conditions, compared on the scaled integer incomes,
 prune allocations before the LP runs; both are provable consequences of
-the full system, so pruning never changes the answer (and can be
-switched off for cross-checking).
+the full system, so pruning never changes the answer.
 """
 
 from __future__ import annotations
@@ -318,7 +317,6 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
 def ce_exists(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
-    use_prefilters: bool = True,
 ) -> CEPair | None:
     """First equilibrium witness in allocation-enumeration order, or None.
 
@@ -339,7 +337,7 @@ def ce_exists(
         masks = [0] * n
         for item, agent in enumerate(assignment):
             masks[agent] |= 1 << item
-        if use_prefilters and not _passes_prefilters(rows, masks):
+        if not _passes_prefilters(rows, masks):
             continue
         prices = feasible_ce_prices(
             profile, incomes, Allocation(m=m, bundles=tuple(masks)), rows

@@ -340,23 +340,6 @@ class Execution:
     prices: PriceVector | None = None
     epsilon: Fraction | None = None
 
-    def item_positions(self) -> dict[int, int]:
-        return {item: pos for pos, _, item in self.picks}
-
-    def agent_positions(self) -> dict[int, tuple[int, ...]]:
-        result: dict[int, list[int]] = {}
-        for pos, agent, _ in self.picks:
-            result.setdefault(agent, []).append(pos)
-        return {agent: tuple(sorted(ps)) for agent, ps in result.items()}
-
-    def contiguous_agents(self) -> set[int]:
-        """Agents whose pick positions form one contiguous block."""
-        return {
-            agent
-            for agent, ps in self.agent_positions().items()
-            if ps[-1] - ps[0] + 1 == len(ps)
-        }
-
 
 def _leaf_plays(
     pix: Pixep, profile: Sequence[PreferenceOrder], m: int

@@ -39,7 +39,7 @@ def reference_verify_ce(
                 CEViolation(i, ViolationKind.BUDGET_MISMATCH, own, own_price, incomes[i])
             )
         threshold = own_price if strict_literal else incomes[i]
-        own_rank = pref.rank_of(own)
+        own_rank = pref.rank[own]
         for y in all_bundles(m):
             if pref.rank[y] <= own_rank:
                 continue
@@ -138,7 +138,7 @@ def reference_passes_prefilters(
             if own and incomes[j] <= own.bit_count() * floor:
                 return False
     for i, pref in enumerate(profile):
-        own_rank = pref.rank_of(masks[i])
+        own_rank = pref.rank[masks[i]]
         for j, other in enumerate(masks):
             if j == i or other == 0:
                 continue

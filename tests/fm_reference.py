@@ -183,7 +183,7 @@ def _ce_system(
             row[j] = Fraction(1)
         row[-1] = -incomes[i]
         equalities.append(row)
-        own_rank = profile[i].rank_of(own)
+        own_rank = profile[i].rank[own]
         for y in all_bundles(m):
             if profile[i].rank[y] <= own_rank:
                 continue

@@ -424,6 +424,60 @@ class TestInstanceFiles:
                 None,
                 id="agent-name-array",
             ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2", "preference": {"partial": {
+                    "chain": ["xyz", {"size": 2.7}]}}}]},
+                None,
+                id="chain-size-float",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2", "preference": {"partial": {
+                    "chain": ["xyz", {"size": True}]}}}]},
+                None,
+                id="chain-size-boolean",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2", "preference": {"partial": {
+                    "chain": ["xyz", {"size": "2"}]}}}]},
+                None,
+                id="chain-size-string",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2",
+                             "preference": {"partial": {"pairs": [{"x": 1, "y": 2}]}}}]},
+                None,
+                id="pair-object",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2",
+                             "preference": {"partial": {"pairs": ["yz"]}}}]},
+                None,
+                id="pair-string",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2",
+                             "preference": {"partial": {"pairs": [["yz", "x", "y"]]}}}]},
+                None,
+                id="pair-three-bundles",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2",
+                             "preference": {"partial": {"chain": "zyx"}}}]},
+                None,
+                id="chain-string",
+            ),
+            pytest.param(
+                {"agents": [{"name": "A", "income": "2", "preference": {"partial": {
+                    "chain": ["xyz", {"size": 2, "except": "xy"}]}}}]},
+                None,
+                id="chain-except-string",
+            ),
+            pytest.param(
+                {"items": ["x", "y"], "agents": [
+                    {"name": "A", "income": "2", "preference": {"additive": "12"}}]},
+                None,
+                id="additive-string",
+            ),
             # items named so that the bundle's text form would parse
             pytest.param(
                 {"items": ["None", "y"], **_PLAIN_AGENTS},

@@ -41,7 +41,7 @@ class TestMakePreference:
 
     def test_two_items_valid(self):
         pref = make_preference(2, [0b00, 0b01, 0b10, 0b11])
-        assert pref.rank_of(0b11) == 3
+        assert pref.rank[0b11] == 3
 
     def test_superset_below_subset_rejected(self):
         with pytest.raises(MonotonicityViolationError) as err:
@@ -59,7 +59,7 @@ class TestMakePreference:
 
     def test_empty_bundle_always_rank_zero(self):
         for seed in range(20):
-            assert random_preference(3, seed).rank_of(0) == 0
+            assert random_preference(3, seed).rank[0] == 0
 
 
 class TestCompletePartial:
@@ -73,7 +73,7 @@ class TestCompletePartial:
         chain = [x | y, w, x | z, y | z, x, y, z]
         rel = PartialRelations.from_chain(4, chain)
         pref = complete_partial(rel)
-        ranks = [pref.rank_of(b) for b in chain]
+        ranks = [pref.rank[b] for b in chain]
         assert ranks == sorted(ranks, reverse=True)
         assert satisfies_relations(pref, rel)
         assert_monotone(pref)
@@ -107,7 +107,7 @@ class TestAdditive:
         pref = additive_preference(4, [11, 7, 5, 3])
         w, x, y, z = 0b0001, 0b0010, 0b0100, 0b1000
         chain = [x | y, w, x | z, y | z, x, y, z]
-        ranks = [pref.rank_of(b) for b in chain]
+        ranks = [pref.rank[b] for b in chain]
         assert ranks == sorted(ranks, reverse=True)
         assert pref.prefers(x | y, w)
 

@@ -7,7 +7,10 @@ import pytest
 
 from cefai.core import (
     all_bundles,
+    complete_partial,
     parse_bundle,
+    random_completion,
+    random_preference,
     satisfies_relations,
 )
 from cefai.instances import (
@@ -58,7 +61,7 @@ class TestCounterexample5x2:
     def test_full_set_on_top(self):
         inst = counterexample_5x2()
         for pref in inst.completed_profile():
-            assert pref.rank_of(0b11111) == 31
+            assert pref.rank[0b11111] == 31
 
     def test_second_agent_chain(self):
         inst = counterexample_5x2()
@@ -161,4 +164,21 @@ class TestPinnedDraws:
         ]
         assert _digest(lines) == (
             "5c074cc98ba6975ca65a78887741ce0280402da0bc1b4634e9f1a82581c9b3b5"
+        )
+
+    def test_preference_builders(self):
+        lines = [
+            f"{m} {seed}: {random_preference(m, seed).ranking()}"
+            for m in range(1, 7)
+            for seed in range(10)
+        ]
+        for name in sorted(NAMED_INSTANCES):
+            for i, rel in enumerate(NAMED_INSTANCES[name]().relations):
+                lines.append(f"{name} {i}: {complete_partial(rel).ranking()}")
+                lines.extend(
+                    f"{name} {i} {seed}: {random_completion(rel, seed).ranking()}"
+                    for seed in range(5)
+                )
+        assert _digest(lines) == (
+            "7a59ef5a5eeb98c4ca5aa7fe12017aaa071b7d5038971f4391bbae496776b271"
         )

@@ -179,7 +179,14 @@ class TestPrefilters:
         found = Counter()
         for profile, incomes in cases:
             fast = ce_exists(profile, incomes)
-            slow = ce_exists(profile, incomes, use_prefilters=False)
+            # the unfiltered reference: the first allocation in the oracle's
+            # order that the feasibility solve accepts
+            slow = None
+            for alloc in every_allocation(profile[0].m, len(profile)):
+                prices = feasible_ce_prices(profile, incomes, alloc)
+                if prices is not None:
+                    slow = CEPair(prices=prices, allocation=alloc)
+                    break
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast == slow  # same first witness in enumeration order

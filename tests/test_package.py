@@ -1,4 +1,11 @@
-"""The package's top-level names are enough to solve, verify and audit."""
+"""The package's top-level names are enough to solve, verify and audit,
+and every docstring example runs as written."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
 
 import cefai
 
@@ -35,3 +42,11 @@ def test_exports():
     assert sorted(cefai.NAMED_INSTANCES) == [
         "counterexample-4x3", "counterexample-4x4", "counterexample-5x2"
     ]
+
+
+@pytest.mark.parametrize(
+    "name", ["cefai"] + [f"cefai.{m.name}" for m in pkgutil.iter_modules(cefai.__path__)]
+)
+def test_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0

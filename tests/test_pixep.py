@@ -211,7 +211,7 @@ class TestSpeOutcomes:
                 best = max(
                     (b for b in range(1 << m) if b & ~remaining == 0
                      and bin(b).count("1") == k),
-                    key=profile[1].rank_of,
+                    key=profile[1].rank.__getitem__,
                 )
                 assert e.allocation[1] == best
 

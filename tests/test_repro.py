@@ -1,6 +1,12 @@
-"""The reproduction harness, pinned on a small run."""
+"""The reproduction harness, pinned on a small run, and its domination audit."""
 
-from cefai.repro import existence_table, format_table
+from dataclasses import replace
+
+import pytest
+
+from cefai.core import random_preference
+from cefai.market import PriceVector
+from cefai.repro import audit_lemmas, existence_table, format_table, soundness_m3
 
 
 class TestPinnedRepro:
@@ -35,3 +41,42 @@ class TestPinnedRepro:
             ]
         )
         assert report.all_match and report.audits_clean
+
+
+class TestDominationAudit:
+    """``audit_lemmas`` reads 0 on solver records and counts each
+    (agent, bundle) pair once a record breaks either guarantee."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return [rec for report in soundness_m3(6, seed=3) for rec in report.records]
+
+    def test_clean_records(self, records):
+        audit = audit_lemmas(records)
+        assert audit.executions == len(records) == 18
+        assert audit.violations == 0 and audit.clean
+
+    def test_halved_prices_break_affordability(self, records):
+        def halved(rec):
+            execution = rec.transcript.execution
+            prices = PriceVector.of(p / 2 for p in execution.prices)
+            transcript = replace(rec.transcript, execution=replace(execution, prices=prices))
+            return replace(rec, transcript=transcript)
+
+        audit = audit_lemmas([halved(rec) for rec in records])
+        assert audit.violations == 110 and not audit.clean
+
+    def test_other_preferences_break_the_contiguous_guarantee(self, records):
+        # prices and incomes stay as solved, so only the second guarantee can fail
+        swapped = [
+            replace(
+                rec,
+                profile=tuple(
+                    random_preference(pref.m, seed=100 * k + i)
+                    for i, pref in enumerate(rec.profile)
+                ),
+            )
+            for k, rec in enumerate(records)
+        ]
+        audit = audit_lemmas(swapped)
+        assert audit.violations == 13 and not audit.clean

@@ -187,7 +187,7 @@ class TestSolve:
         assert sizes == [1, 1, 1]
         assert sorted(pair.prices, reverse=True) == [6, 4, 3]
         # the top agent holds her single best item at her income
-        best_single = max([X, Y, Z], key=profile[0].rank_of)
+        best_single = max([X, Y, Z], key=profile[0].rank.__getitem__)
         assert pair.allocation[0] == best_single
         assert pair.prices.bundle_price(best_single) == 6
 
