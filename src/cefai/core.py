@@ -107,10 +107,6 @@ def items_of(bundle: Bundle) -> tuple[int, ...]:
     return tuple(items)
 
 
-def is_subset(s: Bundle, t: Bundle) -> bool:
-    return s & ~t == 0
-
-
 def all_bundles(m: int) -> range:
     """All 2^m bundles over an m-item universe (as masks)."""
     return range(1 << m)
@@ -188,9 +184,6 @@ class PreferenceOrder:
     def prefers(self, s: Bundle, t: Bundle) -> bool:
         """True iff bundle ``s`` is strictly better than ``t``."""
         return self.rank[s] > self.rank[t]
-
-    def weakly_prefers(self, s: Bundle, t: Bundle) -> bool:
-        return self.rank[s] >= self.rank[t]
 
     def ranking(self) -> list[Bundle]:
         """All bundles from worst to best."""
@@ -407,11 +400,6 @@ def complete_partial(rel: PartialRelations) -> PreferenceOrder:
         lambda heap: heapq.heappop(heap)[1],
         lambda heap, bundle: heapq.heappush(heap, (bundle.bit_count(), bundle)),
     )
-
-
-def satisfies_relations(pref: PreferenceOrder, rel: PartialRelations) -> bool:
-    """Check that every asserted pair holds in the (completed) order."""
-    return all(pref.prefers(b, w) for b, w in rel.pairs)
 
 
 def additive_preference(

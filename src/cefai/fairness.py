@@ -13,7 +13,27 @@ The premise ``t_agent >= (l/d) * t_K`` is decided in integers: the
 incomes are scaled once by their common denominator (see
 ``cefai.market``), and the premise reads ``d * t_agent >= l * t_K`` in
 the scaled incomes, which holds exactly when it holds in the original
-``Fraction``s because the scale is positive.
+``Fraction``s because the scale is positive.  For a fixed d the premise
+holds for exactly ``l <= d * t_agent // t_K``, so the audit counts the
+applicable shares of each d at once.
+
+The audit decides whether an applicable share holds without a maximin
+search, exactly.  Write ``r`` for the rank of the agent's own bundle.
+
+- If the agent ranks the group's union at or below ``r``, every share
+  of that group holds: each guaranteed bundle is a subset of the union,
+  and a strictly monotone order never ranks a subset above its superset.
+- Otherwise let ``worse`` be the bitset of the bundles ranked at or below
+  ``r``, and give each partition of the union into d parts its union
+  mask: the bitset of the bundles formed by l of its parts.  The share
+  fails, that is the maximin bundle ranks above ``r``, exactly when some
+  partition's mask ``pm`` has ``pm & worse == 0``.  If such a partition
+  exists, its worst l-union ranks above ``r`` and the maximin bundle is
+  at least as good; if the maximin bundle ranks above ``r``, the
+  partition that attains it is such a partition.
+
+So a clean pair costs at most one mask test per query and no search;
+:func:`maximin` runs only for a failing share, to report its bundle.
 """
 
 from __future__ import annotations
@@ -23,15 +43,18 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .core import Bundle, PreferenceOrder, items_of
-from .market import Allocation, CEPair, IncomeVector, common_scale, scaled_integers
+from .market import CEPair, IncomeVector, common_scale, scaled_integers
 
 MAX_MAXIMIN_ITEMS = 6
 MAX_MAXIMIN_PARTS = 6
 
-# Partition shapes depend only on the item set and d, not on preferences,
-# so they are enumerated once: _union_table[(X, d, l)] lists, per distinct
-# partition of X into d parts, the bundles formed by l of its parts.
-_union_cache: dict[tuple[Bundle, int, int], tuple[tuple[Bundle, ...], ...]] = {}
+# Partition shapes depend only on the item set, l and d, not on
+# preferences, so they are enumerated once: _union_cache[(X, d, l)] holds
+# what _unions returns, the union table that maximin searches and the
+# union masks that audit_ce_fairness tests.
+_union_cache: dict[
+    tuple[Bundle, int, int], tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]
+] = {}
 
 
 def _partitions(x: Bundle, d: int) -> set[tuple[Bundle, ...]]:
@@ -45,7 +68,17 @@ def _partitions(x: Bundle, d: int) -> set[tuple[Bundle, ...]]:
     return seen
 
 
-def _union_table(x: Bundle, l: int, d: int) -> tuple[tuple[Bundle, ...], ...]:
+def _unions(
+    x: Bundle, l: int, d: int
+) -> tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]:
+    """The union table of X for (l, d) and its union masks.
+
+    The table lists, per distinct partition of X into d parts, the bundles
+    formed by l of its parts; a partition's union mask has bit ``u`` set
+    for each such bundle ``u``.  Masks with bit 0 are left out: the empty
+    bundle ranks lowest, so it is always in ``worse`` and such a mask never
+    passes the audit's test ``pm & worse == 0``.
+    """
     key = (x, d, l)
     cached = _union_cache.get(key)
     if cached is None:
@@ -58,7 +91,8 @@ def _union_table(x: Bundle, l: int, d: int) -> tuple[tuple[Bundle, ...], ...]:
                     u |= parts[k]
                 unions.add(u)
             table.append(tuple(unions))
-        cached = tuple(table)
+        masks = {sum(1 << u for u in unions) for unions in table}
+        cached = (tuple(table), tuple(pm for pm in masks if not pm & 1))
         _union_cache[key] = cached
     return cached
 
@@ -83,6 +117,12 @@ def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     items every partition has at least l empty parts, so the adversary
     can leave the empty bundle.  The caller keeps ``l``, ``d`` and the
     item count within :func:`_check_bounds`.
+
+    Only whether the answer ranks above a given rank ``r`` decides a
+    share, and that needs no search: it holds exactly when some
+    partition's union mask misses every bundle ranked at or below ``r``
+    (see the module docstring).  :func:`audit_ce_fairness` tests that and
+    calls this function only to report the bundle of a failing share.
     """
     if l == d:
         return x
@@ -91,17 +131,12 @@ def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     rank = pref.rank
     best_rank = -1
     best_bundle = 0
-    for unions in _union_table(x, l, d):
+    for unions in _unions(x, l, d)[0]:
         worst = min(unions, key=rank.__getitem__)
         if rank[worst] > best_rank:
             best_rank = rank[worst]
             best_bundle = worst
     return best_bundle
-
-
-def _share_premise(own: int, group_total: int, l: int, d: int) -> bool:
-    """``own >= (l/d) * group_total`` for scaled integer incomes."""
-    return d * own >= l * group_total
 
 
 @dataclass(frozen=True)
@@ -113,37 +148,6 @@ class GuaranteeCheck:
     applicable: bool
     holds: bool
     guaranteed: Bundle  # the maximin bundle, 0 when not applicable
-
-
-def check_guarantee(
-    profile: Sequence[PreferenceOrder],
-    incomes: IncomeVector,
-    alloc: Allocation,
-    agent: int,
-    group: Sequence[int],
-    l: int,
-    d: int,
-) -> GuaranteeCheck:
-    """Evaluate one instance of the generalized share guarantee.
-
-    Applicable when ``incomes[agent] >= (l/d) * sum of group incomes``
-    (exact comparison); in that case the agent's bundle must be at least
-    as good as the l-out-of-d maximin bundle of the group's combined
-    holdings.  Raises ``ValueError`` unless ``1 <= l <= d <=
-    MAX_MAXIMIN_PARTS`` and the market has at most ``MAX_MAXIMIN_ITEMS``
-    items.
-    """
-    _check_bounds(profile[agent].m, l, d)
-    group = tuple(group)
-    income = scaled_integers(incomes, common_scale(incomes))
-    if not _share_premise(income[agent], sum(income[i] for i in group), l, d):
-        return GuaranteeCheck(agent, group, l, d, False, True, 0)
-    union = 0
-    for i in group:
-        union |= alloc[i]
-    guaranteed = maximin(profile[agent], union, l, d)
-    holds = profile[agent].weakly_prefers(alloc[agent], guaranteed)
-    return GuaranteeCheck(agent, group, l, d, True, holds, guaranteed)
 
 
 @dataclass(frozen=True)
@@ -172,19 +176,23 @@ def audit_ce_fairness(
     only gets harder to meet.  Raises ``ValueError`` unless ``1 <= d_max
     <= MAX_MAXIMIN_PARTS`` and the market has at most
     ``MAX_MAXIMIN_ITEMS`` items.
+
+    Shares are counted and decided as the module docstring describes.
     """
     _check_bounds(ce.allocation.m, 1, d_max)
     agents = range(len(profile))
     income = scaled_integers(incomes, common_scale(incomes))
-    shares = [(l, d) for d in range(1, d_max + 1) for l in range(1, d + 1)]
+    parts = range(1, d_max + 1)
     groups = []
     for size in agents:
         for group in combinations(agents, size + 1):
             union = 0
             for i in group:
                 union |= ce.allocation[i]
-            groups.append((group, union, sum(income[i] for i in group)))
-    checked = len(agents) * len(groups) * len(shares)
+            groups.append(
+                (group, union, sum(income[i] for i in group), union.bit_count())
+            )
+    checked = len(agents) * len(groups) * (d_max * (d_max + 1) // 2)
     applicable = 0
     violations = []
     for agent in agents:
@@ -192,29 +200,32 @@ def audit_ce_fairness(
         rank = pref.rank
         own_rank = rank[ce.allocation[agent]]
         own_income = income[agent]
-        cache: dict[tuple[Bundle, int, int], Bundle] = {}
-        for group, union, group_income in groups:
-            size = union.bit_count()
-            for l, d in shares:
-                if d * own_income < l * group_income:  # the share premise fails
+        worse = 0
+        for bundle, r in enumerate(rank):
+            if r <= own_rank:
+                worse |= 1 << bundle
+        for group, union, group_income, size in groups:
+            if d_max * own_income < group_income:
+                continue  # not even l = 1 of d = d_max parts is applicable
+            clean = rank[union] <= own_rank
+            for d in parts:
+                top = d * own_income // group_income
+                if top > d:
+                    top = d
+                applicable += top
+                # With l <= d - size every partition leaves l parts empty,
+                # so the maximin bundle is empty and the share holds.
+                if clean or top <= d - size:
                     continue
-                applicable += 1
-                # With l == d the maximin bundle is the union itself; with
-                # size <= d - l it is empty, which no bundle ranks below.
-                if l == d:
-                    guaranteed = union
-                elif size <= d - l:
-                    continue
-                else:
-                    key = (union, l, d)
-                    guaranteed = cache.get(key)
-                    if guaranteed is None:
+                for l in range(max(1, d - size + 1), top + 1):
+                    # Keeping all d parts keeps the union, ranked above r.
+                    if l == d or any(
+                        not pm & worse for pm in _unions(union, l, d)[1]
+                    ):
                         guaranteed = maximin(pref, union, l, d)
-                        cache[key] = guaranteed
-                if own_rank < rank[guaranteed]:
-                    violations.append(
-                        GuaranteeCheck(agent, group, l, d, True, False, guaranteed)
-                    )
+                        violations.append(
+                            GuaranteeCheck(agent, group, l, d, True, False, guaranteed)
+                        )
     return FairnessReport(
         checked=checked, applicable=applicable, violations=tuple(violations)
     )

@@ -339,12 +339,11 @@ def ce_exists(
             masks[agent] |= 1 << item
         if not _passes_prefilters(rows, masks):
             continue
-        prices = feasible_ce_prices(
-            profile, incomes, Allocation(m=m, bundles=tuple(masks)), rows
-        )
+        allocation = Allocation(m=m, bundles=tuple(masks))
+        prices = feasible_ce_prices(profile, incomes, allocation, rows)
         if prices is None:
             continue
-        pair = CEPair(prices=prices, allocation=Allocation(m=m, bundles=tuple(masks)))
+        pair = CEPair(prices=prices, allocation=allocation)
         report = verify_ce(profile, incomes, pair)
         if not report.valid:
             raise AssertionError(

@@ -8,7 +8,9 @@ searches whose answer is fixed and share partition tables: the same
 checks written one bundle and one comparison at a time over exact
 rationals, the way the definitions read.  Slow, but simple enough to
 trust, so the tests compare the library against it field by field on
-seeded random pairs.
+seeded random pairs.  ``check_guarantee`` evaluates one instance of the
+guarantee on its own, with the library's maximin search, so that each
+violation the audit reports can be recomputed.
 """
 
 from __future__ import annotations
@@ -18,8 +20,17 @@ from itertools import combinations, product
 from typing import Sequence
 
 from cefai.core import Bundle, PreferenceOrder, all_bundles, items_of
-from cefai.fairness import FairnessReport, GuaranteeCheck
-from cefai.market import CEPair, CEReport, CEViolation, IncomeVector, ViolationKind
+from cefai.fairness import FairnessReport, GuaranteeCheck, _check_bounds, maximin
+from cefai.market import (
+    Allocation,
+    CEPair,
+    CEReport,
+    CEViolation,
+    IncomeVector,
+    ViolationKind,
+    common_scale,
+    scaled_integers,
+)
 
 
 def reference_verify_ce(
@@ -75,6 +86,42 @@ def brute_maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     return best
 
 
+def _share_premise(own: int, group_total: int, l: int, d: int) -> bool:
+    """``own >= (l/d) * group_total`` for scaled integer incomes."""
+    return d * own >= l * group_total
+
+
+def check_guarantee(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    alloc: Allocation,
+    agent: int,
+    group: Sequence[int],
+    l: int,
+    d: int,
+) -> GuaranteeCheck:
+    """Evaluate one instance of the generalized share guarantee.
+
+    Applicable when ``incomes[agent] >= (l/d) * sum of group incomes``
+    (exact comparison); in that case the agent's bundle must be at least
+    as good as the l-out-of-d maximin bundle of the group's combined
+    holdings.  Raises ``ValueError`` unless ``1 <= l <= d <=
+    MAX_MAXIMIN_PARTS`` and the market has at most ``MAX_MAXIMIN_ITEMS``
+    items.
+    """
+    _check_bounds(profile[agent].m, l, d)
+    group = tuple(group)
+    income = scaled_integers(incomes, common_scale(incomes))
+    if not _share_premise(income[agent], sum(income[i] for i in group), l, d):
+        return GuaranteeCheck(agent, group, l, d, False, True, 0)
+    union = 0
+    for i in group:
+        union |= alloc[i]
+    guaranteed = maximin(profile[agent], union, l, d)
+    holds = not profile[agent].prefers(guaranteed, alloc[agent])
+    return GuaranteeCheck(agent, group, l, d, True, holds, guaranteed)
+
+
 def reference_audit_ce_fairness(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
@@ -108,7 +155,7 @@ def reference_audit_ce_fairness(
                         if key not in shares:
                             shares[key] = brute_maximin(pref, union, l, d)
                         guaranteed = shares[key]
-                        if not pref.weakly_prefers(own, guaranteed):
+                        if pref.prefers(guaranteed, own):
                             violations.append(
                                 GuaranteeCheck(
                                     agent, group, l, d, True, False, guaranteed

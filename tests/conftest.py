@@ -12,9 +12,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from cefai.core import PartialRelations, complete_partial, random_preference
+from cefai.core import (
+    Bundle,
+    PartialRelations,
+    PreferenceOrder,
+    complete_partial,
+    random_preference,
+)
 from cefai.market import Allocation, IncomeVector
 from cefai.pixep import AffinePrice, ChoiceNode, Leaf, Pixep
+
+
+def is_subset(s: Bundle, t: Bundle) -> bool:
+    return s & ~t == 0
+
+
+def satisfies_relations(pref: PreferenceOrder, rel: PartialRelations) -> bool:
+    """Check that every asserted pair holds in the (completed) order."""
+    return all(pref.prefers(b, w) for b, w in rel.pairs)
+
+
+def scaled_incomes(incomes: IncomeVector, factor: Fraction) -> IncomeVector:
+    """Every income times the same positive factor."""
+    return IncomeVector.of(v * factor for v in incomes)
 
 
 def chain_preference(m: int, *chain):

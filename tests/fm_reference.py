@@ -17,8 +17,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from cefai.core import Bundle, PreferenceOrder, all_bundles, is_subset, items_of
+from cefai.core import Bundle, PreferenceOrder, all_bundles, items_of
 from cefai.market import Allocation, IncomeVector, PriceVector
+
+from conftest import is_subset
 
 # A row of length m+2 over (p_0..p_{m-1}, s, 1) encodes
 #     sum(row[v] * var_v) + row[m+1] >= 0     (or == 0 for equalities).

@@ -15,14 +15,14 @@ from cefai.core import (
     bundle_of,
     complete_partial,
     format_bundle,
-    is_subset,
     items_of,
     make_preference,
     parse_bundle,
     random_completion,
     random_preference,
-    satisfies_relations,
 )
+
+from conftest import is_subset, satisfies_relations
 
 X, Y, Z = 0b001, 0b010, 0b100
 

@@ -6,16 +6,26 @@ from cefai.core import additive_preference, random_preference
 from cefai.fairness import (
     MAX_MAXIMIN_ITEMS,
     MAX_MAXIMIN_PARTS,
+    _unions,
     audit_ce_fairness,
-    check_guarantee,
     maximin,
 )
 from cefai.market import Allocation, CEPair, IncomeVector, PriceVector
 from cefai.instances import random_generic_incomes
 from cefai.solver import solve
 
-from ce_reference import brute_maximin
+from ce_reference import brute_maximin, check_guarantee
 from conftest import chain_preference
+
+
+def mask_test(pref, x, l, d, r):
+    """The audit's decision for an agent whose own bundle has rank r: some
+    union mask of X misses every bundle ranked at or below r."""
+    worse = 0
+    for bundle, rank in enumerate(pref.rank):
+        if rank <= r:
+            worse |= 1 << bundle
+    return any(not pm & worse for pm in _unions(x, l, d)[1])
 
 
 class TestMaximin:
@@ -43,6 +53,31 @@ class TestMaximin:
                         if x.bit_count() <= d - l:
                             assert want == 0
 
+    def test_mask_test_decides_every_rank_threshold(self):
+        # every X over 4 items, every 1 <= l < d <= 4 and every own rank r,
+        # the |X| <= d - l queries (maximin answers the empty bundle)
+        # included
+        for seed in range(6):
+            pref = random_preference(4, seed=seed)
+            for x in range(16):
+                for d in range(2, 5):
+                    for l in range(1, d):
+                        guaranteed = pref.rank[maximin(pref, x, l, d)]
+                        for r in range(16):
+                            want = guaranteed > r
+                            assert mask_test(pref, x, l, d, r) == want, (seed, x, l, d, r)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_mask_test_on_larger_item_sets(self, m, rng):
+        for _ in range(40):
+            pref = random_preference(m, seed=rng.randrange(10**6))
+            x = rng.randrange(1 << m)
+            d = rng.randint(2, MAX_MAXIMIN_PARTS)
+            l = rng.randint(1, d - 1)
+            guaranteed = pref.rank[maximin(pref, x, l, d)]
+            for r in range(1 << m):
+                assert mask_test(pref, x, l, d, r) == (guaranteed > r), (x, l, d, r)
+
     def test_monotone_in_parts_kept(self, rng):
         for _ in range(15):
             pref = random_preference(4, seed=rng.randrange(10**6))
@@ -51,7 +86,7 @@ class TestMaximin:
             for l in range(1, d):
                 lower = maximin(pref, x, l, d)
                 higher = maximin(pref, x, l + 1, d)
-                assert pref.weakly_prefers(higher, lower)
+                assert not pref.prefers(lower, higher)
 
     def test_more_parts_never_help_the_divider(self, rng):
         for _ in range(15):
@@ -60,7 +95,7 @@ class TestMaximin:
             for d in range(1, 4):
                 coarse = maximin(pref, x, 1, d)
                 fine = maximin(pref, x, 1, d + 1)
-                assert pref.weakly_prefers(coarse, fine)
+                assert not pref.prefers(fine, coarse)
 
 
 class TestCheckGuarantee:

@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: unused imports,
-definitions that nothing uses, and dataclass fields that nothing reads."""
+definitions that neither the package nor the benchmark uses, and
+dataclass fields that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -12,10 +13,11 @@ MODULES = sorted(
     p for p in (ROOT / "src" / "cefai").glob("*.py") if p.name != "__init__.py"
 )
 CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py"))
-# Where a use of a module's definitions may appear.
-USERS = sorted(
-    p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
-)
+# Where a use of a module's definitions may appear: a definition that only
+# tests call is dead code that its tests keep alive.
+USERS = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# Where a read of a dataclass field may appear.
+READERS = USERS + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -134,6 +136,16 @@ def test_dead_code_scanner_flags_unused_and_accepts_used():
     ]
 
 
+def test_uses_in_tests_do_not_count():
+    assert USERS and not any(p.is_relative_to(ROOT / "tests") for p in USERS)
+    module = "def kept():\n    pass\ndef tested_only():\n    pass\n"
+    package = "from m import kept\nkept()\n"
+    test = "from m import kept, tested_only\nassert tested_only() is None\n"
+    sources = {"m": module, "package": package}
+    assert unused_definitions("m", sources) == ["tested_only (line 3)"]
+    assert unused_definitions("m", {**sources, "test": test}) == []
+
+
 @pytest.fixture(scope="module")
 def user_sources():
     return {str(p): p.read_text() for p in USERS}
@@ -208,8 +220,8 @@ def test_field_scanner_flags_unread_and_accepts_read():
 
 
 @pytest.fixture(scope="module")
-def read_attributes(user_sources):
-    return attributes_read(user_sources)
+def read_attributes():
+    return attributes_read({str(p): p.read_text() for p in READERS})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

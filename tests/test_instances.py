@@ -11,7 +11,6 @@ from cefai.core import (
     parse_bundle,
     random_completion,
     random_preference,
-    satisfies_relations,
 )
 from cefai.instances import (
     NAMED_INSTANCES,
@@ -23,6 +22,8 @@ from cefai.instances import (
 )
 from cefai.market import IncomeRegion
 from cefai.solver import is_generic, range_labels, range_table
+
+from conftest import satisfies_relations
 
 
 class TestCounterexample4x4:

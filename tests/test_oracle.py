@@ -30,7 +30,13 @@ from cefai.instances import NAMED_INSTANCES, counterexample_4x3, random_generic_
 from cefai.repro import certify_counterexample
 from cefai.solver import solve
 
-from conftest import chain_preference, every_allocation, random_profile, tied_incomes
+from conftest import (
+    chain_preference,
+    every_allocation,
+    random_profile,
+    scaled_incomes,
+    tied_incomes,
+)
 from fm_reference import fm_feasible_ce_prices
 
 
@@ -286,14 +292,14 @@ class TestScaleEquivariance:
                 random_preference(m, seed=rng.randrange(10**6)) for _ in range(n)
             ]
             base = ce_exists(profile, incomes)
-            scaled = ce_exists(profile, incomes.scaled(factor))
+            scaled = ce_exists(profile, scaled_incomes(incomes, factor))
             assert (base is None) == (scaled is None)
             if base is not None:
                 lifted = CEPair(
                     prices=PriceVector.of(p * factor for p in base.prices),
                     allocation=base.allocation,
                 )
-                assert verify_ce(profile, incomes.scaled(factor), lifted).valid
+                assert verify_ce(profile, scaled_incomes(incomes, factor), lifted).valid
 
 
 class TestNoCEInstance:

@@ -29,7 +29,7 @@ from cefai.solver import (
     violated_hyperplane,
 )
 
-from conftest import chain_preference
+from conftest import chain_preference, scaled_incomes
 
 X, Y, Z = 0b001, 0b010, 0b100
 
@@ -242,7 +242,7 @@ class TestSolve:
         incomes = IncomeVector.of([10, 6, 3])
         factor = Fraction(3, 7)
         pair, transcript = solve(profile, incomes)
-        scaled_pair, scaled_transcript = solve(profile, incomes.scaled(factor))
+        scaled_pair, scaled_transcript = solve(profile, scaled_incomes(incomes, factor))
         assert scaled_transcript.range_label == transcript.range_label
         assert scaled_pair.allocation == pair.allocation
         assert tuple(scaled_pair.prices) == tuple(p * factor for p in pair.prices)
