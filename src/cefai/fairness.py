@@ -48,10 +48,12 @@ from .market import CEPair, IncomeVector, common_scale, scaled_integers
 MAX_MAXIMIN_ITEMS = 6
 MAX_MAXIMIN_PARTS = 6
 
-# Partition shapes depend only on the item set, l and d, not on
-# preferences, so they are enumerated once: _union_cache[(X, d, l)] holds
-# what _unions returns, the union table that maximin searches and the
-# union masks that audit_ce_fairness tests.
+# Partitions depend only on the item set and d, not on preferences, so
+# they are enumerated once: _partition_cache[(X, d)] holds the distinct
+# partitions of X into d parts, and _union_cache[(X, d, l)] what _unions
+# returns, the union table that maximin searches and the union masks that
+# audit_ce_fairness tests.
+_partition_cache: dict[tuple[Bundle, int], tuple[tuple[Bundle, ...], ...]] = {}
 _union_cache: dict[
     tuple[Bundle, int, int], tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]
 ] = {}
@@ -82,8 +84,11 @@ def _unions(
     key = (x, d, l)
     cached = _union_cache.get(key)
     if cached is None:
+        partitions = _partition_cache.get((x, d))
+        if partitions is None:
+            partitions = _partition_cache[x, d] = tuple(_partitions(x, d))
         table = []
-        for parts in _partitions(x, d):
+        for parts in partitions:
             unions = set()
             for chosen in combinations(range(d), l):
                 u = 0

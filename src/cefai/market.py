@@ -77,10 +77,6 @@ class IncomeVector:
     def __iter__(self):
         return iter(self.t)
 
-    def descending_order(self) -> tuple[int, ...]:
-        """Agent indices sorted by income, highest first (stable)."""
-        return tuple(sorted(range(len(self.t)), key=lambda i: (-self.t[i], i)))
-
 
 @dataclass(frozen=True)
 class Allocation:

@@ -14,12 +14,18 @@ pixep usable as an equilibrium device:
 
 ``check_requirements`` verifies R1 exactly and reduces R2/R3 to an
 interval of feasible ε values; ``resolve_epsilon`` picks the midpoint.
-R1-R3 and the cap ``resolve_epsilon`` puts on ε are decided on scaled
-integers (the position constants and incomes over one common
-denominator, the ε-slopes over another), the way
-:func:`cefai.market.verify_ce` checks an equilibrium; ``Fraction``s
-appear only at the boundary: the interval, the ε and the error messages
-handed out.
+
+A :class:`Pixep` holds its prices as integers: each position's constant
+over one common denominator and its ε-slope over another, the way the
+solver's games are written (integer forms in the scaled incomes).  R1-R3,
+the cap ``resolve_epsilon`` puts on ε and the prices of a played
+allocation are computed from those integers, brought over one
+denominator with the incomes by a single ``lcm``, the way
+:func:`cefai.market.verify_ce` checks an equilibrium.  ``Fraction``s
+appear only at the boundary: the ε interval, the ε and the price vector
+handed out, the texts of errors, and :meth:`Pixep.of` and
+:attr:`Pixep.positions`, which read and show the prices as
+:class:`AffinePrice` values.
 
 Games are either a single pixep (a :class:`Leaf`) or a sequential
 choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .core import PreferenceOrder
@@ -75,9 +82,6 @@ class AffinePrice:
     def of(c0: Fraction | int | str, c1: Fraction | int | str = 0) -> "AffinePrice":
         return AffinePrice(Fraction(c0), Fraction(c1))
 
-    def at(self, eps: Fraction) -> Fraction:
-        return self.c0 + self.c1 * eps
-
     def __add__(self, other: "AffinePrice") -> "AffinePrice":
         return AffinePrice(self.c0 + other.c0, self.c1 + other.c1)
 
@@ -95,26 +99,64 @@ class AffinePrice:
 
 @dataclass(frozen=True)
 class Pixep:
-    """A picking sequence with a price attached to each position."""
+    """A picking sequence with a price attached to each position, in
+    integers.
 
-    positions: tuple[tuple[int, AffinePrice], ...]
+    Position k is taken by ``agents[k]`` at the price
+    ``constants[k]/scale + slopes[k]/slope_scale · ε``.  Each denominator
+    is the least one its values need, so equal prices give equal pixeps:
+    :meth:`of` builds one from ``AffinePrice`` values, :meth:`scaled`
+    from integer constants over any denominator, and :attr:`positions`
+    gives the prices back as ``AffinePrice`` values.
+    """
+
+    agents: tuple[int, ...]
+    constants: tuple[int, ...]
+    slopes: tuple[int, ...]
+    scale: int = 1
+    slope_scale: int = 1
 
     @staticmethod
     def of(entries: Iterable[tuple[int, AffinePrice]]) -> "Pixep":
-        return Pixep(tuple(entries))
+        entries = tuple(entries)
+        constants = [price.c0 for _, price in entries]
+        slopes = [price.c1 for _, price in entries]
+        scale = common_scale(constants)
+        slope_scale = common_scale(slopes)
+        return Pixep(
+            tuple(agent for agent, _ in entries),
+            tuple(scaled_integers(constants, scale)),
+            tuple(scaled_integers(slopes, slope_scale)),
+            scale,
+            slope_scale,
+        )
+
+    @staticmethod
+    def scaled(
+        agents: Sequence[int], constants: Sequence[int], scale: int, slopes: Sequence[int]
+    ) -> "Pixep":
+        """The pixep whose position k costs ``constants[k]/scale +
+        slopes[k]·ε``, with the constants and ``scale`` cut by their
+        common divisor."""
+        common = gcd(scale, *constants)
+        return Pixep(
+            tuple(agents),
+            tuple(c // common for c in constants),
+            tuple(slopes),
+            scale // common,
+        )
+
+    @property
+    def positions(self) -> tuple[tuple[int, AffinePrice], ...]:
+        """(agent, price) per position, in ``Fraction`` values."""
+        return tuple(
+            (agent, AffinePrice(Fraction(c0, self.scale), Fraction(c1, self.slope_scale)))
+            for agent, c0, c1 in zip(self.agents, self.constants, self.slopes)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.positions)
-
-    def agent_at(self, pos: int) -> int:
-        return self.positions[pos][0]
-
-    def price_at(self, pos: int) -> AffinePrice:
-        return self.positions[pos][1]
-
-    def agents(self) -> frozenset[int]:
-        return frozenset(agent for agent, _ in self.positions)
+        return len(self.agents)
 
 
 @dataclass(frozen=True)
@@ -159,24 +201,12 @@ class EpsilonInterval:
         return (self.lo + self.hi) / 2
 
 
-def _scaled(
-    pix: Pixep, incomes: IncomeVector
-) -> tuple[int, int, list[int], list[int], list[int]]:
-    """The pixep and incomes in integers: ``(scale, slope_scale,
-    constants, slopes, incomes)``, where position k's price is
-    ``constants[k]/scale + slopes[k]/slope_scale · ε`` and agent i's
-    income is ``incomes[i]/scale``."""
-    constants = [price.c0 for _, price in pix.positions]
-    slopes = [price.c1 for _, price in pix.positions]
-    scale = common_scale(constants, incomes)
-    slope_scale = common_scale(slopes)
-    return (
-        scale,
-        slope_scale,
-        scaled_integers(constants, scale),
-        scaled_integers(slopes, slope_scale),
-        scaled_integers(incomes, scale),
-    )
+def _with_incomes(pix: Pixep, incomes: IncomeVector) -> tuple[int, list[int], list[int]]:
+    """``(scale, constants, incomes)``: the pixep's constants and the
+    incomes over their least common denominator ``scale``."""
+    scale = lcm(pix.scale, common_scale(incomes))
+    up = scale // pix.scale
+    return scale, [c * up for c in pix.constants], scaled_integers(incomes, scale)
 
 
 def _describe(pix: Pixep, incomes: IncomeVector, key: tuple[str, int]) -> str:
@@ -200,19 +230,20 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     ``EmptyEpsilonIntervalError`` (naming the binding constraints) when
     the pixep cannot implement the incomes.
 
-    R1-R3 are decided on scaled integers: the position constants and the
-    incomes share one common denominator, the ε-slopes another, and each
-    bound on ε is kept as an integer ratio.  ``Fraction``s are built only
-    at the boundary: the two ends of the returned interval, and the
-    texts of a raised error.
+    R1-R3 are decided on the pixep's integers: the position constants
+    and the incomes over one common denominator, the ε-slopes over the
+    pixep's own, and each bound on ε kept as an integer ratio.
+    ``Fraction``s are built only at the boundary: the two ends of the
+    returned interval, and the texts of a raised error.
     """
     n = len(incomes)
-    for agent, _ in pix.positions:
+    agents = pix.agents
+    for agent in agents:
         if not 0 <= agent < n:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
-    scale, slope_scale, constants, slopes, income = _scaled(pix, incomes)
-    agents = [agent for agent, _ in pix.positions]
+    scale, constants, income = _with_incomes(pix, incomes)
+    slopes, slope_scale = pix.slopes, pix.slope_scale
     sums: dict[int, list[int]] = {}
     for agent, c0, c1 in zip(agents, constants, slopes):
         total = sums.setdefault(agent, [0, 0])
@@ -274,11 +305,12 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     position prices, so these are all the affine expressions the
     equilibrium verification can ever compare against an income.  Below
     the bound, each comparison keeps the sign it has in the small-ε
-    limit.  Computed on scaled integers, like :func:`check_requirements`.
+    limit.  Computed on the pixep's integers, like
+    :func:`check_requirements`.
     """
-    scale, slope_scale, constants, slopes, income = _scaled(pix, incomes)
+    scale, constants, income = _with_incomes(pix, incomes)
     sums = {(0, 0)}
-    for c0, c1 in zip(constants, slopes):
+    for c0, c1 in zip(constants, pix.slopes):
         sums |= {(s0 + c0, s1 + c1) for s0, s1 in sums}
     # A subset sum s0 + s1*eps meets income t at eps = (t - s0)/s1, the
     # ratio num/den (den > 0) in units of slope_scale/scale.
@@ -295,7 +327,7 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
                 best_num, best_den = num, den
     if best_den == 0:
         return None
-    return Fraction(best_num * slope_scale, best_den * scale)
+    return Fraction(best_num * pix.slope_scale, best_den * scale)
 
 
 def _capped_epsilon(
@@ -356,7 +388,7 @@ def _leaf_plays(
     offsets of its later turns within a continuation are looked up once
     per call.
     """
-    movers = [agent for agent, _ in pix.positions]
+    movers = pix.agents
     ranks = [profile[agent].rank for agent in movers]
     shifts = [m * (agent + 1) for agent in movers]
     later = [
@@ -431,8 +463,8 @@ def _leaf_plays(
 
 def _allocation_of(leaf: Leaf, play: tuple[int, ...], n: int, m: int) -> Allocation:
     masks = [0] * n
-    for pos, item in enumerate(play):
-        masks[leaf.pixep.agent_at(pos)] |= 1 << item
+    for agent, item in zip(leaf.pixep.agents, play):
+        masks[agent] |= 1 << item
     return Allocation(m=m, bundles=tuple(masks))
 
 
@@ -444,7 +476,7 @@ def _node_outcomes(
             raise DimensionMismatchError(
                 f"leaf pixep has {game.pixep.m} positions, expected {m}"
             )
-        for agent, _ in game.pixep.positions:
+        for agent in game.pixep.agents:
             if agent >= n:
                 raise DimensionMismatchError(
                     f"pixep references agent {agent}, profile has {n}"
@@ -501,8 +533,8 @@ def spe_outcomes(
     executions = []
     for path, leaf, play, alloc in _node_outcomes(game, profile, n, m):
         picks = tuple(
-            (pos + 1, leaf.pixep.agent_at(pos), item)
-            for pos, item in enumerate(play)
+            (pos + 1, agent, item)
+            for pos, (agent, item) in enumerate(zip(leaf.pixep.agents, play))
         )
         executions.append(
             Execution(path=path, leaf=leaf, picks=picks, allocation=alloc)
@@ -522,24 +554,36 @@ def execute_to_ce(
     (checked up front, before any SPE work); each equilibrium play is
     then priced with its leaf's resolved ε, capped the way
     :func:`resolve_epsilon` caps it when the leaf's first play is priced,
-    and checked by exact verification.  Raises ``NoValidSpeError`` when
-    no play passes.  That is an expected outcome, not an internal error:
-    :func:`cefai.solver.solve` catches it to try the range's fallback
-    games, and some profiles have no equilibrium at all
+    and checked by exact verification; a leaf's position prices at its ε
+    are computed once, from its integers.  Raises ``NoValidSpeError``
+    when no play passes.  That is an expected outcome, not an internal
+    error: :func:`cefai.solver.solve` catches it to try the range's
+    fallback games, and some profiles have no equilibrium at all
     (``counterexample-4x3``), so every game fails on them.
     """
     intervals = {id(leaf): check_requirements(leaf.pixep, incomes) for leaf in leaves(game)}
-    resolved: dict[int, Fraction] = {}
+    # Per leaf id: its ε and its position prices at that ε.
+    resolved: dict[int, tuple[Fraction, list[Fraction]]] = {}
 
     for execution in spe_outcomes(game, profile):
         leaf = execution.leaf
-        eps = resolved.get(id(leaf))
-        if eps is None:
-            eps = _capped_epsilon(leaf.pixep, incomes, intervals[id(leaf)])
-            resolved[id(leaf)] = eps
-        by_item = [Fraction(0)] * execution.allocation.m
+        priced = resolved.get(id(leaf))
+        if priced is None:
+            pix = leaf.pixep
+            eps = _capped_epsilon(pix, incomes, intervals[id(leaf)])
+            # c0/scale + c1/slope_scale·eps, over scale·slope_scale·eps's
+            # denominator
+            up0 = pix.slope_scale * eps.denominator
+            up1 = pix.scale * eps.numerator
+            den = pix.scale * up0
+            priced = resolved[id(leaf)] = eps, [
+                Fraction(c0 * up0 + c1 * up1, den)
+                for c0, c1 in zip(pix.constants, pix.slopes)
+            ]
+        eps, position_prices = priced
+        by_item = [None] * execution.allocation.m
         for pos, _, item in execution.picks:
-            by_item[item] = leaf.pixep.price_at(pos - 1).at(eps)
+            by_item[item] = position_prices[pos - 1]
         prices = PriceVector.of(by_item)
         cand = CEPair(prices=prices, allocation=execution.allocation)
         if verify_ce(profile, incomes, cand).valid:

@@ -22,10 +22,9 @@ ill-defined and the solver refuses rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import PreferenceOrder
 from .market import (
@@ -37,7 +36,6 @@ from .market import (
     scaled_integers,
 )
 from .pixep import (
-    AffinePrice,
     ChoiceNode,
     EmptyEpsilonIntervalError,
     Execution,
@@ -219,10 +217,15 @@ def excluded_hyperplanes(m: int, n: int) -> tuple[Hyperplane, ...]:
     return tuple(planes.values())
 
 
-def _sorted_integers(incomes: IncomeVector) -> list[int]:
-    """The incomes scaled to integers and sorted descending; a positive
-    scaling keeps the sign of every form."""
-    return sorted(scaled_integers(incomes, common_scale(incomes)), reverse=True)
+def _sorted_integers(incomes: IncomeVector) -> tuple[tuple[int, ...], list[int], int]:
+    """``(order, t, scale)``: the agents by income, highest first (ties
+    by index), and the incomes scaled to integers by their common
+    denominator ``scale`` and sorted descending.  A positive scaling
+    keeps the sign of every form."""
+    scale = common_scale(incomes)
+    scaled = scaled_integers(incomes, scale)
+    order = tuple(sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)))
+    return order, [scaled[i] for i in order], scale
 
 
 def _first_plane(m: int, t: list[int]) -> Hyperplane | None:
@@ -230,7 +233,7 @@ def _first_plane(m: int, t: list[int]) -> Hyperplane | None:
 
 
 def violated_hyperplane(incomes: IncomeVector, m: int) -> Hyperplane | None:
-    return _first_plane(m, _sorted_integers(incomes))
+    return _first_plane(m, _sorted_integers(incomes)[1])
 
 
 def is_generic(incomes: IncomeVector, m: int) -> bool:
@@ -244,7 +247,11 @@ def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
     Raises ``UnsupportedCaseError`` for an unsupported size and
     ``NotGenericError`` on an excluded hyperplane.
     """
-    t = _sorted_integers(incomes)
+    return _range_at(m, _sorted_integers(incomes)[1])
+
+
+def _range_at(m: int, t: list[int]) -> IncomeRange:
+    """:func:`active_range` at the sorted scaled incomes ``t``."""
     offending = _first_plane(m, t)
     if offending is not None:
         raise NotGenericError(offending)
@@ -257,65 +264,81 @@ def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
     return matches[0]
 
 
-def _baaa(a: Fraction, b: Fraction, c: Fraction) -> tuple:
-    split = max(c, (a - b) / 2)
-    return ((b, 0), (a - 2 * split, -2), (split, +1), (split, +1))
-
-
-# Every leaf game, by name, as its prices (c0, c1), meaning c0 + c1·ε, one
-# per position, over the sorted incomes a > b > c; a missing income is 0,
-# which turns the three-agent formulas into the two-agent ones.  A leaf's
-# turn sequence is its name without the "=" that marks an alternative
-# price vector for the same sequence.
-_LEAVES: dict[str, Callable[[Fraction, Fraction, Fraction], tuple]] = {
-    "A": lambda a, b, c: ((a, 0),),
-    "AB": lambda a, b, c: ((a, 0), (b, 0)),
-    "ABA": lambda a, b, c: ((a - c, -1), (b, 0), (c, +1)),
-    "ABC": lambda a, b, c: ((a, 0), (b, 0), (c, 0)),
-    "AABA": lambda a, b, c: ((a - b - c, -2), (b, +1), (b, 0), (c, +1)),
-    "AABC": lambda a, b, c: ((a - b, -1), (b, +1), (b, 0), (c, 0)),
-    "ABAC": lambda a, b, c: ((b, +1), (b, 0), (a - b, -1), (c, 0)),
-    "ABAB": lambda a, b, c: ((a - c, -2), (b - c, -1), (c, +2), (c, +1)),
-    "AABB": lambda a, b, c: ((a / 2, 0), (a / 2, 0), (b / 2, 0), (b / 2, 0)),
-    "ABBC": lambda a, b, c: ((a, 0), (b / 2, 0), (b / 2, 0), (c, 0)),
-    "ABCA": lambda a, b, c: ((a, -1), (b, 0), (c, 0), (0, +1)),
-    "ABCB": lambda a, b, c: ((a, 0), (b, -1), (c, 0), (0, +1)),
-    "BAAA": _baaa,
-    "BAAC": lambda a, b, c: ((b, 0), (a - c, -1), (c, +1), (c, 0)),
-    "BAAC=": lambda a, b, c: ((b, 0), (a / 2, 0), (a / 2, 0), (c, 0)),
-    "BACA": lambda a, b, c: ((b, 0), (c, +1), (c, 0), (a - c, -1)),
+# Every leaf game, by name, as integer data over the sorted scaled incomes
+# a > b > c, like the forms of _RANGES; a missing income is 0, which turns
+# the three-agent formulas into the two-agent ones.  A leaf is one or more
+# rows (guard, denominator, positions): a position (ka, kb, kc, slope)
+# costs (ka·a + kb·b + kc·c)/denominator + slope·ε, and the leaf is priced
+# by its first row whose guard is None or a form positive at (a, b, c).
+# A leaf's turn sequence is its name without the "=" that marks an
+# alternative price vector for the same sequence.
+_LEAVES: dict[str, tuple[tuple[tuple[int, int, int] | None, int, tuple], ...]] = {
+    "A": ((None, 1, ((1, 0, 0, 0),)),),
+    "AB": ((None, 1, ((1, 0, 0, 0), (0, 1, 0, 0))),),
+    "ABA": ((None, 1, ((1, 0, -1, -1), (0, 1, 0, 0), (0, 0, 1, 1))),),
+    "ABC": ((None, 1, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))),),
+    "AABA": ((None, 1, ((1, -1, -1, -2), (0, 1, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1))),),
+    "AABC": ((None, 1, ((1, -1, 0, -1), (0, 1, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))),),
+    "ABAC": ((None, 1, ((0, 1, 0, 1), (0, 1, 0, 0), (1, -1, 0, -1), (0, 0, 1, 0))),),
+    "ABAB": ((None, 1, ((1, 0, -1, -2), (0, 1, -1, -1), (0, 0, 1, 2), (0, 0, 1, 1))),),
+    "AABB": ((None, 2, ((1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))),),
+    "ABBC": ((None, 2, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0))),),
+    "ABCA": ((None, 1, ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),),
+    "ABCB": ((None, 1, ((1, 0, 0, 0), (0, 1, 0, -1), (0, 0, 1, 0), (0, 0, 0, 1))),),
+    # B pays b; A's last two turns cost max(c, (a - b)/2) each: (a - b)/2
+    # where a - b > 2c, c elsewhere (the two agree on a - b = 2c).
+    "BAAA": (
+        ((1, -1, -2), 2, ((0, 2, 0, 0), (0, 2, 0, -2), (1, -1, 0, 1), (1, -1, 0, 1))),
+        (None, 1, ((0, 1, 0, 0), (1, 0, -2, -2), (0, 0, 1, 1), (0, 0, 1, 1))),
+    ),
+    "BAAC": ((None, 1, ((0, 1, 0, 0), (1, 0, -1, -1), (0, 0, 1, 1), (0, 0, 1, 0))),),
+    "BAAC=": ((None, 2, ((0, 2, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0))),),
+    "BACA": ((None, 1, ((0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0), (1, 0, -1, -1))),),
 }
 
 
-def _leaf(name: str, abc: tuple) -> Leaf:
-    agents = [_AGENT_LETTERS.index(ch) for ch in name.rstrip("=")]
-    prices = [AffinePrice.of(c0, c1) for c0, c1 in _LEAVES[name](*abc)]
-    return Leaf(Pixep.of(zip(agents, prices)), name)
+def _leaf(name: str, abc: Sequence[int], scale: int) -> Leaf:
+    """The leaf game ``name`` at the sorted incomes ``abc``, integers over
+    ``scale``."""
+    denominator, positions = next(
+        (denominator, positions)
+        for guard, denominator, positions in _LEAVES[name]
+        if guard is None or _value(guard, abc) > 0
+    )
+    a, b, c = abc
+    pix = Pixep.scaled(
+        [_AGENT_LETTERS.index(ch) for ch in name.rstrip("=")],
+        [ka * a + kb * b + kc * c for ka, kb, kc, _ in positions],
+        scale * denominator,
+        [slope for *_, slope in positions],
+    )
+    return Leaf(pix, name)
 
 
-def _game(spec, abc: tuple) -> GameNode:
+def _game(spec, abc: Sequence[int], scale: int) -> GameNode:
     if isinstance(spec, str):
-        return _leaf(spec, abc)
+        return _leaf(spec, abc, scale)
     chooser, *options = spec
     return ChoiceNode(
-        agent=chooser, options=tuple((label, _game(sub, abc)) for label, sub in options)
+        agent=chooser,
+        options=tuple((label, _game(sub, abc, scale)) for label, sub in options),
     )
 
 
 def _candidate_games(
-    row: IncomeRange, t: Sequence[Fraction], m: int
+    row: IncomeRange, t: Sequence[int], scale: int, m: int
 ) -> Iterator[tuple[str, GameNode]]:
-    """Games to try for one income range, over sorted agents, in order of
-    preference: the range's primary game, then each fallback leaf,
-    labelled ``range+leaf``."""
+    """Games to try for one income range at the sorted incomes ``t``,
+    integers over ``scale``, in order of preference: the range's primary
+    game, then each fallback leaf, labelled ``range+leaf``."""
     if row.primary is None:
-        share = AffinePrice.of(Fraction(t[0], m))
-        yield row.label, Leaf(Pixep.of((0, share) for _ in range(m)), "A" * m)
+        pix = Pixep.scaled((0,) * m, (t[0],) * m, scale * m, (0,) * m)
+        yield row.label, Leaf(pix, "A" * m)
         return
     abc = (*t[:3], 0, 0)[:3]
-    yield row.label, _game(row.primary, abc)
+    yield row.label, _game(row.primary, abc, scale)
     for name in row.fallbacks:
-        yield f"{row.label}+{name}", _leaf(name, abc)
+        yield f"{row.label}+{name}", _leaf(name, abc, scale)
 
 
 @dataclass(frozen=True)
@@ -344,13 +367,13 @@ def solve(
             f"profile has {n} agents but incomes has {len(incomes)}"
         )
     m = profile[0].m
-    row = active_range(incomes, m)
+    order, t, scale = _sorted_integers(incomes)
+    row = _range_at(m, t)
 
-    order = incomes.descending_order()
-    sorted_incomes = IncomeVector.of(incomes[i] for i in order)
+    sorted_incomes = IncomeVector(tuple(incomes[i] for i in order))
     sorted_profile = [profile[i] for i in order]
 
-    for game_label, game in _candidate_games(row, sorted_incomes.t, m):
+    for game_label, game in _candidate_games(row, t, scale, m):
         try:
             execution, sorted_pair = execute_to_ce(game, sorted_profile, sorted_incomes)
             break

@@ -19,8 +19,9 @@ from cefai.core import (
     complete_partial,
     random_preference,
 )
-from cefai.market import Allocation, IncomeVector
+from cefai.market import Allocation, IncomeVector, common_scale, scaled_integers
 from cefai.pixep import AffinePrice, ChoiceNode, Leaf, Pixep
+from cefai.solver import IncomeRange, _candidate_games, _leaf
 
 
 def is_subset(s: Bundle, t: Bundle) -> bool:
@@ -35,6 +36,20 @@ def satisfies_relations(pref: PreferenceOrder, rel: PartialRelations) -> bool:
 def scaled_incomes(incomes: IncomeVector, factor: Fraction) -> IncomeVector:
     """Every income times the same positive factor."""
     return IncomeVector.of(v * factor for v in incomes)
+
+
+def candidate_games(row: IncomeRange, incomes: IncomeVector, m: int):
+    """The solver's candidate games for ``row`` at ``incomes``, which are
+    taken in the order given (the solver passes them sorted descending)."""
+    scale = common_scale(incomes)
+    return _candidate_games(row, scaled_integers(incomes, scale), scale, m)
+
+
+def leaf_at(name: str, incomes: IncomeVector) -> Leaf:
+    """The solver's leaf game ``name`` at ``incomes``, sorted descending."""
+    scale = common_scale(incomes)
+    abc = (*scaled_integers(incomes, scale)[:3], 0, 0)[:3]
+    return _leaf(name, abc, scale)
 
 
 def chain_preference(m: int, *chain):

@@ -58,7 +58,7 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
              f"R2 {kind} at positions {k + 1}->{k + 2}: {price_k} vs {price_next}")
         )
     last_agent, last_price = pix.positions[-1]
-    present = pix.agents()
+    present = set(pix.agents)
     for j in range(n):
         if j not in present:
             constraints.append(

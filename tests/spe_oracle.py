@@ -30,7 +30,7 @@ from cefai.pixep import GameNode, Leaf, Pixep
 def _final_bundle(pix: Pixep, play: tuple[int, ...], agent: int, base: int = 0) -> int:
     bundle = base
     for pos, item in enumerate(play):
-        if pix.agent_at(pos) == agent:
+        if pix.agents[pos] == agent:
             bundle |= 1 << item
     return bundle
 
@@ -42,14 +42,14 @@ def _leaf_tree_plays(pix: Pixep, profile, m: int, history: tuple[int, ...]):
     taken = 0
     for item in history:
         taken |= 1 << item
-    mover = pix.agent_at(pos)
+    mover = pix.agents[pos]
     rank = profile[mover].rank
     prefix = _final_bundle(pix, history, mover)
 
     def value(x, play):
         bundle = prefix | (1 << x)
         for k, item in enumerate(play):
-            if pix.agent_at(pos + 1 + k) == mover:
+            if pix.agents[pos + 1 + k] == mover:
                 bundle |= 1 << item
         return rank[bundle]
 
@@ -184,7 +184,7 @@ def all_profile_spe_plays(pix: Pixep, profile) -> set[tuple[int, ...]]:
                 break
             mover_positions = None
             for h in levels[pos]:
-                mover = pix.agent_at(pos)
+                mover = pix.agents[pos]
                 rank = profile[mover].rank
                 own_play = plays_from(table, h)
                 base = _final_bundle(pix, h, mover)
@@ -212,7 +212,7 @@ def all_profile_spe_plays(pix: Pixep, profile) -> set[tuple[int, ...]]:
 def _final_bundle_from(pix: Pixep, play, start_pos: int, agent: int, base: int) -> int:
     bundle = base
     for k, item in enumerate(play):
-        if pix.agent_at(start_pos + k) == agent:
+        if pix.agents[start_pos + k] == agent:
             bundle |= 1 << item
     return bundle
 
@@ -230,8 +230,8 @@ def _reference_leaf_plays(pix: Pixep, profile, m: int, memo: dict, picked: tuple
     if pos == m:
         memo[picked] = ((),)
         return ((),)
-    mover = pix.agent_at(pos)
-    mover_later = [k for k in range(pos + 1, m) if pix.agent_at(k) == mover]
+    mover = pix.agents[pos]
+    mover_later = [k for k in range(pos + 1, m) if pix.agents[k] == mover]
     rank = profile[mover].rank
 
     remaining = [j for j in range(m) if not taken & (1 << j)]

@@ -8,6 +8,7 @@ as ``Fraction``s, and raise the same exception with the same message.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,9 @@ from cefai.pixep import (
     check_requirements,
     resolve_epsilon,
 )
-from cefai.solver import _LEAVES, _leaf, range_labels
+from cefai.solver import _LEAVES, range_labels
 
+from conftest import leaf_at
 from eps_reference import (
     reference_check_requirements,
     reference_resolve_epsilon,
@@ -128,6 +130,18 @@ def test_seeded_random_pixeps():
         assert text in texts, text
 
 
+def test_random_pixeps_round_trip():
+    # a pixep read back from its Fraction prices is the same integer data,
+    # fractional constants and ε-slopes included
+    rng = random.Random("eps-reference")
+    scales = Counter()
+    for _ in range(2000):
+        pix, _ = random_pixep(rng)
+        assert Pixep.of(pix.positions) == pix
+        scales[pix.scale > 1, pix.slope_scale > 1] += 1
+    assert all(scales[key] > 0 for key in product((False, True), repeat=2)), scales
+
+
 @given(rng=st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_hypothesis_random_pixeps(rng):
@@ -141,7 +155,6 @@ def test_solver_leaves_on_every_range(m, n):
     kinds = Counter()
     for label in range_labels(m, n):
         for incomes in stratified_incomes(m, n, label, seed=7, count=10):
-            abc = (*incomes.t[:3], 0, 0)[:3]
             for name in _LEAVES:
-                kinds[compare(_leaf(name, abc).pixep, incomes)] += 1
+                kinds[compare(leaf_at(name, incomes).pixep, incomes)] += 1
     assert kinds["bounded"] + kinds["unbounded"] > 0, kinds

@@ -1,7 +1,10 @@
 """Share guarantees: maximin bundles and the generalized guarantee."""
 
+from itertools import combinations
+
 import pytest
 
+from cefai import fairness
 from cefai.core import additive_preference, random_preference
 from cefai.fairness import (
     MAX_MAXIMIN_ITEMS,
@@ -26,6 +29,44 @@ def mask_test(pref, x, l, d, r):
         if rank <= r:
             worse |= 1 << bundle
     return any(not pm & worse for pm in _unions(x, l, d)[1])
+
+
+def uncached_unions(x, l, d):
+    """What ``_unions`` returns, enumerated afresh: per partition of X into
+    d parts, the unions of l parts, and the union masks without bit 0."""
+    table = []
+    for parts in fairness._partitions(x, d):
+        table.append(tuple({
+            sum(parts[k] for k in chosen) for chosen in combinations(range(d), l)
+        }))
+    masks = {sum(1 << u for u in unions) for unions in table}
+    return tuple(table), tuple(pm for pm in masks if not pm & 1)
+
+
+class TestPartitionCache:
+    def test_one_enumeration_per_set_and_part_count(self, monkeypatch):
+        calls = []
+        enumerate_partitions = fairness._partitions
+
+        def counted(x, d):
+            calls.append((x, d))
+            return enumerate_partitions(x, d)
+
+        monkeypatch.setattr(fairness, "_partition_cache", {})
+        monkeypatch.setattr(fairness, "_union_cache", {})
+        monkeypatch.setattr(fairness, "_partitions", counted)
+        sets = [0b1, 0b1011, 0b11111, 0b110110]
+        tables = {
+            (x, l, d): _unions(x, l, d)
+            for x in sets for d in range(1, 5) for l in range(1, d + 1)
+        }
+        assert sorted(calls) == sorted((x, d) for x in sets for d in range(1, 5))
+        # a second pass enumerates nothing and returns the same tables
+        assert all(_unions(*key) is table for key, table in tables.items())
+        assert len(calls) == len(sets) * 4
+        monkeypatch.setattr(fairness, "_partitions", enumerate_partitions)
+        for key, table in tables.items():
+            assert table == uncached_unions(*key), key
 
 
 class TestMaximin:

@@ -23,9 +23,9 @@ from cefai.pixep import (
     resolve_epsilon,
     spe_outcomes,
 )
-from cefai.solver import _candidate_games, active_range, range_table
+from cefai.solver import active_range, range_table
 
-from conftest import chain_preference, random_game, random_profile
+from conftest import candidate_games, chain_preference, random_game, random_profile
 from spe_oracle import (
     all_profile_spe_plays,
     count_profiles,
@@ -126,7 +126,7 @@ class TestRequirements:
                 eps = resolve_epsilon(pix, incomes)
             except EmptyEpsilonIntervalError:
                 continue
-            assert all(price.at(eps) > 0 for _, price in pix.positions)
+            assert all(price.c0 + price.c1 * eps > 0 for _, price in pix.positions)
 
 
 class TestSpeOutcomes:
@@ -243,7 +243,7 @@ class TestSpeOrder:
             points = stratified_incomes(m, n, row.label, seed=11 + r_index, count=4)
             for k, incomes in enumerate(points):
                 profile = [random_preference(m, seed=1000 * k + 10 * n + i) for i in range(n)]
-                for _, game in _candidate_games(row, incomes.t, m):
+                for _, game in candidate_games(row, incomes, m):
                     assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
                     games += 1
         assert games >= 4 * len(range_table(m, n))
@@ -320,7 +320,7 @@ class TestExecuteToCE:
                 stratified_incomes(m, n, row.label, seed=3 + r_index, count=8)
             ):
                 profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
-                _, game = next(_candidate_games(row, incomes.t, m))
+                _, game = next(candidate_games(row, incomes, m))
                 plays = spe_outcomes(game, profile)
                 flips.clear()
                 try:
@@ -342,6 +342,6 @@ class TestExecuteToCE:
         profile = list(inst.completed_profile())
         row = active_range(inst.reference, 4)
         assert row.label == "m4n3:range3"
-        _, game = next(_candidate_games(row, inst.reference.t, 4))
+        _, game = next(candidate_games(row, inst.reference, 4))
         with pytest.raises(NoValidSpeError):
             execute_to_ce(game, profile, inst.reference)

@@ -29,7 +29,7 @@ from cefai.solver import (
     violated_hyperplane,
 )
 
-from conftest import chain_preference, scaled_incomes
+from conftest import candidate_games, chain_preference, scaled_incomes
 
 X, Y, Z = 0b001, 0b010, 0b100
 
@@ -131,13 +131,11 @@ class TestGameTable:
         # where check_requirements passes.  Every leaf of the primary game
         # passes throughout its range, and each fallback passes somewhere
         # there, so no listed fallback is never tried
-        from cefai.solver import _candidate_games
-
         (row,) = [row for row in range_table(m, n) if row.label == label]
         profile = [random_preference(m, seed=10 * n + i) for i in range(n)]
         live = set()
         for incomes in stratified_incomes(m, n, label, seed=5, count=100):
-            games = _candidate_games(row, incomes.t, m)
+            games = candidate_games(row, incomes, m)
             _, primary = next(games)
             for leaf in leaves(primary):
                 assert _passes_requirements(leaf, incomes), (leaf.label, incomes)
@@ -153,9 +151,9 @@ class TestGameTable:
         # a game to skip
         from cefai import solver
 
-        monkeypatch.setitem(
-            solver._LEAVES, "AABA", lambda a, b, c: ((c, 0), (a - b - c, 0), (b, 0), (b, 0))
-        )
+        # the prices c, a - b - c, b, b, each with ε-slope 0
+        broken = ((0, 0, 1, 0), (1, -1, -1, 0), (0, 1, 0, 0), (0, 1, 0, 0))
+        monkeypatch.setitem(solver._LEAVES, "AABA", ((None, 1, broken),))
         profile = [random_preference(4, seed=s) for s in (1, 2, 3)]
         with pytest.raises(AssertionError, match="m4n3:range1 primary"):
             solve(profile, IncomeVector.of([20, 7, 3]))
