@@ -47,11 +47,18 @@ fraction-free (Edmonds-Bareiss, exact division) and follow Bland's
 rule, so the simplex cannot cycle.  A positive optimum gives prices
 through the multipliers of the tight rows.  Otherwise the dual solution
 is a Farkas certificate: every solution has
-``s = sum(y_r s) <= sum(y_r (a_r·z + c_r)) = sum(y_r c_r) <= 0``.  The
-certificate is checked in integers before an allocation counts as
-infeasible, just as ``ce_exists`` re-checks each witness with
-``verify_ce``; nothing is rounded, so boundary cases can never be
-fabricated or lost.
+``s = sum(y_r s) <= sum(y_r (a_r·z + c_r)) = sum(y_r c_r) <= 0``.
+
+Most infeasible systems are closed before the simplex by two rows
+alone: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
+``c_r + c_r' <= 0``, or one row with ``a = 0`` and ``c <= 0`` (the same
+row taken twice).  Then ``y = e_r + e_r'`` over ``d = 2`` is a Farkas
+certificate, since every solution has
+``s <= ½(a_r·z + c_r) + ½(-a_r·z + c_r') = ½(c_r + c_r') <= 0``.  Every
+certificate, from the pair search or the simplex, goes through the
+same integer check before an allocation counts as infeasible, just as
+``ce_exists`` re-checks each witness with ``verify_ce``; nothing is
+rounded, so boundary cases can never be fabricated or lost.
 
 Two cheap necessary conditions, compared on the scaled integer incomes,
 prune allocations before the LP runs; both are provable consequences of
@@ -60,6 +67,7 @@ the full system, so pruning never changes the answer.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -128,12 +136,14 @@ class _MarketRows:
 def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
     """The system ``s <= a·z + c`` of one allocation, scaled by ``rows.scale``.
 
-    Returns ``(items, bundles, a, c)``: the free items ascending, the
-    non-empty bundles as (lowest item bit, other items, scaled income),
-    and per distinct ``a`` the vector over the free items with its
-    smallest ``c``.  Column 0 is ``a = 0`` (the cap ``s <= 1`` among
-    others) and column ``1 + f`` is ``a = e_f`` (the floor row of the
-    f-th free item), which gives the simplex its starting basis.
+    Returns ``(items, bundles, a, c, pair)``: the free items ascending,
+    the non-empty bundles as (lowest item bit, other items, scaled
+    income), per distinct ``a`` the vector over the free items with its
+    smallest ``c``, and the first two columns ``r <= r'`` with
+    ``a_r = -a_r'`` and ``c_r + c_r' <= 0`` (``r = r'`` for ``a = 0``),
+    or None.  Column 0 is ``a = 0`` (the cap ``s <= 1`` among others) and
+    column ``1 + f`` is ``a = e_f`` (the floor row of the f-th free
+    item), which gives the simplex its starting basis.
     """
     m = rows.m
     income = rows.income
@@ -170,7 +180,18 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
             if old is None or c < old:
                 best[key] = c
     a = [[(key >> j & 1) - (key >> (m + j) & 1) for j in items] for key in best]
-    return items, bundles, a, list(best.values())
+    # Two opposite rows whose c sum to at most 0 close the system on their
+    # own (the a = 0 row is its own opposite).  Negating a swaps the +1
+    # half of its key with the -1 half.
+    half = (1 << m) - 1
+    pair = None
+    for r, (key, c) in enumerate(best.items()):
+        opposite = key >> m | (key & half) << m
+        other = best.get(opposite)
+        if other is not None and c + other <= 0:
+            pair = r, list(best).index(opposite)
+            break
+    return items, bundles, a, list(best.values()), pair
 
 
 def _dual_simplex(a: list[list[int]], c: list[int]):
@@ -249,7 +270,7 @@ def _check_farkas(a: list[list[int]], c: list[int], y: dict[int, int], d: int) -
         or any(sum(v * a[j][f] for j, v in y.items()) for f in range(len(a[0])))
         or sum(v * c[j] for j, v in y.items()) > 0
     ):
-        raise AssertionError("Farkas certificate failed its check; the simplex is buggy")
+        raise AssertionError("Farkas certificate failed its check; the oracle is buggy")
 
 
 def feasible_ce_prices(
@@ -272,7 +293,10 @@ def feasible_ce_prices(
             f"allocation of {allocation.m} items to {allocation.n} agents, market has "
             f"{rows.m} items and {len(rows.income)} agents"
         )
-    items, bundles, a, c = _slack_rows(rows, allocation.bundles)
+    items, bundles, a, c, pair = _slack_rows(rows, allocation.bundles)
+    if pair is not None:
+        _check_farkas(a, c, Counter(pair), 2)
+        return None
     y, reduced, d = _dual_simplex(a, c)
     if reduced[-1] >= 0:  # the largest slack is not positive
         _check_farkas(a, c, y, d)

@@ -78,16 +78,6 @@ class AffinePrice:
     c0: Fraction
     c1: Fraction = Fraction(0)
 
-    @staticmethod
-    def of(c0: Fraction | int | str, c1: Fraction | int | str = 0) -> "AffinePrice":
-        return AffinePrice(Fraction(c0), Fraction(c1))
-
-    def __add__(self, other: "AffinePrice") -> "AffinePrice":
-        return AffinePrice(self.c0 + other.c0, self.c1 + other.c1)
-
-    def __sub__(self, other: "AffinePrice") -> "AffinePrice":
-        return AffinePrice(self.c0 - other.c0, self.c1 - other.c1)
-
     def __str__(self) -> str:
         if self.c1 == 0:
             return str(self.c0)

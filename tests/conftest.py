@@ -20,8 +20,10 @@ from cefai.core import (
     random_preference,
 )
 from cefai.market import Allocation, IncomeVector, common_scale, scaled_integers
-from cefai.pixep import AffinePrice, ChoiceNode, Leaf, Pixep
+from cefai.pixep import ChoiceNode, Leaf, Pixep
 from cefai.solver import IncomeRange, _candidate_games, _leaf
+
+from eps_reference import affine
 
 
 def is_subset(s: Bundle, t: Bundle) -> bool:
@@ -58,7 +60,7 @@ def chain_preference(m: int, *chain):
 
 
 def zero_priced_pixep(agents: list[int]) -> Pixep:
-    return Pixep.of((agent, AffinePrice.of(0)) for agent in agents)
+    return Pixep.of((agent, affine(0)) for agent in agents)
 
 
 def random_leaf_game(rng: random.Random, m: int, n: int) -> Leaf:

@@ -23,6 +23,19 @@ from cefai.pixep import (
 )
 
 
+def affine(c0: Fraction | int | str, c1: Fraction | int | str = 0) -> AffinePrice:
+    """The price ``c0 + c1·ε`` with ``Fraction`` coefficients."""
+    return AffinePrice(Fraction(c0), Fraction(c1))
+
+
+def plus(p: AffinePrice, q: AffinePrice) -> AffinePrice:
+    return AffinePrice(p.c0 + q.c0, p.c1 + q.c1)
+
+
+def minus(p: AffinePrice, q: AffinePrice) -> AffinePrice:
+    return AffinePrice(p.c0 - q.c0, p.c1 - q.c1)
+
+
 def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     """Verify R1 exactly and intersect all R2/R3 constraints on ε.
 
@@ -38,7 +51,7 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
 
     sums: dict[int, AffinePrice] = {}
     for agent, price in pix.positions:
-        sums[agent] = sums.get(agent, AffinePrice.of(0)) + price
+        sums[agent] = plus(sums.get(agent, affine(0)), price)
     for agent, total in sums.items():
         if total.c0 != incomes[agent] or total.c1 != 0:
             raise R1ViolationError(
@@ -50,7 +63,7 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
     for k in range(pix.m - 1):
         agent_k, price_k = pix.positions[k]
         agent_next, price_next = pix.positions[k + 1]
-        diff = price_k - price_next
+        diff = minus(price_k, price_next)
         strict = agent_k != agent_next
         kind = "switch" if strict else "run"
         constraints.append(
@@ -102,9 +115,9 @@ def reference_sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | N
     limit.
     """
     prices = [price for _, price in pix.positions]
-    subset_sums = [AffinePrice.of(0)]
+    subset_sums = [affine(0)]
     for price in prices:
-        subset_sums += [total + price for total in subset_sums]
+        subset_sums += [plus(total, price) for total in subset_sums]
     bound: Fraction | None = None
     for total in subset_sums:
         for t in incomes:

@@ -12,10 +12,11 @@ import pytest
 
 from cefai.instances import stratified_incomes
 from cefai.market import IncomeVector, common_scale, scaled_integers
-from cefai.pixep import AffinePrice, Pixep
+from cefai.pixep import Pixep
 from cefai.solver import _LEAVES, _leaf, range_labels, range_table
 
 from conftest import candidate_games, leaf_at
+from eps_reference import affine
 from leaf_reference import reference_prices
 
 SIZES = [(1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
@@ -47,7 +48,7 @@ def test_equal_split_of_one_agent(m):
     for incomes in stratified_incomes(m, 1, row.label, seed=13, count=10):
         ((label, game),) = candidate_games(row, incomes, m)
         assert label == f"m{m}n1" and game.label == "A" * m
-        assert game.pixep.positions == ((0, AffinePrice.of(incomes[0] / m)),) * m
+        assert game.pixep.positions == ((0, affine(incomes[0] / m)),) * m
         assert Pixep.of(game.pixep.positions) == game.pixep
 
 

@@ -17,6 +17,7 @@ from cefai.market import (
     PriceVector,
     verify_ce,
 )
+from cefai import oracle
 from cefai.oracle import (
     InstanceTooLargeError,
     _check_farkas,
@@ -133,7 +134,7 @@ class TestFarkasCertificate:
         # prefilters, and its certificate combines two rows.
         inst = counterexample_4x3()
         rows = _MarketRows(list(inst.completed_profile()), inst.reference)
-        _, _, a, c = _slack_rows(rows, (0b0101, 0b1000, 0b0010))
+        _, _, a, c, _ = _slack_rows(rows, (0b0101, 0b1000, 0b0010))
         y, reduced, d = _dual_simplex(a, c)
         assert reduced[-1] >= 0  # no positive slack
         assert sum(1 for v in y.values() if v > 0) >= 2
@@ -163,6 +164,101 @@ class TestFarkasCertificate:
         assert sum(v * raised[i] for i, v in y.items()) > 0
         with pytest.raises(AssertionError):
             _check_farkas(a, raised, y, d)
+
+
+
+class TestPairCertificate:
+    """Two opposite rows close most infeasible systems before the simplex,
+    and their certificate goes through the same integer check."""
+
+    # Alice owns items 0 and 2, Bob item 3 and Carl item 1: its only free
+    # price is item 2's, bounded by the rows z >= 7 and z <= 6.
+    CLOSED = (0b0101, 0b1000, 0b0010)
+
+    def market(self):
+        inst = counterexample_4x3()
+        return list(inst.completed_profile()), inst.reference
+
+    def system(self, bundles):
+        return _slack_rows(_MarketRows(*self.market()), bundles)
+
+    @staticmethod
+    def opposite(a, r, q):
+        return a[r] == [-x for x in a[q]]
+
+    def test_closes_without_the_simplex(self, monkeypatch):
+        _, _, a, c, (r, q) = self.system(self.CLOSED)
+        assert r != q and self.opposite(a, r, q) and c[r] + c[q] <= 0
+
+        def no_simplex(*args):
+            raise RuntimeError("the simplex ran")
+
+        monkeypatch.setattr(oracle, "_dual_simplex", no_simplex)
+        allocation = Allocation(m=4, bundles=self.CLOSED)
+        assert feasible_ce_prices(*self.market(), allocation) is None
+
+    def test_certificate_is_checked_not_trusted(self, monkeypatch):
+        _, _, a, c, (r, q) = self.system(self.CLOSED)
+        seen = []
+
+        def reject(*certificate):
+            seen.append(certificate)
+            raise AssertionError("certificate rejected")
+
+        monkeypatch.setattr(oracle, "_check_farkas", reject)
+        allocation = Allocation(m=4, bundles=self.CLOSED)
+        with pytest.raises(AssertionError, match="certificate rejected"):
+            feasible_ce_prices(*self.market(), allocation)
+        # checked against the whole system, with y = e_r + e_q over d = 2
+        assert seen == [(a, c, {r: 1, q: 1}, 2)]
+
+    def test_positive_sum_rejected(self):
+        # Alice owns items 0 and 1, Bob item 3 and Carl item 2: the rows
+        # z >= 6 and z <= 10 on item 1's price are opposite but leave room
+        # (this system is closed by an a = 0 row with c = -1 instead).
+        _, _, a, c, pair = self.system((0b0011, 0b1000, 0b0100))
+        r, q = next(
+            (r, q)
+            for r in range(len(a))
+            for q in range(r + 1, len(a))
+            if self.opposite(a, r, q) and c[r] + c[q] > 0
+        )
+        assert pair == (0, 0) and c[0] < 0
+        with pytest.raises(AssertionError):
+            _check_farkas(a, c, {r: 1, q: 1}, 2)
+
+    def test_rows_not_opposite_rejected(self):
+        _, _, a, c, _ = self.system(self.CLOSED)
+        r, q = next(
+            (r, q)
+            for r in range(len(a))
+            for q in range(r + 1, len(a))
+            if not self.opposite(a, r, q) and c[r] + c[q] <= 0
+        )
+        with pytest.raises(AssertionError):
+            _check_farkas(a, c, {r: 1, q: 1}, 2)
+
+    def test_agrees_with_the_simplex(self, rng):
+        closed = Counter()
+        for _ in range(60):
+            m, n = rng.randint(2, 4), rng.randint(2, 3)
+            incomes = IncomeVector.of(
+                Fraction(rng.randint(1, 12), rng.choice([1, 2, 3])) for _ in range(n)
+            )
+            profile = [
+                random_preference(m, seed=rng.randrange(10**6)) for _ in range(n)
+            ]
+            rows = _MarketRows(profile, incomes)
+            for alloc in every_allocation(m, n):
+                _, _, a, c, pair = _slack_rows(rows, alloc.bundles)
+                _, reduced, _ = _dual_simplex(a, c)
+                if pair is not None:
+                    assert reduced[-1] >= 0, alloc.bundles
+                    closed["zero" if pair[0] == pair[1] else "pair"] += 1
+                elif reduced[-1] >= 0:
+                    closed["simplex"] += 1
+        # every path closes some systems
+        assert min(closed[k] for k in ("zero", "pair", "simplex")) > 0, closed
 
 
 class TestPrefilters:

@@ -9,7 +9,6 @@ from cefai.instances import counterexample_4x3, stratified_incomes
 from cefai.market import DimensionMismatchError, IncomeVector
 from cefai import pixep
 from cefai.pixep import (
-    AffinePrice,
     ChoiceNode,
     EmptyEpsilonIntervalError,
     Leaf,
@@ -26,6 +25,7 @@ from cefai.pixep import (
 from cefai.solver import active_range, range_table
 
 from conftest import candidate_games, chain_preference, random_game, random_profile
+from eps_reference import affine
 from spe_oracle import (
     all_profile_spe_plays,
     count_profiles,
@@ -39,9 +39,9 @@ X, Y, Z = 0b001, 0b010, 0b100
 def aba_pixep(a, b, c):
     return Pixep.of(
         [
-            (0, AffinePrice.of(a - c, -1)),
-            (1, AffinePrice.of(b)),
-            (0, AffinePrice.of(c, +1)),
+            (0, affine(a - c, -1)),
+            (1, affine(b)),
+            (0, affine(c, +1)),
         ]
     )
 
@@ -59,9 +59,9 @@ class TestRequirements:
         # prices a-2b-2ε, b+ε, b+ε with incomes 10, 3: run constraint caps ε at 1/3
         pix = Pixep.of(
             [
-                (0, AffinePrice.of(4, -2)),
-                (0, AffinePrice.of(3, +1)),
-                (0, AffinePrice.of(3, +1)),
+                (0, affine(4, -2)),
+                (0, affine(3, +1)),
+                (0, affine(3, +1)),
             ]
         )
         incomes = IncomeVector.of([10, 3])
@@ -73,7 +73,7 @@ class TestRequirements:
         # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
         # ε <= 10, and 12-ε meets the income at ε = 8, so the cap 8/2 lies
         # below the interval and ε is its midpoint
-        pix = Pixep.of([(0, AffinePrice.of(12, -1)), (0, AffinePrice.of(-8, +1))])
+        pix = Pixep.of([(0, affine(12, -1)), (0, affine(-8, +1))])
         incomes = IncomeVector.of([4])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (8, 10)
@@ -84,34 +84,34 @@ class TestRequirements:
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3
         pix = Pixep.of(
             [
-                (0, AffinePrice.of(2, -2)),
-                (0, AffinePrice.of(3, +1)),
-                (0, AffinePrice.of(3, +1)),
+                (0, affine(2, -2)),
+                (0, affine(3, +1)),
+                (0, affine(3, +1)),
             ]
         )
         with pytest.raises(EmptyEpsilonIntervalError):
             check_requirements(pix, IncomeVector.of([8, 3]))
 
     def test_r1_violation_names_agent(self):
-        pix = Pixep.of([(0, AffinePrice.of(5)), (1, AffinePrice.of(4))])
+        pix = Pixep.of([(0, affine(5)), (1, affine(4))])
         with pytest.raises(R1ViolationError) as err:
             check_requirements(pix, IncomeVector.of([5, 3]))
         assert err.value.agent == 1
 
     def test_r1_requires_epsilon_terms_to_cancel(self):
-        pix = Pixep.of([(0, AffinePrice.of(3, +1)), (0, AffinePrice.of(2, +1))])
+        pix = Pixep.of([(0, affine(3, +1)), (0, affine(2, +1))])
         with pytest.raises(R1ViolationError):
             check_requirements(pix, IncomeVector.of([5]))
 
     def test_r3_absent_agent_constraint(self):
         # last price b must strictly exceed the absent agent's income
-        pix = Pixep.of([(0, AffinePrice.of(7)), (1, AffinePrice.of(4))])
+        pix = Pixep.of([(0, affine(7)), (1, affine(4))])
         assert check_requirements(pix, IncomeVector.of([7, 4, 3])).hi is None
         with pytest.raises(EmptyEpsilonIntervalError):
             check_requirements(pix, IncomeVector.of([7, 4, 5]))
 
     def test_unknown_agent_rejected(self):
-        pix = Pixep.of([(3, AffinePrice.of(5))])
+        pix = Pixep.of([(3, affine(5))])
         with pytest.raises(DimensionMismatchError):
             check_requirements(pix, IncomeVector.of([5, 3]))
 
@@ -137,11 +137,11 @@ class TestSpeOutcomes:
         return [alice, bob]
 
     def test_worked_example_allocation(self):
-        game = Leaf(Pixep.of([(0, AffinePrice.of(0))] * 2 + [(1, AffinePrice.of(0))]))
+        game = Leaf(Pixep.of([(0, affine(0))] * 2 + [(1, affine(0))]))
         # sequence ABA: positions 0, 2 for Alice, 1 for Bob
         game = Leaf(
             Pixep.of(
-                [(0, AffinePrice.of(0)), (1, AffinePrice.of(0)), (0, AffinePrice.of(0))]
+                [(0, affine(0)), (1, affine(0)), (0, affine(0))]
             )
         )
         outcomes = spe_outcomes(game, self.worked_example())
@@ -151,7 +151,7 @@ class TestSpeOutcomes:
         assert first_picks == {1, 2}  # picking y or z first both support yz
 
     def test_two_picks_one_agent(self):
-        game = Leaf(Pixep.of([(0, AffinePrice.of(0)), (0, AffinePrice.of(0))]))
+        game = Leaf(Pixep.of([(0, affine(0)), (0, affine(0))]))
         pref = chain_preference(2, 0b01)
         outcomes = spe_outcomes(game, [pref])
         assert len(outcomes) == 2  # both pick orders, same bundle
@@ -202,7 +202,7 @@ class TestSpeOutcomes:
             n = 2
             k = rng.randint(1, m - 1)
             agents = [0] * (m - k) + [1] * k
-            game = Leaf(Pixep.of((a, AffinePrice.of(0)) for a in agents))
+            game = Leaf(Pixep.of((a, affine(0)) for a in agents))
             profile = random_profile(rng, m, n)
             for e in spe_outcomes(game, profile):
                 remaining = 0
@@ -262,7 +262,7 @@ class TestExecuteToCE:
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
 
     def test_requirements_checked_before_solving(self):
-        bad = Leaf(Pixep.of([(0, AffinePrice.of(5)), (1, AffinePrice.of(4))]))
+        bad = Leaf(Pixep.of([(0, affine(5)), (1, affine(4))]))
         pref = chain_preference(2)
         with pytest.raises(R1ViolationError):
             execute_to_ce(bad, [pref, pref], IncomeVector.of([5, 3]))
@@ -270,7 +270,7 @@ class TestExecuteToCE:
     def test_equal_incomes_break_the_last_price_requirement(self):
         # one item, two agents, equal incomes: the absent agent could always
         # afford the item, so no ε works
-        pix = Pixep.of([(0, AffinePrice.of(5))])
+        pix = Pixep.of([(0, affine(5))])
         pref = chain_preference(1)
         with pytest.raises(EmptyEpsilonIntervalError):
             execute_to_ce(Leaf(pix), [pref, pref], IncomeVector.of([5, 5]))
@@ -284,8 +284,8 @@ class TestExecuteToCE:
         profile = [alice, bob, chain_preference(3)]
         incomes = IncomeVector.of([10, 6, 3])
         good = Leaf(aba_pixep(10, 6, 3))
-        bad = Leaf(Pixep.of([(1, AffinePrice.of(3)), (1, AffinePrice.of(3)),
-                             (0, AffinePrice.of(10))]))
+        bad = Leaf(Pixep.of([(1, affine(3)), (1, affine(3)),
+                             (0, affine(10))]))
         game = ChoiceNode(agent=0, options=(("first", good), ("default", bad)))
         plays = spe_outcomes(game, profile)
         assert plays[0].path == ("first",)
