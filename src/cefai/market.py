@@ -117,7 +117,7 @@ class PriceVector:
 
     @staticmethod
     def of(values: Iterable[Fraction | int | str]) -> "PriceVector":
-        p = tuple(Fraction(v) for v in values)
+        p = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         for j, v in enumerate(p):
             if v <= 0:
                 raise ValueError(f"price of item {j} must be positive, got {v}")

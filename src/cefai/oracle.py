@@ -49,14 +49,17 @@ through the multipliers of the tight rows.  Otherwise the dual solution
 is a Farkas certificate: every solution has
 ``s = sum(y_r s) <= sum(y_r (a_r·z + c_r)) = sum(y_r c_r) <= 0``.
 
-Most infeasible systems are closed before the simplex by two rows
-alone: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
+Most infeasible systems are closed by two rows alone, while the rows
+are still being built: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
 ``c_r + c_r' <= 0``, or one row with ``a = 0`` and ``c <= 0`` (the same
 row taken twice).  Then ``y = e_r + e_r'`` over ``d = 2`` is a Farkas
 certificate, since every solution has
-``s <= ½(a_r·z + c_r) + ½(-a_r·z + c_r') = ½(c_r + c_r') <= 0``.  Every
-certificate, from the pair search or the simplex, goes through the
-same integer check before an allocation counts as infeasible, just as
+``s <= ½(a_r·z + c_r) + ½(-a_r·z + c_r') = ½(c_r + c_r') <= 0``.  The
+rows not yet built are not needed: each row is implied by the
+equilibrium conditions on its own, so the two rows hold in every system
+that contains them, and no further row can make room for ``s > 0``.
+Every certificate, from a pair or the simplex, goes through the same
+integer check before an allocation counts as infeasible, just as
 ``ce_exists`` re-checks each witness with ``verify_ce``; nothing is
 rounded, so boundary cases can never be fabricated or lost.
 
@@ -69,7 +72,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .core import Bundle, PreferenceOrder, all_bundles, items_of
@@ -133,33 +135,59 @@ class _MarketRows:
         return bundles
 
 
+def _row_vectors(keys, items: list[int], m: int) -> list[list[int]]:
+    """The vectors ``a`` over the free items of packed row keys: the items
+    with coefficient +1, then those with -1 shifted by m."""
+    return [[(key >> j & 1) - (key >> (m + j) & 1) for j in items] for key in keys]
+
+
 def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
-    """The system ``s <= a·z + c`` of one allocation, scaled by ``rows.scale``.
+    """The system ``s <= a·z + c`` of one allocation, scaled by
+    ``rows.scale``, or the rows of it that close it on their own.
 
     Returns ``(items, bundles, a, c, pair)``: the free items ascending,
     the non-empty bundles as (lowest item bit, other items, scaled
-    income), per distinct ``a`` the vector over the free items with its
-    smallest ``c``, and the first two columns ``r <= r'`` with
-    ``a_r = -a_r'`` and ``c_r + c_r' <= 0`` (``r = r'`` for ``a = 0``),
-    or None.  Column 0 is ``a = 0`` (the cap ``s <= 1`` among others) and
-    column ``1 + f`` is ``a = e_f`` (the floor row of the f-th free
-    item), which gives the simplex its starting basis.
+    income), and rows.  Each time a row is added or its ``c`` lowered,
+    its opposite (``a_r = -a_r'``) is looked up.  As soon as the two have
+    ``c_r + c_r' <= 0`` (an ``a = 0`` row with ``c <= 0`` is its own
+    opposite), the build stops: ``a`` and ``c`` hold just those rows and
+    ``pair`` is ``(0, 1)``, or ``(0, 0)`` for one row.  Otherwise ``pair``
+    is None, and ``a`` and ``c`` hold, per distinct ``a``, the vector over
+    the free items with its smallest ``c``.  Column 0 is then ``a = 0``
+    (the cap ``s <= 1`` among others) and column ``1 + f`` is ``a = e_f``
+    (the floor row of the f-th free item), which gives the simplex its
+    starting basis.
+
+    No closing pair is missed: a row's ``c`` only ever decreases, so a
+    pair that closes the whole system is seen when the later of its two
+    rows reaches its final ``c``.
     """
     m = rows.m
     income = rows.income
-    empty = [income[i] for i, own in enumerate(masks) if own == 0]
-    floor = max(empty) if empty else 0
+    floor = lows = free = 0
     bundles = []
-    free = 0
+    # Keyed by the lowest-item bits a bundle y contains (y & lows): the
+    # other items of those bundles and the sum of their owners' incomes.
+    sums = {0: (0, 0)}
     for i, own in enumerate(masks):
         if own:
             low = own & -own
-            bundles.append((low, own ^ low, income[i]))
-            free |= own ^ low
+            rest = own ^ low
+            t = income[i]
+            bundles.append((low, rest, t))
+            lows |= low
+            free |= rest
+            sums.update(
+                [(k | low, (inside | rest, c + t)) for k, (inside, c) in sums.items()]
+            )
+        elif income[i] > floor:
+            floor = income[i]
     items = items_of(free)
 
     # Row key: the items with coefficient +1 in a, then those with -1
     # shifted by m; the cap and the floors go in first, in column order.
+    # Negating a swaps the two halves of the key.
+    half = (1 << m) - 1
     best = {0: rows.scale}
     for j in items:
         best[1 << j] = -floor
@@ -169,29 +197,19 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
             groups.append((rows.better(i, own), income[i]))
     for targets, threshold in groups:
         for y in targets:
-            inside = 0
-            c = -threshold
-            for low, rest, t in bundles:
-                if y & low:
-                    inside |= rest
-                    c += t
+            inside, c = sums[y & lows]
+            c -= threshold
             key = (y & free & ~inside) | ((inside & ~y) << m)
             old = best.get(key)
             if old is None or c < old:
                 best[key] = c
-    a = [[(key >> j & 1) - (key >> (m + j) & 1) for j in items] for key in best]
-    # Two opposite rows whose c sum to at most 0 close the system on their
-    # own (the a = 0 row is its own opposite).  Negating a swaps the +1
-    # half of its key with the -1 half.
-    half = (1 << m) - 1
-    pair = None
-    for r, (key, c) in enumerate(best.items()):
-        opposite = key >> m | (key & half) << m
-        other = best.get(opposite)
-        if other is not None and c + other <= 0:
-            pair = r, list(best).index(opposite)
-            break
-    return items, bundles, a, list(best.values()), pair
+                opposite = key >> m | (key & half) << m
+                other = best.get(opposite)
+                if other is not None and c + other <= 0:
+                    keys = (key,) if key == opposite else (key, opposite)
+                    a = _row_vectors(keys, items, m)
+                    return items, bundles, a, [best[k] for k in keys], (0, len(keys) - 1)
+    return items, bundles, _row_vectors(best, items, m), list(best.values()), None
 
 
 def _dual_simplex(a: list[list[int]], c: list[int]):
@@ -338,6 +356,32 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
     return True
 
 
+def _allocations(m: int, n: int):
+    """Every allocation of m items to n agents as one list of bundles,
+    stepped in place, so a caller copies what it keeps: a mixed-radix
+    counter over agent indices, item 0 most significant, that carries
+    from the last item.  ``owner`` holds each item's agent."""
+    owner = [0] * m
+    masks = [0] * n
+    masks[0] = (1 << m) - 1
+    while True:
+        yield masks
+        item = m - 1
+        while item >= 0:
+            bit = 1 << item
+            agent = owner[item]
+            masks[agent] ^= bit
+            if agent + 1 < n:
+                owner[item] = agent + 1
+                masks[agent + 1] |= bit
+                break
+            owner[item] = 0
+            masks[0] |= bit
+            item -= 1
+        else:
+            return
+
+
 def ce_exists(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
@@ -345,8 +389,14 @@ def ce_exists(
     """First equilibrium witness in allocation-enumeration order, or None.
 
     Allocations are enumerated as a mixed-radix counter over agent
-    indices, item 0 most significant.  The witness is re-verified before
-    being returned.
+    indices, item 0 most significant, stepped in place
+    (``_allocations``).  An allocation counts as infeasible only through
+    a Farkas certificate that passes ``_check_farkas``.  Most
+    certificates take two rows of the system and are found before the
+    rest is built; that is enough, because each row is implied by the
+    equilibrium conditions on its own, so the two rows hold in every
+    system that contains them.  The witness is re-verified before being
+    returned.
     """
     n = len(profile)
     if len(incomes) != n:
@@ -357,10 +407,7 @@ def ce_exists(
     if m > MAX_ORACLE_ITEMS:
         raise InstanceTooLargeError(m)
     rows = _MarketRows(profile, incomes)
-    for assignment in product(range(n), repeat=m):
-        masks = [0] * n
-        for item, agent in enumerate(assignment):
-            masks[agent] |= 1 << item
+    for masks in _allocations(m, n):
         if not _passes_prefilters(rows, masks):
             continue
         allocation = Allocation(m=m, bundles=tuple(masks))

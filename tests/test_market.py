@@ -113,6 +113,17 @@ class TestAllocation:
         with pytest.raises(ValueError):
             PriceVector.of([1, 0])
 
+    def test_prices_of_any_exact_type(self):
+        want = (Fraction(3), Fraction(5, 2), Fraction(1, 3))
+        for values in ([3, "5/2", "1/3"], [Fraction(3), Fraction(5, 2), Fraction(1, 3)],
+                       ["3", Fraction(5, 2), "1/3"]):
+            prices = PriceVector.of(values)
+            assert prices.p == want
+            assert all(type(v) is Fraction for v in prices)
+        for bad in ([Fraction(0)], ["0"], [1, Fraction(-1, 2)], ["-3"], [-1]):
+            with pytest.raises(ValueError, match="must be positive"):
+                PriceVector.of(bad)
+
     def test_incomes_positive(self):
         with pytest.raises(ValueError):
             IncomeVector.of([1, Fraction(0)])

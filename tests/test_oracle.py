@@ -27,6 +27,7 @@ from cefai.oracle import (
     ce_exists,
     feasible_ce_prices,
 )
+from cefai.cli import _enumeration_index
 from cefai.instances import NAMED_INSTANCES, counterexample_4x3, random_generic_incomes
 from cefai.repro import certify_counterexample
 from cefai.solver import solve
@@ -39,6 +40,7 @@ from conftest import (
     tied_incomes,
 )
 from fm_reference import fm_feasible_ce_prices
+from rows_reference import reference_slack_rows
 
 
 class TestSingleItem:
@@ -134,7 +136,7 @@ class TestFarkasCertificate:
         # prefilters, and its certificate combines two rows.
         inst = counterexample_4x3()
         rows = _MarketRows(list(inst.completed_profile()), inst.reference)
-        _, _, a, c, _ = _slack_rows(rows, (0b0101, 0b1000, 0b0010))
+        _, _, a, c, _ = reference_slack_rows(rows, (0b0101, 0b1000, 0b0010))
         y, reduced, d = _dual_simplex(a, c)
         assert reduced[-1] >= 0  # no positive slack
         assert sum(1 for v in y.values() if v > 0) >= 2
@@ -180,7 +182,8 @@ class TestPairCertificate:
         return list(inst.completed_profile()), inst.reference
 
     def system(self, bundles):
-        return _slack_rows(_MarketRows(*self.market()), bundles)
+        """The whole row system, built before any pair is looked for."""
+        return reference_slack_rows(_MarketRows(*self.market()), bundles)
 
     @staticmethod
     def opposite(a, r, q):
@@ -198,7 +201,7 @@ class TestPairCertificate:
         assert feasible_ce_prices(*self.market(), allocation) is None
 
     def test_certificate_is_checked_not_trusted(self, monkeypatch):
-        _, _, a, c, (r, q) = self.system(self.CLOSED)
+        _, _, a, c, _ = self.system(self.CLOSED)
         seen = []
 
         def reject(*certificate):
@@ -209,8 +212,13 @@ class TestPairCertificate:
         allocation = Allocation(m=4, bundles=self.CLOSED)
         with pytest.raises(AssertionError, match="certificate rejected"):
             feasible_ce_prices(*self.market(), allocation)
-        # checked against the whole system, with y = e_r + e_q over d = 2
-        assert seen == [(a, c, {r: 1, q: 1}, 2)]
+        # checked on the two closing rows, with y = e_0 + e_1 over d = 2
+        [(closing, sums, y, d)] = seen
+        assert (y, d) == ({0: 1, 1: 1}, 2)
+        assert self.opposite(closing, 0, 1) and sums[0] + sums[1] <= 0
+        # both are rows of the whole system, at their smallest c or above it
+        for row, c_row in zip(closing, sums):
+            assert row in a and c[a.index(row)] <= c_row
 
     def test_positive_sum_rejected(self):
         # Alice owns items 0 and 1, Bob item 3 and Carl item 2: the rows
@@ -250,7 +258,7 @@ class TestPairCertificate:
             ]
             rows = _MarketRows(profile, incomes)
             for alloc in every_allocation(m, n):
-                _, _, a, c, pair = _slack_rows(rows, alloc.bundles)
+                _, _, a, c, pair = reference_slack_rows(rows, alloc.bundles)
                 _, reduced, _ = _dual_simplex(a, c)
                 if pair is not None:
                     assert reduced[-1] >= 0, alloc.bundles
@@ -259,6 +267,65 @@ class TestPairCertificate:
                     closed["simplex"] += 1
         # every path closes some systems
         assert min(closed[k] for k in ("zero", "pair", "simplex")) > 0, closed
+
+
+class TestRowsAgainstReference:
+    """``_slack_rows`` stops at the first pair that closes the system; the
+    reference builds every row first and then looks for a pair."""
+
+    def test_every_allocation(self, rng):
+        seen = Counter()
+        for m in range(6):
+            for n in range(1, 5):
+                for _ in range(3 if n ** m <= 81 else 1):
+                    self.check_market(random_profile(rng, m, n), tied_incomes(rng, n), seen)
+        # closed on two rows, on one a = 0 row, before some closing row had
+        # reached its smallest c, and not closed at all
+        assert min(seen[k] for k in ("pair", "zero", "early", "open")) > 0, seen
+
+    @staticmethod
+    def check_market(profile, incomes, seen):
+        rows = _MarketRows(profile, incomes)
+        for alloc in every_allocation(profile[0].m, len(profile)):
+            items, bundles, a, c, pair = _slack_rows(rows, alloc.bundles)
+            want = reference_slack_rows(rows, alloc.bundles)
+            ref_a, ref_c, ref_pair = want[2:]
+            assert (items, bundles) == want[:2], alloc.bundles
+            if ref_pair is None:
+                assert (a, c, pair) == (ref_a, ref_c, None), alloc.bundles
+                seen["open"] += 1
+                continue
+            assert pair == (0, len(a) - 1) and len(a) == len(c) <= 2, alloc.bundles
+            for row, c_row in zip(a, c):
+                assert row in ref_a, alloc.bundles
+                assert ref_c[ref_a.index(row)] <= c_row, alloc.bundles
+                seen["early"] += ref_c[ref_a.index(row)] < c_row
+            _check_farkas(a, c, Counter(pair), 2)
+            _, reduced, _ = _dual_simplex(ref_a, ref_c)
+            assert reduced[-1] >= 0, alloc.bundles
+            seen["zero" if len(a) == 1 else "pair"] += 1
+
+
+class TestEnumerationOrder:
+    """``ce_exists`` steps its allocation counter in place, in the order of
+    ``every_allocation``, which ``cli._enumeration_index`` numbers."""
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_counter_order(self, monkeypatch, m, n):
+        visited = []
+
+        def record(rows, masks):
+            visited.append(tuple(masks))
+            return False
+
+        monkeypatch.setattr(oracle, "_passes_prefilters", record)
+        profile = [random_preference(m, seed=seed) for seed in range(n)]
+        assert ce_exists(profile, IncomeVector.of(range(1, n + 1))) is None
+        assert visited == [alloc.bundles for alloc in every_allocation(m, n)]
+        for position, bundles in enumerate(visited):
+            allocation = Allocation(m=m, bundles=bundles)
+            assert _enumeration_index(allocation, n) == position
 
 
 class TestPrefilters:
