@@ -63,18 +63,32 @@ integer check before an allocation counts as infeasible, just as
 ``ce_exists`` re-checks each witness with ``verify_ce``; nothing is
 rounded, so boundary cases can never be fabricated or lost.
 
-Two cheap necessary conditions, compared on the scaled integer incomes,
-prune allocations before the LP runs; both are provable consequences of
-the full system, so pruning never changes the answer.
+Three cheap necessary conditions prune allocations before any row is
+built; each is a provable consequence of the full system, so pruning
+never changes the answer, the first witness or its prices.  Two compare
+the scaled integer incomes.  The third is Pareto efficiency, which every
+equilibrium has: no two agents i and j can share ``U = X_i ∪ X_j`` out
+anew so that both gain, and i cannot split U into two halves it both
+prefers to ``X_i`` when j's income is at most i's.  In the oracle's
+terms, every solution with ``s > 0`` prices a subset y of U that i
+prefers at ``s <= p(y) - t_i`` and a ``U - y`` that j prefers at
+``s <= p(U - y) - t_j`` (a row of the system, or implied by the floor
+rows when the bundle holds the own one); the two sum to
+``2s <= p(U) - t_i - t_j``, which is at most 0 since the budgets give
+``p(U) <= t_i + t_j``.  For a split both rows carry ``t_i``, and the sum
+``2s <= p(U) - 2 t_i`` is at most ``t_j - t_i <= 0``.  Each agent's
+preferences are held as one bitset per rank over the ``2^m`` bundles,
+so a pair is tested with a few integer operations per item of U
+(``_passes_prefilters``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
-from .core import Bundle, PreferenceOrder, all_bundles, items_of
+from .core import Bundle, PreferenceOrder, items_of
 from .market import (
     Allocation,
     CEPair,
@@ -100,14 +114,20 @@ class _MarketRows:
     """What every allocation of one market shares: the incomes scaled to
     integers by their common denominator; for each agent, the other
     agents whose income is at most its own (prefilter (2)); and for each
-    agent and own bundle the bundles the agent prefers that do not
-    contain it (a bundle containing the own one costs more than the
-    income anyway).  Agents with different item universes are refused.
+    agent and rank ``r`` the bitset over the ``2^m`` bundles (bit ``y``
+    for bundle ``y``) of those the agent ranks above ``r``.  Agents with
+    different item universes are refused.
 
-    The bundle lists are built on first use and kept as lists, not
-    tuples: CPython keeps freed tuples of every length up to 20 on free
-    lists that only a full garbage collection empties, and these lists
-    come in many lengths.
+    ``sub[U]`` is the bitset of the subsets of ``U``, and ``blocks[low]``
+    the bitset of the bundles that contain the item with bit ``low``;
+    both depend on m alone.
+
+    For each agent and own bundle, ``better`` lists the bundles the agent
+    prefers that do not contain it (a bundle containing the own one costs
+    more than the income anyway).  The lists are built on first use and
+    kept as lists, not tuples: CPython keeps freed tuples of every length
+    up to 20 on free lists that only a full garbage collection empties,
+    and these lists come in many lengths.
     """
 
     def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
@@ -121,18 +141,59 @@ class _MarketRows:
             [j for j, t in enumerate(self.income) if j != i and t <= own]
             for i, own in enumerate(self.income)
         ]
+        self.sub, self.blocks = _bundle_sets(self.m)
+        self.above = [_above(pref) for pref in profile]
         self._better: list[dict[Bundle, list[Bundle]]] = [{} for _ in profile]
 
     def better(self, agent: int, own: Bundle) -> list[Bundle]:
         bundles = self._better[agent].get(own)
         if bundles is None:
-            rank = self.profile[agent].rank
-            own_rank = rank[own]
-            bundles = [
-                y for y in all_bundles(self.m) if rank[y] > own_rank and y & own != own
-            ]
+            full = (1 << self.m) - 1
+            supersets = self.sub[full ^ own] << own
+            bits = self.above[agent][self.profile[agent].rank[own]] & ~supersets
+            bundles = []
+            while bits:
+                low = bits & -bits
+                bundles.append(low.bit_length() - 1)
+                bits ^= low
             self._better[agent][own] = bundles
         return bundles
+
+
+def _above(pref: PreferenceOrder) -> list[int]:
+    """For each rank r, the bitset of the bundles ``pref`` ranks above r."""
+    ranking = pref.ranking()
+    above = [0] * len(ranking)
+    bits = 0
+    for r in range(len(ranking) - 1, -1, -1):
+        above[r] = bits
+        bits |= 1 << ranking[r]
+    return above
+
+
+@cache
+def _bundle_sets(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """``sub[U]``, the bitset of the subsets of U for every bundle U, and
+    ``blocks[1 << g]``, the bitset of the bundles that contain item g.
+
+    The subsets of U that contain its highest item g are those of
+    ``U - {g}`` shifted up by ``2^g`` bit positions."""
+    sub = [1]
+    for g in range(m):
+        sub += [bits | bits << (1 << g) for bits in sub]
+    full = (1 << m) - 1
+    return tuple(sub), {1 << g: sub[full] ^ sub[full ^ 1 << g] for g in range(m)}
+
+
+def _flip(bits: int, u: Bundle, blocks: dict[int, int]) -> int:
+    """``{y ^ u : y in bits}``: for each item of u, the bundles holding it
+    swap places with those that lack it, one block shift each."""
+    while u:
+        low = u & -u
+        u ^= low
+        block = blocks[low]
+        bits = (bits & block) >> low | (bits << low) & block
+    return bits
 
 
 def _row_vectors(keys, items: list[int], m: int) -> list[list[int]]:
@@ -281,14 +342,24 @@ def _eliminate(row: list[int], pivot: list[int], q: int, e: int, d: int) -> list
 def _check_farkas(a: list[list[int]], c: list[int], y: dict[int, int], d: int) -> None:
     """Raise unless ``y / d`` proves that no solution has ``s > 0``:
     ``y >= 0``, ``sum(y) = d > 0``, ``sum(y a) = 0`` and ``sum(y c) <= 0``."""
+    total = [0] * len(a[0])
+    objective = 0
+    for j, v in y.items():
+        total = [t + v * x for t, x in zip(total, a[j])]
+        objective += v * c[j]
     if (
         d <= 0
         or any(v < 0 for v in y.values())
         or sum(y.values()) != d
-        or any(sum(v * a[j][f] for j, v in y.items()) for f in range(len(a[0])))
-        or sum(v * c[j] for j, v in y.items()) > 0
+        or any(total)
+        or objective > 0
     ):
         raise AssertionError("Farkas certificate failed its check; the oracle is buggy")
+
+
+# The certificates of a closing pair of rows, y = e_0 + e_1 over d = 2, and
+# of one a = 0 row with c <= 0, y = 2 e_0 over d = 2.
+_PAIR_CERTIFICATES = {(0, 1): {0: 1, 1: 1}, (0, 0): {0: 2}}
 
 
 def feasible_ce_prices(
@@ -313,7 +384,7 @@ def feasible_ce_prices(
         )
     items, bundles, a, c, pair = _slack_rows(rows, allocation.bundles)
     if pair is not None:
-        _check_farkas(a, c, Counter(pair), 2)
+        _check_farkas(a, c, _PAIR_CERTIFICATES[pair], 2)
         return None
     y, reduced, d = _dual_simplex(a, c)
     if reduced[-1] >= 0:  # the largest slack is not positive
@@ -332,13 +403,24 @@ def feasible_ce_prices(
 
 def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
     """Cheap necessary conditions for equilibrium feasibility, decided on
-    the scaled integer incomes.
+    the scaled integer incomes and the preference bitsets.
 
     (1) every item must cost more than any empty-handed agent's income,
-    so a k-item bundle's owner needs an income above k times that; and
+    so a k-item bundle's owner needs an income above k times that;
     (2) an agent never affords another's bundle priced at a smaller or
     equal income, so preferring it is immediately fatal (the empty
-    bundle ranks lowest, so it is never preferred).
+    bundle ranks lowest, so it is never preferred); and
+    (3) no two agents i and j can improve on their bundles by sharing
+    ``U = X_i ∪ X_j`` out anew, since every equilibrium is Pareto
+    efficient.  Rejected are a re-split, a subset ``y`` of U that i
+    prefers to ``X_i`` while j prefers ``U - y`` to ``X_j``, and, when
+    ``t_j <= t_i``, a split whose two halves i both prefers to ``X_i``.
+    The two rows these stand for sum to ``2s <= p(U) - t_i - t_j <= 0``
+    for a re-split and to ``2s <= p(U) - 2 t_i <= t_j - t_i <= 0`` for a
+    split (the budgets give ``p(U) <= t_i + t_j``), so neither system
+    admits ``s > 0``.  ``gain & sub[U]`` is the bitset of the subsets of
+    U an agent prefers to its own bundle, and ``_flip`` maps each y to
+    ``U - y``.
     """
     income = rows.income
     empty = [income[i] for i, own in enumerate(masks) if own == 0]
@@ -347,11 +429,27 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
         for j, own in enumerate(masks):
             if own and income[j] <= own.bit_count() * floor:
                 return False
+    gains = []
     for i, pref in enumerate(rows.profile):
         rank = pref.rank
         own_rank = rank[masks[i]]
         for j in rows.poorer[i]:
             if rank[masks[j]] > own_rank:
+                return False
+        gains.append(rows.above[i][own_rank])
+    sub = rows.sub
+    blocks = rows.blocks
+    for i, own in enumerate(masks):
+        gain = gains[i]
+        for j in range(i + 1, len(masks)):
+            u = own | masks[j]
+            mine = gain & sub[u]
+            if mine and mine & _flip(gains[j] & sub[u], u, blocks):
+                return False
+        for j in rows.poorer[i]:
+            u = own | masks[j]
+            mine = gain & sub[u]
+            if mine and mine & _flip(mine, u, blocks):
                 return False
     return True
 

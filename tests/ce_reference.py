@@ -166,29 +166,69 @@ def reference_audit_ce_fairness(
     )
 
 
-def reference_passes_prefilters(
+def reference_pareto_improvable(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
     masks: Sequence[Bundle],
 ) -> bool:
-    """Cheap necessary conditions for equilibrium feasibility.
+    """Prefilter (3): two agents i and j could share ``U = X_i ∪ X_j`` out
+    anew so that i gets a subset y of U it prefers to ``X_i`` and either
+    j gets ``U - y`` and prefers it to ``X_j``, or j's income is at most
+    i's and i also prefers ``U - y`` to ``X_i``."""
+    for i, pref in enumerate(profile):
+        own_rank = pref.rank[masks[i]]
+        for j, other in enumerate(profile):
+            if j == i:
+                continue
+            union = masks[i] | masks[j]
+            for y in all_bundles(profile[0].m):
+                if y & ~union or pref.rank[y] <= own_rank:
+                    continue
+                rest = union & ~y
+                if other.rank[rest] > other.rank[masks[j]]:
+                    return True
+                if incomes[j] <= incomes[i] and pref.rank[rest] > own_rank:
+                    return True
+    return False
+
+
+def reference_rejecting_rule(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    masks: Sequence[Bundle],
+) -> int | None:
+    """The first of the oracle's prefilters the allocation fails, or None.
 
     (1) every item must cost more than any empty-handed agent's income,
-    so a k-item bundle's owner needs an income above k times that; and
+    so a k-item bundle's owner needs an income above k times that;
     (2) an agent never affords another's bundle priced at a smaller or
-    equal income, so preferring it is immediately fatal.
+    equal income, so preferring it is immediately fatal; and
+    (3) no two agents can both gain, or one gain twice over a poorer
+    one, by sharing their bundles out anew
+    (``reference_pareto_improvable``).
     """
     empty_income = [incomes[i] for i in range(len(masks)) if masks[i] == 0]
     if empty_income:
         floor = max(empty_income)
         for j, own in enumerate(masks):
             if own and incomes[j] <= own.bit_count() * floor:
-                return False
+                return 1
     for i, pref in enumerate(profile):
         own_rank = pref.rank[masks[i]]
         for j, other in enumerate(masks):
             if j == i or other == 0:
                 continue
             if incomes[j] <= incomes[i] and pref.rank[other] > own_rank:
-                return False
-    return True
+                return 2
+    if reference_pareto_improvable(profile, incomes, masks):
+        return 3
+    return None
+
+
+def reference_passes_prefilters(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    masks: Sequence[Bundle],
+) -> bool:
+    """True iff the allocation passes all three of the oracle's prefilters."""
+    return reference_rejecting_rule(profile, incomes, masks) is None

@@ -7,15 +7,24 @@ opposite rows that close it.  The oracle's ``_slack_rows`` stops as soon
 as such a pair appears, so the tests compare the two: the oracle must
 close early exactly when this reference finds a pair, every row it
 returns must be a row of this system, and a system it does not close
-must equal this one row for row.
+must equal this one row for row.  Each agent's target bundles come from
+``reference_better``, a full scan of the ``2^m`` bundles, so that the
+oracle's own ``_MarketRows.better`` can be compared against it too.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from cefai.core import Bundle, items_of
+from cefai.core import Bundle, PreferenceOrder, all_bundles, items_of
 from cefai.oracle import _MarketRows
+
+
+def reference_better(pref: PreferenceOrder, own: Bundle) -> list[Bundle]:
+    """The bundles ``pref`` ranks above ``own`` that do not contain it,
+    ascending."""
+    own_rank = pref.rank[own]
+    return [y for y in all_bundles(pref.m) if pref.rank[y] > own_rank and y & own != own]
 
 
 def reference_slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
@@ -51,7 +60,7 @@ def reference_slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
     groups = [([low for low, _, _ in bundles], floor)]
     for i, own in enumerate(masks):
         if own:
-            groups.append((rows.better(i, own), income[i]))
+            groups.append((reference_better(rows.profile[i], own), income[i]))
     for targets, threshold in groups:
         for y in targets:
             inside = 0

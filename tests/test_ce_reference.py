@@ -103,7 +103,7 @@ class TestAgainstReference:
             assert got.violations == want.violations
 
 
-MARKETS_PER_CELL = 8
+MARKETS_PER_CELL = 12
 
 
 def _prefilter_markets():

@@ -23,6 +23,7 @@ from cefai.oracle import (
     _check_farkas,
     _dual_simplex,
     _MarketRows,
+    _passes_prefilters,
     _slack_rows,
     ce_exists,
     feasible_ce_prices,
@@ -39,8 +40,9 @@ from conftest import (
     scaled_incomes,
     tied_incomes,
 )
+from ce_reference import reference_pareto_improvable, reference_rejecting_rule
 from fm_reference import fm_feasible_ce_prices
-from rows_reference import reference_slack_rows
+from rows_reference import reference_better, reference_slack_rows
 
 
 class TestSingleItem:
@@ -132,8 +134,8 @@ class TestFarkasCertificate:
     """Infeasibility is certified by dual multipliers checked in integers."""
 
     def certificate(self):
-        # Alice owns items 0 and 2, Bob item 3 and Carl item 1: passes both
-        # prefilters, and its certificate combines two rows.
+        # Alice owns items 0 and 2, Bob item 3 and Carl item 1: passes all
+        # three prefilters, and its certificate combines two rows.
         inst = counterexample_4x3()
         rows = _MarketRows(list(inst.completed_profile()), inst.reference)
         _, _, a, c, _ = reference_slack_rows(rows, (0b0101, 0b1000, 0b0010))
@@ -157,6 +159,18 @@ class TestFarkasCertificate:
         j, k = [j for j, v in y.items() if v > 0][:2]
         with pytest.raises(AssertionError):
             _check_farkas(a, c, {**y, j: y[j] + 1, k: y[k] - 1}, d)
+
+    def test_negative_multiplier_rejected(self):
+        # twice the certificate minus d times the cap row (a = 0, c > 0):
+        # the sum, the balance and the objective still pass, y_0 < 0 does not
+        a, c, y, d = self.certificate()
+        doubled = {j: 2 * v for j, v in y.items()}
+        doubled[0] = doubled.get(0, 0) - d
+        assert doubled[0] < 0 and a[0] == [0] * len(a[0]) and c[0] > 0
+        assert sum(doubled.values()) == d
+        assert sum(v * c[j] for j, v in doubled.items()) <= 0
+        with pytest.raises(AssertionError):
+            _check_farkas(a, c, doubled, d)
 
     def test_positive_objective_rejected(self):
         a, c, y, d = self.certificate()
@@ -304,6 +318,63 @@ class TestRowsAgainstReference:
             _, reduced, _ = _dual_simplex(ref_a, ref_c)
             assert reduced[-1] >= 0, alloc.bundles
             seen["zero" if len(a) == 1 else "pair"] += 1
+
+
+class TestParetoPrefilter:
+    """Prefilter (3) rejects an allocation only when two agents could share
+    their bundles out anew to Pareto-improve on it, which no system with
+    ``s > 0`` allows."""
+
+    def test_rejects_only_infeasible_allocations(self, rng):
+        seen = Counter()
+        for m in range(1, 6):
+            for n in range(2, 5):
+                for _ in range(20 if n ** m <= 256 else 6):
+                    profile, incomes = random_profile(rng, m, n), tied_incomes(rng, n)
+                    self.check_market(profile, incomes, seen)
+        # rule 3 rejects allocations that rules 1-2 pass, with n = 4 and
+        # with tied incomes among them
+        assert seen["after 1-2"] > 300 and seen["n4"] > 50 and seen["tied"] > 50, seen
+
+    @staticmethod
+    def check_market(profile, incomes, seen):
+        rows = _MarketRows(profile, incomes)
+        n = len(profile)
+        tied = len(set(incomes)) < n
+        for alloc in every_allocation(profile[0].m, n):
+            masks = alloc.bundles
+            past_rules_1_2 = reference_rejecting_rule(profile, incomes, masks) not in (1, 2)
+            rejected = past_rules_1_2 and not _passes_prefilters(rows, masks)
+            if not (rejected or reference_pareto_improvable(profile, incomes, masks)):
+                continue
+            _, _, a, c, _ = reference_slack_rows(rows, masks)
+            _, reduced, _ = _dual_simplex(a, c)
+            assert reduced[-1] >= 0, (list(incomes), masks)
+            seen["rejected"] += 1
+            if rejected:
+                seen["after 1-2"] += 1
+                seen["n4"] += n == 4
+                seen["tied"] += tied
+
+
+class TestBetterBundles:
+    """``_MarketRows.better`` reads its lists off the preference bitsets;
+    they must be the full scan's, in ascending bitmask order, since an
+    open system reaches the simplex row for row in that order."""
+
+    def test_same_lists_as_a_full_scan(self, rng):
+        markets = [
+            (random_profile(rng, m, n), IncomeVector.of(range(1, n + 1)))
+            for m in range(7)
+            for n in (1, 2, 3)
+        ]
+        for inst in (factory() for factory in NAMED_INSTANCES.values()):
+            markets.append((inst.completed_profile(), inst.reference))
+        for profile, incomes in markets:
+            rows = _MarketRows(profile, incomes)
+            for i, pref in enumerate(profile):
+                for own in range(1 << pref.m):
+                    assert rows.better(i, own) == reference_better(pref, own), (i, own)
 
 
 class TestEnumerationOrder:
