@@ -407,7 +407,7 @@ def cmd_solve(args) -> int:
         _emit({"status": "unsupported-case", "error": str(exc)})
         return EXIT_UNSUPPORTED
     except NoValidSpeError as exc:
-        witness = ce_exists(list(inst.profile), inst.incomes) if inst.m <= 6 else None
+        witness = ce_exists(list(inst.profile), inst.incomes)
         _emit(
             {
                 "status": "no-equilibrium-play",

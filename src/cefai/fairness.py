@@ -32,13 +32,17 @@ search, exactly.  Write ``r`` for the rank of the agent's own bundle.
   at least as good; if the maximin bundle ranks above ``r``, the
   partition that attains it is such a partition.
 
-So a clean pair costs at most one mask test per query and no search;
-:func:`maximin` runs only for a failing share, to report its bundle.
+So a clean pair costs at most one mask test per query and no search.
+The same masks give :func:`maximin`: a mask's lowest-ranked bundle is
+its partition's worst l-union, and the best of these is the maximin
+bundle.  The audit calls it only for a failing share, to report its
+bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Sequence
 
@@ -49,17 +53,10 @@ MAX_MAXIMIN_ITEMS = 6
 MAX_MAXIMIN_PARTS = 6
 
 # Partitions depend only on the item set and d, not on preferences, so
-# they are enumerated once: _partition_cache[(X, d)] holds the distinct
-# partitions of X into d parts, and _union_cache[(X, d, l)] what _unions
-# returns, the union table that maximin searches and the union masks that
-# audit_ce_fairness tests.
-_partition_cache: dict[tuple[Bundle, int], tuple[tuple[Bundle, ...], ...]] = {}
-_union_cache: dict[
-    tuple[Bundle, int, int], tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]
-] = {}
-
-
-def _partitions(x: Bundle, d: int) -> set[tuple[Bundle, ...]]:
+# _partitions and _union_masks are cached on their arguments.
+@cache
+def _partitions(x: Bundle, d: int) -> tuple[tuple[Bundle, ...], ...]:
+    """The distinct partitions of X into d parts, each a sorted tuple."""
     items = items_of(x)
     seen: set[tuple[Bundle, ...]] = set()
     for assignment in product(range(d), repeat=len(items)):
@@ -67,39 +64,28 @@ def _partitions(x: Bundle, d: int) -> set[tuple[Bundle, ...]]:
         for item, part in zip(items, assignment):
             parts[part] |= 1 << item
         seen.add(tuple(sorted(parts)))
-    return seen
+    return tuple(seen)
 
 
-def _unions(
-    x: Bundle, l: int, d: int
-) -> tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]:
-    """The union table of X for (l, d) and its union masks.
+@cache
+def _union_masks(x: Bundle, l: int, d: int) -> tuple[int, ...]:
+    """The union masks of X for (l, d), one per distinct mask.
 
-    The table lists, per distinct partition of X into d parts, the bundles
-    formed by l of its parts; a partition's union mask has bit ``u`` set
-    for each such bundle ``u``.  Masks with bit 0 are left out: the empty
-    bundle ranks lowest, so it is always in ``worse`` and such a mask never
-    passes the audit's test ``pm & worse == 0``.
+    A partition of X into d parts has bit ``u`` of its mask set for each
+    bundle ``u`` formed by l of its parts.  Masks with bit 0 are left out:
+    the empty bundle ranks lowest, so it is always in ``worse`` and such a
+    mask never passes the audit's test ``pm & worse == 0``.
     """
-    key = (x, d, l)
-    cached = _union_cache.get(key)
-    if cached is None:
-        partitions = _partition_cache.get((x, d))
-        if partitions is None:
-            partitions = _partition_cache[x, d] = tuple(_partitions(x, d))
-        table = []
-        for parts in partitions:
-            unions = set()
-            for chosen in combinations(range(d), l):
-                u = 0
-                for k in chosen:
-                    u |= parts[k]
-                unions.add(u)
-            table.append(tuple(unions))
-        masks = {sum(1 << u for u in unions) for unions in table}
-        cached = (tuple(table), tuple(pm for pm in masks if not pm & 1))
-        _union_cache[key] = cached
-    return cached
+    masks = set()
+    for parts in _partitions(x, d):
+        pm = 0
+        for chosen in combinations(range(d), l):
+            u = 0
+            for k in chosen:
+                u |= parts[k]
+            pm |= 1 << u
+        masks.add(pm)
+    return tuple(pm for pm in masks if not pm & 1)
 
 
 def _check_bounds(m: int, l: int, d: int) -> None:
@@ -115,49 +101,47 @@ def _check_bounds(m: int, l: int, d: int) -> None:
 def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     """The l-out-of-d maximin bundle of X under the given preferences.
 
-    Brute force: maximize over all partitions of X into d parts (empty
-    parts allowed) the worst union of l parts.  The result is a single
-    bundle since the order is strict.  Two cases need no search: keeping
-    every part (``l == d``) keeps X, and when X has at most ``d - l``
-    items every partition has at least l empty parts, so the adversary
-    can leave the empty bundle.  The caller keeps ``l``, ``d`` and the
-    item count within :func:`_check_bounds`.
+    The best, over all partitions of X into d parts (empty parts
+    allowed), of the worst union of l parts, read off the union masks:
+    each mask's lowest-ranked bundle is its partition's worst union, and
+    the masks left out hold the empty bundle, which ranks lowest, so the
+    answer is the empty bundle when no mask is left.  The result is a
+    single bundle since the order is strict.  Two cases need no masks:
+    keeping every part (``l == d``) keeps X, and when X has at most
+    ``d - l`` items every partition has at least l empty parts, so the
+    adversary can leave the empty bundle.  The caller keeps ``l``, ``d``
+    and the item count within :func:`_check_bounds`.
 
-    Only whether the answer ranks above a given rank ``r`` decides a
-    share, and that needs no search: it holds exactly when some
-    partition's union mask misses every bundle ranked at or below ``r``
-    (see the module docstring).  :func:`audit_ce_fairness` tests that and
-    calls this function only to report the bundle of a failing share.
+    :func:`audit_ce_fairness` decides each share with the same masks
+    (see the module docstring) and calls this function only to report the
+    bundle of a failing share.
     """
     if l == d:
         return x
     if x.bit_count() <= d - l:
         return 0
-    rank = pref.rank
-    best_rank = -1
-    best_bundle = 0
-    for unions in _unions(x, l, d)[0]:
-        worst = min(unions, key=rank.__getitem__)
-        if rank[worst] > best_rank:
-            best_rank = rank[worst]
-            best_bundle = worst
-    return best_bundle
+    rank = pref.rank.__getitem__
+    return max(
+        (min(items_of(pm), key=rank) for pm in _union_masks(x, l, d)),
+        key=rank,
+        default=0,
+    )
 
 
 @dataclass(frozen=True)
 class GuaranteeCheck:
+    """A failed share: the agent prefers ``guaranteed``, the l-out-of-d
+    maximin bundle of everything ``group`` received, to its own bundle."""
+
     agent: int
     group: tuple[int, ...]
     l: int
     d: int
-    applicable: bool
-    holds: bool
-    guaranteed: Bundle  # the maximin bundle, 0 when not applicable
+    guaranteed: Bundle
 
 
 @dataclass(frozen=True)
 class FairnessReport:
-    checked: int
     applicable: int
     violations: tuple[GuaranteeCheck, ...]
 
@@ -197,7 +181,6 @@ def audit_ce_fairness(
             groups.append(
                 (group, union, sum(income[i] for i in group), union.bit_count())
             )
-    checked = len(agents) * len(groups) * (d_max * (d_max + 1) // 2)
     applicable = 0
     violations = []
     for agent in agents:
@@ -225,12 +208,10 @@ def audit_ce_fairness(
                 for l in range(max(1, d - size + 1), top + 1):
                     # Keeping all d parts keeps the union, ranked above r.
                     if l == d or any(
-                        not pm & worse for pm in _unions(union, l, d)[1]
+                        not pm & worse for pm in _union_masks(union, l, d)
                     ):
                         guaranteed = maximin(pref, union, l, d)
                         violations.append(
-                            GuaranteeCheck(agent, group, l, d, True, False, guaranteed)
+                            GuaranteeCheck(agent, group, l, d, guaranteed)
                         )
-    return FairnessReport(
-        checked=checked, applicable=applicable, violations=tuple(violations)
-    )
+    return FairnessReport(applicable=applicable, violations=tuple(violations))

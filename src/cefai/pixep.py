@@ -13,7 +13,8 @@ pixep usable as an equilibrium device:
       never picks.
 
 ``check_requirements`` verifies R1 exactly and reduces R2/R3 to an
-interval of feasible ε values; ``resolve_epsilon`` picks the midpoint.
+interval of feasible ε values; ``resolve_epsilon`` picks a capped
+midpoint of that interval, and ``execute_to_ce`` prices each leaf at it.
 
 A :class:`Pixep` holds its prices as integers: each position's constant
 over one common denominator and its ε-slope over another, the way the
@@ -320,12 +321,18 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     return Fraction(best_num * pix.slope_scale, best_den * scale)
 
 
-def _capped_epsilon(
+def resolve_epsilon(
     pix: Pixep, incomes: IncomeVector, interval: EpsilonInterval
 ) -> Fraction:
-    """The midpoint of ``interval``, the pixep's feasible ε interval,
-    capped by half its sign-flip bound unless that falls to the interval's
-    lower end."""
+    """Concrete ε: the midpoint of ``interval``, the pixep's feasible ε
+    interval from :func:`check_requirements`, capped at half its sign-flip
+    bound so that no bundle-price-vs-income comparison crosses its small-ε
+    sign, unless that cap falls to the interval's lower end.
+
+    The cap is what makes "holds for every sufficiently small ε > 0"
+    checkable at a single concrete value; without it a midpoint deep in
+    the interval can make an otherwise-unaffordable bundle affordable.
+    """
     eps = interval.midpoint()
     flip = _sign_flip_bound(pix, incomes)
     if flip is not None:
@@ -333,17 +340,6 @@ def _capped_epsilon(
     if eps <= interval.lo:  # only reachable with a positive lower bound
         eps = interval.midpoint()
     return eps
-
-
-def resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:
-    """Concrete ε: the midpoint of the feasible interval, capped so that
-    no bundle-price-vs-income comparison crosses its small-ε sign.
-
-    The cap is what makes "holds for every sufficiently small ε > 0"
-    checkable at a single concrete value; without it a midpoint deep in
-    the interval can make an otherwise-unaffordable bundle affordable.
-    """
-    return _capped_epsilon(pix, incomes, check_requirements(pix, incomes))
 
 
 @dataclass(frozen=True)
@@ -542,10 +538,10 @@ def execute_to_ce(
 
     Every leaf must pass :func:`check_requirements` against the incomes
     (checked up front, before any SPE work); each equilibrium play is
-    then priced with its leaf's resolved ε, capped the way
-    :func:`resolve_epsilon` caps it when the leaf's first play is priced,
-    and checked by exact verification; a leaf's position prices at its ε
-    are computed once, from its integers.  Raises ``NoValidSpeError``
+    then priced with its leaf's ε, which :func:`resolve_epsilon` picks
+    from the interval checked up front when the leaf's first play is
+    priced, and checked by exact verification; a leaf's position prices
+    at its ε are computed once, from its integers.  Raises ``NoValidSpeError``
     when no play passes.  That is an expected outcome, not an internal
     error: :func:`cefai.solver.solve` catches it to try the range's
     fallback games, and some profiles have no equilibrium at all
@@ -560,7 +556,7 @@ def execute_to_ce(
         priced = resolved.get(id(leaf))
         if priced is None:
             pix = leaf.pixep
-            eps = _capped_epsilon(pix, incomes, intervals[id(leaf)])
+            eps = resolve_epsilon(pix, incomes, intervals[id(leaf)])
             # c0/scale + c1/slope_scale·eps, over scale·slope_scale·eps's
             # denominator
             up0 = pix.slope_scale * eps.denominator

@@ -9,18 +9,19 @@ checks written one bundle and one comparison at a time over exact
 rationals, the way the definitions read.  Slow, but simple enough to
 trust, so the tests compare the library against it field by field on
 seeded random pairs.  ``check_guarantee`` evaluates one instance of the
-guarantee on its own, with the library's maximin search, so that each
-violation the audit reports can be recomputed.
+guarantee on its own, with :func:`brute_maximin`, so that each violation
+the audit reports can be recomputed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 from cefai.core import Bundle, PreferenceOrder, all_bundles, items_of
-from cefai.fairness import FairnessReport, GuaranteeCheck, _check_bounds, maximin
+from cefai.fairness import FairnessReport, GuaranteeCheck, _check_bounds
 from cefai.market import (
     Allocation,
     CEPair,
@@ -91,6 +92,17 @@ def _share_premise(own: int, group_total: int, l: int, d: int) -> bool:
     return d * own >= l * group_total
 
 
+@dataclass(frozen=True)
+class ShareCheck:
+    """One instance of the guarantee: whether its premise holds, whether
+    the agent's bundle is at least as good as ``guaranteed``, and the
+    maximin bundle (0 when the premise fails)."""
+
+    applicable: bool
+    holds: bool
+    guaranteed: Bundle
+
+
 def check_guarantee(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
@@ -99,7 +111,7 @@ def check_guarantee(
     group: Sequence[int],
     l: int,
     d: int,
-) -> GuaranteeCheck:
+) -> ShareCheck:
     """Evaluate one instance of the generalized share guarantee.
 
     Applicable when ``incomes[agent] >= (l/d) * sum of group incomes``
@@ -110,16 +122,15 @@ def check_guarantee(
     items.
     """
     _check_bounds(profile[agent].m, l, d)
-    group = tuple(group)
     income = scaled_integers(incomes, common_scale(incomes))
     if not _share_premise(income[agent], sum(income[i] for i in group), l, d):
-        return GuaranteeCheck(agent, group, l, d, False, True, 0)
+        return ShareCheck(False, True, 0)
     union = 0
     for i in group:
         union |= alloc[i]
-    guaranteed = maximin(profile[agent], union, l, d)
+    guaranteed = brute_maximin(profile[agent], union, l, d)
     holds = not profile[agent].prefers(guaranteed, alloc[agent])
-    return GuaranteeCheck(agent, group, l, d, True, holds, guaranteed)
+    return ShareCheck(True, holds, guaranteed)
 
 
 def reference_audit_ce_fairness(
@@ -133,7 +144,7 @@ def reference_audit_ce_fairness(
     (kept per agent, since several groups can hold the same union)."""
     n = len(profile)
     agents = range(n)
-    checked = applicable = 0
+    applicable = 0
     violations = []
     for agent in agents:
         pref = profile[agent]
@@ -147,7 +158,6 @@ def reference_audit_ce_fairness(
                 group_income = sum((incomes[i] for i in group), Fraction(0))
                 for d in range(1, d_max + 1):
                     for l in range(1, d + 1):
-                        checked += 1
                         if incomes[agent] < Fraction(l, d) * group_income:
                             continue
                         applicable += 1
@@ -157,13 +167,9 @@ def reference_audit_ce_fairness(
                         guaranteed = shares[key]
                         if pref.prefers(guaranteed, own):
                             violations.append(
-                                GuaranteeCheck(
-                                    agent, group, l, d, True, False, guaranteed
-                                )
+                                GuaranteeCheck(agent, group, l, d, guaranteed)
                             )
-    return FairnessReport(
-        checked=checked, applicable=applicable, violations=tuple(violations)
-    )
+    return FairnessReport(applicable=applicable, violations=tuple(violations))
 
 
 def reference_pareto_improvable(

@@ -82,6 +82,14 @@ class TestSolveCommand:
         code, out = run(capsys, "solve", path)
         assert code == EXIT_UNSUPPORTED
 
+    def test_no_equilibrium_play_runs_the_exhaustive_check(self, tmp_path, capsys):
+        _, doc = run(capsys, "instance", "counterexample-4x3")
+        path = write(tmp_path, "c43.json", doc)
+        code, out = run(capsys, "solve", path)
+        assert code == EXIT_INVALID == 2
+        assert out["status"] == "no-equilibrium-play"
+        assert out["exhaustive_check"] == "no equilibrium exists for this instance"
+
     def test_not_generic_names_hyperplane(self, tmp_path, capsys):
         doc = aba_instance()
         doc["agents"][0]["income"] = "5"

@@ -75,6 +75,11 @@ def _outcome(fn, pix, incomes):
         return type(exc), str(exc), getattr(exc, "agent", None)
 
 
+def resolved(pix, incomes):
+    """ε the way ``execute_to_ce`` resolves it: checked, then capped."""
+    return resolve_epsilon(pix, incomes, check_requirements(pix, incomes))
+
+
 def _is_exact(value) -> bool:
     return value is None or type(value) is Fraction
 
@@ -87,7 +92,7 @@ def compare(pix: Pixep, incomes: IncomeVector) -> str:
     assert got == want
     flip = _outcome(_sign_flip_bound, pix, incomes)
     assert flip == _outcome(reference_sign_flip_bound, pix, incomes)
-    eps = _outcome(resolve_epsilon, pix, incomes)
+    eps = _outcome(resolved, pix, incomes)
     assert eps == _outcome(reference_resolve_epsilon, pix, incomes)
     if isinstance(want, tuple):
         return f"{want[0].__name__}: {want[1]}"

@@ -1,15 +1,15 @@
 """Share guarantees: maximin bundles and the generalized guarantee."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from cefai import fairness
-from cefai.core import additive_preference, random_preference
+from cefai.core import additive_preference, items_of, random_preference
 from cefai.fairness import (
     MAX_MAXIMIN_ITEMS,
     MAX_MAXIMIN_PARTS,
-    _unions,
+    _union_masks,
     audit_ce_fairness,
     maximin,
 )
@@ -28,45 +28,40 @@ def mask_test(pref, x, l, d, r):
     for bundle, rank in enumerate(pref.rank):
         if rank <= r:
             worse |= 1 << bundle
-    return any(not pm & worse for pm in _unions(x, l, d)[1])
+    return any(not pm & worse for pm in _union_masks(x, l, d))
 
 
-def uncached_unions(x, l, d):
-    """What ``_unions`` returns, enumerated afresh: per partition of X into
-    d parts, the unions of l parts, and the union masks without bit 0."""
-    table = []
-    for parts in fairness._partitions(x, d):
-        table.append(tuple({
-            sum(parts[k] for k in chosen) for chosen in combinations(range(d), l)
-        }))
-    masks = {sum(1 << u for u in unions) for unions in table}
-    return tuple(table), tuple(pm for pm in masks if not pm & 1)
+def fresh_union_masks(x, l, d):
+    """The union masks of X for (l, d) without bit 0, enumerated afresh over
+    every assignment of X's items to d labelled parts, sorted."""
+    items = items_of(x)
+    masks = set()
+    for assignment in product(range(d), repeat=len(items)):
+        parts = [0] * d
+        for item, part in zip(items, assignment):
+            parts[part] |= 1 << item
+        unions = {sum(parts[k] for k in chosen) for chosen in combinations(range(d), l)}
+        masks.add(sum(1 << u for u in unions))
+    return sorted(pm for pm in masks if not pm & 1)
 
 
 class TestPartitionCache:
-    def test_one_enumeration_per_set_and_part_count(self, monkeypatch):
-        calls = []
-        enumerate_partitions = fairness._partitions
-
-        def counted(x, d):
-            calls.append((x, d))
-            return enumerate_partitions(x, d)
-
-        monkeypatch.setattr(fairness, "_partition_cache", {})
-        monkeypatch.setattr(fairness, "_union_cache", {})
-        monkeypatch.setattr(fairness, "_partitions", counted)
+    def test_one_enumeration_per_set_and_part_count(self):
+        fairness._partitions.cache_clear()
+        fairness._union_masks.cache_clear()
         sets = [0b1, 0b1011, 0b11111, 0b110110]
-        tables = {
-            (x, l, d): _unions(x, l, d)
-            for x in sets for d in range(1, 5) for l in range(1, d + 1)
-        }
-        assert sorted(calls) == sorted((x, d) for x in sets for d in range(1, 5))
-        # a second pass enumerates nothing and returns the same tables
-        assert all(_unions(*key) is table for key, table in tables.items())
-        assert len(calls) == len(sets) * 4
-        monkeypatch.setattr(fairness, "_partitions", enumerate_partitions)
-        for key, table in tables.items():
-            assert table == uncached_unions(*key), key
+        keys = [(x, l, d) for x in sets for d in range(1, 5) for l in range(1, d + 1)]
+        masks = {key: _union_masks(*key) for key in keys}
+        # partitions are enumerated once per (X, d), across every l
+        assert fairness._partitions.cache_info().misses == len(sets) * 4
+        assert fairness._union_masks.cache_info().misses == len(keys)
+        # a second pass enumerates nothing and returns the same tuples
+        assert all(_union_masks(*key) is masks[key] for key in keys)
+        assert fairness._partitions.cache_info().misses == len(sets) * 4
+        assert fairness._union_masks.cache_info().misses == len(keys)
+        for key, got in masks.items():
+            assert sorted(got) == fresh_union_masks(*key), key
+            assert len(set(got)) == len(got), key
 
 
 class TestMaximin:
@@ -96,14 +91,13 @@ class TestMaximin:
 
     def test_mask_test_decides_every_rank_threshold(self):
         # every X over 4 items, every 1 <= l < d <= 4 and every own rank r,
-        # the |X| <= d - l queries (maximin answers the empty bundle)
-        # included
+        # the |X| <= d - l queries (the maximin bundle is empty) included
         for seed in range(6):
             pref = random_preference(4, seed=seed)
             for x in range(16):
                 for d in range(2, 5):
                     for l in range(1, d):
-                        guaranteed = pref.rank[maximin(pref, x, l, d)]
+                        guaranteed = pref.rank[brute_maximin(pref, x, l, d)]
                         for r in range(16):
                             want = guaranteed > r
                             assert mask_test(pref, x, l, d, r) == want, (seed, x, l, d, r)
@@ -115,7 +109,9 @@ class TestMaximin:
             x = rng.randrange(1 << m)
             d = rng.randint(2, MAX_MAXIMIN_PARTS)
             l = rng.randint(1, d - 1)
-            guaranteed = pref.rank[maximin(pref, x, l, d)]
+            want = brute_maximin(pref, x, l, d)
+            assert maximin(pref, x, l, d) == want, (x, l, d)
+            guaranteed = pref.rank[want]
             for r in range(1 << m):
                 assert mask_test(pref, x, l, d, r) == (guaranteed > r), (x, l, d, r)
 
@@ -250,6 +246,7 @@ class TestAudit:
                     violation.d,
                 )
                 assert recomputed.applicable and not recomputed.holds
+                assert recomputed.guaranteed == violation.guaranteed
         assert flagged > 0
 
     def test_single_agent_market_trivially_clean(self):

@@ -227,3 +227,77 @@ def read_attributes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_dataclass_fields(path, read_attributes):
     assert unread_fields(path.read_text(), read_attributes) == []
+
+
+# The benchmark times a layer by rebinding the functions its table names;
+# a function nothing calls would time nothing and read 0.
+SPANS = ROOT / "perfbench" / "spans.py"
+CALLERS = [*(ROOT / "src" / "cefai").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+
+
+def rebound_functions(source: str) -> list[str]:
+    """The attribute paths that the ``REBINDINGS`` table of ``source`` names."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "REBINDINGS"
+            for target in node.targets
+        ):
+            return [entry.elts[1].value for entry in node.value.elts]
+    raise LookupError("no REBINDINGS table")
+
+
+def uncalled(paths: list[str], sources: dict[str, str]) -> list[str]:
+    """The attribute paths whose function no source calls, by name or as an
+    attribute, outside a definition of a function of that name."""
+    called = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        own = [
+            (node.name, node.lineno, node.end_lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if not any(
+                name == defined and first <= node.lineno <= last
+                for defined, first, last in own
+            ):
+                called.add(name)
+    return [path for path in paths if path.split(".")[-1] not in called]
+
+
+def test_rebinding_scanner_flags_uncalled_and_accepts_called():
+    table = (
+        "REBINDINGS = (\n"
+        '    ("m", "called", "m.called", None),\n'
+        '    ("m", "Box.method", "m.Box.method", len),\n'
+        '    ("m", "recursive", "m.recursive", None),\n'
+        '    ("m", "listed", "m.listed", None),\n'
+        ")\n"
+    )
+    paths = rebound_functions(table)
+    assert paths == ["called", "Box.method", "recursive", "listed"]
+    module = (
+        "def called():\n"
+        "    return recursive(1)\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1)\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        return listed\n"
+    )
+    user = "from m import Box, called\ncalled()\nBox().method()\n"
+    assert uncalled(paths, {"m": module}) == ["called", "Box.method", "listed"]
+    assert uncalled(paths, {"m": module, "user": user}) == ["listed"]
+    assert uncalled(paths, {"m": module, "table": table}) == [
+        "called", "Box.method", "listed"
+    ]
+
+
+def test_rebound_functions_are_called():
+    sources = {str(p): p.read_text() for p in CALLERS}
+    assert uncalled(rebound_functions(SPANS.read_text()), sources) == []

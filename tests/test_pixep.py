@@ -50,10 +50,11 @@ class TestRequirements:
     def test_three_item_split_interval(self):
         # prices a-c-ε, b, c+ε with incomes 10, 6, 3 and the third agent absent
         pix = aba_pixep(10, 6, 3)
-        interval = check_requirements(pix, IncomeVector.of([10, 6, 3]))
+        incomes = IncomeVector.of([10, 6, 3])
+        interval = check_requirements(pix, incomes)
         assert interval.lo == 0
         assert interval.hi == 1  # binding: 10 - 3 - eps > 6
-        assert resolve_epsilon(pix, IncomeVector.of([10, 6, 3])) == Fraction(1, 2)
+        assert resolve_epsilon(pix, incomes, interval) == Fraction(1, 2)
 
     def test_single_agent_run_interval(self):
         # prices a-2b-2ε, b+ε, b+ε with incomes 10, 3: run constraint caps ε at 1/3
@@ -67,7 +68,7 @@ class TestRequirements:
         incomes = IncomeVector.of([10, 3])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (0, Fraction(1, 3))
-        assert resolve_epsilon(pix, incomes) == Fraction(1, 6)
+        assert resolve_epsilon(pix, incomes, interval) == Fraction(1, 6)
 
     def test_cap_below_lower_bound_falls_back_to_midpoint(self):
         # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
@@ -78,7 +79,7 @@ class TestRequirements:
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (8, 10)
         assert _sign_flip_bound(pix, incomes) == 8
-        assert resolve_epsilon(pix, incomes) == 9
+        assert resolve_epsilon(pix, incomes, interval) == 9
 
     def test_empty_interval_when_income_too_small(self):
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3
@@ -123,7 +124,7 @@ class TestRequirements:
             pix = aba_pixep(a, b, c)
             incomes = IncomeVector.of([a, b, c])
             try:
-                eps = resolve_epsilon(pix, incomes)
+                eps = resolve_epsilon(pix, incomes, check_requirements(pix, incomes))
             except EmptyEpsilonIntervalError:
                 continue
             assert all(price.c0 + price.c1 * eps > 0 for _, price in pix.positions)
