@@ -26,8 +26,8 @@ from .market import IncomeRegion, IncomeVector, _sample_incomes
 from .solver import (
     NotGenericError,
     UnsupportedCaseError,
-    active_range,
-    is_generic,
+    _range_at,
+    excluded_hyperplanes,
     range_labels,
 )
 
@@ -235,22 +235,23 @@ _GRID = 100
 _HIGH = 20
 
 
-def _generic(incomes: IncomeVector, m: int) -> bool:
-    """Off the solver's excluded hyperplanes where the solver covers the
-    size; distinct incomes where it does not."""
-    try:
-        return is_generic(incomes, m)
-    except UnsupportedCaseError:
-        return len(set(incomes)) == len(incomes)
-
-
 def random_generic_incomes(
     m: int, n: int, seed: int, count: int = 1
 ) -> list[IncomeVector]:
-    """Generic income vectors (descending), deterministic per seed."""
+    """Generic income vectors (descending), deterministic per seed: off the
+    solver's excluded hyperplanes where the solver covers the size, and
+    distinct where it does not."""
+    try:
+        planes = excluded_hyperplanes(m, n)
+    except UnsupportedCaseError:
+        planes = ()
+
+    def accept(t: list[int]) -> bool:
+        return len(set(t)) == n and not any(hp.contains(t) for hp in planes)
+
     return _sample_incomes(
         f"incomes:{m}:{n}:{seed}", [1] * n, [_HIGH * _GRID] * n, _GRID,
-        descending=True, accept=lambda incomes: _generic(incomes, m),
+        descending=True, accept=accept,
         count=count, budget=100_000, what="generic points",
     )
 
@@ -270,9 +271,9 @@ def stratified_incomes(
             f"valid: {', '.join(range_labels(m, n))}"
         )
 
-    def accept(incomes: IncomeVector) -> bool:
+    def accept(t: list[int]) -> bool:
         try:
-            return active_range(incomes, m).label == range_label
+            return _range_at(m, t).label == range_label
         except NotGenericError:
             return False
 

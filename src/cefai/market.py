@@ -20,6 +20,14 @@ and makes each one an integer operation.  ``verify_ce`` prices all
 ``2^m`` bundles in one subset-sum pass over the scaled prices and builds
 a ``Fraction`` (the integer over the scale) only for a violation it
 reports.
+
+The income samplers work the same way.  A draw is a list of integer
+numerators over a fixed grid denominator, and the sampler's ``accept``
+test receives those integers, not incomes: every form it decides is
+homogeneous, so the sign at the numerators is the sign at the incomes.
+``IncomeRegion`` scales its constraint rows to integers and tests each
+row's product with the draw.  Only an accepted draw becomes an
+``IncomeVector`` of exact ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import Bundle, PreferenceOrder, format_bundle, items_of
@@ -275,13 +284,18 @@ _REGION_GRID = 1000
 _REGION_BOX = 20
 
 
+def _satisfies(rows: Sequence[Sequence[int]], t: Sequence[int]) -> bool:
+    """True iff every integer row is positive at the integer point ``t``."""
+    return all(sum(map(mul, row, t)) > 0 for row in rows)
+
+
 @dataclass(frozen=True)
 class IncomeRegion:
     """An open region of income space cut out by strict linear constraints.
 
     Each constraint row is a coefficient vector ``c`` over the agents,
     asserting ``sum(c_i * t_i) > 0``.  Positivity of every income is
-    implicit.
+    implicit, so every row needs a positive coefficient.
     """
 
     n: int
@@ -299,37 +313,62 @@ class IncomeRegion:
             coeffs = tuple(Fraction(v) for v in row)
             if len(coeffs) != n:
                 raise ValueError(f"constraint row has {len(coeffs)} coefficients, expected {n}")
+            if all(c <= 0 for c in coeffs):
+                raise ValueError(
+                    f"constraint row {len(constraints)} "
+                    f"({', '.join(str(c) for c in coeffs)}) has no positive "
+                    "coefficient, so no positive income satisfies it"
+                )
             constraints.append(coeffs)
         region = IncomeRegion(n=n, constraints=tuple(constraints), reference=reference)
         if reference is not None and not region.contains(reference):
             raise ValueError("reference income point violates the region constraints")
         return region
 
+    def _integer_rows(self) -> list[list[int]]:
+        """Each constraint row times its common denominator: a positive
+        scaling, so each row keeps its sign at every point."""
+        return [scaled_integers(row, common_scale(row)) for row in self.constraints]
+
     def contains(self, incomes: IncomeVector) -> bool:
+        """True iff every constraint row is positive at ``incomes``.
+
+        The rows and the incomes are each scaled to integers by their
+        common denominators (``common_scale``), the same test ``sample``
+        applies to its integer draws.
+        """
         if len(incomes) != self.n:
             raise DimensionMismatchError(
                 f"income vector has {len(incomes)} agents, region expects {self.n}"
             )
-        return all(
-            sum(c * t for c, t in zip(row, incomes)) > 0 for row in self.constraints
-        )
+        return _satisfies(self._integer_rows(), scaled_integers(incomes, common_scale(incomes)))
 
     def sample(self, seed: int, count: int) -> list[IncomeVector]:
         """Rejection-sample ``count`` rational points of the region.
 
         Coordinates lie on a rational grid inside a box: between half and
         double each coordinate of the reference point when the region has
-        one.  Deterministic per seed.
+        one.  Deterministic per seed.  A reference coordinate below half
+        a grid step leaves no grid point in its box and raises
+        ``ValueError``.
         """
         if self.reference is not None:
+            for i, t in enumerate(self.reference):
+                if t * _REGION_GRID * 2 < 1:
+                    raise ValueError(
+                        f"reference income {t} of agent {i} is below "
+                        f"1/{2 * _REGION_GRID}: no positive multiple of the "
+                        f"1/{_REGION_GRID} grid lies at or below double it"
+                    )
             lows = [max(1, int(t * _REGION_GRID // 2)) for t in self.reference]
             highs = [int(t * _REGION_GRID * 2) for t in self.reference]
         else:
             lows = [1] * self.n
             highs = [_REGION_BOX * _REGION_GRID] * self.n
+        rows = self._integer_rows()
         return _sample_incomes(
             f"region:{seed}", lows, highs, _REGION_GRID,
-            descending=False, accept=self.contains,
+            descending=False, accept=lambda t: _satisfies(rows, t),
             count=count, budget=max(200_000, 5000 * count), what="region points",
         )
 
@@ -341,7 +380,7 @@ def _sample_incomes(
     denominator: int,
     *,
     descending: bool,
-    accept: Callable[[IncomeVector], bool],
+    accept: Callable[[list[int]], bool],
     count: int,
     budget: int,
     what: str,
@@ -350,20 +389,21 @@ def _sample_incomes(
 
     Each draw gives agent k the income ``randint(lows[k], highs[k]) /
     denominator`` from ``random.Random(key)``, sorted highest first when
-    ``descending``.  Raises ``EmptyRegionSamplerError`` when ``budget``
-    draws do not yield ``count`` incomes that ``accept`` admits.
+    ``descending``.  ``accept`` decides a draw on its integer numerators
+    (the list of ``randint`` values, sorted when ``descending``), which
+    keeps the sign of every homogeneous form of the incomes; only an
+    accepted draw becomes an ``IncomeVector`` of exact ``Fraction``s.
+    Raises ``EmptyRegionSamplerError`` when ``budget`` draws do not yield
+    ``count`` incomes that ``accept`` admits.
     """
     rng = random.Random(key)
     points = []
     for _ in range(budget):
-        values = [
-            Fraction(rng.randint(lo, hi), denominator) for lo, hi in zip(lows, highs)
-        ]
+        draw = [rng.randint(lo, hi) for lo, hi in zip(lows, highs)]
         if descending:
-            values.sort(reverse=True)
-        cand = IncomeVector.of(values)
-        if accept(cand):
-            points.append(cand)
+            draw.sort(reverse=True)
+        if accept(draw):
+            points.append(IncomeVector.of(Fraction(k, denominator) for k in draw))
             if len(points) == count:
                 return points
     raise EmptyRegionSamplerError(

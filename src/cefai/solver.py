@@ -228,31 +228,14 @@ def _sorted_integers(incomes: IncomeVector) -> tuple[tuple[int, ...], list[int],
     return order, [scaled[i] for i in order], scale
 
 
-def _first_plane(m: int, t: list[int]) -> Hyperplane | None:
-    return next((hp for hp in excluded_hyperplanes(m, len(t)) if hp.contains(t)), None)
-
-
-def violated_hyperplane(incomes: IncomeVector, m: int) -> Hyperplane | None:
-    return _first_plane(m, _sorted_integers(incomes)[1])
-
-
-def is_generic(incomes: IncomeVector, m: int) -> bool:
-    """True iff the incomes avoid every excluded hyperplane exactly."""
-    return violated_hyperplane(incomes, m) is None
-
-
-def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
-    """The income range the incomes fall in.
+def _range_at(m: int, t: list[int]) -> IncomeRange:
+    """The income range at the incomes ``t``: positive integers (incomes
+    over a common denominator) sorted descending.
 
     Raises ``UnsupportedCaseError`` for an unsupported size and
     ``NotGenericError`` on an excluded hyperplane.
     """
-    return _range_at(m, _sorted_integers(incomes)[1])
-
-
-def _range_at(m: int, t: list[int]) -> IncomeRange:
-    """:func:`active_range` at the sorted scaled incomes ``t``."""
-    offending = _first_plane(m, t)
+    offending = next((hp for hp in excluded_hyperplanes(m, len(t)) if hp.contains(t)), None)
     if offending is not None:
         raise NotGenericError(offending)
     matches = [row for row in range_table(m, len(t)) if row.holds(t)]

@@ -21,7 +21,14 @@ from cefai.core import (
 )
 from cefai.market import Allocation, IncomeVector, common_scale, scaled_integers
 from cefai.pixep import ChoiceNode, Leaf, Pixep
-from cefai.solver import IncomeRange, _candidate_games, _leaf
+from cefai.solver import (
+    IncomeRange,
+    NotGenericError,
+    _candidate_games,
+    _leaf,
+    _range_at,
+    _sorted_integers,
+)
 
 from eps_reference import affine
 
@@ -45,6 +52,25 @@ def candidate_games(row: IncomeRange, incomes: IncomeVector, m: int):
     taken in the order given (the solver passes them sorted descending)."""
     scale = common_scale(incomes)
     return _candidate_games(row, scaled_integers(incomes, scale), scale, m)
+
+
+def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
+    """The income range the solver dispatches ``incomes`` to, in any order."""
+    return _range_at(m, _sorted_integers(incomes)[1])
+
+
+def violated_hyperplane(incomes: IncomeVector, m: int):
+    """The excluded hyperplane the solver's dispatch rejects ``incomes``
+    on, or None at generic incomes."""
+    try:
+        active_range(incomes, m)
+    except NotGenericError as exc:
+        return exc.hyperplane
+    return None
+
+
+def is_generic(incomes: IncomeVector, m: int) -> bool:
+    return violated_hyperplane(incomes, m) is None
 
 
 def leaf_at(name: str, incomes: IncomeVector) -> Leaf:

@@ -511,6 +511,16 @@ class TestInstanceFiles:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_region_row_without_positive_coefficient(self, tmp_path, capsys):
+        # no positive income satisfies -b > 0: rejected before any sampling
+        path = write(tmp_path, "instance.json", {**aba_instance(), "region": [["0", "-1", "0"]]})
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: region: constraint row 0 (0, -1, 0)")
+        assert "no positive coefficient" in captured.err
+
     def test_schema_is_a_json_object(self):
         assert INSTANCE_SCHEMA["type"] == "object"
         assert set(INSTANCE_SCHEMA["required"]) == {"items", "agents"}

@@ -21,9 +21,9 @@ from cefai.instances import (
     stratified_incomes,
 )
 from cefai.market import IncomeRegion
-from cefai.solver import is_generic, range_labels, range_table
+from cefai.solver import range_labels, range_table
 
-from conftest import satisfies_relations
+from conftest import is_generic, satisfies_relations
 
 
 class TestCounterexample4x4:
@@ -153,6 +153,19 @@ class TestPinnedDraws:
         ]
         assert _digest(lines) == (
             "003e65f208e1fa087abd150110b96435a9041872085c8d2981ed25294088721b"
+        )
+
+    def test_stratified_incomes(self):
+        lines = [
+            f"{m} {n} {label} {seed}: "
+            f"{_points(stratified_incomes(m, n, label, seed=seed, count=4))}"
+            for m in range(1, 5)
+            for n in range(1, 5 if m < 4 else 4)
+            for label in range_labels(m, n)
+            for seed in range(3)
+        ]
+        assert _digest(lines) == (
+            "fd622f8c722e05d7e35b55c3b1a170706ea186fd53c3bb34c319180050f3d5cc"
         )
 
     def test_region_sample(self):

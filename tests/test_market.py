@@ -205,3 +205,25 @@ class TestIncomeRegion:
     def test_reference_checked(self):
         with pytest.raises(ValueError):
             IncomeRegion.of(2, [(1, -1)], reference=IncomeVector.of([1, 2]))
+
+    @pytest.mark.parametrize("row", [(0, 0), (-1, 0), ("-1/2", -3)])
+    def test_row_without_positive_coefficient_rejected(self, row):
+        # no positive income satisfies such a row, so sampling could never
+        # find a point
+        with pytest.raises(ValueError, match=r"constraint row 1 \(.*\) has no positive"):
+            IncomeRegion.of(2, [(1, -1), row])
+
+    def test_reference_below_half_a_grid_step(self):
+        region = IncomeRegion.of(
+            2, [(1, -1)], reference=IncomeVector.of([1, Fraction(1, 2001)])
+        )
+        with pytest.raises(ValueError, match=r"agent 1 .* 1/1000 grid"):
+            region.sample(seed=0, count=1)
+
+    def test_reference_at_half_a_grid_step_samples(self):
+        # the smallest reference coordinate that still leaves one grid point
+        region = IncomeRegion.of(
+            2, [(1, -1)], reference=IncomeVector.of([1, Fraction(1, 2000)])
+        )
+        (point,) = region.sample(seed=0, count=1)
+        assert point[1] == Fraction(1, 1000) and region.contains(point)

@@ -22,9 +22,15 @@ from cefai.pixep import (
     resolve_epsilon,
     spe_outcomes,
 )
-from cefai.solver import active_range, range_table
+from cefai.solver import range_table
 
-from conftest import candidate_games, chain_preference, random_game, random_profile
+from conftest import (
+    active_range,
+    candidate_games,
+    chain_preference,
+    random_game,
+    random_profile,
+)
 from eps_reference import affine
 from spe_oracle import (
     all_profile_spe_plays,

@@ -22,14 +22,18 @@ from cefai.solver import (
     NotGenericError,
     UnsupportedCaseError,
     excluded_hyperplanes,
-    is_generic,
     range_labels,
     range_table,
     solve,
-    violated_hyperplane,
 )
 
-from conftest import candidate_games, chain_preference, scaled_incomes
+from conftest import (
+    candidate_games,
+    chain_preference,
+    is_generic,
+    scaled_incomes,
+    violated_hyperplane,
+)
 
 X, Y, Z = 0b001, 0b010, 0b100
 
