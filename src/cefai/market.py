@@ -1,4 +1,4 @@
-"""Allocations, prices, exact equilibrium verification, and domination.
+"""Allocations, prices, exact equilibrium verification, and income samplers.
 
 A pair (price vector, allocation) is a competitive equilibrium when
 
@@ -17,9 +17,10 @@ check the values are scaled to integers: ``common_scale`` is the least
 common multiple of their denominators, and ``scaled_integers``
 multiplies each value by it, which keeps every sum and comparison exact
 and makes each one an integer operation.  ``verify_ce`` prices all
-``2^m`` bundles in one subset-sum pass over the scaled prices and builds
-a ``Fraction`` (the integer over the scale) only for a violation it
-reports.
+``2^m`` bundles in one subset-sum pass over the scaled prices
+(``bundle_prices``, which the domination audit in ``cefai.repro`` uses
+too) and builds a ``Fraction`` (the integer over the scale) only for a
+violation it reports.
 
 The income samplers work the same way.  A draw is a list of integer
 numerators over a fixed grid denominator, and the sampler's ``accept``
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .core import Bundle, PreferenceOrder, format_bundle, items_of
+from .core import Bundle, PreferenceOrder, format_bundle
 
 
 def common_scale(*vectors: Iterable[Fraction]) -> int:
@@ -141,9 +142,6 @@ class PriceVector:
     def __iter__(self):
         return iter(self.p)
 
-    def bundle_price(self, bundle: Bundle) -> Fraction:
-        return sum((self.p[j] for j in items_of(bundle)), Fraction(0))
-
 
 @dataclass(frozen=True)
 class CEPair:
@@ -185,6 +183,17 @@ class CEReport:
     violations: tuple[CEViolation, ...]
 
 
+def bundle_prices(unit: Sequence[int]) -> list[int]:
+    """The price of each of the ``2^m`` bundles from the integer prices of
+    its ``m`` items: bundle ``b`` costs ``b`` without its lowest item plus
+    that item."""
+    price = [0] * (1 << len(unit))
+    for b in range(1, len(price)):
+        low = b & -b
+        price[b] = price[b ^ low] + unit[low.bit_length() - 1]
+    return price
+
+
 def verify_ce(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
@@ -209,12 +218,8 @@ def verify_ce(
         raise DimensionMismatchError("item universes differ across inputs")
 
     scale = common_scale(cand.prices, incomes)
-    unit = scaled_integers(cand.prices, scale)
+    price = bundle_prices(scaled_integers(cand.prices, scale))
     income = scaled_integers(incomes, scale)
-    price = [0] * (1 << m)
-    for b in range(1, 1 << m):
-        low = b & -b
-        price[b] = price[b ^ low] + unit[low.bit_length() - 1]
 
     violations: list[CEViolation] = []
     for i, pref in enumerate(profile):
@@ -251,31 +256,6 @@ def verify_ce(
                 for y in better
             )
     return CEReport(valid=not violations, violations=tuple(violations))
-
-
-def is_dominated_by(
-    x: Bundle, y: Bundle, positions: Mapping[int, int]
-) -> bool:
-    """True iff some injection maps each item of ``x`` to a weakly
-    earlier-picked item of ``y``.
-
-    ``positions`` maps each item to its (distinct) pick position.  Since
-    the constraint graph is an interval order, greedy matching of sorted
-    position lists decides the injection exactly.
-
-    >>> pos = {0: 1, 1: 2, 2: 3, 3: 4}
-    >>> is_dominated_by(0b1001, 0b0011, pos)   # {1,4} dominated by {1,2}
-    True
-    >>> is_dominated_by(0b1001, 0b1110, pos)   # {1,4} vs {2,3,4}: unrelated
-    False
-    """
-    if x == y:
-        raise ValueError("domination is defined for distinct bundles only")
-    xs = sorted(positions[j] for j in items_of(x))
-    ys = sorted(positions[j] for j in items_of(y))
-    if len(ys) < len(xs):
-        return False
-    return all(ys[k] <= xs[k] for k in range(len(xs)))
 
 
 # Region samples are multiples of 1/_REGION_GRID; without a reference

@@ -34,6 +34,14 @@ take an earlier option only when strictly better off than under the
 default (the last option).  ``spe_outcomes`` enumerates *all* plays
 that arise in some subgame-perfect equilibrium; agents compare final
 bundles only, so prices never enter the strategic analysis.
+
+On a mover's last turn the enumeration expands one item only.  The
+mover's final bundle is then what it holds plus the item taken, whatever
+the others do afterwards; preferences are strict, so exactly one free
+item gives the best such bundle, and every other pick is dominated in
+every continuation.  Only that item's subtree can be reached by an
+equilibrium, so the others are never built: the plays, and their order,
+are those of the full recursion.
 """
 
 from __future__ import annotations
@@ -373,6 +381,12 @@ def _leaf_plays(
     are dropped.  Per position, the mover, its rank vector and the
     offsets of its later turns within a continuation are looked up once
     per call.
+
+    A mover without a later turn only expands its best free item: its
+    final bundle is its bundle so far plus the item it takes, ranks are
+    strict, so any other item leaves it strictly worse under every
+    continuation and is in no SPE.  Each free item's rank is read once,
+    and the subtrees of the other items are never enumerated.
     """
     movers = pix.agents
     ranks = [profile[agent].rank for agent in movers]
@@ -392,30 +406,38 @@ def _leaf_plays(
             return cached
         rank, shift, offsets = ranks[pos], shifts[pos], later[pos]
         held = (state >> shift) & full
-        # The mover's bundle stays in the state only if it moves again.
-        kept = state if offsets else state & ~(full << shift)
-        # Per free item x, in increasing order: (x, continuations, the
-        # mover's final rank under each or None when all are equal, worst).
-        options = []
         rest = state & full
+        if not offsets:
+            # The mover's last turn: only the x with the best final bundle
+            # held | x is expanded, and the bundle leaves the state.
+            best, best_rank = 0, -1
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                value = rank[held | bit]
+                if value > best_rank:
+                    best, best_rank = bit, value
+            x = best.bit_length() - 1
+            child = state & ~(full << shift) ^ best
+            result = tuple((x,) + play for play in plays_from(child, pos + 1))
+            memo[state] = result
+            return result
+
+        # Per free item x, in increasing order: (x, continuations, the
+        # mover's final rank under each, worst).
+        options = []
         while rest:
             bit = rest & -rest
             rest ^= bit
-            child = kept ^ bit | bit << shift if offsets else kept ^ bit
-            subplays = plays_from(child, pos + 1)
+            subplays = plays_from(state ^ bit | bit << shift, pos + 1)
             base = held | bit
-            if offsets:
-                finals = []
-                for play in subplays:
-                    bundle = base
-                    for offset in offsets:
-                        bundle |= 1 << play[offset]
-                    finals.append(rank[bundle])
-                worst = min(finals)
-            else:
-                finals = None
-                worst = rank[base]
-            options.append((bit.bit_length() - 1, subplays, finals, worst))
+            finals = []
+            for play in subplays:
+                bundle = base
+                for offset in offsets:
+                    bundle |= 1 << play[offset]
+                finals.append(rank[bundle])
+            options.append((bit.bit_length() - 1, subplays, finals, min(finals)))
 
         # A pick is part of some SPE iff, against every alternative item,
         # there is an SPE continuation there that the mover does not envy:
@@ -434,7 +456,7 @@ def _leaf_plays(
             threshold = second if index == top_index else top
             if worst >= threshold:
                 plays.extend((x,) + play for play in subplays)
-            elif finals is not None:
+            else:
                 plays.extend(
                     (x,) + play
                     for play, value in zip(subplays, finals)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PreferenceOrder, all_bundles, random_preference
+from .core import PreferenceOrder, items_of, random_preference
 from .fairness import audit_ce_fairness
 from .instances import (
     NamedInstance,
@@ -19,7 +19,13 @@ from .instances import (
     counterexample_5x2,
     stratified_incomes,
 )
-from .market import CEPair, IncomeVector, is_dominated_by
+from .market import (
+    CEPair,
+    IncomeVector,
+    bundle_prices,
+    common_scale,
+    scaled_integers,
+)
 from .oracle import ce_exists
 from .pixep import NoValidSpeError
 from .solver import SolveTranscript, range_labels, solve
@@ -137,28 +143,49 @@ class LemmaAudit:
         return self.violations == 0
 
 
+def _dominated(xs: Sequence[int], ys: Sequence[int]) -> bool:
+    """True iff the bundle picked at the sorted positions ``xs`` is
+    dominated by the one picked at ``ys``: some injection maps each of its
+    items to a weakly earlier-picked item of the other.  The pick order is
+    an interval order, so matching the sorted lists greedily decides it."""
+    return len(ys) >= len(xs) and all(y <= x for x, y in zip(xs, ys))
+
+
 def audit_lemmas(records: Sequence[SolveRecord]) -> LemmaAudit:
     """Check both domination guarantees on every recorded execution:
     nobody affords a bundle dominating their own, and agents with one
     contiguous block of turns never prefer a bundle their own dominates.
     Each (agent, bundle) pair that breaks one of them counts once.
+
+    Decided on integers: per execution, the prices and incomes are scaled
+    by their common denominator, every bundle is priced in one pass
+    (:func:`cefai.market.bundle_prices`), and each bundle's pick
+    positions are sorted once.
     """
     violations = 0
     for rec in records:
         execution = rec.transcript.execution
-        positions = {item: pos for pos, _, item in execution.picks}
+        m = execution.allocation.m
+        scale = common_scale(execution.prices, rec.incomes)
+        price = bundle_prices(scaled_integers(execution.prices, scale))
+        income = scaled_integers(rec.incomes, scale)
+        position = [0] * m
+        for pos, _, item in execution.picks:
+            position[item] = pos
+        picked = [sorted(position[j] for j in items_of(b)) for b in range(1 << m)]
         # the execution numbers the agents in the transcript's income order
         for agent, own in enumerate(execution.allocation.bundles):
-            income = rec.incomes[rec.transcript.order[agent]]
+            budget = income[rec.transcript.order[agent]]
             pref = rec.profile[rec.transcript.order[agent]]
             turns = [pos for pos, mover, _ in execution.picks if mover == agent]
             contiguous = bool(turns) and turns[-1] - turns[0] + 1 == len(turns)
-            for other in all_bundles(execution.allocation.m):
+            mine = picked[own]
+            for other, theirs in enumerate(picked):
                 if other == own:
                     continue
-                if is_dominated_by(own, other, positions):
-                    violations += int(execution.prices.bundle_price(other) <= income)
-                if contiguous and is_dominated_by(other, own, positions):
+                if _dominated(mine, theirs):
+                    violations += int(price[other] <= budget)
+                if contiguous and _dominated(theirs, mine):
                     violations += int(pref.prefers(other, own))
     return LemmaAudit(executions=len(records), violations=violations)
 

@@ -1,12 +1,12 @@
-"""Reference equilibrium verification, share audit, maximin bundles and
-oracle prefilters in ``Fraction``s.
+"""Reference equilibrium verification, share audit, maximin bundles,
+oracle prefilters and domination audit in ``Fraction``s.
 
 An independent cross-check for ``cefai.market.verify_ce``,
-``cefai.fairness.audit_ce_fairness``, ``cefai.fairness.maximin`` and the
-oracle's prefilters, which scale prices and incomes to integers, skip
-searches whose answer is fixed and share partition tables: the same
-checks written one bundle and one comparison at a time over exact
-rationals, the way the definitions read.  Slow, but simple enough to
+``cefai.fairness.audit_ce_fairness``, ``cefai.fairness.maximin``, the
+oracle's prefilters and ``cefai.repro.audit_lemmas``, which scale prices
+and incomes to integers, skip searches whose answer is fixed and share
+partition and price tables: the same checks written one bundle and one
+comparison at a time over exact rationals, the way the definitions read.  Slow, but simple enough to
 trust, so the tests compare the library against it field by field on
 seeded random pairs.  ``check_guarantee`` evaluates one instance of the
 guarantee on its own, with :func:`brute_maximin`, so that each violation
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from cefai.core import Bundle, PreferenceOrder, all_bundles, items_of
 from cefai.fairness import FairnessReport, GuaranteeCheck, _check_bounds
@@ -28,10 +28,62 @@ from cefai.market import (
     CEReport,
     CEViolation,
     IncomeVector,
+    PriceVector,
     ViolationKind,
     common_scale,
     scaled_integers,
 )
+
+
+def bundle_price(prices: PriceVector, bundle: Bundle) -> Fraction:
+    """The sum of the prices of the bundle's items."""
+    return sum((prices[j] for j in items_of(bundle)), Fraction(0))
+
+
+def is_dominated_by(x: Bundle, y: Bundle, positions: Mapping[int, int]) -> bool:
+    """True iff some injection maps each item of ``x`` to a weakly
+    earlier-picked item of ``y``.
+
+    ``positions`` maps each item to its (distinct) pick position.  Since
+    the constraint graph is an interval order, greedy matching of sorted
+    position lists decides the injection exactly.
+
+    >>> pos = {0: 1, 1: 2, 2: 3, 3: 4}
+    >>> is_dominated_by(0b1001, 0b0011, pos)   # {1,4} dominated by {1,2}
+    True
+    >>> is_dominated_by(0b1001, 0b1110, pos)   # {1,4} vs {2,3,4}: unrelated
+    False
+    """
+    if x == y:
+        raise ValueError("domination is defined for distinct bundles only")
+    xs = sorted(positions[j] for j in items_of(x))
+    ys = sorted(positions[j] for j in items_of(y))
+    if len(ys) < len(xs):
+        return False
+    return all(ys[k] <= xs[k] for k in range(len(xs)))
+
+
+def reference_lemma_violations(records) -> int:
+    """``audit_lemmas``'s count, one (agent, bundle) pair at a time: every
+    bundle priced as a ``Fraction`` sum, every domination decided by
+    :func:`is_dominated_by`."""
+    violations = 0
+    for rec in records:
+        execution = rec.transcript.execution
+        positions = {item: pos for pos, _, item in execution.picks}
+        for agent, own in enumerate(execution.allocation.bundles):
+            income = rec.incomes[rec.transcript.order[agent]]
+            pref = rec.profile[rec.transcript.order[agent]]
+            turns = [pos for pos, mover, _ in execution.picks if mover == agent]
+            contiguous = bool(turns) and turns[-1] - turns[0] + 1 == len(turns)
+            for other in all_bundles(execution.allocation.m):
+                if other == own:
+                    continue
+                if is_dominated_by(own, other, positions):
+                    violations += int(bundle_price(execution.prices, other) <= income)
+                if contiguous and is_dominated_by(other, own, positions):
+                    violations += int(pref.prefers(other, own))
+    return violations
 
 
 def reference_verify_ce(
@@ -45,7 +97,7 @@ def reference_verify_ce(
     violations: list[CEViolation] = []
     for i, pref in enumerate(profile):
         own = cand.allocation[i]
-        own_price = cand.prices.bundle_price(own)
+        own_price = bundle_price(cand.prices, own)
         if own != 0 and own_price != incomes[i]:
             violations.append(
                 CEViolation(i, ViolationKind.BUDGET_MISMATCH, own, own_price, incomes[i])
@@ -55,7 +107,7 @@ def reference_verify_ce(
         for y in all_bundles(m):
             if pref.rank[y] <= own_rank:
                 continue
-            y_price = cand.prices.bundle_price(y)
+            y_price = bundle_price(cand.prices, y)
             if y_price <= threshold:
                 violations.append(
                     CEViolation(

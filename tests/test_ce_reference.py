@@ -14,6 +14,7 @@ from cefai.instances import NAMED_INSTANCES
 from cefai.oracle import _MarketRows, _passes_prefilters, ce_exists
 
 from ce_reference import (
+    bundle_price,
     reference_audit_ce_fairness,
     reference_passes_prefilters,
     reference_verify_ce,
@@ -54,7 +55,7 @@ def random_pairs(m: int, n: int, seed: int, count: int):
             kind = 1
         if kind == 1:
             incomes = IncomeVector.of(
-                prices.bundle_price(b) if b else _money(rng) for b in bundles
+                bundle_price(prices, b) if b else _money(rng) for b in bundles
             )
         else:
             incomes = IncomeVector.of(_money(rng) for _ in range(n))

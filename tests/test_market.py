@@ -14,10 +14,10 @@ from cefai.market import (
     IncomeVector,
     PriceVector,
     ViolationKind,
-    is_dominated_by,
     verify_ce,
 )
 
+from ce_reference import bundle_price, is_dominated_by
 from conftest import chain_preference
 
 
@@ -85,7 +85,7 @@ class TestVerifyCE:
         assert not report.valid
         for v in report.violations:
             if v.kind is ViolationKind.BUDGET_MISMATCH:
-                assert pair.prices.bundle_price(v.bundle) != incomes[v.agent]
+                assert bundle_price(pair.prices, v.bundle) != incomes[v.agent]
             else:
                 assert profile[v.agent].prefers(v.bundle, pair.allocation[v.agent])
                 assert v.price <= v.threshold

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cefai.core import random_preference
+from cefai.core import PreferenceOrder, random_preference
 from cefai.instances import counterexample_4x3, stratified_incomes
 from cefai.market import DimensionMismatchError, IncomeVector
 from cefai import pixep
@@ -223,6 +223,35 @@ class TestSpeOutcomes:
                 assert e.allocation[1] == best
 
 
+    def test_last_turns_expand_only_the_best_item(self):
+        # ABCD: every agent picks once, so every turn is a last turn and the
+        # one SPE play is serial dictatorship; each state reads the rank of
+        # each free item once, m + (m-1) + ... + 2 reads in all
+        m = n = 4
+        reads = [0]
+
+        class CountingRank(tuple):
+            def __getitem__(self, index):
+                reads[0] += 1
+                return super().__getitem__(index)
+
+        profile = [
+            PreferenceOrder(m, CountingRank(random_preference(m, seed=40 + i).rank))
+            for i in range(n)
+        ]
+        free, expected = (1 << m) - 1, []
+        for pref in profile:
+            item = max(
+                (j for j in range(m) if free >> j & 1),
+                key=lambda j: tuple.__getitem__(pref.rank, 1 << j),
+            )
+            expected.append(item)
+            free ^= 1 << item
+        pix = Pixep.of((agent, affine(0)) for agent in range(n))
+        assert pixep._leaf_plays(pix, profile, m) == (tuple(expected),)
+        assert reads[0] <= m * (m + 1) // 2
+
+
 def _ordered_plays(game, profile):
     return [(e.path, tuple(item for _, _, item in e.picks)) for e in spe_outcomes(game, profile)]
 
@@ -232,12 +261,15 @@ class TestSpeOrder:
     # list the plays in the reference's order, not merely the same set
 
     def test_random_games_match_reference_order(self, rng):
-        for m in range(1, 5):
-            for n in range(1, 5):
-                for _ in range(12):
-                    game = random_game(rng, m, n)
-                    profile = random_profile(rng, m, n)
-                    assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
+        # m = 5 last: long sequences are where the last-turn pruning skips
+        # the most of the tree
+        sizes = [(m, n) for m in range(1, 5) for n in range(1, 5)]
+        sizes += [(5, n) for n in range(1, 4)]
+        for m, n in sizes:
+            for _ in range(12):
+                game = random_game(rng, m, n)
+                profile = random_profile(rng, m, n)
+                assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
 
     @pytest.mark.parametrize(
         "m,n", [(1, 1), (1, 2), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3)]

@@ -1,12 +1,15 @@
 """The reproduction harness, pinned on a small run, and its domination audit."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from cefai.core import random_preference
 from cefai.market import PriceVector
 from cefai.repro import audit_lemmas, existence_table, format_table, soundness_m3
+
+from ce_reference import reference_lemma_violations
 
 
 class TestPinnedRepro:
@@ -80,3 +83,28 @@ class TestDominationAudit:
         ]
         audit = audit_lemmas(swapped)
         assert audit.violations == 13 and not audit.clean
+
+    def test_counts_match_the_fraction_reference(self, records):
+        # prices scaled down, kept and scaled up, under the solved and
+        # under other preferences: the integer audit and the one-pair-at-
+        # a-time Fraction reference count the same violations
+        counts = []
+        for factor in (Fraction(2, 3), Fraction(1), Fraction(5, 4)):
+            for seed in (None, 7):
+                changed = []
+                for k, rec in enumerate(records):
+                    execution = rec.transcript.execution
+                    prices = PriceVector.of(p * factor for p in execution.prices)
+                    execution = replace(execution, prices=prices)
+                    rec = replace(rec, transcript=replace(rec.transcript, execution=execution))
+                    if seed is not None:
+                        profile = tuple(
+                            random_preference(pref.m, seed=seed + 100 * k + i)
+                            for i, pref in enumerate(rec.profile)
+                        )
+                        rec = replace(rec, profile=profile)
+                    changed.append(rec)
+                count = audit_lemmas(changed).violations
+                assert count == reference_lemma_violations(changed)
+                counts.append(count)
+        assert min(counts) == 0 and max(counts) > 0

@@ -27,6 +27,7 @@ from cefai.solver import (
     solve,
 )
 
+from ce_reference import bundle_price
 from conftest import (
     candidate_games,
     chain_preference,
@@ -191,7 +192,7 @@ class TestSolve:
         # the top agent holds her single best item at her income
         best_single = max([X, Y, Z], key=profile[0].rank.__getitem__)
         assert pair.allocation[0] == best_single
-        assert pair.prices.bundle_price(best_single) == 6
+        assert bundle_price(pair.prices, best_single) == 6
 
     def test_four_items_three_agents_top_heavy_range(self):
         incomes = IncomeVector.of([20, 7, 3])
