@@ -287,37 +287,19 @@ def chain_pairs(
 
 
 def _find_cycle(succ: Sequence[Sequence[int]], stuck: set[int]) -> list[int]:
-    color = {}
-    parent = {}
-    for start in sorted(stuck):
-        if color.get(start):
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in stuck:
-                    continue
-                if color.get(nxt) == 1:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle[:-1]
-                if not color.get(nxt):
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return sorted(stuck)  # should not happen; stuck nodes always hold a cycle
+    """A cycle of ``stuck``, best first, where ``succ[w]`` lists the bundles
+    that must rank above ``w`` and every stuck bundle has one that must rank
+    below it among the stuck (else it would have been emitted).  The walk
+    steps from the least stuck bundle to a worse stuck bundle until one
+    repeats."""
+    worse = {}
+    for w in sorted(stuck):
+        for b in succ[w]:
+            worse.setdefault(b, w)
+    walk = [min(stuck)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(worse[walk[-1]])
+    return walk[walk.index(walk[-1]):-1]
 
 
 @lru_cache(maxsize=None)  # one entry per item count, at most MAX_ITEMS + 1

@@ -38,7 +38,10 @@ class NamedInstance:
     agent_names: tuple[str, ...]
     relations: tuple[PartialRelations, ...]
     region: IncomeRegion
-    reference: IncomeVector
+
+    @property
+    def reference(self) -> IncomeVector:
+        return self.region.reference
 
     @property
     def m(self) -> int:
@@ -102,7 +105,6 @@ def counterexample_4x4() -> NamedInstance:
         agent_names=("Alice", "Bob", "Carl", "Dana"),
         relations=(alice, bob, carl, dana),
         region=region,
-        reference=region.reference,
     )
 
 
@@ -153,7 +155,6 @@ def counterexample_5x2() -> NamedInstance:
         agent_names=("Alice", "Bob"),
         relations=(alice, bob),
         region=region,
-        reference=region.reference,
     )
 
 
@@ -218,7 +219,6 @@ def counterexample_4x3() -> NamedInstance:
             full_chain(carl_order),
         ),
         region=region,
-        reference=region.reference,
     )
 
 

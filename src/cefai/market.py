@@ -373,9 +373,14 @@ def _sample_incomes(
     (the list of ``randint`` values, sorted when ``descending``), which
     keeps the sign of every homogeneous form of the incomes; only an
     accepted draw becomes an ``IncomeVector`` of exact ``Fraction``s.
+    A ``count`` of 0 draws nothing; a negative one raises ``ValueError``.
     Raises ``EmptyRegionSamplerError`` when ``budget`` draws do not yield
     ``count`` incomes that ``accept`` admits.
     """
+    if count < 0:
+        raise ValueError(f"cannot sample a negative count of {what}: {count}")
+    if count == 0:
+        return []
     rng = random.Random(key)
     points = []
     for _ in range(budget):

@@ -16,17 +16,16 @@ pixep usable as an equilibrium device:
 interval of feasible ε values; ``resolve_epsilon`` picks a capped
 midpoint of that interval, and ``execute_to_ce`` prices each leaf at it.
 
-A :class:`Pixep` holds its prices as integers: each position's constant
-over one common denominator and its ε-slope over another, the way the
-solver's games are written (integer forms in the scaled incomes).  R1-R3,
-the cap ``resolve_epsilon`` puts on ε and the prices of a played
-allocation are computed from those integers, brought over one
-denominator with the incomes by a single ``lcm``, the way
+A :class:`Pixep` holds its prices in one form, as integers: each
+position's constant over one common denominator and an integer ε-slope,
+the way the solver's games are written (integer forms in the scaled
+incomes).  R1-R3, the cap ``resolve_epsilon`` puts on ε and the prices
+of a played allocation are computed from those integers, brought over
+one denominator with the incomes by a single ``lcm``, the way
 :func:`cefai.market.verify_ce` checks an equilibrium.  ``Fraction``s
 appear only at the boundary: the ε interval, the ε and the price vector
-handed out, the texts of errors, and :meth:`Pixep.of` and
-:attr:`Pixep.positions`, which read and show the prices as
-:class:`AffinePrice` values.
+handed out, and the texts of errors, which show a price as an
+:class:`AffinePrice`.
 
 Games are either a single pixep (a :class:`Leaf`) or a sequential
 choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
@@ -49,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .core import PreferenceOrder
 from .market import (
@@ -82,7 +81,7 @@ class NoValidSpeError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffinePrice:
-    """A price of the form ``c0 + c1·ε``."""
+    """A price of the form ``c0 + c1·ε``, as the texts of errors show it."""
 
     c0: Fraction
     c1: Fraction = Fraction(0)
@@ -102,33 +101,15 @@ class Pixep:
     integers.
 
     Position k is taken by ``agents[k]`` at the price
-    ``constants[k]/scale + slopes[k]/slope_scale · ε``.  Each denominator
-    is the least one its values need, so equal prices give equal pixeps:
-    :meth:`of` builds one from ``AffinePrice`` values, :meth:`scaled`
-    from integer constants over any denominator, and :attr:`positions`
-    gives the prices back as ``AffinePrice`` values.
+    ``constants[k]/scale + slopes[k]·ε``, with ``scale`` the least
+    denominator of the constants, so equal prices give equal pixeps;
+    :meth:`scaled` builds one from constants over any denominator.
     """
 
     agents: tuple[int, ...]
     constants: tuple[int, ...]
     slopes: tuple[int, ...]
     scale: int = 1
-    slope_scale: int = 1
-
-    @staticmethod
-    def of(entries: Iterable[tuple[int, AffinePrice]]) -> "Pixep":
-        entries = tuple(entries)
-        constants = [price.c0 for _, price in entries]
-        slopes = [price.c1 for _, price in entries]
-        scale = common_scale(constants)
-        slope_scale = common_scale(slopes)
-        return Pixep(
-            tuple(agent for agent, _ in entries),
-            tuple(scaled_integers(constants, scale)),
-            tuple(scaled_integers(slopes, slope_scale)),
-            scale,
-            slope_scale,
-        )
 
     @staticmethod
     def scaled(
@@ -143,14 +124,6 @@ class Pixep:
             tuple(c // common for c in constants),
             tuple(slopes),
             scale // common,
-        )
-
-    @property
-    def positions(self) -> tuple[tuple[int, AffinePrice], ...]:
-        """(agent, price) per position, in ``Fraction`` values."""
-        return tuple(
-            (agent, AffinePrice(Fraction(c0, self.scale), Fraction(c1, self.slope_scale)))
-            for agent, c0, c1 in zip(self.agents, self.constants, self.slopes)
         )
 
     @property
@@ -208,14 +181,19 @@ def _with_incomes(pix: Pixep, incomes: IncomeVector) -> tuple[int, list[int], li
     return scale, [c * up for c in pix.constants], scaled_integers(incomes, scale)
 
 
+def _price(pix: Pixep, k: int) -> AffinePrice:
+    """The price of position ``k``, as an error text shows it."""
+    return AffinePrice(Fraction(pix.constants[k], pix.scale), Fraction(pix.slopes[k]))
+
+
 def _describe(pix: Pixep, incomes: IncomeVector, key: tuple[str, int]) -> str:
     """The text of one R2/R3 constraint of :func:`check_requirements`."""
     kind, index = key
-    last_price = pix.positions[-1][1]
     if kind == "R2":
-        (agent_k, price_k), (agent_next, price_next) = pix.positions[index:index + 2]
-        turn = "switch" if agent_k != agent_next else "run"
-        return f"R2 {turn} at positions {index + 1}->{index + 2}: {price_k} vs {price_next}"
+        turn = "switch" if pix.agents[index] != pix.agents[index + 1] else "run"
+        prices = f"{_price(pix, index)} vs {_price(pix, index + 1)}"
+        return f"R2 {turn} at positions {index + 1}->{index + 2}: {prices}"
+    last_price = _price(pix, -1)
     if kind == "R3":
         return f"R3: last price {last_price} vs income {incomes[index]} of absent agent {index}"
     return f"positivity of last price {last_price}"
@@ -230,8 +208,8 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     the pixep cannot implement the incomes.
 
     R1-R3 are decided on the pixep's integers: the position constants
-    and the incomes over one common denominator, the ε-slopes over the
-    pixep's own, and each bound on ε kept as an integer ratio.
+    and the incomes over one common denominator, the integer ε-slopes,
+    and each bound on ε kept as an integer ratio.
     ``Fraction``s are built only at the boundary: the two ends of the
     returned interval, and the texts of a raised error.
     """
@@ -242,7 +220,7 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
     scale, constants, income = _with_incomes(pix, incomes)
-    slopes, slope_scale = pix.slopes, pix.slope_scale
+    slopes = pix.slopes
     sums: dict[int, list[int]] = {}
     for agent, c0, c1 in zip(agents, constants, slopes):
         total = sums.setdefault(agent, [0, 0])
@@ -250,14 +228,14 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
         total[1] += c1
     for agent, (c0, c1) in sums.items():
         if c0 != income[agent] or c1 != 0:
-            total = AffinePrice(Fraction(c0, scale), Fraction(c1, slope_scale))
+            total = AffinePrice(Fraction(c0, scale), Fraction(c1))
             raise R1ViolationError(
                 agent, f": prices sum to {total}, income is {incomes[agent]}"
             )
 
     # Each constraint is alpha + beta*eps > 0 (strict) or >= 0, alpha in
-    # units of 1/scale and beta in units of 1/slope_scale, named by a key
-    # that _describe turns into text.
+    # units of 1/scale and beta an integer, named by a key that _describe
+    # turns into text.
     constraints = [
         (("R2", k), constants[k] - constants[k + 1], slopes[k] - slopes[k + 1],
          agents[k] != agents[k + 1])
@@ -271,7 +249,7 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     constraints.append((("positivity", 0), last_c0, last_c1, True))
 
     # A bound -alpha/beta on ε is the ratio num/den (den > 0), in units of
-    # slope_scale/scale; bounds are compared by cross-multiplying.
+    # 1/scale; bounds are compared by cross-multiplying.
     lo_num, lo_den, lo_key = 0, 1, None
     hi_num, hi_den, hi_key = 0, 1, None
     for key, alpha, beta, strict in constraints:
@@ -291,8 +269,8 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
             f"empty ε interval: ({lo_desc}) against ({_describe(pix, incomes, hi_key)})"
         )
     return EpsilonInterval(
-        lo=Fraction(lo_num * slope_scale, lo_den * scale),
-        hi=None if hi_key is None else Fraction(hi_num * slope_scale, hi_den * scale),
+        lo=Fraction(lo_num, lo_den * scale),
+        hi=None if hi_key is None else Fraction(hi_num, hi_den * scale),
     )
 
 
@@ -312,7 +290,7 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     for c0, c1 in zip(constants, pix.slopes):
         sums |= {(s0 + c0, s1 + c1) for s0, s1 in sums}
     # A subset sum s0 + s1*eps meets income t at eps = (t - s0)/s1, the
-    # ratio num/den (den > 0) in units of slope_scale/scale.
+    # ratio num/den (den > 0) in units of 1/scale.
     best_num, best_den = 0, 0
     for t in set(income):
         for s0, s1 in sums:
@@ -326,7 +304,7 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
                 best_num, best_den = num, den
     if best_den == 0:
         return None
-    return Fraction(best_num * pix.slope_scale, best_den * scale)
+    return Fraction(best_num, best_den * scale)
 
 
 def resolve_epsilon(
@@ -579,13 +557,11 @@ def execute_to_ce(
         if priced is None:
             pix = leaf.pixep
             eps = resolve_epsilon(pix, incomes, intervals[id(leaf)])
-            # c0/scale + c1/slope_scale·eps, over scale·slope_scale·eps's
-            # denominator
-            up0 = pix.slope_scale * eps.denominator
-            up1 = pix.scale * eps.numerator
-            den = pix.scale * up0
+            # c0/scale + c1·eps, over scale·eps's denominator
+            up = pix.scale * eps.numerator
+            den = pix.scale * eps.denominator
             priced = resolved[id(leaf)] = eps, [
-                Fraction(c0 * up0 + c1 * up1, den)
+                Fraction(c0 * eps.denominator + c1 * up, den)
                 for c0, c1 in zip(pix.constants, pix.slopes)
             ]
         eps, position_prices = priced

@@ -109,12 +109,12 @@ class IncomeRange:
 
     A game is a leaf name of ``_LEAVES`` or a choice game
     ``(chooser, (option label, game), ...)`` whose last option is the
-    default.  The equal split of the one-agent sizes has no game here.
+    default.
     """
 
     label: str
     forms: tuple[tuple[int, int, int], ...]
-    primary: str | tuple | None
+    primary: str | tuple
     fallbacks: tuple[str, ...] = ()
 
     def holds(self, sorted_incomes: Sequence) -> bool:
@@ -184,8 +184,8 @@ def range_table(m: int, n: int) -> tuple[IncomeRange, ...]:
     ``UnsupportedCaseError``."""
     if not _supported(m, n):
         raise UnsupportedCaseError(m, n)
-    if n == 1:
-        return (IncomeRange(f"m{m}n1", (), None),)
+    if n == 1:  # the one agent pays a/m for each item
+        return (IncomeRange(f"m{m}n1", (), "A" * m),)
     if m == 3 and n == 2:
         # with only two incomes c is 0: a > b + c always holds, a < b + c never
         return _RANGES["m3"][:1]
@@ -257,6 +257,9 @@ def _range_at(m: int, t: list[int]) -> IncomeRange:
 # alternative price vector for the same sequence.
 _LEAVES: dict[str, tuple[tuple[tuple[int, int, int] | None, int, tuple], ...]] = {
     "A": ((None, 1, ((1, 0, 0, 0),)),),
+    "AA": ((None, 2, ((1, 0, 0, 0),) * 2),),
+    "AAA": ((None, 3, ((1, 0, 0, 0),) * 3),),
+    "AAAA": ((None, 4, ((1, 0, 0, 0),) * 4),),
     "AB": ((None, 1, ((1, 0, 0, 0), (0, 1, 0, 0))),),
     "ABA": ((None, 1, ((1, 0, -1, -1), (0, 1, 0, 0), (0, 0, 1, 1))),),
     "ABC": ((None, 1, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))),),
@@ -309,15 +312,11 @@ def _game(spec, abc: Sequence[int], scale: int) -> GameNode:
 
 
 def _candidate_games(
-    row: IncomeRange, t: Sequence[int], scale: int, m: int
+    row: IncomeRange, t: Sequence[int], scale: int
 ) -> Iterator[tuple[str, GameNode]]:
     """Games to try for one income range at the sorted incomes ``t``,
     integers over ``scale``, in order of preference: the range's primary
     game, then each fallback leaf, labelled ``range+leaf``."""
-    if row.primary is None:
-        pix = Pixep.scaled((0,) * m, (t[0],) * m, scale * m, (0,) * m)
-        yield row.label, Leaf(pix, "A" * m)
-        return
     abc = (*t[:3], 0, 0)[:3]
     yield row.label, _game(row.primary, abc, scale)
     for name in row.fallbacks:
@@ -356,7 +355,7 @@ def solve(
     sorted_incomes = IncomeVector(tuple(incomes[i] for i in order))
     sorted_profile = [profile[i] for i in order]
 
-    for game_label, game in _candidate_games(row, t, scale, m):
+    for game_label, game in _candidate_games(row, t, scale):
         try:
             execution, sorted_pair = execute_to_ce(game, sorted_profile, sorted_incomes)
             break

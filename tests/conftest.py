@@ -30,7 +30,7 @@ from cefai.solver import (
     _sorted_integers,
 )
 
-from eps_reference import affine
+from eps_reference import affine, pixep_of
 
 
 def is_subset(s: Bundle, t: Bundle) -> bool:
@@ -47,11 +47,11 @@ def scaled_incomes(incomes: IncomeVector, factor: Fraction) -> IncomeVector:
     return IncomeVector.of(v * factor for v in incomes)
 
 
-def candidate_games(row: IncomeRange, incomes: IncomeVector, m: int):
+def candidate_games(row: IncomeRange, incomes: IncomeVector):
     """The solver's candidate games for ``row`` at ``incomes``, which are
     taken in the order given (the solver passes them sorted descending)."""
     scale = common_scale(incomes)
-    return _candidate_games(row, scaled_integers(incomes, scale), scale, m)
+    return _candidate_games(row, scaled_integers(incomes, scale), scale)
 
 
 def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
@@ -86,7 +86,7 @@ def chain_preference(m: int, *chain):
 
 
 def zero_priced_pixep(agents: list[int]) -> Pixep:
-    return Pixep.of((agent, affine(0)) for agent in agents)
+    return pixep_of((agent, affine(0)) for agent in agents)
 
 
 def random_leaf_game(rng: random.Random, m: int, n: int) -> Leaf:

@@ -7,13 +7,23 @@ sign-flip cap on scaled integers: the same functions written one
 way the requirements read.  Slow, but simple enough to trust, so the
 tests compare the library against it value by value and message by
 message on random pixeps.
+
+``pixep_of`` and ``positions`` convert between a :class:`Pixep`'s
+integers and ``AffinePrice`` values, so that tests can write and read
+prices as the paper does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-from cefai.market import DimensionMismatchError, IncomeVector
+from cefai.market import (
+    DimensionMismatchError,
+    IncomeVector,
+    common_scale,
+    scaled_integers,
+)
 from cefai.pixep import (
     AffinePrice,
     EmptyEpsilonIntervalError,
@@ -26,6 +36,31 @@ from cefai.pixep import (
 def affine(c0: Fraction | int | str, c1: Fraction | int | str = 0) -> AffinePrice:
     """The price ``c0 + c1·ε`` with ``Fraction`` coefficients."""
     return AffinePrice(Fraction(c0), Fraction(c1))
+
+
+def pixep_of(entries: Iterable[tuple[int, AffinePrice]]) -> Pixep:
+    """The pixep with one (agent, price) entry per position; every ε-slope
+    must be an integer."""
+    entries = tuple(entries)
+    constants = [price.c0 for _, price in entries]
+    scale = common_scale(constants)
+    slopes = [price.c1 for _, price in entries]
+    if any(slope.denominator != 1 for slope in slopes):
+        raise ValueError(f"ε-slopes must be integers, got {slopes}")
+    return Pixep(
+        tuple(agent for agent, _ in entries),
+        tuple(scaled_integers(constants, scale)),
+        tuple(int(slope) for slope in slopes),
+        scale,
+    )
+
+
+def positions(pix: Pixep) -> tuple[tuple[int, AffinePrice], ...]:
+    """(agent, price) per position, in ``Fraction`` values."""
+    return tuple(
+        (agent, affine(Fraction(c0, pix.scale), c1))
+        for agent, c0, c1 in zip(pix.agents, pix.constants, pix.slopes)
+    )
 
 
 def plus(p: AffinePrice, q: AffinePrice) -> AffinePrice:
@@ -45,12 +80,13 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
     the pixep cannot implement the incomes.
     """
     n = len(incomes)
-    for agent, _ in pix.positions:
+    prices = positions(pix)
+    for agent, _ in prices:
         if not 0 <= agent < n:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
     sums: dict[int, AffinePrice] = {}
-    for agent, price in pix.positions:
+    for agent, price in prices:
         sums[agent] = plus(sums.get(agent, affine(0)), price)
     for agent, total in sums.items():
         if total.c0 != incomes[agent] or total.c1 != 0:
@@ -61,8 +97,8 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
     # Each constraint is alpha + beta*eps > 0 (strict) or >= 0.
     constraints: list[tuple[Fraction, Fraction, bool, str]] = []
     for k in range(pix.m - 1):
-        agent_k, price_k = pix.positions[k]
-        agent_next, price_next = pix.positions[k + 1]
+        agent_k, price_k = prices[k]
+        agent_next, price_next = prices[k + 1]
         diff = minus(price_k, price_next)
         strict = agent_k != agent_next
         kind = "switch" if strict else "run"
@@ -70,7 +106,7 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
             (diff.c0, diff.c1, strict,
              f"R2 {kind} at positions {k + 1}->{k + 2}: {price_k} vs {price_next}")
         )
-    last_agent, last_price = pix.positions[-1]
+    last_agent, last_price = prices[-1]
     present = set(pix.agents)
     for j in range(n):
         if j not in present:
@@ -114,9 +150,8 @@ def reference_sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | N
     the bound, each comparison keeps the sign it has in the small-ε
     limit.
     """
-    prices = [price for _, price in pix.positions]
     subset_sums = [affine(0)]
-    for price in prices:
+    for _, price in positions(pix):
         subset_sums += [plus(total, price) for total in subset_sums]
     bound: Fraction | None = None
     for total in subset_sums:

@@ -5,8 +5,10 @@ the sorted scaled incomes.  Here they are written the way the paper's
 constructions read: one ``(c0, c1)`` pair per position, meaning
 ``c0 + c1·ε``, computed from the sorted incomes ``a > b > c`` in exact
 rationals, with BAAA's ``max(c, (a − b)/2)`` taken literally.  A missing
-income is 0.  The tests compare every leaf's ``Pixep.positions`` with
-these prices.
+income is 0.  The leaves ``AA``, ``AAA`` and ``AAAA`` are the equal
+split of a one-agent market.  The tests compare the prices of every
+leaf, read from its integers by ``eps_reference.positions``, with these
+prices.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ def _baaa(a: Fraction, b: Fraction, c: Fraction) -> tuple:
 
 REFERENCE_LEAVES: dict[str, Callable[[Fraction, Fraction, Fraction], tuple]] = {
     "A": lambda a, b, c: ((a, 0),),
+    "AA": lambda a, b, c: ((a / 2, 0),) * 2,
+    "AAA": lambda a, b, c: ((a / 3, 0),) * 3,
+    "AAAA": lambda a, b, c: ((a / 4, 0),) * 4,
     "AB": lambda a, b, c: ((a, 0), (b, 0)),
     "ABA": lambda a, b, c: ((a - c, -1), (b, 0), (c, +1)),
     "ABC": lambda a, b, c: ((a, 0), (b, 0), (c, 0)),

@@ -1,5 +1,7 @@
 """Bundles and strict monotone preference orders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,21 @@ def assert_monotone(pref):
         for t in all_bundles(pref.m):
             if s != t and is_subset(s, t):
                 assert pref.prefers(t, s)
+
+
+def assert_cycle_best_first(rel: PartialRelations) -> tuple:
+    """The reported cycle of ``rel``, after checking that each bundle of
+    it ranks above the next (and the last above the first): an asserted
+    pair, or a strict superset over a subset."""
+    with pytest.raises(CyclicRelationsError) as err:
+        complete_partial(rel)
+    cycle = err.value.cycle
+    assert len(cycle) >= 2
+    for better, worse in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (better, worse) in rel.pairs or (
+            better != worse and is_subset(worse, better)
+        ), (cycle, rel.pairs)
+    return cycle
 
 
 class TestMakePreference:
@@ -88,6 +105,32 @@ class TestCompletePartial:
         with pytest.raises(CyclicRelationsError) as err:
             complete_partial(rel)
         assert len(err.value.cycle) >= 2
+
+    def test_three_cycle_reported_best_first(self):
+        rel = PartialRelations(m=3, pairs=((X, Y), (Y, Z), (Z, X)))
+        assert assert_cycle_best_first(rel) == (X, Y, Z)
+        with pytest.raises(CyclicRelationsError, match=r"cyclic: x > y > z > \.\.\.$"):
+            complete_partial(rel)
+
+    def test_monotonicity_clash_reported_best_first(self):
+        assert_cycle_best_first(PartialRelations(m=2, pairs=((X, X | Y),)))
+
+    def test_random_cyclic_relations_reported_best_first(self):
+        rng = random.Random("cyclic-relations")
+        cyclic = 0
+        for _ in range(200):
+            m = rng.randint(2, 4)
+            pairs = tuple(
+                (rng.randrange(1, 1 << m), rng.randrange(1, 1 << m))
+                for _ in range(rng.randint(2, 6))
+            )
+            rel = PartialRelations(m=m, pairs=tuple((b, w) for b, w in pairs if b != w))
+            try:
+                complete_partial(rel)
+            except CyclicRelationsError:
+                assert_cycle_best_first(rel)
+                cyclic += 1
+        assert cyclic >= 20, cyclic
 
     def test_deterministic(self):
         rel = PartialRelations(m=3, pairs=((Y | Z, X | Z), (X, Y)))

@@ -57,16 +57,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _is_static(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+    )
+
+
 def definitions(tree: ast.Module) -> list[tuple[str, bool, int, int]]:
     """Top-level functions and classes, and the public methods of the
-    classes, as (name, is a method, first line, last line)."""
+    classes, as (name, is a method, first line, last line).  A static
+    method is named ``Class.method``, the only way a use can reach it."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.append((node.name, False, node.lineno, node.end_lineno))
         if isinstance(node, ast.ClassDef):
             found.extend(
-                (item.name, True, item.lineno, item.end_lineno)
+                (f"{node.name}.{item.name}" if _is_static(item) else item.name,
+                 True, item.lineno, item.end_lineno)
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
             )
@@ -74,10 +82,11 @@ def definitions(tree: ast.Module) -> list[tuple[str, bool, int, int]]:
 
 
 def uses(tree: ast.Module) -> list[tuple[str, bool, int]]:
-    """Every name read or imported, every attribute taken, and every part of
-    a string constant that spells a dotted name (``getattr`` targets, the
-    benchmark's rebinding table), as (name, could name a method, line).
-    A bare name is a variable or a module-level definition, never a method.
+    """Every name read or imported, every attribute taken (and, taken from
+    a name, as ``name.attribute``), and every part of a string constant
+    that spells a dotted name (``getattr`` targets, the benchmark's
+    rebinding table), as (name, could name a method, line).  A bare name
+    is a variable or a module-level definition, never a method.
     """
     found = []
     for node in ast.walk(tree):
@@ -87,6 +96,8 @@ def uses(tree: ast.Module) -> list[tuple[str, bool, int]]:
             found.extend((alias.name, False, node.lineno) for alias in node.names)
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, True, node.end_lineno))
+            if isinstance(node.value, ast.Name):
+                found.append((f"{node.value.id}.{node.attr}", True, node.end_lineno))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
@@ -134,6 +145,32 @@ def test_dead_code_scanner_flags_unused_and_accepts_used():
         "Box (line 1)", "used (line 2)", "unused_method (line 4)",
         "rebound (line 8)", "recursive (line 10)",
     ]
+
+
+def test_scanner_counts_static_methods_by_class():
+    # a static method is used only as Class.method: a method of the same
+    # name elsewhere, an instance call or a docstring does not count
+    module = (
+        "class Box:\n"
+        "    @staticmethod\n"
+        "    def of(x):\n"
+        "        return Box.of(x)\n"
+        "    @staticmethod\n"
+        "    def used(x):\n"
+        "        pass\n"
+        "class Other:\n"
+        "    @staticmethod\n"
+        "    def of(x):\n"
+        "        pass\n"
+    )
+    user = (
+        '"""Box.of"""\n'
+        "from m import Box, Other\n"
+        "Other.of(1)\n"
+        "Box.used(2)\n"
+        "Box().of(3)\n"
+    )
+    assert unused_definitions("m", {"m": module, "user": user}) == ["Box.of (line 3)"]
 
 
 def test_uses_in_tests_do_not_count():

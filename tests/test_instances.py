@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from cefai.instances import (
     random_generic_incomes,
     stratified_incomes,
 )
+from cefai import market
 from cefai.market import IncomeRegion
 from cefai.solver import range_labels, range_table
 
@@ -119,6 +121,24 @@ class TestSamplers:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             stratified_incomes(4, 3, "range99", seed=0, count=1)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda count: random_generic_incomes(4, 3, seed=0, count=count),
+            lambda count: stratified_incomes(4, 3, "m4n3:range1", seed=0, count=count),
+            lambda count: counterexample_4x3().region.sample(0, count),
+        ],
+        ids=["generic", "stratified", "region"],
+    )
+    def test_count_zero_draws_nothing_and_negative_raises(self, sample, monkeypatch):
+        def no_draws(key):
+            raise AssertionError(f"drew from {key}")
+
+        monkeypatch.setattr(market, "random", SimpleNamespace(Random=no_draws))
+        assert sample(0) == []
+        with pytest.raises(ValueError, match="negative count .*: -1"):
+            sample(-1)
 
     def test_generic_sampler(self):
         for point in random_generic_incomes(4, 3, seed=2, count=5):

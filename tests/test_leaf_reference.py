@@ -16,7 +16,7 @@ from cefai.pixep import Pixep
 from cefai.solver import _LEAVES, _leaf, range_labels, range_table
 
 from conftest import candidate_games, leaf_at
-from eps_reference import affine
+from eps_reference import affine, pixep_of, positions
 from leaf_reference import reference_prices
 
 SIZES = [(1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
@@ -27,11 +27,11 @@ def check_leaf(name: str, incomes: IncomeVector) -> None:
     and turn order, and survives the round trip through them."""
     pix = leaf_at(name, incomes).pixep
     abc = (*incomes.t[:3], Fraction(0), Fraction(0))[:3]
-    assert [(price.c0, price.c1) for _, price in pix.positions] == list(
+    assert [(price.c0, price.c1) for _, price in positions(pix)] == list(
         reference_prices(name, abc)
     ), (name, incomes)
     assert pix.agents == tuple("ABC".index(ch) for ch in name.rstrip("="))
-    assert Pixep.of(pix.positions) == pix
+    assert pixep_of(positions(pix)) == pix
 
 
 @pytest.mark.parametrize("m,n", SIZES, ids=[f"m{m}n{n}" for m, n in SIZES])
@@ -46,10 +46,10 @@ def test_every_leaf_at_stratified_points(m, n):
 def test_equal_split_of_one_agent(m):
     (row,) = range_table(m, 1)
     for incomes in stratified_incomes(m, 1, row.label, seed=13, count=10):
-        ((label, game),) = candidate_games(row, incomes, m)
+        ((label, game),) = candidate_games(row, incomes)
         assert label == f"m{m}n1" and game.label == "A" * m
-        assert game.pixep.positions == ((0, affine(incomes[0] / m)),) * m
-        assert Pixep.of(game.pixep.positions) == game.pixep
+        assert positions(game.pixep) == ((0, affine(incomes[0] / m)),) * m
+        assert pixep_of(positions(game.pixep)) == game.pixep
 
 
 def test_every_leaf_at_random_rational_incomes():
@@ -75,10 +75,10 @@ def test_baaa_on_both_sides_of_its_split(b, c):
     at_tie = {
         Pixep.scaled(
             (1, 0, 0, 0),
-            [ka * abc[0] + kb * abc[1] + kc * abc[2] for ka, kb, kc, _ in positions],
+            [ka * abc[0] + kb * abc[1] + kc * abc[2] for ka, kb, kc, _ in prices],
             scale * denominator,
-            [slope for *_, slope in positions],
+            [slope for *_, slope in prices],
         )
-        for _, denominator, positions in _LEAVES["BAAA"]
+        for _, denominator, prices in _LEAVES["BAAA"]
     }
     assert at_tie == {_leaf("BAAA", abc, scale).pixep}

@@ -13,7 +13,6 @@ from cefai.pixep import (
     EmptyEpsilonIntervalError,
     Leaf,
     NoValidSpeError,
-    Pixep,
     R1ViolationError,
     _sign_flip_bound,
     check_requirements,
@@ -31,7 +30,7 @@ from conftest import (
     random_game,
     random_profile,
 )
-from eps_reference import affine
+from eps_reference import affine, pixep_of, positions
 from spe_oracle import (
     all_profile_spe_plays,
     count_profiles,
@@ -43,7 +42,7 @@ X, Y, Z = 0b001, 0b010, 0b100
 
 
 def aba_pixep(a, b, c):
-    return Pixep.of(
+    return pixep_of(
         [
             (0, affine(a - c, -1)),
             (1, affine(b)),
@@ -64,7 +63,7 @@ class TestRequirements:
 
     def test_single_agent_run_interval(self):
         # prices a-2b-2ε, b+ε, b+ε with incomes 10, 3: run constraint caps ε at 1/3
-        pix = Pixep.of(
+        pix = pixep_of(
             [
                 (0, affine(4, -2)),
                 (0, affine(3, +1)),
@@ -80,7 +79,7 @@ class TestRequirements:
         # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
         # ε <= 10, and 12-ε meets the income at ε = 8, so the cap 8/2 lies
         # below the interval and ε is its midpoint
-        pix = Pixep.of([(0, affine(12, -1)), (0, affine(-8, +1))])
+        pix = pixep_of([(0, affine(12, -1)), (0, affine(-8, +1))])
         incomes = IncomeVector.of([4])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (8, 10)
@@ -89,7 +88,7 @@ class TestRequirements:
 
     def test_empty_interval_when_income_too_small(self):
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3
-        pix = Pixep.of(
+        pix = pixep_of(
             [
                 (0, affine(2, -2)),
                 (0, affine(3, +1)),
@@ -100,25 +99,25 @@ class TestRequirements:
             check_requirements(pix, IncomeVector.of([8, 3]))
 
     def test_r1_violation_names_agent(self):
-        pix = Pixep.of([(0, affine(5)), (1, affine(4))])
+        pix = pixep_of([(0, affine(5)), (1, affine(4))])
         with pytest.raises(R1ViolationError) as err:
             check_requirements(pix, IncomeVector.of([5, 3]))
         assert err.value.agent == 1
 
     def test_r1_requires_epsilon_terms_to_cancel(self):
-        pix = Pixep.of([(0, affine(3, +1)), (0, affine(2, +1))])
+        pix = pixep_of([(0, affine(3, +1)), (0, affine(2, +1))])
         with pytest.raises(R1ViolationError):
             check_requirements(pix, IncomeVector.of([5]))
 
     def test_r3_absent_agent_constraint(self):
         # last price b must strictly exceed the absent agent's income
-        pix = Pixep.of([(0, affine(7)), (1, affine(4))])
+        pix = pixep_of([(0, affine(7)), (1, affine(4))])
         assert check_requirements(pix, IncomeVector.of([7, 4, 3])).hi is None
         with pytest.raises(EmptyEpsilonIntervalError):
             check_requirements(pix, IncomeVector.of([7, 4, 5]))
 
     def test_unknown_agent_rejected(self):
-        pix = Pixep.of([(3, affine(5))])
+        pix = pixep_of([(3, affine(5))])
         with pytest.raises(DimensionMismatchError):
             check_requirements(pix, IncomeVector.of([5, 3]))
 
@@ -133,7 +132,7 @@ class TestRequirements:
                 eps = resolve_epsilon(pix, incomes, check_requirements(pix, incomes))
             except EmptyEpsilonIntervalError:
                 continue
-            assert all(price.c0 + price.c1 * eps > 0 for _, price in pix.positions)
+            assert all(price.c0 + price.c1 * eps > 0 for _, price in positions(pix))
 
 
 class TestSpeOutcomes:
@@ -144,10 +143,10 @@ class TestSpeOutcomes:
         return [alice, bob]
 
     def test_worked_example_allocation(self):
-        game = Leaf(Pixep.of([(0, affine(0))] * 2 + [(1, affine(0))]))
+        game = Leaf(pixep_of([(0, affine(0))] * 2 + [(1, affine(0))]))
         # sequence ABA: positions 0, 2 for Alice, 1 for Bob
         game = Leaf(
-            Pixep.of(
+            pixep_of(
                 [(0, affine(0)), (1, affine(0)), (0, affine(0))]
             )
         )
@@ -158,7 +157,7 @@ class TestSpeOutcomes:
         assert first_picks == {1, 2}  # picking y or z first both support yz
 
     def test_two_picks_one_agent(self):
-        game = Leaf(Pixep.of([(0, affine(0)), (0, affine(0))]))
+        game = Leaf(pixep_of([(0, affine(0)), (0, affine(0))]))
         pref = chain_preference(2, 0b01)
         outcomes = spe_outcomes(game, [pref])
         assert len(outcomes) == 2  # both pick orders, same bundle
@@ -209,7 +208,7 @@ class TestSpeOutcomes:
             n = 2
             k = rng.randint(1, m - 1)
             agents = [0] * (m - k) + [1] * k
-            game = Leaf(Pixep.of((a, affine(0)) for a in agents))
+            game = Leaf(pixep_of((a, affine(0)) for a in agents))
             profile = random_profile(rng, m, n)
             for e in spe_outcomes(game, profile):
                 remaining = 0
@@ -247,7 +246,7 @@ class TestSpeOutcomes:
             )
             expected.append(item)
             free ^= 1 << item
-        pix = Pixep.of((agent, affine(0)) for agent in range(n))
+        pix = pixep_of((agent, affine(0)) for agent in range(n))
         assert pixep._leaf_plays(pix, profile, m) == (tuple(expected),)
         assert reads[0] <= m * (m + 1) // 2
 
@@ -282,7 +281,7 @@ class TestSpeOrder:
             points = stratified_incomes(m, n, row.label, seed=11 + r_index, count=4)
             for k, incomes in enumerate(points):
                 profile = [random_preference(m, seed=1000 * k + 10 * n + i) for i in range(n)]
-                for _, game in candidate_games(row, incomes, m):
+                for _, game in candidate_games(row, incomes):
                     assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
                     games += 1
         assert games >= 4 * len(range_table(m, n))
@@ -301,7 +300,7 @@ class TestExecuteToCE:
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
 
     def test_requirements_checked_before_solving(self):
-        bad = Leaf(Pixep.of([(0, affine(5)), (1, affine(4))]))
+        bad = Leaf(pixep_of([(0, affine(5)), (1, affine(4))]))
         pref = chain_preference(2)
         with pytest.raises(R1ViolationError):
             execute_to_ce(bad, [pref, pref], IncomeVector.of([5, 3]))
@@ -309,7 +308,7 @@ class TestExecuteToCE:
     def test_equal_incomes_break_the_last_price_requirement(self):
         # one item, two agents, equal incomes: the absent agent could always
         # afford the item, so no ε works
-        pix = Pixep.of([(0, affine(5))])
+        pix = pixep_of([(0, affine(5))])
         pref = chain_preference(1)
         with pytest.raises(EmptyEpsilonIntervalError):
             execute_to_ce(Leaf(pix), [pref, pref], IncomeVector.of([5, 5]))
@@ -323,7 +322,7 @@ class TestExecuteToCE:
         profile = [alice, bob, chain_preference(3)]
         incomes = IncomeVector.of([10, 6, 3])
         good = Leaf(aba_pixep(10, 6, 3))
-        bad = Leaf(Pixep.of([(1, affine(3)), (1, affine(3)),
+        bad = Leaf(pixep_of([(1, affine(3)), (1, affine(3)),
                              (0, affine(10))]))
         game = ChoiceNode(agent=0, options=(("first", good), ("default", bad)))
         plays = spe_outcomes(game, profile)
@@ -359,7 +358,7 @@ class TestExecuteToCE:
                 stratified_incomes(m, n, row.label, seed=3 + r_index, count=8)
             ):
                 profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
-                _, game = next(candidate_games(row, incomes, m))
+                _, game = next(candidate_games(row, incomes))
                 plays = spe_outcomes(game, profile)
                 flips.clear()
                 try:
@@ -381,6 +380,6 @@ class TestExecuteToCE:
         profile = list(inst.completed_profile())
         row = active_range(inst.reference, 4)
         assert row.label == "m4n3:range3"
-        _, game = next(candidate_games(row, inst.reference, 4))
+        _, game = next(candidate_games(row, inst.reference))
         with pytest.raises(NoValidSpeError):
             execute_to_ce(game, profile, inst.reference)

@@ -140,7 +140,7 @@ class TestGameTable:
         profile = [random_preference(m, seed=10 * n + i) for i in range(n)]
         live = set()
         for incomes in stratified_incomes(m, n, label, seed=5, count=100):
-            games = candidate_games(row, incomes, m)
+            games = candidate_games(row, incomes)
             _, primary = next(games)
             for leaf in leaves(primary):
                 assert _passes_requirements(leaf, incomes), (leaf.label, incomes)
