@@ -17,6 +17,15 @@ pairs that emits bundles worst-first.  They differ only in which available
 bundle comes next: the one with the fewest items (ties by smallest
 bitmask), or a seeded uniform draw.  Contradictory pairs raise
 ``CyclicRelationsError`` naming a cycle.
+
+Every seeded draw in the package, here and in ``market``'s income
+sampler, comes from :func:`uniform_below`: on a ``random.Random(key)``,
+``below(n)`` yields exactly the values ``randrange(n)`` yields, from the
+same ``getrandbits`` calls, without ``randrange``'s argument handling.  So a
+seed names the same preference orders and income points it named when
+the builders called ``randrange`` and ``randint`` themselves;
+``TestPinnedDraws`` in ``tests/test_instances.py`` pins digests of those
+draws, and any change to how a value is drawn fails it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
+from operator import le
 from typing import Callable, Iterable, Sequence
 
 Bundle = int
@@ -198,23 +208,15 @@ def _check_universe(m: int) -> None:
         raise ValueError(f"item count must be between 0 and {MAX_ITEMS}, got {m}")
 
 
-def _validate_monotone(m: int, rank: Sequence[int]) -> None:
-    # Checking every single-item extension suffices: any S ⊊ T is reachable
-    # by a chain of such extensions, so rank increases along the chain.
-    for s in all_bundles(m):
-        for j in range(m):
-            bit = 1 << j
-            if s & bit:
-                continue
-            if rank[s | bit] <= rank[s]:
-                raise MonotonicityViolationError(s, s | bit, m)
-
-
 def make_preference(m: int, ranking: Sequence[Bundle]) -> PreferenceOrder:
     """Build a preference order from a worst-to-best bundle list.
 
     ``ranking`` must list every bundle over the m-item universe exactly
-    once; position in the list is the rank.
+    once; position in the list is the rank.  Monotonicity is checked in
+    one pass over the cover pairs (:func:`_monotone_order`), and a
+    violation names the first pair ``(S, S + j)``, by S and then j, that
+    is ranked downward.  The seeded builders write their ranks directly
+    and pass the same check, so every order they return has passed it.
 
     >>> pref = make_preference(2, [0b00, 0b01, 0b10, 0b11])
     >>> pref.prefers(0b10, 0b01)
@@ -240,7 +242,23 @@ def make_preference(m: int, ranking: Sequence[Bundle]) -> PreferenceOrder:
         raise MissingBundleError(
             f"ranking omits bundle {format_bundle(missing, item_names(m))}"
         )
-    _validate_monotone(m, rank)
+    return _monotone_order(m, rank)
+
+
+def _monotone_order(m: int, rank: list[int]) -> PreferenceOrder:
+    """The order with these ranks, a permutation of ``range(2^m)``, once
+    it is found monotone; else ``MonotonicityViolationError`` names the
+    first cover pair ``(S, S + j)``, by S and then j, ranked downward.
+
+    Ranks rising along every cover pair suffices: any S ⊊ T is reachable
+    by a chain of them.  The pairs come from :func:`_lattice`, and one
+    pass over them, in C, compares the ranks and picks out the pairs that
+    fall.
+    """
+    _, _, covers, lows, highs = _lattice(m)
+    at = rank.__getitem__
+    for subset, superset in compress(covers, map(le, map(at, highs), map(at, lows))):
+        raise MonotonicityViolationError(subset, superset, m)
     return PreferenceOrder(m=m, rank=tuple(rank))
 
 
@@ -303,13 +321,18 @@ def _find_cycle(succ: Sequence[Sequence[int]], stuck: set[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)  # one entry per item count, at most MAX_ITEMS + 1
-def _lattice(m: int) -> tuple[tuple[tuple[Bundle, ...], ...], tuple[int, ...]]:
-    """Each bundle's one-larger supersets (added item ascending) and its
-    number of one-smaller subsets."""
+def _lattice(m: int) -> tuple:
+    """Each bundle's one-larger supersets (added item ascending), its
+    number of one-smaller subsets, and the cover pairs ``(S, S + j)``
+    ordered by S, then j: as pairs, and as the tuples of their lower and
+    upper sides."""
     succ = tuple(
         tuple(s | 1 << j for j in range(m) if not s >> j & 1) for s in range(1 << m)
     )
-    return succ, tuple(b.bit_count() for b in range(1 << m))
+    covers = tuple((s, up) for s, ups in enumerate(succ) for up in ups)
+    lows = tuple(s for s, _ in covers)
+    highs = tuple(up for _, up in covers)
+    return succ, tuple(b.bit_count() for b in range(1 << m)), covers, lows, highs
 
 
 def _linear_extension(
@@ -329,7 +352,7 @@ def _linear_extension(
     m = rel.m
     _check_universe(m)
     size = 1 << m
-    lattice, indegree = _lattice(m)
+    lattice, indegree, *_ = _lattice(m)
     succ, indegree = list(lattice), list(indegree)
     for better, worse in dict.fromkeys(rel.pairs):  # each distinct pair once
         if not (0 <= better < size and 0 <= worse < size):
@@ -340,26 +363,55 @@ def _linear_extension(
     for bundle in range(size):
         if indegree[bundle] == 0:
             push(available, bundle)
-    ranking = []
+    rank = [0] * size
+    emitted = 0
     while available:
         bundle = pop(available)
-        ranking.append(bundle)
+        rank[bundle] = emitted
+        emitted += 1
         for nxt in succ[bundle]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 push(available, nxt)
-    if len(ranking) < size:
+    if emitted < size:
         stuck = {b for b in range(size) if indegree[b] > 0}
         raise CyclicRelationsError(_find_cycle(succ, stuck), m)
-    return make_preference(m, ranking)
+    return _monotone_order(m, rank)
+
+
+def uniform_below(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)`` for ``n >= 1``: a uniform draw from ``range(n)`` out
+    of ``rng``.
+
+    Successive calls return exactly what successive ``rng.randrange(n)``
+    calls would, and leave ``rng`` in the same state: like
+    ``Random._randbelow``, each draw takes ``getrandbits(n.bit_length())``
+    until the result is below ``n`` (so even ``n = 1`` consumes a draw).
+    ``rng.randint(lo, hi)`` is ``lo + below(hi - lo + 1)`` the same way.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
 
 
 def _random_extension(rel: PartialRelations, rng_key: str) -> PreferenceOrder:
-    """:func:`_linear_extension` drawing the next bundle uniformly."""
-    rng = random.Random(rng_key)
+    """:func:`_linear_extension` drawing the next bundle uniformly: the
+    ``below(len(available))``-th of the available list in its current
+    order, swapped to the end and removed.  ``below`` is
+    :func:`uniform_below` on ``random.Random(rng_key)``, so the indices
+    are the ones ``randrange(len(available))`` gave on that generator,
+    and ``TestPinnedDraws`` pins the orders they build."""
+    below = uniform_below(random.Random(rng_key))
 
     def pop(available: list[Bundle]) -> Bundle:
-        idx = rng.randrange(len(available))
+        idx = below(len(available))
         available[idx], available[-1] = available[-1], available[idx]
         return available.pop()
 

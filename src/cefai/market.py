@@ -41,7 +41,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .core import Bundle, PreferenceOrder, format_bundle
+from .core import Bundle, PreferenceOrder, format_bundle, uniform_below
 
 
 def common_scale(*vectors: Iterable[Fraction]) -> int:
@@ -367,10 +367,13 @@ def _sample_incomes(
 ) -> list[IncomeVector]:
     """The first ``count`` accepted draws of a seeded rejection sampler.
 
-    Each draw gives agent k the income ``randint(lows[k], highs[k]) /
-    denominator`` from ``random.Random(key)``, sorted highest first when
-    ``descending``.  ``accept`` decides a draw on its integer numerators
-    (the list of ``randint`` values, sorted when ``descending``), which
+    Each draw gives agent k the income ``(lows[k] + below(highs[k] -
+    lows[k] + 1)) / denominator``, with ``below`` from
+    :func:`cefai.core.uniform_below` on ``random.Random(key)``: the values
+    ``randint(lows[k], highs[k])`` would give on that generator, from the
+    same draws, which ``TestPinnedDraws`` pins.  Incomes are sorted
+    highest first when ``descending``.  ``accept`` decides a draw on its
+    integer numerators (sorted when ``descending``), which
     keeps the sign of every homogeneous form of the incomes; only an
     accepted draw becomes an ``IncomeVector`` of exact ``Fraction``s.
     A ``count`` of 0 draws nothing; a negative one raises ``ValueError``.
@@ -381,10 +384,11 @@ def _sample_incomes(
         raise ValueError(f"cannot sample a negative count of {what}: {count}")
     if count == 0:
         return []
-    rng = random.Random(key)
+    below = uniform_below(random.Random(key))
+    spans = [(lo, hi - lo + 1) for lo, hi in zip(lows, highs)]
     points = []
     for _ in range(budget):
-        draw = [rng.randint(lo, hi) for lo, hi in zip(lows, highs)]
+        draw = [lo + below(width) for lo, width in spans]
         if descending:
             draw.sort(reverse=True)
         if accept(draw):

@@ -173,9 +173,14 @@ class EpsilonInterval:
         return (self.lo + self.hi) / 2
 
 
-def _with_incomes(pix: Pixep, incomes: IncomeVector) -> tuple[int, list[int], list[int]]:
+_Scaled = tuple[int, list[int], list[int]]
+
+
+def _with_incomes(pix: Pixep, incomes: IncomeVector) -> _Scaled:
     """``(scale, constants, incomes)``: the pixep's constants and the
-    incomes over their least common denominator ``scale``."""
+    incomes over their least common denominator ``scale``.
+    :func:`execute_to_ce` computes it once per leaf and hands it to both
+    the requirements check and the ε cap."""
     scale = lcm(pix.scale, common_scale(incomes))
     up = scale // pix.scale
     return scale, [c * up for c in pix.constants], scaled_integers(incomes, scale)
@@ -199,7 +204,9 @@ def _describe(pix: Pixep, incomes: IncomeVector, key: tuple[str, int]) -> str:
     return f"positivity of last price {last_price}"
 
 
-def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
+def check_requirements(
+    pix: Pixep, incomes: IncomeVector, scaled: _Scaled | None = None
+) -> EpsilonInterval:
     """Verify R1 exactly and intersect all R2/R3 constraints on ε.
 
     Also requires the last (cheapest) price to stay positive, so every
@@ -211,7 +218,9 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     and the incomes over one common denominator, the integer ε-slopes,
     and each bound on ε kept as an integer ratio.
     ``Fraction``s are built only at the boundary: the two ends of the
-    returned interval, and the texts of a raised error.
+    returned interval, and the texts of a raised error.  ``scaled`` is
+    that integer form, ``_with_incomes(pix, incomes)``, for a caller that
+    reads it again; it is computed here when not given.
     """
     n = len(incomes)
     agents = pix.agents
@@ -219,7 +228,7 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
         if not 0 <= agent < n:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
-    scale, constants, income = _with_incomes(pix, incomes)
+    scale, constants, income = scaled or _with_incomes(pix, incomes)
     slopes = pix.slopes
     sums: dict[int, list[int]] = {}
     for agent, c0, c1 in zip(agents, constants, slopes):
@@ -274,9 +283,9 @@ def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     )
 
 
-def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
+def _sign_flip_bound(pix: Pixep, scaled: _Scaled) -> Fraction | None:
     """Smallest ε > 0 at which any bundle-price-vs-income comparison
-    changes sign.
+    changes sign, from the pixep's :func:`_with_incomes` form ``scaled``.
 
     Every bundle priced by an execution costs the sum of some subset of
     position prices, so these are all the affine expressions the
@@ -285,7 +294,7 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     limit.  Computed on the pixep's integers, like
     :func:`check_requirements`.
     """
-    scale, constants, income = _with_incomes(pix, incomes)
+    scale, constants, income = scaled
     sums = {(0, 0)}
     for c0, c1 in zip(constants, pix.slopes):
         sums |= {(s0 + c0, s1 + c1) for s0, s1 in sums}
@@ -307,20 +316,19 @@ def _sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
     return Fraction(best_num, best_den * scale)
 
 
-def resolve_epsilon(
-    pix: Pixep, incomes: IncomeVector, interval: EpsilonInterval
-) -> Fraction:
+def resolve_epsilon(pix: Pixep, scaled: _Scaled, interval: EpsilonInterval) -> Fraction:
     """Concrete ε: the midpoint of ``interval``, the pixep's feasible ε
     interval from :func:`check_requirements`, capped at half its sign-flip
     bound so that no bundle-price-vs-income comparison crosses its small-ε
-    sign, unless that cap falls to the interval's lower end.
+    sign, unless that cap falls to the interval's lower end.  ``scaled``
+    is the pixep's :func:`_with_incomes` form for the incomes.
 
     The cap is what makes "holds for every sufficiently small ε > 0"
     checkable at a single concrete value; without it a midpoint deep in
     the interval can make an otherwise-unaffordable bundle affordable.
     """
     eps = interval.midpoint()
-    flip = _sign_flip_bound(pix, incomes)
+    flip = _sign_flip_bound(pix, scaled)
     if flip is not None:
         eps = min(eps, flip / 2)
     if eps <= interval.lo:  # only reachable with a positive lower bound
@@ -547,7 +555,11 @@ def execute_to_ce(
     fallback games, and some profiles have no equilibrium at all
     (``counterexample-4x3``), so every game fails on them.
     """
-    intervals = {id(leaf): check_requirements(leaf.pixep, incomes) for leaf in leaves(game)}
+    # Per leaf id: its integer form and its checked ε interval.
+    checked: dict[int, tuple[_Scaled, EpsilonInterval]] = {}
+    for leaf in leaves(game):
+        scaled = _with_incomes(leaf.pixep, incomes)
+        checked[id(leaf)] = scaled, check_requirements(leaf.pixep, incomes, scaled)
     # Per leaf id: its ε and its position prices at that ε.
     resolved: dict[int, tuple[Fraction, list[Fraction]]] = {}
 
@@ -556,7 +568,7 @@ def execute_to_ce(
         priced = resolved.get(id(leaf))
         if priced is None:
             pix = leaf.pixep
-            eps = resolve_epsilon(pix, incomes, intervals[id(leaf)])
+            eps = resolve_epsilon(pix, *checked[id(leaf)])
             # c0/scale + c1·eps, over scale·eps's denominator
             up = pix.scale * eps.numerator
             den = pix.scale * eps.denominator

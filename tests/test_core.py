@@ -22,6 +22,7 @@ from cefai.core import (
     parse_bundle,
     random_completion,
     random_preference,
+    uniform_below,
 )
 
 from conftest import is_subset, satisfies_relations
@@ -197,6 +198,27 @@ class TestRandomPreference:
         for seed in range(300):
             pref = random_preference(4, seed)
             make_preference(4, pref.ranking())
+
+
+class TestUniformBelow:
+    # n = 1, the powers of two, one past each, and 2^62, which takes two
+    # getrandbits words per draw
+    SIZES = [1] + [1 << k for k in range(1, 63)] + [(1 << k) + 1 for k in range(1, 62)]
+
+    def test_matches_randrange_and_randint_and_leaves_the_same_state(self):
+        for k in range(1000):
+            rng, ours = random.Random(f"below:{k}"), random.Random(f"below:{k}")
+            below = uniform_below(ours)
+            for n in self.SIZES:
+                assert below(n) == rng.randrange(n)
+                lo = n // 3 - 5
+                assert lo + below(n) == rng.randint(lo, lo + n - 1)
+            assert ours.getstate() == rng.getstate()
+
+    def test_a_one_value_range_consumes_a_draw(self):
+        rng = random.Random("one")
+        assert uniform_below(rng)(1) == 0
+        assert rng.getstate() != random.Random("one").getstate()
 
 
 class TestBundleText:

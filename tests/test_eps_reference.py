@@ -17,6 +17,7 @@ from cefai.market import IncomeVector
 from cefai.pixep import (
     Pixep,
     _sign_flip_bound,
+    _with_incomes,
     check_requirements,
     resolve_epsilon,
 )
@@ -79,7 +80,7 @@ def _outcome(fn, pix, incomes):
 
 def resolved(pix, incomes):
     """ε the way ``execute_to_ce`` resolves it: checked, then capped."""
-    return resolve_epsilon(pix, incomes, check_requirements(pix, incomes))
+    return resolve_epsilon(pix, _with_incomes(pix, incomes), check_requirements(pix, incomes))
 
 
 def _is_exact(value) -> bool:
@@ -92,7 +93,7 @@ def compare(pix: Pixep, incomes: IncomeVector) -> str:
     got = _outcome(check_requirements, pix, incomes)
     want = _outcome(reference_check_requirements, pix, incomes)
     assert got == want
-    flip = _outcome(_sign_flip_bound, pix, incomes)
+    flip = _outcome(lambda p, t: _sign_flip_bound(p, _with_incomes(p, t)), pix, incomes)
     assert flip == _outcome(reference_sign_flip_bound, pix, incomes)
     eps = _outcome(resolved, pix, incomes)
     assert eps == _outcome(reference_resolve_epsilon, pix, incomes)

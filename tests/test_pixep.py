@@ -15,6 +15,7 @@ from cefai.pixep import (
     NoValidSpeError,
     R1ViolationError,
     _sign_flip_bound,
+    _with_incomes,
     check_requirements,
     execute_to_ce,
     leaves,
@@ -59,7 +60,7 @@ class TestRequirements:
         interval = check_requirements(pix, incomes)
         assert interval.lo == 0
         assert interval.hi == 1  # binding: 10 - 3 - eps > 6
-        assert resolve_epsilon(pix, incomes, interval) == Fraction(1, 2)
+        assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == Fraction(1, 2)
 
     def test_single_agent_run_interval(self):
         # prices a-2b-2ε, b+ε, b+ε with incomes 10, 3: run constraint caps ε at 1/3
@@ -73,7 +74,7 @@ class TestRequirements:
         incomes = IncomeVector.of([10, 3])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (0, Fraction(1, 3))
-        assert resolve_epsilon(pix, incomes, interval) == Fraction(1, 6)
+        assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == Fraction(1, 6)
 
     def test_cap_below_lower_bound_falls_back_to_midpoint(self):
         # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
@@ -83,8 +84,8 @@ class TestRequirements:
         incomes = IncomeVector.of([4])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (8, 10)
-        assert _sign_flip_bound(pix, incomes) == 8
-        assert resolve_epsilon(pix, incomes, interval) == 9
+        assert _sign_flip_bound(pix, _with_incomes(pix, incomes)) == 8
+        assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == 9
 
     def test_empty_interval_when_income_too_small(self):
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3
@@ -129,7 +130,7 @@ class TestRequirements:
             pix = aba_pixep(a, b, c)
             incomes = IncomeVector.of([a, b, c])
             try:
-                eps = resolve_epsilon(pix, incomes, check_requirements(pix, incomes))
+                eps = resolve_epsilon(pix, _with_incomes(pix, incomes), check_requirements(pix, incomes))
             except EmptyEpsilonIntervalError:
                 continue
             assert all(price.c0 + price.c1 * eps > 0 for _, price in positions(pix))
@@ -337,6 +338,39 @@ class TestExecuteToCE:
         with pytest.raises(EmptyEpsilonIntervalError):
             execute_to_ce(game, profile, incomes)
 
+    def test_each_leaf_scaled_once(self, monkeypatch):
+        # each leaf's integer form is built once per call and read by both
+        # its requirements check and, when a play of it is priced, its cap
+        scaled = []
+        original = pixep._with_incomes
+
+        def counted(pix, incomes):
+            scaled.append(pix)
+            return original(pix, incomes)
+
+        monkeypatch.setattr(pixep, "_with_incomes", counted)
+        games = refused = 0
+        for m, n in [(4, 2), (4, 3)]:
+            for r_index, row in enumerate(range_table(m, n)):
+                for k, incomes in enumerate(
+                    stratified_incomes(m, n, row.label, seed=5 + r_index, count=4)
+                ):
+                    profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
+                    for _, game in candidate_games(row, incomes):
+                        order = [id(leaf.pixep) for leaf in leaves(game)]
+                        scaled.clear()
+                        try:
+                            execute_to_ce(game, profile, incomes)
+                        except EmptyEpsilonIntervalError:
+                            # the check stops at the first leaf that fails
+                            refused += 1
+                            order = order[:len(scaled)]
+                        except NoValidSpeError:
+                            pass
+                        assert [id(pix) for pix in scaled] == order
+                        games += 1
+        assert games > refused > 0
+
     @pytest.mark.parametrize("m,n", [(4, 2), (4, 3)])
     def test_sign_flip_bound_only_for_priced_leaves(self, monkeypatch, m, n):
         # on the solver's choice games, the cap is computed at most once per
@@ -345,9 +379,9 @@ class TestExecuteToCE:
         flips = []
         original = pixep._sign_flip_bound
 
-        def counted(pix, incomes):
+        def counted(pix, scaled):
             flips.append(pix)
-            return original(pix, incomes)
+            return original(pix, scaled)
 
         monkeypatch.setattr(pixep, "_sign_flip_bound", counted)
         skipped = 0
