@@ -9,13 +9,12 @@ l-out-of-d maximin bundle of everything K received.  Special cases:
 envy-freeness (K one agent, l = d = 1, equal incomes) and the classic
 maximin-share guarantee (K everyone, l = 1, d = n, equal incomes).
 
-The premise ``t_agent >= (l/d) * t_K`` is decided in integers: the
-incomes are scaled once by their common denominator (see
-``cefai.market``), and the premise reads ``d * t_agent >= l * t_K`` in
-the scaled incomes, which holds exactly when it holds in the original
-``Fraction``s because the scale is positive.  For a fixed d the premise
-holds for exactly ``l <= d * t_agent // t_K``, so the audit counts the
-applicable shares of each d at once.
+The premise ``t_agent >= (l/d) * t_K`` is decided in integers: it reads
+``d * t_agent >= l * t_K`` in the incomes' integer form, which
+``cefai.market`` computes once per income vector, and it holds there
+exactly when it holds in the ``Fraction``s, as the scale is positive.
+For a fixed d the premise holds for exactly ``l <= d * t_agent // t_K``,
+so the audit counts the applicable shares of each d at once.
 
 The audit decides whether an applicable share holds without a maximin
 search, exactly.  Write ``r`` for the rank of the agent's own bundle.
@@ -47,7 +46,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .core import Bundle, PreferenceOrder, items_of
-from .market import CEPair, IncomeVector, common_scale, scaled_integers
+from .market import CEPair, IncomeVector, check_dimensions
 
 MAX_MAXIMIN_ITEMS = 6
 MAX_MAXIMIN_PARTS = 6
@@ -164,13 +163,15 @@ def audit_ce_fairness(
     small item counts (extra parts come out empty) while the premise
     only gets harder to meet.  Raises ``ValueError`` unless ``1 <= d_max
     <= MAX_MAXIMIN_PARTS`` and the market has at most
-    ``MAX_MAXIMIN_ITEMS`` items.
+    ``MAX_MAXIMIN_ITEMS`` items, and ``DimensionMismatchError`` unless
+    the profile, the incomes and the pair have the same agents and items.
 
     Shares are counted and decided as the module docstring describes.
     """
+    check_dimensions(profile, incomes, ce)
     _check_bounds(ce.allocation.m, 1, d_max)
     agents = range(len(profile))
-    income = scaled_integers(incomes, common_scale(incomes))
+    income = incomes.integers[1]
     parts = range(1, d_max + 1)
     groups = []
     for size in agents:

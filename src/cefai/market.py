@@ -16,18 +16,19 @@ Every money value a caller sees is an exact ``Fraction``.  Inside a
 check the values are scaled to integers: ``common_scale`` is the least
 common multiple of their denominators, and ``scaled_integers``
 multiplies each value by it, which keeps every sum and comparison exact
-and makes each one an integer operation.  ``verify_ce`` prices all
-``2^m`` bundles in one subset-sum pass over the scaled prices
-(``bundle_prices``, which the domination audit in ``cefai.repro`` uses
-too) and builds a ``Fraction`` (the integer over the scale) only for a
-violation it reports.
+and makes each one an integer operation.  Only this module scales: an
+``IncomeVector`` keeps its integer form (``integers``) from first read,
+and every layer reads that.  ``scaled_market`` brings the prices over
+one scale with it and prices all ``2^m`` bundles in one subset-sum pass,
+for ``verify_ce`` and the domination audit in ``cefai.repro``;
+``verify_ce`` builds a ``Fraction`` only for a violation it reports.
 
 The income samplers work the same way.  A draw is a list of integer
 numerators over a fixed grid denominator, and the sampler's ``accept``
 test receives those integers, not incomes: every form it decides is
 homogeneous, so the sign at the numerators is the sign at the incomes.
-``IncomeRegion`` scales its constraint rows to integers and tests each
-row's product with the draw.  Only an accepted draw becomes an
+``IncomeRegion`` scales its constraint rows to integers once and tests
+each row's product with the draw.  Only an accepted draw becomes an
 ``IncomeVector`` of exact ``Fraction``s.
 """
 
@@ -37,6 +38,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -86,6 +88,13 @@ class IncomeVector:
 
     def __iter__(self):
         return iter(self.t)
+
+    @cached_property
+    def integers(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, numerators)``: the incomes over their least common
+        denominator, computed on first read and kept."""
+        scale = common_scale(self.t)
+        return scale, tuple(scaled_integers(self.t, scale))
 
 
 @dataclass(frozen=True)
@@ -183,15 +192,37 @@ class CEReport:
     violations: tuple[CEViolation, ...]
 
 
-def bundle_prices(unit: Sequence[int]) -> list[int]:
-    """The price of each of the ``2^m`` bundles from the integer prices of
-    its ``m`` items: bundle ``b`` costs ``b`` without its lowest item plus
-    that item."""
+def scaled_market(
+    prices: PriceVector, incomes: IncomeVector
+) -> tuple[int, list[int], list[int]]:
+    """``(scale, price, income)``: each of the ``2^m`` bundle prices and
+    each agent's income as integers over their least common denominator.
+    Bundle ``b`` costs ``b`` without its lowest item plus that item."""
+    income_scale, numerators = incomes.integers
+    scale = lcm(common_scale(prices), income_scale)
+    unit = scaled_integers(prices, scale)
     price = [0] * (1 << len(unit))
     for b in range(1, len(price)):
         low = b & -b
         price[b] = price[b ^ low] + unit[low.bit_length() - 1]
-    return price
+    up = scale // income_scale
+    return scale, price, [t * up for t in numerators]
+
+
+def check_dimensions(
+    profile: Sequence[PreferenceOrder], incomes: IncomeVector, cand: CEPair
+) -> None:
+    """Raise ``DimensionMismatchError`` unless the profile, the incomes and
+    the candidate have the same agents and the same items."""
+    n = len(profile)
+    if len(incomes) != n or cand.allocation.n != n:
+        raise DimensionMismatchError(
+            f"profile has {n} agents, incomes {len(incomes)}, "
+            f"allocation {cand.allocation.n}"
+        )
+    m = profile[0].m
+    if any(pref.m != m for pref in profile) or cand.allocation.m != m or len(cand.prices) != m:
+        raise DimensionMismatchError("item universes differ across inputs")
 
 
 def verify_ce(
@@ -207,19 +238,8 @@ def verify_ce(
     agree whenever every agent's bundle is non-empty and condition 1
     holds.
     """
-    n = len(profile)
-    if len(incomes) != n or cand.allocation.n != n:
-        raise DimensionMismatchError(
-            f"profile has {n} agents, incomes {len(incomes)}, "
-            f"allocation {cand.allocation.n}"
-        )
-    m = profile[0].m
-    if any(pref.m != m for pref in profile) or cand.allocation.m != m or len(cand.prices) != m:
-        raise DimensionMismatchError("item universes differ across inputs")
-
-    scale = common_scale(cand.prices, incomes)
-    price = bundle_prices(scaled_integers(cand.prices, scale))
-    income = scaled_integers(incomes, scale)
+    check_dimensions(profile, incomes, cand)
+    scale, price, income = scaled_market(cand.prices, incomes)
 
     violations: list[CEViolation] = []
     for i, pref in enumerate(profile):
@@ -305,23 +325,24 @@ class IncomeRegion:
             raise ValueError("reference income point violates the region constraints")
         return region
 
-    def _integer_rows(self) -> list[list[int]]:
-        """Each constraint row times its common denominator: a positive
-        scaling, so each row keeps its sign at every point."""
-        return [scaled_integers(row, common_scale(row)) for row in self.constraints]
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each constraint row times its common denominator, kept from first
+        use: a positive scaling, so each row keeps its sign at every point."""
+        return tuple(tuple(scaled_integers(row, common_scale(row))) for row in self.constraints)
 
     def contains(self, incomes: IncomeVector) -> bool:
         """True iff every constraint row is positive at ``incomes``.
 
-        The rows and the incomes are each scaled to integers by their
-        common denominators (``common_scale``), the same test ``sample``
-        applies to its integer draws.
+        The integer rows are tested at the incomes' integer form
+        (``IncomeVector.integers``), the same test ``sample`` applies to
+        its integer draws.
         """
         if len(incomes) != self.n:
             raise DimensionMismatchError(
                 f"income vector has {len(incomes)} agents, region expects {self.n}"
             )
-        return _satisfies(self._integer_rows(), scaled_integers(incomes, common_scale(incomes)))
+        return _satisfies(self._rows, incomes.integers[1])
 
     def sample(self, seed: int, count: int) -> list[IncomeVector]:
         """Rejection-sample ``count`` rational points of the region.
@@ -345,7 +366,7 @@ class IncomeRegion:
         else:
             lows = [1] * self.n
             highs = [_REGION_BOX * _REGION_GRID] * self.n
-        rows = self._integer_rows()
+        rows = self._rows
         return _sample_incomes(
             f"region:{seed}", lows, highs, _REGION_GRID,
             descending=False, accept=lambda t: _satisfies(rows, t),

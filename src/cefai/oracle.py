@@ -6,12 +6,13 @@ Strict inequalities are turned into weak ones with a shared slack
 variable ``s`` (capped at 1): the open system has a solution iff the
 closed system admits ``s > 0``.
 
-Everything is decided on the incomes scaled to integers by their common
-denominator (``market.common_scale``), once per market in
-``_MarketRows``.  That is exact: every condition is a homogeneous linear
-(in)equality in prices and incomes together, so ``(X, p)`` is an
-equilibrium at incomes ``t`` iff ``(X, λp)`` is one at ``λt`` for any
-``λ > 0``.  Prices found for the scaled incomes are divided back.
+Everything is decided on the incomes as integers over their common
+denominator, the form that ``market`` computes once per income vector
+(``IncomeVector.integers``) and ``_MarketRows`` reads.  That is exact:
+every condition is a homogeneous linear (in)equality in prices and
+incomes together, so ``(X, p)`` is an equilibrium at incomes ``t`` iff
+``(X, λp)`` is one at ``λt`` for any ``λ > 0``.  Prices found for the
+scaled incomes are divided back.
 
 Budget equalities and strictly positive prices lose no generality.
 Preferences are strictly monotone (a proper superset is strictly
@@ -95,8 +96,6 @@ from .market import (
     DimensionMismatchError,
     IncomeVector,
     PriceVector,
-    common_scale,
-    scaled_integers,
     verify_ce,
 )
 
@@ -111,8 +110,8 @@ class InstanceTooLargeError(ValueError):
 
 
 class _MarketRows:
-    """What every allocation of one market shares: the incomes scaled to
-    integers by their common denominator; for each agent, the other
+    """What every allocation of one market shares: the incomes' integer
+    form (``income`` over ``scale``); for each agent, the other
     agents whose income is at most its own (prefilter (2)); and for each
     agent and rank ``r`` the bitset over the ``2^m`` bundles (bit ``y``
     for bundle ``y``) of those the agent ranks above ``r``.  Agents with
@@ -135,8 +134,7 @@ class _MarketRows:
         self.m = profile[0].m
         if any(pref.m != self.m for pref in profile):
             raise DimensionMismatchError("item universes differ across inputs")
-        self.scale = common_scale(incomes)
-        self.income = scaled_integers(incomes, self.scale)
+        self.scale, self.income = incomes.integers
         self.poorer = [
             [j for j, t in enumerate(self.income) if j != i and t <= own]
             for i, own in enumerate(self.income)

@@ -21,11 +21,11 @@ position's constant over one common denominator and an integer ε-slope,
 the way the solver's games are written (integer forms in the scaled
 incomes).  R1-R3, the cap ``resolve_epsilon`` puts on ε and the prices
 of a played allocation are computed from those integers, brought over
-one denominator with the incomes by a single ``lcm``, the way
-:func:`cefai.market.verify_ce` checks an equilibrium.  ``Fraction``s
-appear only at the boundary: the ε interval, the ε and the price vector
-handed out, and the texts of errors, which show a price as an
-:class:`AffinePrice`.
+one denominator with the incomes' integer form (which :mod:`cefai.market`
+computes once per income vector) by one ``lcm`` of the two scales.
+``Fraction``s appear only at the boundary: the ε interval, the ε and the
+price vector handed out, and the texts of errors, which show a price as
+an :class:`AffinePrice`.
 
 Games are either a single pixep (a :class:`Leaf`) or a sequential
 choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
@@ -57,8 +57,6 @@ from .market import (
     DimensionMismatchError,
     IncomeVector,
     PriceVector,
-    common_scale,
-    scaled_integers,
     verify_ce,
 )
 
@@ -178,12 +176,13 @@ _Scaled = tuple[int, list[int], list[int]]
 
 def _with_incomes(pix: Pixep, incomes: IncomeVector) -> _Scaled:
     """``(scale, constants, incomes)``: the pixep's constants and the
-    incomes over their least common denominator ``scale``.
+    incomes' integer form over the ``lcm`` of their two scales.
     :func:`execute_to_ce` computes it once per leaf and hands it to both
     the requirements check and the ε cap."""
-    scale = lcm(pix.scale, common_scale(incomes))
-    up = scale // pix.scale
-    return scale, [c * up for c in pix.constants], scaled_integers(incomes, scale)
+    income_scale, income = incomes.integers
+    scale = lcm(pix.scale, income_scale)
+    up, across = scale // pix.scale, scale // income_scale
+    return scale, [c * up for c in pix.constants], [t * across for t in income]
 
 
 def _price(pix: Pixep, k: int) -> AffinePrice:

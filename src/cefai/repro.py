@@ -19,13 +19,7 @@ from .instances import (
     counterexample_5x2,
     stratified_incomes,
 )
-from .market import (
-    CEPair,
-    IncomeVector,
-    bundle_prices,
-    common_scale,
-    scaled_integers,
-)
+from .market import CEPair, IncomeVector, scaled_market
 from .oracle import ce_exists
 from .pixep import NoValidSpeError
 from .solver import SolveTranscript, range_labels, solve
@@ -157,18 +151,16 @@ def audit_lemmas(records: Sequence[SolveRecord]) -> LemmaAudit:
     contiguous block of turns never prefer a bundle their own dominates.
     Each (agent, bundle) pair that breaks one of them counts once.
 
-    Decided on integers: per execution, the prices and incomes are scaled
-    by their common denominator, every bundle is priced in one pass
-    (:func:`cefai.market.bundle_prices`), and each bundle's pick
+    Decided on integers: per execution, every bundle is priced and the
+    incomes read over one common denominator
+    (:func:`cefai.market.scaled_market`), and each bundle's pick
     positions are sorted once.
     """
     violations = 0
     for rec in records:
         execution = rec.transcript.execution
         m = execution.allocation.m
-        scale = common_scale(execution.prices, rec.incomes)
-        price = bundle_prices(scaled_integers(execution.prices, scale))
-        income = scaled_integers(rec.incomes, scale)
+        _, price, income = scaled_market(execution.prices, rec.incomes)
         position = [0] * m
         for pos, _, item in execution.picks:
             position[item] = pos

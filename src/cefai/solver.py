@@ -32,8 +32,6 @@ from .market import (
     CEPair,
     DimensionMismatchError,
     IncomeVector,
-    common_scale,
-    scaled_integers,
 )
 from .pixep import (
     ChoiceNode,
@@ -217,18 +215,7 @@ def excluded_hyperplanes(m: int, n: int) -> tuple[Hyperplane, ...]:
     return tuple(planes.values())
 
 
-def _sorted_integers(incomes: IncomeVector) -> tuple[tuple[int, ...], list[int], int]:
-    """``(order, t, scale)``: the agents by income, highest first (ties
-    by index), and the incomes scaled to integers by their common
-    denominator ``scale`` and sorted descending.  A positive scaling
-    keeps the sign of every form."""
-    scale = common_scale(incomes)
-    scaled = scaled_integers(incomes, scale)
-    order = tuple(sorted(range(len(scaled)), key=lambda i: (-scaled[i], i)))
-    return order, [scaled[i] for i in order], scale
-
-
-def _range_at(m: int, t: list[int]) -> IncomeRange:
+def _range_at(m: int, t: Sequence[int]) -> IncomeRange:
     """The income range at the incomes ``t``: positive integers (incomes
     over a common denominator) sorted descending.
 
@@ -349,10 +336,11 @@ def solve(
             f"profile has {n} agents but incomes has {len(incomes)}"
         )
     m = profile[0].m
-    order, t, scale = _sorted_integers(incomes)
-    row = _range_at(m, t)
-
+    # highest income first; the sort is stable, so ties go by index
+    order = tuple(sorted(range(n), key=incomes.integers[1].__getitem__, reverse=True))
     sorted_incomes = IncomeVector(tuple(incomes[i] for i in order))
+    scale, t = sorted_incomes.integers
+    row = _range_at(m, t)
     sorted_profile = [profile[i] for i in order]
 
     for game_label, game in _candidate_games(row, t, scale):

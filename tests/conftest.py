@@ -19,7 +19,7 @@ from cefai.core import (
     complete_partial,
     random_preference,
 )
-from cefai.market import Allocation, IncomeVector, common_scale, scaled_integers
+from cefai.market import Allocation, IncomeVector
 from cefai.pixep import ChoiceNode, Leaf, Pixep
 from cefai.solver import (
     IncomeRange,
@@ -27,7 +27,6 @@ from cefai.solver import (
     _candidate_games,
     _leaf,
     _range_at,
-    _sorted_integers,
 )
 
 from eps_reference import affine, pixep_of
@@ -50,13 +49,13 @@ def scaled_incomes(incomes: IncomeVector, factor: Fraction) -> IncomeVector:
 def candidate_games(row: IncomeRange, incomes: IncomeVector):
     """The solver's candidate games for ``row`` at ``incomes``, which are
     taken in the order given (the solver passes them sorted descending)."""
-    scale = common_scale(incomes)
-    return _candidate_games(row, scaled_integers(incomes, scale), scale)
+    scale, t = incomes.integers
+    return _candidate_games(row, t, scale)
 
 
 def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
     """The income range the solver dispatches ``incomes`` to, in any order."""
-    return _range_at(m, _sorted_integers(incomes)[1])
+    return _range_at(m, sorted(incomes.integers[1], reverse=True))
 
 
 def violated_hyperplane(incomes: IncomeVector, m: int):
@@ -75,8 +74,8 @@ def is_generic(incomes: IncomeVector, m: int) -> bool:
 
 def leaf_at(name: str, incomes: IncomeVector) -> Leaf:
     """The solver's leaf game ``name`` at ``incomes``, sorted descending."""
-    scale = common_scale(incomes)
-    abc = (*scaled_integers(incomes, scale)[:3], 0, 0)[:3]
+    scale, t = incomes.integers
+    abc = (*t[:3], 0, 0)[:3]
     return _leaf(name, abc, scale)
 
 

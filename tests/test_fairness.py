@@ -13,7 +13,7 @@ from cefai.fairness import (
     audit_ce_fairness,
     maximin,
 )
-from cefai.market import Allocation, CEPair, IncomeVector, PriceVector
+from cefai.market import Allocation, CEPair, DimensionMismatchError, IncomeVector, PriceVector
 from cefai.instances import random_generic_incomes
 from cefai.solver import solve
 
@@ -196,6 +196,17 @@ class TestAudit:
         )
         with pytest.raises(ValueError):
             audit_ce_fairness([pref], IncomeVector.of([m]), pair)
+
+    @pytest.mark.parametrize(
+        "agents, incomes",
+        [(3, [7, 5]), (3, [7, 5, 3, 2]), (2, [7, 5, 3])],
+        ids=["incomes-shorter", "incomes-longer", "profile-shorter"],
+    )
+    def test_dimension_mismatch(self, agents, incomes):
+        profile = [random_preference(3, seed=s) for s in range(3)]
+        pair, _ = solve(profile, IncomeVector.of([7, 5, 3]))
+        with pytest.raises(DimensionMismatchError):
+            audit_ce_fairness(profile[:agents], IncomeVector.of(incomes), pair)
 
     def test_solver_output_always_clean(self, rng):
         from cefai.pixep import NoValidSpeError

@@ -266,6 +266,32 @@ def test_no_unread_dataclass_fields(path, read_attributes):
     assert unread_fields(path.read_text(), read_attributes) == []
 
 
+# How incomes become integers is decided in market alone: every other
+# layer reads an IncomeVector's integer form.
+SCALING = {"common_scale", "scaled_integers"}
+
+
+def scaling_imports(source: str) -> list[str]:
+    """The scaling helpers that ``source`` imports or takes as attributes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+    return sorted(name for name in found if name in SCALING)
+
+
+def test_only_market_scales_incomes():
+    assert scaling_imports(
+        "from .market import IncomeVector, common_scale\nmarket.scaled_integers\n"
+    ) == ["common_scale", "scaled_integers"]
+    found = {
+        p.name: scaling_imports(p.read_text()) for p in MODULES if p.name != "market.py"
+    }
+    assert {name: used for name, used in found.items() if used} == {}
+
+
 # The benchmark times a layer by rebinding the functions its table names;
 # a function nothing calls would time nothing and read 0.
 SPANS = ROOT / "perfbench" / "spans.py"

@@ -5,7 +5,9 @@ from itertools import permutations
 
 import pytest
 
-from cefai.core import all_bundles
+from cefai import fairness, market, oracle, pixep, repro, solver
+from cefai.core import all_bundles, random_preference
+from cefai.instances import random_generic_incomes
 from cefai.market import (
     Allocation,
     CEPair,
@@ -14,6 +16,8 @@ from cefai.market import (
     IncomeVector,
     PriceVector,
     ViolationKind,
+    common_scale,
+    scaled_integers,
     verify_ce,
 )
 
@@ -98,6 +102,39 @@ class TestVerifyCE:
         )
         with pytest.raises(DimensionMismatchError):
             verify_ce(profile, IncomeVector.of([1, 1]), pair)
+
+
+class TestIntegerForm:
+    def test_equals_common_scale_and_scaled_integers(self, rng):
+        for _ in range(300):
+            t = [
+                Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+                for _ in range(rng.randint(1, 6))
+            ]
+            incomes = IncomeVector.of(t)
+            scale = common_scale(t)
+            assert incomes.integers == (scale, tuple(scaled_integers(t, scale)))
+            assert incomes.integers is incomes.integers
+
+    def test_one_solve_and_audit_scale_incomes_at_most_twice(self, monkeypatch):
+        incomes = random_generic_incomes(4, 3, seed=5)[0]
+        profile = [random_preference(4, seed=s) for s in (11, 12, 13)]
+        scalings = []
+
+        def counted(*vectors):
+            # a call on prices alone scales no income
+            if not all(isinstance(v, PriceVector) for v in vectors):
+                scalings.append(vectors)
+            return common_scale(*vectors)
+
+        # wherever a layer binds the name, so a layer that scales on its
+        # own is counted too
+        for module in (market, solver, pixep, oracle, fairness, repro):
+            if hasattr(module, "common_scale"):
+                monkeypatch.setattr(module, "common_scale", counted)
+        pair, _ = solver.solve(profile, incomes)
+        fairness.audit_ce_fairness(profile, incomes, pair)
+        assert 1 <= len(scalings) <= 2
 
 
 class TestAllocation:
@@ -201,6 +238,20 @@ class TestIncomeRegion:
         second = region.sample(seed=4, count=10)
         assert first == second
         assert all(region.contains(p) for p in first)
+
+    def test_rows_scaled_once(self, monkeypatch):
+        region = self.region()
+        scaled = []
+
+        def counted(values, scale):
+            scaled.append(tuple(values))
+            return scaled_integers(values, scale)
+
+        monkeypatch.setattr(market, "scaled_integers", counted)
+        points = region.sample(seed=4, count=10)
+        assert all(region.contains(p) for p in points)
+        # only each point's own integer form, read by contains
+        assert scaled == [p.t for p in points]
 
     def test_reference_checked(self):
         with pytest.raises(ValueError):
