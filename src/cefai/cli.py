@@ -428,7 +428,7 @@ def cmd_solve(args) -> int:
         "picks": [
             {
                 "position": pos,
-                "agent": inst.agent_names[transcript.order[agent]],
+                "agent": inst.agent_names[agent],
                 "item": inst.item_names[item],
                 "price": str(pair.prices[item]),
             }

@@ -165,10 +165,8 @@ def audit_lemmas(records: Sequence[SolveRecord]) -> LemmaAudit:
         for pos, _, item in execution.picks:
             position[item] = pos
         picked = [sorted(position[j] for j in items_of(b)) for b in range(1 << m)]
-        # the execution numbers the agents in the transcript's income order
-        for agent, own in enumerate(execution.allocation.bundles):
-            budget = income[rec.transcript.order[agent]]
-            pref = rec.profile[rec.transcript.order[agent]]
+        bundles = execution.allocation.bundles
+        for agent, (own, budget, pref) in enumerate(zip(bundles, income, rec.profile)):
             turns = [pos for pos, mover, _ in execution.picks if mover == agent]
             contiguous = bool(turns) and turns[-1] - turns[0] + 1 == len(turns)
             mine = picked[own]

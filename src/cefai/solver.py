@@ -1,17 +1,20 @@
 """Constructive equilibrium solver dispatching on the income profile.
 
-For every supported market size the solver sorts agents by income
-(``a > b > c > ...``), picks the income range the sorted vector falls
-in, builds the matching priced picking sequence (or a short sequential
-game over several of them), enumerates its subgame-perfect plays, and
-returns the first play whose outcome verifies as an equilibrium.
+For every supported market size the solver seats the agents by income
+rank (``a > b > c > ...``), picks the income range the seated incomes
+fall in, builds the matching priced picking sequence (or a short
+sequential game over several of them) on the caller's agents, with the
+agent in seat k taking the turns of letter k, enumerates its
+subgame-perfect plays, and returns the first play whose outcome verifies
+as an equilibrium.  Only the solver knows the seats: its games, plays
+and allocations all number the agents as the caller does.
 
 Supported sizes: any number of agents with up to three items, and up to
 three agents with four items.  Four agents with four items, or five or
 more items, admit no such construction: see :mod:`cefai.instances` for
 the witnesses.
 
-Each income range is cut out by integer linear forms over the sorted
+Each income range is cut out by integer linear forms over the seated
 incomes that are positive on it.  Incomes must be *generic*: off the
 adjacent-income equalities (which make the sort strict) and off the
 boundaries of the ranges, the hyperplanes where one of those forms
@@ -27,12 +30,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .core import PreferenceOrder
-from .market import (
-    Allocation,
-    CEPair,
-    DimensionMismatchError,
-    IncomeVector,
-)
+from .market import CEPair, DimensionMismatchError, IncomeVector
 from .pixep import (
     ChoiceNode,
     EmptyEpsilonIntervalError,
@@ -270,9 +268,9 @@ _LEAVES: dict[str, tuple[tuple[tuple[int, int, int] | None, int, tuple], ...]] =
 }
 
 
-def _leaf(name: str, abc: Sequence[int], scale: int) -> Leaf:
-    """The leaf game ``name`` at the sorted incomes ``abc``, integers over
-    ``scale``."""
+def _leaf(name: str, abc: Sequence[int], scale: int, order: Sequence[int]) -> Leaf:
+    """The leaf game ``name`` at the seated incomes ``abc``, integers over
+    ``scale``, with letter k's turns taken by agent ``order[k]``."""
     denominator, positions = next(
         (denominator, positions)
         for guard, denominator, positions in _LEAVES[name]
@@ -280,7 +278,7 @@ def _leaf(name: str, abc: Sequence[int], scale: int) -> Leaf:
     )
     a, b, c = abc
     pix = Pixep.scaled(
-        [_AGENT_LETTERS.index(ch) for ch in name.rstrip("=")],
+        [order[_AGENT_LETTERS.index(ch)] for ch in name.rstrip("=")],
         [ka * a + kb * b + kc * c for ka, kb, kc, _ in positions],
         scale * denominator,
         [slope for *_, slope in positions],
@@ -288,37 +286,38 @@ def _leaf(name: str, abc: Sequence[int], scale: int) -> Leaf:
     return Leaf(pix, name)
 
 
-def _game(spec, abc: Sequence[int], scale: int) -> GameNode:
+def _game(spec, abc: Sequence[int], scale: int, order: Sequence[int]) -> GameNode:
     if isinstance(spec, str):
-        return _leaf(spec, abc, scale)
+        return _leaf(spec, abc, scale, order)
     chooser, *options = spec
     return ChoiceNode(
-        agent=chooser,
-        options=tuple((label, _game(sub, abc, scale)) for label, sub in options),
+        agent=order[chooser],
+        options=tuple((label, _game(sub, abc, scale, order)) for label, sub in options),
     )
 
 
 def _candidate_games(
-    row: IncomeRange, t: Sequence[int], scale: int
+    row: IncomeRange, t: Sequence[int], scale: int, order: Sequence[int]
 ) -> Iterator[tuple[str, GameNode]]:
-    """Games to try for one income range at the sorted incomes ``t``,
-    integers over ``scale``, in order of preference: the range's primary
-    game, then each fallback leaf, labelled ``range+leaf``."""
+    """Games to try for one income range, in order of preference: the
+    range's primary game, then each fallback leaf, labelled
+    ``range+leaf``.  ``t`` holds the incomes of the agents ``order``
+    seats, highest first, as integers over ``scale``."""
     abc = (*t[:3], 0, 0)[:3]
-    yield row.label, _game(row.primary, abc, scale)
+    yield row.label, _game(row.primary, abc, scale, order)
     for name in row.fallbacks:
-        yield f"{row.label}+{name}", _leaf(name, abc, scale)
+        yield f"{row.label}+{name}", _leaf(name, abc, scale, order)
 
 
 @dataclass(frozen=True)
 class SolveTranscript:
-    """Audit trail of one solve: the sorted order, the range, the game
-    label and the chosen play (whose ``epsilon`` resolved the prices)."""
+    """Audit trail of one solve: the seating, the range, the game label
+    and the chosen play (whose ``epsilon`` resolved the prices)."""
 
-    order: tuple[int, ...]  # agent indices, income-descending
+    order: tuple[int, ...]  # the agent in each seat, income-descending
     range_label: str
     game_label: str  # range label, suffixed when a fallback game was used
-    execution: Execution  # over sorted agent indices
+    execution: Execution
 
 
 def solve(
@@ -326,9 +325,9 @@ def solve(
 ) -> tuple[CEPair, SolveTranscript]:
     """Compute a verified equilibrium for a supported, generic instance.
 
-    The returned allocation is indexed by the original agent order.  The
-    transcript records the sorted order, the active income range, the
-    label of the game that won, and the chosen play.
+    The returned pair and the transcript's play number the agents as
+    ``profile`` does.  The transcript records the seating, the active
+    income range, the label of the game that won, and the chosen play.
     """
     n = len(profile)
     if len(incomes) != n:
@@ -336,16 +335,15 @@ def solve(
             f"profile has {n} agents but incomes has {len(incomes)}"
         )
     m = profile[0].m
+    scale, income = incomes.integers
     # highest income first; the sort is stable, so ties go by index
-    order = tuple(sorted(range(n), key=incomes.integers[1].__getitem__, reverse=True))
-    sorted_incomes = IncomeVector(tuple(incomes[i] for i in order))
-    scale, t = sorted_incomes.integers
+    order = tuple(sorted(range(n), key=income.__getitem__, reverse=True))
+    t = [income[i] for i in order]
     row = _range_at(m, t)
-    sorted_profile = [profile[i] for i in order]
 
-    for game_label, game in _candidate_games(row, t, scale):
+    for game_label, game in _candidate_games(row, t, scale, order):
         try:
-            execution, sorted_pair = execute_to_ce(game, sorted_profile, sorted_incomes)
+            execution, pair = execute_to_ce(game, profile, incomes)
             break
         except NoValidSpeError:
             continue
@@ -363,12 +361,6 @@ def solve(
             "instance is advised, since such profiles can lack any equilibrium"
         )
 
-    bundles = [0] * n
-    for pos, agent in enumerate(order):
-        bundles[agent] = sorted_pair.allocation[pos]
-    pair = CEPair(
-        prices=sorted_pair.prices, allocation=Allocation(m=m, bundles=tuple(bundles))
-    )
     transcript = SolveTranscript(
         order=order,
         range_label=row.label,

@@ -72,8 +72,8 @@ def reference_lemma_violations(records) -> int:
         execution = rec.transcript.execution
         positions = {item: pos for pos, _, item in execution.picks}
         for agent, own in enumerate(execution.allocation.bundles):
-            income = rec.incomes[rec.transcript.order[agent]]
-            pref = rec.profile[rec.transcript.order[agent]]
+            income = rec.incomes[agent]
+            pref = rec.profile[agent]
             turns = [pos for pos, mover, _ in execution.picks if mover == agent]
             contiguous = bool(turns) and turns[-1] - turns[0] + 1 == len(turns)
             for other in all_bundles(execution.allocation.m):

@@ -47,10 +47,10 @@ def scaled_incomes(incomes: IncomeVector, factor: Fraction) -> IncomeVector:
 
 
 def candidate_games(row: IncomeRange, incomes: IncomeVector):
-    """The solver's candidate games for ``row`` at ``incomes``, which are
-    taken in the order given (the solver passes them sorted descending)."""
+    """The solver's candidate games for ``row`` at ``incomes``, which
+    must be sorted descending: each agent sits in its own seat."""
     scale, t = incomes.integers
-    return _candidate_games(row, t, scale)
+    return _candidate_games(row, t, scale, range(len(t)))
 
 
 def active_range(incomes: IncomeVector, m: int) -> IncomeRange:
@@ -73,10 +73,11 @@ def is_generic(incomes: IncomeVector, m: int) -> bool:
 
 
 def leaf_at(name: str, incomes: IncomeVector) -> Leaf:
-    """The solver's leaf game ``name`` at ``incomes``, sorted descending."""
+    """The solver's leaf game ``name`` at ``incomes``, which must be
+    sorted descending: each agent sits in its own seat."""
     scale, t = incomes.integers
     abc = (*t[:3], 0, 0)[:3]
-    return _leaf(name, abc, scale)
+    return _leaf(name, abc, scale, range(3))
 
 
 def chain_preference(m: int, *chain):
@@ -136,6 +137,14 @@ def tied_incomes(rng: random.Random, n: int) -> IncomeVector:
         i, j = rng.sample(range(n), 2)
         values[j] = values[i]
     return IncomeVector.of(values)
+
+
+def permuted_market(profile, incomes: IncomeVector, pi):
+    """The market with agent ``i`` moved to index ``pi[i]``."""
+    moved = [None] * len(pi)
+    for i, target in enumerate(pi):
+        moved[target] = (profile[i], incomes[i])
+    return tuple(pref for pref, _ in moved), IncomeVector.of(t for _, t in moved)
 
 
 def every_allocation(m: int, n: int):

@@ -70,6 +70,18 @@ class TestSolveCommand:
         assert doc["prices"] == {"x": "6", "y": "13/2", "z": "7/2"}
         assert doc["epsilon"] == "1/2"
 
+    def test_picks_name_the_callers_agents(self, tmp_path, capsys):
+        # the richest agent listed second still moves first
+        doc = aba_instance()
+        alice, bob, carl = doc["agents"]
+        doc["agents"] = [bob, alice, carl]
+        path = write(tmp_path, "bob-first.json", doc)
+        code, out = run(capsys, "solve", path)
+        assert code == EXIT_OK
+        assert out["order"] == ["Alice", "Bob", "Carl"]
+        assert out["allocation"] == {"Bob": "x", "Alice": "yz", "Carl": ""}
+        assert all(pick["item"] in out["allocation"][pick["agent"]] for pick in out["picks"])
+
     def test_unsupported_case_mentions_nonexistence(self, tmp_path, capsys):
         doc = {
             "items": ["w", "x", "y", "z"],

@@ -364,3 +364,37 @@ def test_rebinding_scanner_flags_uncalled_and_accepts_called():
 def test_rebound_functions_are_called():
     sources = {str(p): p.read_text() for p in CALLERS}
     assert uncalled(rebound_functions(SPANS.read_text()), sources) == []
+
+
+# IncomeVector.of checks that the incomes are positive and not empty; the
+# bare constructor skips both, so only market, which defines .of, calls it.
+def constructor_calls(source: str, name: str) -> list[int]:
+    """The lines of ``source`` that call the class ``name`` itself, bare
+    or as a module attribute (a static method such as ``name.of`` is not
+    a call of the class)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_constructor_scanner_flags_bare_calls_only():
+    source = (
+        "from .market import IncomeVector\n"
+        "a = IncomeVector((1, 2))\n"
+        "b = IncomeVector.of([1, 2])\n"
+        "c = market.IncomeVector((3,))\n"
+        "d = isinstance(a, IncomeVector)\n"
+    )
+    assert constructor_calls(source, "IncomeVector") == [2, 4]
+
+
+def test_only_market_builds_raw_income_vectors():
+    found = {
+        p.name: constructor_calls(p.read_text(), "IncomeVector")
+        for p in MODULES
+        if p.name != "market.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

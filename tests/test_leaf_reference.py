@@ -81,4 +81,4 @@ def test_baaa_on_both_sides_of_its_split(b, c):
         )
         for _, denominator, prices in _LEAVES["BAAA"]
     }
-    assert at_tie == {_leaf("BAAA", abc, scale).pixep}
+    assert at_tie == {_leaf("BAAA", abc, scale, range(3)).pixep}

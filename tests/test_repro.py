@@ -1,5 +1,6 @@
 """The reproduction harness, pinned on a small run, and its domination audit."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,9 +8,17 @@ import pytest
 
 from cefai.core import random_preference
 from cefai.market import PriceVector
-from cefai.repro import audit_lemmas, existence_table, format_table, soundness_m3
+from cefai.repro import (
+    SolveRecord,
+    audit_lemmas,
+    existence_table,
+    format_table,
+    soundness_m3,
+)
+from cefai.solver import solve
 
 from ce_reference import reference_lemma_violations
+from conftest import permuted_market
 
 
 class TestPinnedRepro:
@@ -87,7 +96,18 @@ class TestDominationAudit:
     def test_counts_match_the_fraction_reference(self, records):
         # prices scaled down, kept and scaled up, under the solved and
         # under other preferences: the integer audit and the one-pair-at-
-        # a-time Fraction reference count the same violations
+        # a-time Fraction reference count the same violations, also on
+        # markets whose richest agent is not listed first
+        rng = random.Random("audit-shuffle")
+        shuffled = []
+        for rec in records:
+            n = len(rec.profile)
+            profile, incomes = permuted_market(rec.profile, rec.incomes, rng.sample(range(n), n))
+            pair, transcript = solve(profile, incomes)
+            shuffled.append(SolveRecord(profile, incomes, pair, transcript))
+        assert any(rec.transcript.order != tuple(range(len(rec.profile))) for rec in shuffled)
+        assert audit_lemmas(shuffled).violations == 0
+        records = records + shuffled
         counts = []
         for factor in (Fraction(2, 3), Fraction(1), Fraction(5, 4)):
             for seed in (None, 7):

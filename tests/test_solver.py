@@ -32,6 +32,7 @@ from conftest import (
     candidate_games,
     chain_preference,
     is_generic,
+    permuted_market,
     scaled_incomes,
     violated_hyperplane,
 )
@@ -225,6 +226,49 @@ class TestSolve:
         assert pair.allocation[1] == Y | Z  # the rich agent's bundle
         assert pair.allocation[0] == X
         assert verify_ce([bob, alice, carl], incomes, pair).valid
+        # the play names the caller's agents too
+        assert transcript.execution.allocation == pair.allocation
+        assert [agent for _, agent, _ in transcript.execution.picks] == [1, 0, 1]
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+    def test_permuted_agents_permute_the_solve(self, m, n):
+        # moving agent i to index pi[i] moves its bundle and its picks
+        # there and changes nothing else; stratified incomes come sorted,
+        # so each market is solved as drawn and under a seeded shuffle
+        # that moves some agent
+        rng = random.Random(f"permuted:{m}:{n}")
+        for r_index, label in enumerate(range_labels(m, n)):
+            for k, incomes in enumerate(stratified_incomes(m, n, label, seed=r_index, count=4)):
+                profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
+                pi = list(range(n))
+                while pi == sorted(pi):
+                    rng.shuffle(pi)
+                moved_profile, moved_incomes = permuted_market(profile, incomes, pi)
+                try:
+                    pair, transcript = solve(profile, incomes)
+                except NoValidSpeError:
+                    with pytest.raises(NoValidSpeError):
+                        solve(moved_profile, moved_incomes)
+                    continue
+                moved_pair, moved = solve(moved_profile, moved_incomes)
+                assert moved.order == tuple(pi[i] for i in transcript.order)
+                assert moved_pair.prices == pair.prices
+                assert (moved.range_label, moved.game_label) == (
+                    transcript.range_label, transcript.game_label
+                )
+                assert moved.execution.epsilon == transcript.execution.epsilon
+                assert all(
+                    moved_pair.allocation[pi[i]] == pair.allocation[i] for i in range(n)
+                )
+                assert moved.execution.picks == tuple(
+                    (pos, pi[agent], item) for pos, agent, item in transcript.execution.picks
+                )
+                for solved, play in ((pair, transcript), (moved_pair, moved)):
+                    assert play.execution.allocation == solved.allocation
+                    assert all(
+                        solved.allocation[agent] >> item & 1
+                        for _, agent, item in play.execution.picks
+                    )
 
     def test_single_agent_any_item_count(self):
         for m in (1, 2, 3, 4):
