@@ -27,7 +27,7 @@ computes once per income vector) by one ``lcm`` of the two scales.
 price vector handed out, and the texts of errors, which show a price as
 an :class:`AffinePrice`.
 
-Games are either a single pixep (a :class:`Leaf`) or a sequential
+Games are either a single :class:`Pixep` (a leaf) or a sequential
 choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
 take an earlier option only when strictly better off than under the
 default (the last option).  ``spe_outcomes`` enumerates *all* plays
@@ -102,12 +102,22 @@ class Pixep:
     ``constants[k]/scale + slopes[k]·ε``, with ``scale`` the least
     denominator of the constants, so equal prices give equal pixeps;
     :meth:`scaled` builds one from constants over any denominator.
+    Raises ``ValueError`` when the three tuples differ in length, an
+    agent is negative or ``scale`` is not positive.
     """
 
     agents: tuple[int, ...]
     constants: tuple[int, ...]
     slopes: tuple[int, ...]
     scale: int = 1
+
+    def __post_init__(self):
+        if not len(self.agents) == len(self.constants) == len(self.slopes):
+            raise ValueError("a pixep needs one agent, constant and slope per position")
+        if min(self.agents, default=0) < 0:
+            raise ValueError(f"pixep agents must be non-negative, got {self.agents}")
+        if self.scale < 1:
+            raise ValueError(f"pixep scale must be positive, got {self.scale}")
 
     @staticmethod
     def scaled(
@@ -130,12 +140,6 @@ class Pixep:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    pixep: Pixep
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class ChoiceNode:
     """The agent may take any option but the last; the last is the default."""
 
@@ -147,11 +151,12 @@ class ChoiceNode:
             raise ValueError("a choice node needs at least one option and a default")
 
 
-GameNode = Union[Leaf, ChoiceNode]
+GameNode = Union[Pixep, ChoiceNode]
 
 
-def leaves(game: GameNode) -> Iterator[Leaf]:
-    if isinstance(game, Leaf):
+def leaves(game: GameNode) -> Iterator[Pixep]:
+    """The game's leaf pixeps, left to right."""
+    if isinstance(game, Pixep):
         yield game
     else:
         for _, child in game.options:
@@ -337,15 +342,16 @@ def resolve_epsilon(pix: Pixep, scaled: _Scaled, interval: EpsilonInterval) -> F
 
 @dataclass(frozen=True)
 class Execution:
-    """One subgame-perfect play: choices taken, picks, and the outcome.
+    """One subgame-perfect play: the choices taken, the leaf ``pixep``
+    they lead to, its picks, and the outcome.
 
     ``picks`` lists (position, agent, item) with 1-based positions.
-    Prices and ε are attached once the leaf pixep is resolved against an
+    Prices and ε are attached once the pixep is resolved against an
     income vector; plain strategic enumeration leaves them unset.
     """
 
     path: tuple[str, ...]
-    leaf: Leaf
+    pixep: Pixep
     picks: tuple[tuple[int, int, int], ...]
     allocation: Allocation
     prices: PriceVector | None = None
@@ -454,85 +460,71 @@ def _leaf_plays(
     return plays_from(full, 0)
 
 
-def _allocation_of(leaf: Leaf, play: tuple[int, ...], n: int, m: int) -> Allocation:
-    masks = [0] * n
-    for agent, item in zip(leaf.pixep.agents, play):
-        masks[agent] |= 1 << item
-    return Allocation(m=m, bundles=tuple(masks))
-
-
 def _node_outcomes(
-    game: GameNode, profile: Sequence[PreferenceOrder], n: int, m: int
-) -> list[tuple[tuple[str, ...], Leaf, tuple[int, ...], Allocation]]:
-    if isinstance(game, Leaf):
-        if game.pixep.m != m:
-            raise DimensionMismatchError(
-                f"leaf pixep has {game.pixep.m} positions, expected {m}"
-            )
-        for agent in game.pixep.agents:
+    game: GameNode, profile: Sequence[PreferenceOrder], n: int, m: int, path: tuple[str, ...]
+) -> list[Execution]:
+    """:func:`spe_outcomes` of the subgame that the choices ``path`` lead
+    to, each play built once, at its leaf, with the whole path."""
+    if isinstance(game, Pixep):
+        if game.m != m:
+            raise DimensionMismatchError(f"leaf pixep has {game.m} positions, expected {m}")
+        agents = game.agents
+        for agent in agents:
             if agent >= n:
                 raise DimensionMismatchError(
                     f"pixep references agent {agent}, profile has {n}"
                 )
-        plays = _leaf_plays(game.pixep, profile, m)
-        return [
-            ((), game, play, _allocation_of(game, play, n, m)) for play in plays
-        ]
+        positions = range(1, m + 1)
+        executions = []
+        for play in _leaf_plays(game, profile, m):
+            masks = [0] * n
+            for agent, item in zip(agents, play):
+                masks[agent] |= 1 << item
+            picks = tuple(zip(positions, agents, play))
+            executions.append(Execution(path, game, picks, Allocation(m, tuple(masks))))
+        return executions
 
     chooser = game.agent
+    if not 0 <= chooser < n:
+        raise DimensionMismatchError(f"choice node's agent {chooser}, profile has {n}")
     rank = profile[chooser].rank
     outs = [
-        _node_outcomes(child, profile, n, m) for _, child in game.options
+        _node_outcomes(child, profile, n, m, path + (label,)) for label, child in game.options
     ]
-    mins = [min(rank[alloc[chooser]] for _, _, _, alloc in out) for out in outs]
-    default = len(game.options) - 1
-    results = []
-    for k, (label, _) in enumerate(game.options[:-1]):
-        for path, leaf, play, alloc in outs[k]:
-            value = rank[alloc[chooser]]
-            # Deviating to an earlier option needs a strict gain over the
-            # default; between earlier options, weak deterrence suffices.
-            if value <= mins[default]:
-                continue
-            if any(value < mins[k2] for k2 in range(default) if k2 != k):
-                continue
-            results.append(((label,) + path, leaf, play, alloc))
-    default_label = game.options[default][0]
-    for path, leaf, play, alloc in outs[default]:
-        value = rank[alloc[chooser]]
-        if all(mins[k] <= value for k in range(default)):
-            results.append(((default_label,) + path, leaf, play, alloc))
-    return results
+    mins = [min(rank[e.allocation.bundles[chooser]] for e in out) for out in outs]
+    # A play of option k is kept when the chooser's rank under it reaches
+    # the bound of every other option: an earlier option's worst rank (weak
+    # deterrence suffices between those), and one above the default's worst
+    # (deviating needs a strict gain over the default; ranks are integers).
+    bounds = mins[:-1] + [mins[-1] + 1]
+    floors = [max(bounds[:k] + bounds[k + 1:]) for k in range(len(bounds))]
+    return [
+        e for k, out in enumerate(outs) for e in out
+        if rank[e.allocation.bundles[chooser]] >= floors[k]
+    ]
 
 
 def spe_outcomes(
     game: GameNode, profile: Sequence[PreferenceOrder]
 ) -> list[Execution]:
     """Every play of the game that occurs in some subgame-perfect
-    equilibrium, in a fixed deterministic order.
+    equilibrium, in a fixed deterministic order, each with its choice
+    path, leaf pixep, picks and allocation.
 
     At a picking position the mover may take any item that some
     equilibrium continuation makes optimal (several items can tie by
     yielding the same final bundle); at a choice node the chooser
     deviates from the default only for a strict improvement.  Prices are
-    not attached here: agents care only about final bundles.
+    not attached here: agents care only about final bundles.  Raises
+    ``DimensionMismatchError`` when the game's sizes or agents do not
+    fit the profile.
     """
     if not profile:
         raise DimensionMismatchError("profile must not be empty")
     m = profile[0].m
     if any(pref.m != m for pref in profile):
         raise DimensionMismatchError("profiles disagree on the item universe")
-    n = len(profile)
-    executions = []
-    for path, leaf, play, alloc in _node_outcomes(game, profile, n, m):
-        picks = tuple(
-            (pos + 1, agent, item)
-            for pos, (agent, item) in enumerate(zip(leaf.pixep.agents, play))
-        )
-        executions.append(
-            Execution(path=path, leaf=leaf, picks=picks, allocation=alloc)
-        )
-    return executions
+    return _node_outcomes(game, profile, len(profile), m, ())
 
 
 def execute_to_ce(
@@ -554,24 +546,23 @@ def execute_to_ce(
     fallback games, and some profiles have no equilibrium at all
     (``counterexample-4x3``), so every game fails on them.
     """
-    # Per leaf id: its integer form and its checked ε interval.
+    # Per leaf pixep id: its integer form and its checked ε interval.
     checked: dict[int, tuple[_Scaled, EpsilonInterval]] = {}
-    for leaf in leaves(game):
-        scaled = _with_incomes(leaf.pixep, incomes)
-        checked[id(leaf)] = scaled, check_requirements(leaf.pixep, incomes, scaled)
-    # Per leaf id: its ε and its position prices at that ε.
+    for pix in leaves(game):
+        scaled = _with_incomes(pix, incomes)
+        checked[id(pix)] = scaled, check_requirements(pix, incomes, scaled)
+    # Per leaf pixep id: its ε and its position prices at that ε.
     resolved: dict[int, tuple[Fraction, list[Fraction]]] = {}
 
     for execution in spe_outcomes(game, profile):
-        leaf = execution.leaf
-        priced = resolved.get(id(leaf))
+        pix = execution.pixep
+        priced = resolved.get(id(pix))
         if priced is None:
-            pix = leaf.pixep
-            eps = resolve_epsilon(pix, *checked[id(leaf)])
+            eps = resolve_epsilon(pix, *checked[id(pix)])
             # c0/scale + c1·eps, over scale·eps's denominator
             up = pix.scale * eps.numerator
             den = pix.scale * eps.denominator
-            priced = resolved[id(leaf)] = eps, [
+            priced = resolved[id(pix)] = eps, [
                 Fraction(c0 * eps.denominator + c1 * up, den)
                 for c0, c1 in zip(pix.constants, pix.slopes)
             ]

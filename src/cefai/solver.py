@@ -36,7 +36,6 @@ from .pixep import (
     EmptyEpsilonIntervalError,
     Execution,
     GameNode,
-    Leaf,
     NoValidSpeError,
     Pixep,
     execute_to_ce,
@@ -268,22 +267,21 @@ _LEAVES: dict[str, tuple[tuple[tuple[int, int, int] | None, int, tuple], ...]] =
 }
 
 
-def _leaf(name: str, abc: Sequence[int], scale: int, order: Sequence[int]) -> Leaf:
-    """The leaf game ``name`` at the seated incomes ``abc``, integers over
-    ``scale``, with letter k's turns taken by agent ``order[k]``."""
+def _leaf(name: str, abc: Sequence[int], scale: int, order: Sequence[int]) -> Pixep:
+    """The pixep of leaf ``name`` at the seated incomes ``abc``, integers
+    over ``scale``, with letter k's turns taken by agent ``order[k]``."""
     denominator, positions = next(
         (denominator, positions)
         for guard, denominator, positions in _LEAVES[name]
         if guard is None or _value(guard, abc) > 0
     )
     a, b, c = abc
-    pix = Pixep.scaled(
+    return Pixep.scaled(
         [order[_AGENT_LETTERS.index(ch)] for ch in name.rstrip("=")],
         [ka * a + kb * b + kc * c for ka, kb, kc, _ in positions],
         scale * denominator,
         [slope for *_, slope in positions],
     )
-    return Leaf(pix, name)
 
 
 def _game(spec, abc: Sequence[int], scale: int, order: Sequence[int]) -> GameNode:

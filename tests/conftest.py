@@ -20,7 +20,7 @@ from cefai.core import (
     random_preference,
 )
 from cefai.market import Allocation, IncomeVector
-from cefai.pixep import ChoiceNode, Leaf, Pixep
+from cefai.pixep import ChoiceNode, Pixep
 from cefai.solver import (
     IncomeRange,
     NotGenericError,
@@ -72,9 +72,9 @@ def is_generic(incomes: IncomeVector, m: int) -> bool:
     return violated_hyperplane(incomes, m) is None
 
 
-def leaf_at(name: str, incomes: IncomeVector) -> Leaf:
-    """The solver's leaf game ``name`` at ``incomes``, which must be
-    sorted descending: each agent sits in its own seat."""
+def leaf_at(name: str, incomes: IncomeVector) -> Pixep:
+    """The pixep of the solver's leaf game ``name`` at ``incomes``, which
+    must be sorted descending: each agent sits in its own seat."""
     scale, t = incomes.integers
     abc = (*t[:3], 0, 0)[:3]
     return _leaf(name, abc, scale, range(3))
@@ -89,8 +89,8 @@ def zero_priced_pixep(agents: list[int]) -> Pixep:
     return pixep_of((agent, affine(0)) for agent in agents)
 
 
-def random_leaf_game(rng: random.Random, m: int, n: int) -> Leaf:
-    return Leaf(zero_priced_pixep([rng.randrange(n) for _ in range(m)]), "leaf")
+def random_leaf_game(rng: random.Random, m: int, n: int) -> Pixep:
+    return zero_priced_pixep([rng.randrange(n) for _ in range(m)])
 
 
 def random_game(rng: random.Random, m: int, n: int):

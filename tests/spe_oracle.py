@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from cefai.pixep import GameNode, Leaf, Pixep
+from cefai.pixep import GameNode, Pixep
 
 
 def _final_bundle(pix: Pixep, play: tuple[int, ...], agent: int, base: int = 0) -> int:
@@ -74,21 +74,19 @@ def _leaf_tree_plays(pix: Pixep, profile, m: int, history: tuple[int, ...]):
 def tree_spe_plays(game: GameNode, profile) -> set[tuple[tuple[str, ...], tuple[int, ...]]]:
     """All subgame-perfect plays as (choice path, pick sequence) pairs."""
     m = profile[0].m
-    if isinstance(game, Leaf):
-        return {((), tuple(play)) for play in _leaf_tree_plays(game.pixep, profile, m, ())}
+    if isinstance(game, Pixep):
+        return {((), tuple(play)) for play in _leaf_tree_plays(game, profile, m, ())}
     chooser = game.agent
     rank = profile[chooser].rank
     outs = [tree_spe_plays(child, profile) for _, child in game.options]
 
     def chooser_value(entry, option_index):
-        _, play = entry
-        leaf_pixeps = _leaves_in_order(game.options[option_index][1])
         # the play determines the leaf through the remaining path
         path, picks = entry
         node = game.options[option_index][1]
         for label in path:
             node = dict(node.options)[label]
-        return rank[_final_bundle(node.pixep, picks, chooser)]
+        return rank[_final_bundle(node, picks, chooser)]
 
     mins = [
         min(chooser_value(entry, k) for entry in out) for k, out in enumerate(outs)
@@ -109,15 +107,6 @@ def tree_spe_plays(game: GameNode, profile) -> set[tuple[tuple[str, ...], tuple[
         if all(mins[k] <= v for k in range(default)):
             results.add(((default_label,) + entry[0], entry[1]))
     return results
-
-
-def _leaves_in_order(node: GameNode):
-    if isinstance(node, Leaf):
-        return [node]
-    result = []
-    for _, child in node.options:
-        result.extend(_leaves_in_order(child))
-    return result
 
 
 def _histories(m: int):
@@ -269,8 +258,8 @@ def reference_spe_plays(game: GameNode, profile) -> list[tuple[tuple[str, ...], 
     in the order ``spe_outcomes`` must list them: per choice node, the
     options in order; per leaf, the plays in the order above."""
     m = profile[0].m
-    if isinstance(game, Leaf):
-        plays = _reference_leaf_plays(game.pixep, profile, m, {}, (0,) * len(profile))
+    if isinstance(game, Pixep):
+        plays = _reference_leaf_plays(game, profile, m, {}, (0,) * len(profile))
         return [((), play) for play in plays]
     rank = profile[game.agent].rank
 
@@ -279,7 +268,7 @@ def reference_spe_plays(game: GameNode, profile) -> list[tuple[tuple[str, ...], 
         node = option
         for label in path:
             node = dict(node.options)[label]
-        return rank[_final_bundle(node.pixep, play, game.agent)]
+        return rank[_final_bundle(node, play, game.agent)]
 
     outs = [
         [(entry, value(entry, child)) for entry in reference_spe_plays(child, profile)]

@@ -164,5 +164,5 @@ def test_solver_leaves_on_every_range(m, n):
     for label in range_labels(m, n):
         for incomes in stratified_incomes(m, n, label, seed=7, count=10):
             for name in _LEAVES:
-                kinds[compare(leaf_at(name, incomes).pixep, incomes)] += 1
+                kinds[compare(leaf_at(name, incomes), incomes)] += 1
     assert kinds["bounded"] + kinds["unbounded"] > 0, kinds

@@ -3,6 +3,7 @@ definitions that neither the package nor the benchmark uses, and
 dataclass fields that nothing reads."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -298,15 +299,36 @@ SPANS = ROOT / "perfbench" / "spans.py"
 CALLERS = [*(ROOT / "src" / "cefai").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
 
 
-def rebound_functions(source: str) -> list[str]:
-    """The attribute paths that the ``REBINDINGS`` table of ``source`` names."""
+def rebindings(source: str) -> list[tuple[str, str]]:
+    """The (module, attribute path) pairs that the ``REBINDINGS`` table of
+    ``source`` names."""
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "REBINDINGS"
             for target in node.targets
         ):
-            return [entry.elts[1].value for entry in node.value.elts]
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
     raise LookupError("no REBINDINGS table")
+
+
+def rebound_functions(source: str) -> list[str]:
+    """The attribute paths that the ``REBINDINGS`` table of ``source`` names."""
+    return [path for _, path in rebindings(source)]
+
+
+def unresolved(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The (module, attribute path) pairs whose module does not import or
+    has nothing at that path: the tracer would skip them and leave their
+    metrics null."""
+    missing = []
+    for module_name, path in pairs:
+        try:
+            owner = importlib.import_module(module_name)
+            for part in path.split("."):
+                owner = getattr(owner, part)
+        except (ImportError, AttributeError):
+            missing.append((module_name, path))
+    return missing
 
 
 def uncalled(paths: list[str], sources: dict[str, str]) -> list[str]:
@@ -364,6 +386,22 @@ def test_rebinding_scanner_flags_uncalled_and_accepts_called():
 def test_rebound_functions_are_called():
     sources = {str(p): p.read_text() for p in CALLERS}
     assert uncalled(rebound_functions(SPANS.read_text()), sources) == []
+
+
+def test_resolver_flags_missing_modules_and_attributes():
+    pairs = [
+        ("cefai.pixep", "spe_outcomes"),
+        ("cefai.pixep", "no_such_function"),
+        ("cefai.market", "IncomeRegion.sample"),
+        ("cefai.market", "IncomeRegion.no_such_method"),
+        ("cefai.no_such_module", "solve"),
+    ]
+    assert unresolved(pairs) == [pairs[1], pairs[3], pairs[4]]
+
+
+def test_rebound_functions_resolve():
+    pairs = rebindings(SPANS.read_text())
+    assert pairs and unresolved(pairs) == []
 
 
 # IncomeVector.of checks that the incomes are positive and not empty; the

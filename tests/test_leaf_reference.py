@@ -25,7 +25,7 @@ SIZES = [(1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 def check_leaf(name: str, incomes: IncomeVector) -> None:
     """Assert that leaf ``name`` at ``incomes`` has its reference prices
     and turn order, and survives the round trip through them."""
-    pix = leaf_at(name, incomes).pixep
+    pix = leaf_at(name, incomes)
     abc = (*incomes.t[:3], Fraction(0), Fraction(0))[:3]
     assert [(price.c0, price.c1) for _, price in positions(pix)] == list(
         reference_prices(name, abc)
@@ -47,9 +47,9 @@ def test_equal_split_of_one_agent(m):
     (row,) = range_table(m, 1)
     for incomes in stratified_incomes(m, 1, row.label, seed=13, count=10):
         ((label, game),) = candidate_games(row, incomes)
-        assert label == f"m{m}n1" and game.label == "A" * m
-        assert positions(game.pixep) == ((0, affine(incomes[0] / m)),) * m
-        assert pixep_of(positions(game.pixep)) == game.pixep
+        assert label == f"m{m}n1" and game.agents == (0,) * m
+        assert positions(game) == ((0, affine(incomes[0] / m)),) * m
+        assert pixep_of(positions(game)) == game
 
 
 def test_every_leaf_at_random_rational_incomes():
@@ -81,4 +81,4 @@ def test_baaa_on_both_sides_of_its_split(b, c):
         )
         for _, denominator, prices in _LEAVES["BAAA"]
     }
-    assert at_tie == {_leaf("BAAA", abc, scale, range(3)).pixep}
+    assert at_tie == {_leaf("BAAA", abc, scale, range(3))}

@@ -11,8 +11,8 @@ from cefai import pixep
 from cefai.pixep import (
     ChoiceNode,
     EmptyEpsilonIntervalError,
-    Leaf,
     NoValidSpeError,
+    Pixep,
     R1ViolationError,
     _sign_flip_bound,
     _with_incomes,
@@ -122,6 +122,20 @@ class TestRequirements:
         with pytest.raises(DimensionMismatchError):
             check_requirements(pix, IncomeVector.of([5, 3]))
 
+    def test_positions_of_unequal_length_rejected(self):
+        # an unchecked third constant would be dropped by the R1 sums
+        with pytest.raises(ValueError, match="per position"):
+            Pixep((0, 1), (1, 1, 1), (0, 0, 0))
+
+    def test_negative_agent_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Pixep((0, -1, 0), (1, 1, 1), (0, 0, 0))
+
+    @pytest.mark.parametrize("scale", [0, -2])
+    def test_non_positive_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            Pixep((0,), (1,), (0,), scale)
+
     def test_resolved_prices_positive(self, rng):
         for _ in range(50):
             a = Fraction(rng.randint(8, 40), rng.randint(1, 4))
@@ -144,13 +158,8 @@ class TestSpeOutcomes:
         return [alice, bob]
 
     def test_worked_example_allocation(self):
-        game = Leaf(pixep_of([(0, affine(0))] * 2 + [(1, affine(0))]))
         # sequence ABA: positions 0, 2 for Alice, 1 for Bob
-        game = Leaf(
-            pixep_of(
-                [(0, affine(0)), (1, affine(0)), (0, affine(0))]
-            )
-        )
+        game = pixep_of([(0, affine(0)), (1, affine(0)), (0, affine(0))])
         outcomes = spe_outcomes(game, self.worked_example())
         allocations = {tuple(e.allocation.bundles) for e in outcomes}
         assert allocations == {(Y | Z, X)}
@@ -158,11 +167,19 @@ class TestSpeOutcomes:
         assert first_picks == {1, 2}  # picking y or z first both support yz
 
     def test_two_picks_one_agent(self):
-        game = Leaf(pixep_of([(0, affine(0)), (0, affine(0))]))
+        game = pixep_of([(0, affine(0)), (0, affine(0))])
         pref = chain_preference(2, 0b01)
         outcomes = spe_outcomes(game, [pref])
         assert len(outcomes) == 2  # both pick orders, same bundle
         assert {tuple(e.allocation.bundles) for e in outcomes} == {(0b11,)}
+
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_choice_agent_out_of_range_rejected(self, agent):
+        # -1 must not index the last agent's preferences
+        leaf = pixep_of((a, affine(0)) for a in range(3))
+        game = ChoiceNode(agent=agent, options=(("first", leaf), ("default", leaf)))
+        with pytest.raises(DimensionMismatchError, match="choice node"):
+            spe_outcomes(game, [chain_preference(3)] * 3)
 
     def test_determinism(self, rng):
         for _ in range(20):
@@ -190,14 +207,14 @@ class TestSpeOutcomes:
             m = rng.choice([2, 3])
             n = rng.randint(1, 3)
             game = random_game(rng, m, n)
-            if not isinstance(game, Leaf):
+            if not isinstance(game, Pixep):
                 continue
             profile = random_profile(rng, m, n)
-            if count_profiles(game.pixep, m) > 50_000:
+            if count_profiles(game, m) > 50_000:
                 continue
             engine = {tuple(i for _, _, i in e.picks)
                       for e in spe_outcomes(game, profile)}
-            oracle = all_profile_spe_plays(game.pixep, profile)
+            oracle = all_profile_spe_plays(game, profile)
             assert engine == oracle
             checked += 1
 
@@ -209,7 +226,7 @@ class TestSpeOutcomes:
             n = 2
             k = rng.randint(1, m - 1)
             agents = [0] * (m - k) + [1] * k
-            game = Leaf(pixep_of((a, affine(0)) for a in agents))
+            game = pixep_of((a, affine(0)) for a in agents)
             profile = random_profile(rng, m, n)
             for e in spe_outcomes(game, profile):
                 remaining = 0
@@ -294,14 +311,14 @@ class TestExecuteToCE:
         bob = chain_preference(3, X, Y, Z)
         carl = chain_preference(3)
         incomes = IncomeVector.of([10, 6, 3])
-        game = Leaf(aba_pixep(10, 6, 3))
+        game = aba_pixep(10, 6, 3)
         execution, pair = execute_to_ce(game, [alice, bob, carl], incomes)
         assert execution.epsilon == Fraction(1, 2)
         assert pair.allocation.bundles == (Y | Z, X, 0)
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
 
     def test_requirements_checked_before_solving(self):
-        bad = Leaf(pixep_of([(0, affine(5)), (1, affine(4))]))
+        bad = pixep_of([(0, affine(5)), (1, affine(4))])
         pref = chain_preference(2)
         with pytest.raises(R1ViolationError):
             execute_to_ce(bad, [pref, pref], IncomeVector.of([5, 3]))
@@ -312,7 +329,7 @@ class TestExecuteToCE:
         pix = pixep_of([(0, affine(5))])
         pref = chain_preference(1)
         with pytest.raises(EmptyEpsilonIntervalError):
-            execute_to_ce(Leaf(pix), [pref, pref], IncomeVector.of([5, 5]))
+            execute_to_ce(pix, [pref, pref], IncomeVector.of([5, 5]))
 
     def test_failing_leaf_refused_before_any_spe_work(self, monkeypatch):
         # the default leaf BBA misses R2 (a switch to a dearer price); its
@@ -322,9 +339,8 @@ class TestExecuteToCE:
         bob = chain_preference(3, X, Y, Z)
         profile = [alice, bob, chain_preference(3)]
         incomes = IncomeVector.of([10, 6, 3])
-        good = Leaf(aba_pixep(10, 6, 3))
-        bad = Leaf(pixep_of([(1, affine(3)), (1, affine(3)),
-                             (0, affine(10))]))
+        good = aba_pixep(10, 6, 3)
+        bad = pixep_of([(1, affine(3)), (1, affine(3)), (0, affine(10))])
         game = ChoiceNode(agent=0, options=(("first", good), ("default", bad)))
         plays = spe_outcomes(game, profile)
         assert plays[0].path == ("first",)
@@ -357,7 +373,7 @@ class TestExecuteToCE:
                 ):
                     profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
                     for _, game in candidate_games(row, incomes):
-                        order = [id(leaf.pixep) for leaf in leaves(game)]
+                        order = [id(pix) for pix in leaves(game)]
                         scaled.clear()
                         try:
                             execute_to_ce(game, profile, incomes)
@@ -401,7 +417,7 @@ class TestExecuteToCE:
                     plays = plays[:[(e.path, e.picks) for e in plays].index(returned) + 1]
                 except NoValidSpeError:
                     pass
-                priced = {id(e.leaf.pixep) for e in plays}
+                priced = {id(e.pixep) for e in plays}
                 assert len(flips) == len({id(pix) for pix in flips})
                 assert {id(pix) for pix in flips} == priced
                 skipped += len(list(leaves(game))) - len(priced)

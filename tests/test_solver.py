@@ -110,18 +110,18 @@ def _table_ranges():
             yield m, n, label
 
 
-def _passes_requirements(leaf, incomes) -> bool:
+def _passes_requirements(pix, incomes) -> bool:
     try:
-        check_requirements(leaf.pixep, incomes)
+        check_requirements(pix, incomes)
     except EmptyEpsilonIntervalError:
         return False
     return True
 
 
-def _is_played(leaf, profile, incomes) -> bool:
-    """Whether execute_to_ce gets past the price requirements of ``leaf``."""
+def _is_played(pix, profile, incomes) -> bool:
+    """Whether execute_to_ce gets past the price requirements of ``pix``."""
     try:
-        execute_to_ce(leaf, profile, incomes)
+        execute_to_ce(pix, profile, incomes)
     except EmptyEpsilonIntervalError:
         return False
     except NoValidSpeError:
@@ -143,13 +143,14 @@ class TestGameTable:
         for incomes in stratified_incomes(m, n, label, seed=5, count=100):
             games = candidate_games(row, incomes)
             _, primary = next(games)
-            for leaf in leaves(primary):
-                assert _passes_requirements(leaf, incomes), (leaf.label, incomes)
-            for _, leaf in games:
-                passes = _passes_requirements(leaf, incomes)
-                assert _is_played(leaf, profile, incomes) == passes, (leaf.label, incomes)
+            for pix in leaves(primary):
+                assert _passes_requirements(pix, incomes), (pix, incomes)
+            for game_label, pix in games:
+                name = game_label.removeprefix(f"{label}+")
+                passes = _passes_requirements(pix, incomes)
+                assert _is_played(pix, profile, incomes) == passes, (name, incomes)
                 if passes:
-                    live.add(leaf.label)
+                    live.add(name)
         assert live == set(row.fallbacks)
 
     def test_primary_leaf_failing_requirements_is_loud(self, monkeypatch):
