@@ -10,10 +10,10 @@ Commands:
   repro     run the full reproduction suite and print the summary table
 
 Instance files are JSON; all rationals are exact strings like "27/2"
-(never floats).  ``INSTANCE_SCHEMA`` below gives the schema.  Exit
-codes: 0 success or valid, 1 reproduction mismatch, 2 invalid or
-nonexistent equilibrium, 3 non-generic incomes, 4 unsupported market
-size, 5 parse error.
+or integers (never floats).  ``INSTANCE_SCHEMA`` below gives the
+schema.  Exit codes: 0 success or valid, 1 reproduction mismatch, 2
+invalid or nonexistent equilibrium, 3 non-generic incomes, 4
+unsupported market size, 5 parse error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -85,13 +86,22 @@ INSTANCE_SCHEMA: dict = {
             "minItems": 1,
             "items": {
                 "type": "object",
-                "required": ["name", "income", "preference"],
+                "required": ["income", "preference"],
                 "properties": {
-                    "name": {"type": "string", "description": "distinct per agent"},
-                    "income": {"type": "string", "description": "exact rational, e.g. '27/2'"},
+                    "name": {
+                        "type": "string",
+                        "description": "distinct per agent; agent i defaults to 'agent<i>'",
+                    },
+                    "income": {
+                        "type": ["string", "integer"],
+                        "description": "exact rational, e.g. '27/2', or an integer",
+                    },
                     "preference": {
                         "type": "object",
                         "description": "exactly one of the keys below",
+                        "minProperties": 1,
+                        "maxProperties": 1,
+                        "additionalProperties": False,
                         "properties": {
                             "ranking": {
                                 "type": "array",
@@ -100,7 +110,7 @@ INSTANCE_SCHEMA: dict = {
                             },
                             "additive": {
                                 "type": "array",
-                                "items": {"type": "string"},
+                                "items": {"type": ["string", "integer"]},
                                 "description": "one exact value per item",
                             },
                             "partial": {
@@ -127,7 +137,7 @@ INSTANCE_SCHEMA: dict = {
         },
         "region": {
             "type": "array",
-            "items": {"type": "array", "items": {"type": "string"}},
+            "items": {"type": "array", "items": {"type": ["string", "integer"]}},
             "description": "optional strict constraints: each row c asserts sum(c_i * t_i) > 0",
         },
     },
@@ -140,6 +150,10 @@ INSTANCE_SCHEMA: dict = {
 #: converting an integer to text.
 MAX_DIGITS = 400
 _DIGIT_BOUND = 10**MAX_DIGITS
+# The exponent of a decimal such as "1.5e-3", with its leading zeros left
+# out; ``Fraction`` would build 10 to its power before the digits could
+# be counted.
+_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
 
 
 class ParseError(ValueError):
@@ -191,8 +205,14 @@ def _fraction(value: Any, context: str) -> Fraction:
         raise ParseError(
             f"{context}: floats are not allowed, use exact strings like '27/2'"
         )
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "")
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+            raise ParseError(f"{context}: an exponent beyond ±{MAX_DIGITS}")
     try:
-        result = Fraction(str(value))
+        result = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{context}: {exc}") from exc
     if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
@@ -358,6 +378,10 @@ def load_candidate(doc: dict, inst: ParsedInstance) -> CEPair:
             raise ParseError(f"candidate document is missing {key!r}")
         if not isinstance(doc[key], dict):
             raise ParseError(f"candidate {key!r} must be an object keyed by name")
+    for kind, names in (("prices", inst.item_names), ("allocation", inst.agent_names)):
+        unknown = next((key for key in doc[kind] if key not in names), None)
+        if unknown is not None:
+            raise ParseError(f"candidate {kind} name {unknown!r}, which the instance lacks")
     prices = []
     for name in inst.item_names:
         if name not in doc["prices"]:
@@ -423,7 +447,7 @@ def cmd_solve(args) -> int:
         "range": transcript.range_label,
         "game": transcript.game_label,
         "order": [inst.agent_names[i] for i in transcript.order],
-        "epsilon": str(transcript.execution.epsilon),
+        "epsilon": str(transcript.epsilon),
         "path": list(transcript.execution.path),
         "picks": [
             {

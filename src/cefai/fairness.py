@@ -108,13 +108,15 @@ def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     single bundle since the order is strict.  Two cases need no masks:
     keeping every part (``l == d``) keeps X, and when X has at most
     ``d - l`` items every partition has at least l empty parts, so the
-    adversary can leave the empty bundle.  The caller keeps ``l``, ``d``
-    and the item count within :func:`_check_bounds`.
+    adversary can leave the empty bundle.  Raises ``ValueError`` unless
+    ``1 <= l <= d``, ``d <= MAX_MAXIMIN_PARTS`` and the order has at most
+    ``MAX_MAXIMIN_ITEMS`` items.
 
     :func:`audit_ce_fairness` decides each share with the same masks
     (see the module docstring) and calls this function only to report the
     bundle of a failing share.
     """
+    _check_bounds(pref.m, l, d)
     if l == d:
         return x
     if x.bit_count() <= d - l:
@@ -143,10 +145,6 @@ class GuaranteeCheck:
 class FairnessReport:
     applicable: int
     violations: tuple[GuaranteeCheck, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
 
 
 def audit_ce_fairness(

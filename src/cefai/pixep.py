@@ -45,7 +45,7 @@ are those of the full recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
@@ -345,17 +345,15 @@ class Execution:
     """One subgame-perfect play: the choices taken, the leaf ``pixep``
     they lead to, its picks, and the outcome.
 
-    ``picks`` lists (position, agent, item) with 1-based positions.
-    Prices and ε are attached once the pixep is resolved against an
-    income vector; plain strategic enumeration leaves them unset.
+    ``picks`` lists (position, agent, item) with 1-based positions.  A
+    play carries no prices: agents compare final bundles only, and
+    :func:`execute_to_ce` returns the ε and the priced pair beside it.
     """
 
     path: tuple[str, ...]
     pixep: Pixep
     picks: tuple[tuple[int, int, int], ...]
     allocation: Allocation
-    prices: PriceVector | None = None
-    epsilon: Fraction | None = None
 
 
 def _leaf_plays(
@@ -531,9 +529,10 @@ def execute_to_ce(
     game: GameNode,
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
-) -> tuple[Execution, CEPair]:
+) -> tuple[Execution, Fraction, CEPair]:
     """The first subgame-perfect play, in :func:`spe_outcomes` order, whose
-    outcome is an equilibrium, with its prices.
+    outcome is an equilibrium, with the ε that prices its leaf and the
+    priced pair.
 
     Every leaf must pass :func:`check_requirements` against the incomes
     (checked up front, before any SPE work); each equilibrium play is
@@ -570,10 +569,9 @@ def execute_to_ce(
         by_item = [None] * execution.allocation.m
         for pos, _, item in execution.picks:
             by_item[item] = position_prices[pos - 1]
-        prices = PriceVector.of(by_item)
-        cand = CEPair(prices=prices, allocation=execution.allocation)
+        cand = CEPair(prices=PriceVector.of(by_item), allocation=execution.allocation)
         if verify_ce(profile, incomes, cand).valid:
-            return replace(execution, prices=prices, epsilon=eps), cand
+            return execution, eps, cand
     raise NoValidSpeError(
         "no subgame-perfect play of the game yields a valid equilibrium"
     )

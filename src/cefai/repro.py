@@ -1,9 +1,11 @@
 """End-to-end reproduction harness: solver soundness sweeps, counterexample
 certification, and the existence summary table.
 
-Each function is deterministic for a given seed and returns a small
-report object; the command-line ``repro`` command and the acceptance
-test suite both drive these.
+Each function is deterministic for a given seed.  The sweeps return
+their records, the counterexample check and the domination audit return
+a count, and ``existence_table`` gathers the detail lines and the table;
+the command-line ``repro`` command and the acceptance test suite both
+drive these.
 """
 
 from __future__ import annotations
@@ -91,26 +93,16 @@ def soundness_m3(trials_per_n: int, seed: int) -> list[SoundnessReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    points_checked: int
-    completions: int
-    ce_hits: int
-
-    @property
-    def clean(self) -> bool:
-        return self.ce_hits == 0
-
-
 def certify_counterexample(
     inst: NamedInstance,
     points: int,
     alt_completions: int,
     seed: int = 5,
-) -> CounterexampleReport:
-    """Exhaustively confirm non-existence at the reference point and at
-    sampled region points, under the deterministic completion and under
-    alternative random monotone completions."""
+) -> int:
+    """How many equilibria exhaustive search finds at the reference point
+    and at ``points`` sampled region points, under the deterministic
+    completion and under ``alt_completions`` random monotone ones: 0
+    confirms non-existence at every one of these."""
     income_points = [inst.reference] + inst.region.sample(seed, points)
     profiles = [inst.completed_profile()] + [
         inst.random_profile(seed=seed * 17 + j) for j in range(alt_completions)
@@ -120,21 +112,7 @@ def certify_counterexample(
         for point in income_points:
             if ce_exists(profile, point) is not None:
                 hits += 1
-    return CounterexampleReport(
-        points_checked=len(income_points),
-        completions=len(profiles),
-        ce_hits=hits,
-    )
-
-
-@dataclass(frozen=True)
-class LemmaAudit:
-    executions: int
-    violations: int
-
-    @property
-    def clean(self) -> bool:
-        return self.violations == 0
+    return hits
 
 
 def _dominated(xs: Sequence[int], ys: Sequence[int]) -> bool:
@@ -145,11 +123,12 @@ def _dominated(xs: Sequence[int], ys: Sequence[int]) -> bool:
     return len(ys) >= len(xs) and all(y <= x for x, y in zip(xs, ys))
 
 
-def audit_lemmas(records: Sequence[SolveRecord]) -> LemmaAudit:
-    """Check both domination guarantees on every recorded execution:
-    nobody affords a bundle dominating their own, and agents with one
-    contiguous block of turns never prefer a bundle their own dominates.
-    Each (agent, bundle) pair that breaks one of them counts once.
+def audit_lemmas(records: Sequence[SolveRecord]) -> int:
+    """The number of violations of the two domination guarantees over
+    every recorded execution: nobody affords a bundle dominating their
+    own, and agents with one contiguous block of turns never prefer a
+    bundle their own dominates.  Each (agent, bundle) pair that breaks
+    one of them counts once.  Bundles are priced at the record's pair.
 
     Decided on integers: per execution, every bundle is priced and the
     incomes read over one common denominator
@@ -160,7 +139,7 @@ def audit_lemmas(records: Sequence[SolveRecord]) -> LemmaAudit:
     for rec in records:
         execution = rec.transcript.execution
         m = execution.allocation.m
-        _, price, income = scaled_market(execution.prices, rec.incomes)
+        _, price, income = scaled_market(rec.pair.prices, rec.incomes)
         position = [0] * m
         for pos, _, item in execution.picks:
             position[item] = pos
@@ -177,29 +156,7 @@ def audit_lemmas(records: Sequence[SolveRecord]) -> LemmaAudit:
                     violations += int(price[other] <= budget)
                 if contiguous and _dominated(theirs, mine):
                     violations += int(pref.prefers(other, own))
-    return LemmaAudit(executions=len(records), violations=violations)
-
-
-@dataclass(frozen=True)
-class FairnessAudit:
-    pairs_audited: int
-    applicable: int
-    violations: int
-
-    @property
-    def clean(self) -> bool:
-        return self.violations == 0
-
-
-def audit_fairness(records: Sequence[SolveRecord], d_max: int = 4) -> FairnessAudit:
-    applicable = violations = 0
-    for rec in records:
-        report = audit_ce_fairness(rec.profile, rec.incomes, rec.pair, d_max=d_max)
-        applicable += report.applicable
-        violations += len(report.violations)
-    return FairnessAudit(
-        pairs_audited=len(records), applicable=applicable, violations=violations
-    )
+    return violations
 
 
 @dataclass(frozen=True)
@@ -270,33 +227,34 @@ def existence_table(
     alts = 2 if scale < 1 else 5
     c44 = certify_counterexample(counterexample_4x4(), points, alts, seed=seed + 3)
     details.append(
-        f"4 items, 4 agents: counterexample region, {c44.points_checked} points x "
-        f"{c44.completions} completions, {c44.ce_hits} equilibria found"
+        f"4 items, 4 agents: counterexample region, {points + 1} points x "
+        f"{alts + 1} completions, {c44} equilibria found"
     )
-    cells.append(TableCell("4", "4+", "No", "No" if c44.clean else "Yes"))
+    cells.append(TableCell("4", "4+", "No", "Yes" if c44 else "No"))
 
     c52 = certify_counterexample(counterexample_5x2(), points, alts, seed=seed + 4)
     details.append(
-        f"5 items, 2 agents: counterexample region, {c52.points_checked} points x "
-        f"{c52.completions} completions, {c52.ce_hits} equilibria found"
+        f"5 items, 2 agents: counterexample region, {points + 1} points x "
+        f"{alts + 1} completions, {c52} equilibria found"
     )
-    cells.append(TableCell("5+", "2+", "No", "No" if c52.clean else "Yes"))
+    cells.append(TableCell("5+", "2+", "No", "Yes" if c52 else "No"))
 
     records = tuple(r for rep in m3 for r in rep.records) + m42.records + m43.records
     lemmas = audit_lemmas(records)
+    details.append(f"domination guarantees: {len(records)} executions, {lemmas} violations")
+    applicable = violations = 0
+    for rec in records:
+        report = audit_ce_fairness(rec.profile, rec.incomes, rec.pair, d_max=d_max)
+        applicable += report.applicable
+        violations += len(report.violations)
     details.append(
-        f"domination guarantees: {lemmas.executions} executions, "
-        f"{lemmas.violations} violations"
-    )
-    fairness = audit_fairness(records, d_max=d_max)
-    details.append(
-        f"share guarantees (parts up to {d_max}): {fairness.pairs_audited} pairs, "
-        f"{fairness.applicable} applicable instances, {fairness.violations} violations"
+        f"share guarantees (parts up to {d_max}): {len(records)} pairs, "
+        f"{applicable} applicable instances, {violations} violations"
     )
     return TableReport(
         cells=tuple(cells),
         details=tuple(details),
-        audits_clean=lemmas.clean and fairness.clean,
+        audits_clean=lemmas == violations == 0,
     )
 
 

@@ -25,6 +25,7 @@ ill-defined and the solver refuses rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from operator import mul
 from typing import Iterator, Sequence
@@ -309,13 +310,15 @@ def _candidate_games(
 
 @dataclass(frozen=True)
 class SolveTranscript:
-    """Audit trail of one solve: the seating, the range, the game label
-    and the chosen play (whose ``epsilon`` resolved the prices)."""
+    """Audit trail of one solve: the seating, the range, the game label,
+    the chosen play and the ε that priced it.  The prices themselves are
+    the solve's pair."""
 
     order: tuple[int, ...]  # the agent in each seat, income-descending
     range_label: str
     game_label: str  # range label, suffixed when a fallback game was used
     execution: Execution
+    epsilon: Fraction
 
 
 def solve(
@@ -325,7 +328,8 @@ def solve(
 
     The returned pair and the transcript's play number the agents as
     ``profile`` does.  The transcript records the seating, the active
-    income range, the label of the game that won, and the chosen play.
+    income range, the label of the game that won, the chosen play and
+    its ε.
     """
     n = len(profile)
     if len(incomes) != n:
@@ -341,7 +345,7 @@ def solve(
 
     for game_label, game in _candidate_games(row, t, scale, order):
         try:
-            execution, pair = execute_to_ce(game, profile, incomes)
+            execution, epsilon, pair = execute_to_ce(game, profile, incomes)
             break
         except NoValidSpeError:
             continue
@@ -364,5 +368,6 @@ def solve(
         range_label=row.label,
         game_label=game_label,
         execution=execution,
+        epsilon=epsilon,
     )
     return pair, transcript

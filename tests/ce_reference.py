@@ -80,7 +80,7 @@ def reference_lemma_violations(records) -> int:
                 if other == own:
                     continue
                 if is_dominated_by(own, other, positions):
-                    violations += int(bundle_price(execution.prices, other) <= income)
+                    violations += int(bundle_price(rec.pair.prices, other) <= income)
                 if contiguous and is_dominated_by(other, own, positions):
                     violations += int(pref.prefers(other, own))
     return violations

@@ -1,10 +1,13 @@
 """Command-line interface: parsing, documents, exit codes, determinism."""
 
+import copy
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
+from cefai import cli
 from cefai.cli import (
     EXIT_INVALID,
     EXIT_NOT_GENERIC,
@@ -19,6 +22,7 @@ from cefai.cli import (
     main,
 )
 from cefai.instances import counterexample_4x4, counterexample_5x2
+from cefai.market import IncomeVector
 
 
 def aba_instance():
@@ -413,6 +417,18 @@ class TestInstanceFiles:
             ),
             pytest.param(
                 {},
+                {"prices": {"x": "6", "y": "13/2", "z": "7/2", "q": "5"},
+                 "allocation": {"Alice": "yz", "Bob": "x", "Carl": ""}},
+                id="price-unknown-item",
+            ),
+            pytest.param(
+                {},
+                {"prices": {"x": "6", "y": "13/2", "z": "7/2"},
+                 "allocation": {"Alice": "yz", "Bob": "x", "Carl": "", "Zed": ""}},
+                id="allocation-unknown-agent",
+            ),
+            pytest.param(
+                {},
                 {"prices": {"x": "6", "y": "13/2", "z": "7/2"},
                  "allocation": ["yz", "x", ""]},
                 id="allocation-not-object",
@@ -523,6 +539,38 @@ class TestInstanceFiles:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_unknown_candidate_names_are_named(self):
+        inst = load_instance(aba_instance())
+        candidate = {"prices": {"x": "6", "y": "13/2", "z": "7/2", "q": "5"},
+                     "allocation": {"Alice": "yz", "Bob": "x"}}
+        with pytest.raises(ParseError, match="'q'"):
+            load_candidate(candidate, inst)
+        candidate["prices"].pop("q")
+        candidate["allocation"]["Zed"] = ""
+        with pytest.raises(ParseError, match="'Zed'"):
+            load_candidate(candidate, inst)
+
+    def test_exponent_refused_before_the_value_is_built(self, monkeypatch):
+        # Fraction("1e3000000") builds a three-million-digit integer; the
+        # exponent alone must refuse it, with no Fraction of it ever made
+        def refuse(text):
+            raise AssertionError(f"Fraction({text!r}) was built")
+
+        monkeypatch.setattr(cli, "Fraction", refuse)
+        for text in ("1e401", "1e3000000", "2.5E-999", "1e+0_500", "-3e" + "9" * 50):
+            doc = aba_instance()
+            doc["agents"][0]["income"] = text
+            with pytest.raises(ParseError, match="exponent"):
+                load_instance(doc)
+        monkeypatch.undo()
+        doc = aba_instance()
+        doc["agents"][0]["income"] = "1e3"
+        doc["agents"][1]["income"] = "1.5e-3"
+        doc["agents"][2]["income"] = "7e-0_039"
+        assert load_instance(doc).incomes == IncomeVector.of(
+            [1000, Fraction(3, 2000), Fraction(7, 10**39)]
+        )
+
     def test_region_row_without_positive_coefficient(self, tmp_path, capsys):
         # no positive income satisfies -b > 0: rejected before any sampling
         path = write(tmp_path, "instance.json", {**aba_instance(), "region": [["0", "-1", "0"]]})
@@ -537,3 +585,61 @@ class TestInstanceFiles:
         assert INSTANCE_SCHEMA["type"] == "object"
         assert set(INSTANCE_SCHEMA["required"]) == {"items", "agents"}
         json.dumps(INSTANCE_SCHEMA)  # serializable
+
+    def test_schema_states_the_required_keys(self):
+        # every key the documents below hold and the schema describes:
+        # dropping it fails to parse exactly when the schema requires it
+        # (or its object then holds fewer keys than the schema allows)
+        docs = [aba_instance(), instance_to_document(counterexample_4x4())]
+        for preference in ({"ranking": ["", "x", "y", "xy"]}, {"additive": ["2", 1]}):
+            docs.append({"items": ["x", "y"], "agents": [
+                {"name": "A", "income": 3, "preference": preference}]})
+        seen = set()
+        for doc in docs:
+            for path, fails in _schema_keys(INSTANCE_SCHEMA, doc):
+                seen.add((path[-1], fails))
+                dropped = copy.deepcopy(doc)
+                parent = dropped
+                for key in path[:-1]:
+                    parent = parent[key]
+                del parent[path[-1]]
+                if fails:
+                    with pytest.raises(ParseError):
+                        load_instance(dropped)
+                else:
+                    load_instance(dropped)
+        assert {key for key, fails in seen if not fails} == {
+            "name", "region", "pairs", "chain"
+        }
+        assert {key for key, fails in seen if fails} >= {
+            "items", "agents", "income", "preference", "ranking", "additive", "partial"
+        }
+
+    def test_schema_admits_integer_numbers(self):
+        doc = {**aba_instance(), "region": [[1, "-1", 0]]}
+        doc["agents"][0]["income"] = 10
+        doc["agents"][2]["preference"] = {"additive": [4, "2", 1]}
+        parsed = load_instance(doc)
+        assert parsed.incomes == IncomeVector.of([10, 6, 3])
+        agent = INSTANCE_SCHEMA["properties"]["agents"]["items"]["properties"]
+        kinds = agent["preference"]["properties"]
+        region = INSTANCE_SCHEMA["properties"]["region"]["items"]
+        for schema in (agent["income"], kinds["additive"]["items"], region["items"]):
+            assert set(schema["type"]) == {"string", "integer"}
+
+
+def _schema_keys(schema, doc, path=()):
+    """``(path, fails)`` for each key of ``doc`` that ``schema`` describes,
+    through objects and arrays: ``fails`` when dropping it breaks
+    ``required`` or ``minProperties``."""
+    if schema.get("type") == "object":
+        for key, sub in schema.get("properties", {}).items():
+            if key in doc:
+                fails = key in schema.get("required", ()) or (
+                    len(doc) - 1 < schema.get("minProperties", 0)
+                )
+                yield path + (key,), fails
+                yield from _schema_keys(sub, doc[key], path + (key,))
+    elif schema.get("type") == "array" and "items" in schema:
+        for index, element in enumerate(doc):
+            yield from _schema_keys(schema["items"], element, path + (index,))

@@ -70,6 +70,15 @@ class TestMaximin:
         for d in (1, 2, 3):
             assert maximin(pref, 0b1011, d, d) == 0b1011
 
+    @pytest.mark.parametrize(
+        "m,x,l,d",
+        [(3, 0b111, 0, 3), (3, 0b111, 4, 3), (3, 0b111, 1, 7), (7, 0b1111111, 1, 2)],
+        ids=["l-zero", "l-above-d", "d-seven", "seven-items"],
+    )
+    def test_bounds_refused(self, m, x, l, d):
+        with pytest.raises(ValueError, match="1 <= l <= d|at most"):
+            maximin(random_preference(m, seed=1), x, l, d)
+
     def test_additive_three_items_divider(self):
         # values 4,2,1: splitting into 3 singletons leaves the 1-valued item
         pref = additive_preference(3, [4, 2, 1])
@@ -223,7 +232,7 @@ class TestAudit:
             except NoValidSpeError:  # rare instances admit no equilibrium
                 continue
             report = audit_ce_fairness(profile, incomes, pair, d_max=4)
-            assert report.clean
+            assert not report.violations
             assert report.applicable > 0
             audited += 1
 
@@ -264,4 +273,4 @@ class TestAudit:
         pref = random_preference(3, seed=1)
         pair, _ = solve([pref], IncomeVector.of([5]))
         report = audit_ce_fairness([pref], IncomeVector.of([5]), pair, d_max=4)
-        assert report.clean
+        assert not report.violations

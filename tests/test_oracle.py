@@ -17,7 +17,7 @@ from cefai.market import (
     PriceVector,
     verify_ce,
 )
-from cefai import oracle
+from cefai import oracle, repro
 from cefai.oracle import (
     InstanceTooLargeError,
     _check_farkas,
@@ -576,12 +576,20 @@ class TestNoCEInstance:
                 pair = CEPair(prices=PriceVector.of(prices), allocation=alloc)
                 assert not verify_ce(profile, incomes, pair).valid
 
-    def test_region_sampling(self):
-        report = certify_counterexample(
+    def test_region_sampling(self, monkeypatch):
+        calls = []
+
+        def counted(profile, incomes):
+            calls.append((profile, incomes))
+            return ce_exists(profile, incomes)
+
+        monkeypatch.setattr(repro, "ce_exists", counted)
+        hits = certify_counterexample(
             counterexample_4x3(), points=10, alt_completions=0, seed=9
         )
-        assert (report.points_checked, report.completions) == (11, 1)
-        assert report.clean
+        # 11 income points (the reference and 10 sampled) x 1 completion
+        assert len(calls) == 11 and len({id(profile) for profile, _ in calls}) == 1
+        assert hits == 0
 
 
 class TestLimits:

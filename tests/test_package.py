@@ -23,7 +23,7 @@ def test_solve_verify_audit_through_top_level_names():
     assert isinstance(pair.allocation, cefai.Allocation)
     assert all(isinstance(p, cefai.PreferenceOrder) for p in profile)
     assert cefai.verify_ce(profile, incomes, pair).valid
-    assert cefai.audit_ce_fairness(profile, incomes, pair).clean
+    assert not cefai.audit_ce_fairness(profile, incomes, pair).violations
     assert cefai.ce_exists(profile, incomes) is not None
     assert transcript.range_label == "m3:a>b+c"
 

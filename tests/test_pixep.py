@@ -312,8 +312,8 @@ class TestExecuteToCE:
         carl = chain_preference(3)
         incomes = IncomeVector.of([10, 6, 3])
         game = aba_pixep(10, 6, 3)
-        execution, pair = execute_to_ce(game, [alice, bob, carl], incomes)
-        assert execution.epsilon == Fraction(1, 2)
+        _, epsilon, pair = execute_to_ce(game, [alice, bob, carl], incomes)
+        assert epsilon == Fraction(1, 2)
         assert pair.allocation.bundles == (Y | Z, X, 0)
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
 
@@ -344,7 +344,7 @@ class TestExecuteToCE:
         game = ChoiceNode(agent=0, options=(("first", good), ("default", bad)))
         plays = spe_outcomes(game, profile)
         assert plays[0].path == ("first",)
-        execution, _ = execute_to_ce(good, profile, incomes)
+        execution, _, _ = execute_to_ce(good, profile, incomes)
         assert execution.picks == plays[0].picks
 
         def no_spe_work(*args):
@@ -412,7 +412,7 @@ class TestExecuteToCE:
                 plays = spe_outcomes(game, profile)
                 flips.clear()
                 try:
-                    execution, _ = execute_to_ce(game, profile, incomes)
+                    execution, _, _ = execute_to_ce(game, profile, incomes)
                     returned = (execution.path, execution.picks)
                     plays = plays[:[(e.path, e.picks) for e in plays].index(returned) + 1]
                 except NoValidSpeError:

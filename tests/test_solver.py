@@ -180,7 +180,7 @@ class TestSolve:
         assert transcript.range_label == "m3:a>b+c"
         assert pair.allocation.bundles == (Y | Z, X, 0)
         assert tuple(pair.prices) == (6, Fraction(13, 2), Fraction(7, 2))
-        assert transcript.execution.epsilon == Fraction(1, 2)
+        assert transcript.epsilon == Fraction(1, 2)
         assert verify_ce(profile, incomes, pair).valid
 
     def test_three_items_one_each_branch(self):
@@ -257,7 +257,7 @@ class TestSolve:
                 assert (moved.range_label, moved.game_label) == (
                     transcript.range_label, transcript.game_label
                 )
-                assert moved.execution.epsilon == transcript.execution.epsilon
+                assert moved.epsilon == transcript.epsilon
                 assert all(
                     moved_pair.allocation[pi[i]] == pair.allocation[i] for i in range(n)
                 )
@@ -349,7 +349,7 @@ def _solve_line(profile, incomes) -> str:
             transcript.game_label,
             "/".join(execution.path),
             repr(transcript.order),
-            str(execution.epsilon),
+            str(transcript.epsilon),
             repr(execution.picks),
             ",".join(str(p) for p in pair.prices),
             repr(pair.allocation.bundles),
