@@ -442,13 +442,14 @@ def cmd_solve(args) -> int:
             }
         )
         return EXIT_INVALID
+    execution = transcript.execution
     doc = {
         "status": "ok",
         "range": transcript.range_label,
         "game": transcript.game_label,
         "order": [inst.agent_names[i] for i in transcript.order],
         "epsilon": str(transcript.epsilon),
-        "path": list(transcript.execution.path),
+        "path": list(execution.path),
         "picks": [
             {
                 "position": pos,
@@ -456,7 +457,7 @@ def cmd_solve(args) -> int:
                 "item": inst.item_names[item],
                 "price": str(pair.prices[item]),
             }
-            for pos, agent, item in transcript.execution.picks
+            for pos, (agent, item) in enumerate(zip(execution.pixep.agents, execution.items), 1)
         ],
         "allocation": _allocation_doc(pair, inst),
         "prices": _prices_doc(pair, inst),

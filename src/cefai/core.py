@@ -133,7 +133,7 @@ def item_names(m: int) -> tuple[str, ...]:
     return tuple(f"i{j}" for j in range(m))
 
 
-def format_bundle(bundle: Bundle, names: Sequence[str] | None = None) -> str:
+def format_bundle(bundle: Bundle, names: Sequence[str]) -> str:
     """Render a bundle as a compact item string, e.g. ``xy``.
 
     >>> format_bundle(0b011, "xyz")
@@ -143,8 +143,6 @@ def format_bundle(bundle: Bundle, names: Sequence[str] | None = None) -> str:
     """
     if bundle == 0:
         return EMPTY_BUNDLE_SYMBOL
-    if names is None:
-        names = item_names(max(items_of(bundle)) + 1)
     sep = "" if all(len(n) == 1 for n in names) else "+"
     return sep.join(names[j] for j in items_of(bundle))
 
@@ -273,29 +271,13 @@ class PartialRelations:
     m: int
     pairs: tuple[tuple[Bundle, Bundle], ...]
 
-    @staticmethod
-    def from_chain(
-        m: int, chain: Sequence[Bundle | Iterable[Bundle]]
-    ) -> "PartialRelations":
-        """Build relations from a best-to-worst chain of bundles or groups.
 
-        Each chain element is a single bundle or a collection of bundles
-        (a group).  Every member of a group is asserted better than every
-        member of the next element; bundles inside one group stay
-        mutually unordered.
-        """
-        return PartialRelations(m=m, pairs=tuple(chain_pairs(chain)))
-
-
-def chain_pairs(
-    chain: Sequence[Bundle | Iterable[Bundle]],
-) -> list[tuple[Bundle, Bundle]]:
-    groups: list[tuple[Bundle, ...]] = []
-    for element in chain:
-        if isinstance(element, int):
-            groups.append((element,))
-        else:
-            groups.append(tuple(element))
+def chain_pairs(groups: Sequence[Sequence[Bundle]]) -> list[tuple[Bundle, Bundle]]:
+    """The strict comparisons of a best-to-worst chain of groups, each
+    group a sequence of bundles: every member of a group is asserted
+    better than every member of the next group, and bundles inside one
+    group stay mutually unordered.
+    """
     pairs = []
     for upper, lower in zip(groups, groups[1:]):
         for b in upper:

@@ -18,6 +18,7 @@ from itertools import combinations
 from .core import (
     PartialRelations,
     PreferenceOrder,
+    chain_pairs,
     complete_partial,
     parse_bundle,
     random_completion,
@@ -70,7 +71,7 @@ def _chain(m: int, names: str, *elements) -> PartialRelations:
             groups.append((parse_bundle(element, names),))
         else:
             groups.append(tuple(parse_bundle(text, names) for text in element))
-    return PartialRelations.from_chain(m, groups)
+    return PartialRelations(m, tuple(chain_pairs(groups)))
 
 
 def counterexample_4x4() -> NamedInstance:

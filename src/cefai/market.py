@@ -174,6 +174,9 @@ class CEViolation:
     threshold: Fraction
 
     def describe(self, names: Sequence[str] | None = None) -> str:
+        """The violation as text; items read by index (``i2+i4``) unless named."""
+        if names is None:
+            names = [f"i{j}" for j in range(self.bundle.bit_length())]
         what = format_bundle(self.bundle, names)
         if self.kind is ViolationKind.BUDGET_MISMATCH:
             return (

@@ -32,7 +32,9 @@ choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
 take an earlier option only when strictly better off than under the
 default (the last option).  ``spe_outcomes`` enumerates *all* plays
 that arise in some subgame-perfect equilibrium; agents compare final
-bundles only, so prices never enter the strategic analysis.
+bundles only, so prices never enter the strategic analysis.  A play is
+its items and its final bundles as masks; ``execute_to_ce`` builds an
+:class:`~cefai.market.Allocation` only for a play it prices.
 
 On a mover's last turn the enumeration expands one item only.  The
 mover's final bundle is then what it holds plus the item taken, whatever
@@ -343,17 +345,18 @@ def resolve_epsilon(pix: Pixep, scaled: _Scaled, interval: EpsilonInterval) -> F
 @dataclass(frozen=True)
 class Execution:
     """One subgame-perfect play: the choices taken, the leaf ``pixep``
-    they lead to, its picks, and the outcome.
+    they lead to, and the outcome.
 
-    ``picks`` lists (position, agent, item) with 1-based positions.  A
-    play carries no prices: agents compare final bundles only, and
-    :func:`execute_to_ce` returns the ε and the priced pair beside it.
+    ``items[k]`` is the item taken at position k, by ``pixep.agents[k]``;
+    ``bundles[i]`` is agent i's final bundle, as a mask.  A play carries
+    no prices: agents compare final bundles only, and :func:`execute_to_ce`
+    returns the ε and the priced pair beside it.
     """
 
     path: tuple[str, ...]
     pixep: Pixep
-    picks: tuple[tuple[int, int, int], ...]
-    allocation: Allocation
+    items: tuple[int, ...]
+    bundles: tuple[int, ...]
 
 
 def _leaf_plays(
@@ -472,14 +475,12 @@ def _node_outcomes(
                 raise DimensionMismatchError(
                     f"pixep references agent {agent}, profile has {n}"
                 )
-        positions = range(1, m + 1)
         executions = []
         for play in _leaf_plays(game, profile, m):
             masks = [0] * n
             for agent, item in zip(agents, play):
                 masks[agent] |= 1 << item
-            picks = tuple(zip(positions, agents, play))
-            executions.append(Execution(path, game, picks, Allocation(m, tuple(masks))))
+            executions.append(Execution(path, game, play, tuple(masks)))
         return executions
 
     chooser = game.agent
@@ -489,7 +490,7 @@ def _node_outcomes(
     outs = [
         _node_outcomes(child, profile, n, m, path + (label,)) for label, child in game.options
     ]
-    mins = [min(rank[e.allocation.bundles[chooser]] for e in out) for out in outs]
+    mins = [min(rank[e.bundles[chooser]] for e in out) for out in outs]
     # A play of option k is kept when the chooser's rank under it reaches
     # the bound of every other option: an earlier option's worst rank (weak
     # deterrence suffices between those), and one above the default's worst
@@ -498,7 +499,7 @@ def _node_outcomes(
     floors = [max(bounds[:k] + bounds[k + 1:]) for k in range(len(bounds))]
     return [
         e for k, out in enumerate(outs) for e in out
-        if rank[e.allocation.bundles[chooser]] >= floors[k]
+        if rank[e.bundles[chooser]] >= floors[k]
     ]
 
 
@@ -507,7 +508,7 @@ def spe_outcomes(
 ) -> list[Execution]:
     """Every play of the game that occurs in some subgame-perfect
     equilibrium, in a fixed deterministic order, each with its choice
-    path, leaf pixep, picks and allocation.
+    path, leaf pixep, items taken and final bundles (:class:`Execution`).
 
     At a picking position the mover may take any item that some
     equilibrium continuation makes optimal (several items can tie by
@@ -539,11 +540,12 @@ def execute_to_ce(
     then priced with its leaf's ε, which :func:`resolve_epsilon` picks
     from the interval checked up front when the leaf's first play is
     priced, and checked by exact verification; a leaf's position prices
-    at its ε are computed once, from its integers.  Raises ``NoValidSpeError``
-    when no play passes.  That is an expected outcome, not an internal
-    error: :func:`cefai.solver.solve` catches it to try the range's
-    fallback games, and some profiles have no equilibrium at all
-    (``counterexample-4x3``), so every game fails on them.
+    at its ε are computed once, from its integers, and a play's
+    :class:`~cefai.market.Allocation` is built when it is priced.  Raises
+    ``NoValidSpeError`` when no play passes.  That is an expected outcome,
+    not an internal error: :func:`cefai.solver.solve` catches it to try
+    the range's fallback games, and some profiles have no equilibrium at
+    all (``counterexample-4x3``), so every game fails on them.
     """
     # Per leaf pixep id: its integer form and its checked ε interval.
     checked: dict[int, tuple[_Scaled, EpsilonInterval]] = {}
@@ -566,10 +568,10 @@ def execute_to_ce(
                 for c0, c1 in zip(pix.constants, pix.slopes)
             ]
         eps, position_prices = priced
-        by_item = [None] * execution.allocation.m
-        for pos, _, item in execution.picks:
-            by_item[item] = position_prices[pos - 1]
-        cand = CEPair(prices=PriceVector.of(by_item), allocation=execution.allocation)
+        by_item = [None] * pix.m
+        for item, price in zip(execution.items, position_prices):
+            by_item[item] = price
+        cand = CEPair(PriceVector.of(by_item), Allocation(pix.m, execution.bundles))
         if verify_ce(profile, incomes, cand).valid:
             return execution, eps, cand
     raise NoValidSpeError(

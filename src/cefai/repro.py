@@ -138,15 +138,16 @@ def audit_lemmas(records: Sequence[SolveRecord]) -> int:
     violations = 0
     for rec in records:
         execution = rec.transcript.execution
-        m = execution.allocation.m
+        m = rec.pair.allocation.m
         _, price, income = scaled_market(rec.pair.prices, rec.incomes)
         position = [0] * m
-        for pos, _, item in execution.picks:
+        for pos, item in enumerate(execution.items, 1):
             position[item] = pos
         picked = [sorted(position[j] for j in items_of(b)) for b in range(1 << m)]
-        bundles = execution.allocation.bundles
+        bundles = rec.pair.allocation.bundles
+        movers = execution.pixep.agents
         for agent, (own, budget, pref) in enumerate(zip(bundles, income, rec.profile)):
-            turns = [pos for pos, mover, _ in execution.picks if mover == agent]
+            turns = [pos for pos, mover in enumerate(movers, 1) if mover == agent]
             contiguous = bool(turns) and turns[-1] - turns[0] + 1 == len(turns)
             mine = picked[own]
             for other, theirs in enumerate(picked):

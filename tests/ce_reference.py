@@ -70,13 +70,13 @@ def reference_lemma_violations(records) -> int:
     violations = 0
     for rec in records:
         execution = rec.transcript.execution
-        positions = {item: pos for pos, _, item in execution.picks}
-        for agent, own in enumerate(execution.allocation.bundles):
+        positions = {item: pos for pos, item in enumerate(execution.items, 1)}
+        for agent, own in enumerate(execution.bundles):
             income = rec.incomes[agent]
             pref = rec.profile[agent]
-            turns = [pos for pos, mover, _ in execution.picks if mover == agent]
+            turns = [pos for pos, mover in enumerate(execution.pixep.agents, 1) if mover == agent]
             contiguous = bool(turns) and turns[-1] - turns[0] + 1 == len(turns)
-            for other in all_bundles(execution.allocation.m):
+            for other in all_bundles(len(execution.items)):
                 if other == own:
                     continue
                 if is_dominated_by(own, other, positions):

@@ -16,6 +16,7 @@ from cefai.core import (
     Bundle,
     PartialRelations,
     PreferenceOrder,
+    chain_pairs,
     complete_partial,
     random_preference,
 )
@@ -82,7 +83,7 @@ def leaf_at(name: str, incomes: IncomeVector) -> Pixep:
 
 def chain_preference(m: int, *chain):
     """Preference from a best-to-worst chain of bundle masks."""
-    return complete_partial(PartialRelations.from_chain(m, chain))
+    return complete_partial(PartialRelations(m, tuple(chain_pairs([[b] for b in chain]))))
 
 
 def zero_priced_pixep(agents: list[int]) -> Pixep:

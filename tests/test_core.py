@@ -15,6 +15,7 @@ from cefai.core import (
     additive_preference,
     all_bundles,
     bundle_of,
+    chain_pairs,
     complete_partial,
     format_bundle,
     items_of,
@@ -89,7 +90,7 @@ class TestCompletePartial:
         # the asserted chain xy > w > xz > yz > x > y > z over items w,x,y,z
         w, x, y, z = 0b0001, 0b0010, 0b0100, 0b1000
         chain = [x | y, w, x | z, y | z, x, y, z]
-        rel = PartialRelations.from_chain(4, chain)
+        rel = PartialRelations(4, tuple(chain_pairs([[b] for b in chain])))
         pref = complete_partial(rel)
         ranks = [pref.rank[b] for b in chain]
         assert ranks == sorted(ranks, reverse=True)

@@ -436,3 +436,42 @@ def test_only_market_builds_raw_income_vectors():
         if p.name != "market.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def constructor_callers(source: str, name: str) -> list[str]:
+    """The innermost function around each call of the class ``name`` that
+    :func:`constructor_calls` finds, or ``<module>`` outside any."""
+    functions = [
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
+    ]
+    callers = []
+    for line in constructor_calls(source, name):
+        around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+        callers.append(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return callers
+
+
+def test_constructor_caller_scanner_names_the_innermost_function():
+    source = (
+        "a = Allocation(1, (1,))\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return Allocation(1, (1,))\n"
+        "    return market.Allocation(1, (1,))\n"
+        "class Box:\n"
+        "    def build(self):\n"
+        "        return isinstance(self, Allocation)\n"
+    )
+    assert constructor_callers(source, "Allocation") == ["<module>", "inner", "outer"]
+
+
+# A play is held as bare masks; Allocation's partition check runs only for
+# an allocation that becomes a candidate pair or is read from outside.
+def test_allocations_built_only_for_candidate_pairs():
+    found = {
+        (p.stem, caller)
+        for p in MODULES
+        for caller in constructor_callers(p.read_text(), "Allocation")
+    }
+    allowed = {("pixep", "execute_to_ce"), ("oracle", "ce_exists"), ("cli", "load_candidate")}
+    assert found <= allowed

@@ -11,6 +11,7 @@ from cefai.instances import random_generic_incomes
 from cefai.market import (
     Allocation,
     CEPair,
+    CEViolation,
     DimensionMismatchError,
     IncomeRegion,
     IncomeVector,
@@ -93,6 +94,17 @@ class TestVerifyCE:
             else:
                 assert profile[v.agent].prefers(v.bundle, pair.allocation[v.agent])
                 assert v.price <= v.threshold
+
+    def test_describe_names_an_item_the_same_in_every_bundle(self):
+        # without names an item reads by its index, whatever else the
+        # bundle holds; with names the text is as the caller names them
+        better = ViolationKind.AFFORDABLE_BETTER_BUNDLE
+        alone = CEViolation(0, better, 0b00100, Fraction(1), Fraction(2))
+        pair = CEViolation(0, better, 0b10100, Fraction(1), Fraction(2))
+        assert alone.describe() == "agent 0 prefers i2 at price 1, affordable at threshold 2"
+        assert pair.describe() == "agent 0 prefers i2+i4 at price 1, affordable at threshold 2"
+        assert alone.describe("vwxyz") == "agent 0 prefers x at price 1, affordable at threshold 2"
+        assert pair.describe("vwxyz") == "agent 0 prefers xz at price 1, affordable at threshold 2"
 
     def test_dimension_mismatch(self):
         profile = one_item_market()

@@ -6,7 +6,7 @@ import pytest
 
 from cefai.core import PreferenceOrder, random_preference
 from cefai.instances import counterexample_4x3, stratified_incomes
-from cefai.market import DimensionMismatchError, IncomeVector
+from cefai.market import Allocation, DimensionMismatchError, IncomeVector
 from cefai import pixep
 from cefai.pixep import (
     ChoiceNode,
@@ -161,9 +161,9 @@ class TestSpeOutcomes:
         # sequence ABA: positions 0, 2 for Alice, 1 for Bob
         game = pixep_of([(0, affine(0)), (1, affine(0)), (0, affine(0))])
         outcomes = spe_outcomes(game, self.worked_example())
-        allocations = {tuple(e.allocation.bundles) for e in outcomes}
+        allocations = {e.bundles for e in outcomes}
         assert allocations == {(Y | Z, X)}
-        first_picks = {e.picks[0][2] for e in outcomes}
+        first_picks = {e.items[0] for e in outcomes}
         assert first_picks == {1, 2}  # picking y or z first both support yz
 
     def test_two_picks_one_agent(self):
@@ -171,7 +171,27 @@ class TestSpeOutcomes:
         pref = chain_preference(2, 0b01)
         outcomes = spe_outcomes(game, [pref])
         assert len(outcomes) == 2  # both pick orders, same bundle
-        assert {tuple(e.allocation.bundles) for e in outcomes} == {(0b11,)}
+        assert {e.bundles for e in outcomes} == {(0b11,)}
+
+    def test_choice_game_builds_no_allocation(self, monkeypatch):
+        # a play is its items and bundles: only execute_to_ce builds the
+        # validated Allocation of a play, for the plays it prices
+        m, n = 4, 3
+        row = next(row for row in range_table(m, n) if isinstance(row.primary, tuple))
+        incomes = stratified_incomes(m, n, row.label, seed=1, count=1)[0]
+        _, game = next(candidate_games(row, incomes))
+        profile = [random_preference(m, seed=i) for i in range(n)]
+        built = []
+        original = Allocation.__post_init__
+
+        def counted(allocation):
+            built.append(allocation)
+            original(allocation)
+
+        monkeypatch.setattr(Allocation, "__post_init__", counted)
+        plays = spe_outcomes(game, profile)
+        assert isinstance(game, ChoiceNode) and len(plays) > 1
+        assert built == []
 
     @pytest.mark.parametrize("agent", [-1, 3])
     def test_choice_agent_out_of_range_rejected(self, agent):
@@ -186,8 +206,8 @@ class TestSpeOutcomes:
             m, n = rng.choice([(2, 2), (3, 2), (3, 3), (4, 3)])
             game = random_game(rng, m, n)
             profile = random_profile(rng, m, n)
-            first = [(e.path, e.picks) for e in spe_outcomes(game, profile)]
-            second = [(e.path, e.picks) for e in spe_outcomes(game, profile)]
+            first = [(e.path, e.pixep.agents, e.items) for e in spe_outcomes(game, profile)]
+            second = [(e.path, e.pixep.agents, e.items) for e in spe_outcomes(game, profile)]
             assert first == second
 
     def test_agrees_with_history_tree_oracle(self, rng):
@@ -196,8 +216,7 @@ class TestSpeOutcomes:
             n = rng.randint(1, 3)
             game = random_game(rng, m, n)
             profile = random_profile(rng, m, n)
-            engine = {(e.path, tuple(i for _, _, i in e.picks))
-                      for e in spe_outcomes(game, profile)}
+            engine = {(e.path, e.items) for e in spe_outcomes(game, profile)}
             oracle = tree_spe_plays(game, profile)
             assert engine == oracle
 
@@ -212,8 +231,7 @@ class TestSpeOutcomes:
             profile = random_profile(rng, m, n)
             if count_profiles(game, m) > 50_000:
                 continue
-            engine = {tuple(i for _, _, i in e.picks)
-                      for e in spe_outcomes(game, profile)}
+            engine = {e.items for e in spe_outcomes(game, profile)}
             oracle = all_profile_spe_plays(game, profile)
             assert engine == oracle
             checked += 1
@@ -230,14 +248,14 @@ class TestSpeOutcomes:
             profile = random_profile(rng, m, n)
             for e in spe_outcomes(game, profile):
                 remaining = 0
-                for pos, _, item in e.picks[m - k:]:
+                for item in e.items[m - k:]:
                     remaining |= 1 << item
                 best = max(
                     (b for b in range(1 << m) if b & ~remaining == 0
                      and bin(b).count("1") == k),
                     key=profile[1].rank.__getitem__,
                 )
-                assert e.allocation[1] == best
+                assert e.bundles[1] == best
 
 
     def test_last_turns_expand_only_the_best_item(self):
@@ -270,7 +288,7 @@ class TestSpeOutcomes:
 
 
 def _ordered_plays(game, profile):
-    return [(e.path, tuple(item for _, _, item in e.picks)) for e in spe_outcomes(game, profile)]
+    return [(e.path, e.items) for e in spe_outcomes(game, profile)]
 
 
 class TestSpeOrder:
@@ -345,7 +363,7 @@ class TestExecuteToCE:
         plays = spe_outcomes(game, profile)
         assert plays[0].path == ("first",)
         execution, _, _ = execute_to_ce(good, profile, incomes)
-        assert execution.picks == plays[0].picks
+        assert (execution.pixep, execution.items) == (plays[0].pixep, plays[0].items)
 
         def no_spe_work(*args):
             raise AssertionError("SPE enumeration ran before the requirements check")
@@ -413,8 +431,8 @@ class TestExecuteToCE:
                 flips.clear()
                 try:
                     execution, _, _ = execute_to_ce(game, profile, incomes)
-                    returned = (execution.path, execution.picks)
-                    plays = plays[:[(e.path, e.picks) for e in plays].index(returned) + 1]
+                    returned = (execution.path, execution.items)
+                    plays = plays[:[(e.path, e.items) for e in plays].index(returned) + 1]
                 except NoValidSpeError:
                     pass
                 priced = {id(e.pixep) for e in plays}

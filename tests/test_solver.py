@@ -9,8 +9,9 @@ import pytest
 
 from cefai.core import bundle_of, items_of, make_preference, random_preference
 from cefai.instances import counterexample_4x3, random_generic_incomes, stratified_incomes
-from cefai.market import IncomeVector, verify_ce
+from cefai.market import Allocation, IncomeVector, verify_ce
 from cefai.oracle import ce_exists
+from cefai import pixep
 from cefai.pixep import (
     EmptyEpsilonIntervalError,
     NoValidSpeError,
@@ -228,8 +229,8 @@ class TestSolve:
         assert pair.allocation[0] == X
         assert verify_ce([bob, alice, carl], incomes, pair).valid
         # the play names the caller's agents too
-        assert transcript.execution.allocation == pair.allocation
-        assert [agent for _, agent, _ in transcript.execution.picks] == [1, 0, 1]
+        assert transcript.execution.bundles == pair.allocation.bundles
+        assert transcript.execution.pixep.agents == (1, 0, 1)
 
     @pytest.mark.parametrize("m,n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
     def test_permuted_agents_permute_the_solve(self, m, n):
@@ -261,15 +262,50 @@ class TestSolve:
                 assert all(
                     moved_pair.allocation[pi[i]] == pair.allocation[i] for i in range(n)
                 )
-                assert moved.execution.picks == tuple(
-                    (pos, pi[agent], item) for pos, agent, item in transcript.execution.picks
+                assert moved.execution.items == transcript.execution.items
+                assert moved.execution.pixep.agents == tuple(
+                    pi[agent] for agent in transcript.execution.pixep.agents
                 )
                 for solved, play in ((pair, transcript), (moved_pair, moved)):
-                    assert play.execution.allocation == solved.allocation
+                    assert play.execution.bundles == solved.allocation.bundles
                     assert all(
                         solved.allocation[agent] >> item & 1
-                        for _, agent, item in play.execution.picks
+                        for agent, item in zip(play.execution.pixep.agents, play.execution.items)
                     )
+
+    def test_one_allocation_per_priced_play(self, monkeypatch):
+        # the Allocations a solve builds are exactly the ones execute_to_ce
+        # hands to verify_ce, one per priced play, in pricing order
+        built, priced = [], []
+        original_post_init = Allocation.__post_init__
+        original_verify = pixep.verify_ce
+
+        def counted_post_init(allocation):
+            built.append(id(allocation))
+            original_post_init(allocation)
+
+        def counted_verify(profile, incomes, cand):
+            priced.append(id(cand.allocation))
+            return original_verify(profile, incomes, cand)
+
+        monkeypatch.setattr(Allocation, "__post_init__", counted_post_init)
+        monkeypatch.setattr(pixep, "verify_ce", counted_verify)
+        plays = 0
+        for m, n in [(3, 2), (3, 3), (4, 2), (4, 3)]:
+            for r_index, label in enumerate(range_labels(m, n)):
+                for k, incomes in enumerate(
+                    stratified_incomes(m, n, label, seed=7 + r_index, count=2)
+                ):
+                    profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
+                    built.clear()
+                    priced.clear()
+                    try:
+                        solve(profile, incomes)
+                    except NoValidSpeError:
+                        pass
+                    assert built == priced
+                    plays += len(priced)
+        assert plays > 0
 
     def test_single_agent_any_item_count(self):
         for m in (1, 2, 3, 4):
@@ -343,6 +379,7 @@ def _pinned_corpus():
 def _solve_line(profile, incomes) -> str:
     pair, transcript = solve(profile, incomes)
     execution = transcript.execution
+    m = profile[0].m
     return " | ".join(
         [
             transcript.range_label,
@@ -350,7 +387,7 @@ def _solve_line(profile, incomes) -> str:
             "/".join(execution.path),
             repr(transcript.order),
             str(transcript.epsilon),
-            repr(execution.picks),
+            repr(tuple(zip(range(1, m + 1), execution.pixep.agents, execution.items))),
             ",".join(str(p) for p in pair.prices),
             repr(pair.allocation.bundles),
         ]
