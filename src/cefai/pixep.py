@@ -43,12 +43,24 @@ item gives the best such bundle, and every other pick is dominated in
 every continuation.  Only that item's subtree can be reached by an
 equilibrium, so the others are never built: the plays, and their order,
 are those of the full recursion.
+
+The last two picks of every state are decided in closed form, not
+recursed into.  If one agent takes both remaining items, its final
+bundle is the same in either order, so both orders tie and both are
+plays, the lower item first, as the recursion lists its options.
+Otherwise the mover at position m-2 is on its last turn and takes the
+item x whose bundle ``held | x`` it ranks higher, and the last mover
+takes the other: the one play the last-turn rule leaves.  Either way the
+plays, and their order, are again those of the full recursion.  A play
+is carried as a bare tuple while choice nodes filter it, and becomes an
+:class:`Execution` only when the whole game keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -104,8 +116,8 @@ class Pixep:
     ``constants[k]/scale + slopes[k]·ε``, with ``scale`` the least
     denominator of the constants, so equal prices give equal pixeps;
     :meth:`scaled` builds one from constants over any denominator.
-    Raises ``ValueError`` when the three tuples differ in length, an
-    agent is negative or ``scale`` is not positive.
+    Raises ``ValueError`` when there is no position, the three tuples
+    differ in length, an agent is negative or ``scale`` is not positive.
     """
 
     agents: tuple[int, ...]
@@ -114,9 +126,11 @@ class Pixep:
     scale: int = 1
 
     def __post_init__(self):
+        if not self.agents:
+            raise ValueError("a pixep needs at least one position")
         if not len(self.agents) == len(self.constants) == len(self.slopes):
             raise ValueError("a pixep needs one agent, constant and slope per position")
-        if min(self.agents, default=0) < 0:
+        if min(self.agents) < 0:
             raise ValueError(f"pixep agents must be non-negative, got {self.agents}")
         if self.scale < 1:
             raise ValueError(f"pixep scale must be positive, got {self.scale}")
@@ -359,6 +373,24 @@ class Execution:
     bundles: tuple[int, ...]
 
 
+@lru_cache(maxsize=256)
+def _turn_tables(
+    agents: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per position of the turn sequence ``agents``: the shift of the
+    mover's bundle within a state of :func:`_leaf_plays`, and the offsets
+    of the mover's later turns within a continuation.  They depend on the
+    sequence alone, and the solver's leaves take few sequences, so they
+    are kept per sequence."""
+    m = len(agents)
+    shifts = tuple(m * (agent + 1) for agent in agents)
+    later = tuple(
+        tuple(k - pos - 1 for k in range(pos + 1, m) if agents[k] == agent)
+        for pos, agent in enumerate(agents)
+    )
+    return shifts, later
+
+
 def _leaf_plays(
     pix: Pixep, profile: Sequence[PreferenceOrder], m: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -370,29 +402,49 @@ def _leaf_plays(
     agent with a turn still to come holds so far (agent i's at bits
     ``m*(i+1)`` and up) into one int that keys the memo; the bundles of
     agents without a turn left cannot change the continuation, so they
-    are dropped.  Per position, the mover, its rank vector and the
-    offsets of its later turns within a continuation are looked up once
-    per call.
+    are dropped.  Per position, the mover's rank vector is looked up once
+    per call, and the shift of its bundle and the offsets of its later
+    turns within a continuation once per turn sequence
+    (:func:`_turn_tables`).
 
     A mover without a later turn only expands its best free item: its
     final bundle is its bundle so far plus the item it takes, ranks are
     strict, so any other item leaves it strictly worse under every
     continuation and is in no SPE.  Each free item's rank is read once,
     and the subtrees of the other items are never enumerated.
+
+    A state with two items left is decided in closed form, without
+    recursing into its last two picks.  When one agent takes both, its
+    final bundle is the same in either order, so both picks tie and the
+    recursion keeps both plays, in its increasing item order: the lower
+    item first.  No rank is read.  Otherwise the mover at m-2 is on its
+    last turn, so the rule above expands only the item x with the better
+    bundle ``held | x``, and the last mover takes the other: the one play
+    the recursion keeps, from two rank reads.
     """
+    if m == 1:
+        return ((0,),)
     movers = pix.agents
     ranks = [profile[agent].rank for agent in movers]
-    shifts = [m * (agent + 1) for agent in movers]
-    later = [
-        tuple(k - pos - 1 for k in range(pos + 1, m) if movers[k] == movers[pos])
-        for pos in range(m)
-    ]
+    shifts, later = _turn_tables(movers)
     full = (1 << m) - 1
+    end = m - 2
+    split = movers[end] != movers[end + 1]
+    end_rank, end_shift = ranks[end], shifts[end]
     memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def plays_from(state: int, pos: int) -> tuple[tuple[int, ...], ...]:
-        if pos >= m - 1:  # the last item is taken, or none is left
-            return (((state & full).bit_length() - 1,),) if pos < m else ((),)
+        if pos == end:  # two items left: the endgame above
+            rest = state & full
+            low = rest & -rest
+            high = rest ^ low
+            x, y = low.bit_length() - 1, high.bit_length() - 1
+            if not split:
+                return ((x, y), (y, x))
+            held = (state >> end_shift) & full
+            if end_rank[held | low] > end_rank[held | high]:
+                return ((x, y),)
+            return ((y, x),)
         cached = memo.get(state)
         if cached is not None:
             return cached
@@ -461,11 +513,17 @@ def _leaf_plays(
     return plays_from(full, 0)
 
 
+# A play as _node_outcomes carries it: (path, pixep, items, bundles), the
+# fields of its Execution.
+_Play = tuple[tuple[str, ...], Pixep, tuple[int, ...], tuple[int, ...]]
+
+
 def _node_outcomes(
     game: GameNode, profile: Sequence[PreferenceOrder], n: int, m: int, path: tuple[str, ...]
-) -> list[Execution]:
-    """:func:`spe_outcomes` of the subgame that the choices ``path`` lead
-    to, each play built once, at its leaf, with the whole path."""
+) -> list[_Play]:
+    """The plays of :func:`spe_outcomes` of the subgame that the choices
+    ``path`` lead to, each with the whole path, as bare tuples: only the
+    plays the whole game keeps are built as an :class:`Execution`."""
     if isinstance(game, Pixep):
         if game.m != m:
             raise DimensionMismatchError(f"leaf pixep has {game.m} positions, expected {m}")
@@ -475,13 +533,13 @@ def _node_outcomes(
                 raise DimensionMismatchError(
                     f"pixep references agent {agent}, profile has {n}"
                 )
-        executions = []
-        for play in _leaf_plays(game, profile, m):
+        plays = []
+        for items in _leaf_plays(game, profile, m):
             masks = [0] * n
-            for agent, item in zip(agents, play):
+            for agent, item in zip(agents, items):
                 masks[agent] |= 1 << item
-            executions.append(Execution(path, game, play, tuple(masks)))
-        return executions
+            plays.append((path, game, items, tuple(masks)))
+        return plays
 
     chooser = game.agent
     if not 0 <= chooser < n:
@@ -490,7 +548,7 @@ def _node_outcomes(
     outs = [
         _node_outcomes(child, profile, n, m, path + (label,)) for label, child in game.options
     ]
-    mins = [min(rank[e.bundles[chooser]] for e in out) for out in outs]
+    mins = [min(rank[play[3][chooser]] for play in out) for out in outs]
     # A play of option k is kept when the chooser's rank under it reaches
     # the bound of every other option: an earlier option's worst rank (weak
     # deterrence suffices between those), and one above the default's worst
@@ -498,8 +556,8 @@ def _node_outcomes(
     bounds = mins[:-1] + [mins[-1] + 1]
     floors = [max(bounds[:k] + bounds[k + 1:]) for k in range(len(bounds))]
     return [
-        e for k, out in enumerate(outs) for e in out
-        if rank[e.bundles[chooser]] >= floors[k]
+        play for k, out in enumerate(outs) for play in out
+        if rank[play[3][chooser]] >= floors[k]
     ]
 
 
@@ -523,7 +581,7 @@ def spe_outcomes(
     m = profile[0].m
     if any(pref.m != m for pref in profile):
         raise DimensionMismatchError("profiles disagree on the item universe")
-    return _node_outcomes(game, profile, len(profile), m, ())
+    return [Execution(*play) for play in _node_outcomes(game, profile, len(profile), m, ())]
 
 
 def execute_to_ce(

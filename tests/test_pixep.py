@@ -1,10 +1,11 @@
 """Priced picking sequences: requirements, ε resolution, equilibrium plays."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cefai.core import PreferenceOrder, random_preference
+from cefai.core import PreferenceOrder, make_preference, random_preference
 from cefai.instances import counterexample_4x3, stratified_incomes
 from cefai.market import Allocation, DimensionMismatchError, IncomeVector
 from cefai import pixep
@@ -30,6 +31,7 @@ from conftest import (
     chain_preference,
     random_game,
     random_profile,
+    zero_priced_pixep,
 )
 from eps_reference import affine, pixep_of, positions
 from spe_oracle import (
@@ -40,6 +42,43 @@ from spe_oracle import (
 )
 
 X, Y, Z = 0b001, 0b010, 0b100
+
+
+def counting_profile(m, seeds):
+    """Seeded orders whose rank vectors count their reads: ``reads[i]``
+    is the number of agent i's ranks read so far."""
+    reads = [0] * len(seeds)
+
+    def counting(agent, rank):
+        class CountingRank(tuple):
+            def __getitem__(self, index):
+                reads[agent] += 1
+                return super().__getitem__(index)
+
+        return CountingRank(rank)
+
+    profile = [
+        PreferenceOrder(m, counting(i, random_preference(m, seed=seed).rank))
+        for i, seed in enumerate(seeds)
+    ]
+    return profile, reads
+
+
+def every_monotone_order(m):
+    """Every monotone order of ``m`` items: each worst-to-best ranking that
+    places a bundle only after every bundle one item smaller."""
+
+    def extend(ranking, placed):
+        if len(ranking) == 1 << m:
+            yield make_preference(m, ranking)
+            return
+        for b in range(1 << m):
+            if not placed >> b & 1 and all(
+                placed >> (b ^ 1 << j) & 1 for j in range(m) if b >> j & 1
+            ):
+                yield from extend(ranking + [b], placed | 1 << b)
+
+    return list(extend([], 0))
 
 
 def aba_pixep(a, b, c):
@@ -126,6 +165,13 @@ class TestRequirements:
         # an unchecked third constant would be dropped by the R1 sums
         with pytest.raises(ValueError, match="per position"):
             Pixep((0, 1), (1, 1, 1), (0, 0, 0))
+
+    def test_no_position_rejected(self):
+        # an empty pixep has no last price for R3 and positivity to read
+        with pytest.raises(ValueError, match="at least one position"):
+            Pixep((), (), ())
+        with pytest.raises(ValueError, match="at least one position"):
+            Pixep.scaled([], [], 1, [])
 
     def test_negative_agent_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -263,17 +309,7 @@ class TestSpeOutcomes:
         # one SPE play is serial dictatorship; each state reads the rank of
         # each free item once, m + (m-1) + ... + 2 reads in all
         m = n = 4
-        reads = [0]
-
-        class CountingRank(tuple):
-            def __getitem__(self, index):
-                reads[0] += 1
-                return super().__getitem__(index)
-
-        profile = [
-            PreferenceOrder(m, CountingRank(random_preference(m, seed=40 + i).rank))
-            for i in range(n)
-        ]
+        profile, reads = counting_profile(m, [40 + i for i in range(n)])
         free, expected = (1 << m) - 1, []
         for pref in profile:
             item = max(
@@ -284,7 +320,50 @@ class TestSpeOutcomes:
             free ^= 1 << item
         pix = pixep_of((agent, affine(0)) for agent in range(n))
         assert pixep._leaf_plays(pix, profile, m) == (tuple(expected),)
-        assert reads[0] <= m * (m + 1) // 2
+        assert sum(reads) <= m * (m + 1) // 2
+
+    def test_endgame_reads_ranks_only_on_a_split_tail(self):
+        # ABB: A's last turn reads each of the three free items' ranks;
+        # B then takes both last items, in either order, reading no rank
+        m = 3
+        profile, reads = counting_profile(m, [50, 51])
+        pix = zero_priced_pixep([0, 1, 1])
+        plays = pixep._leaf_plays(pix, profile, m)
+        assert len(plays) == 2 and reads == [3, 0]
+        assert [((), play) for play in plays] == reference_spe_plays(pix, profile)
+        # AAB: each of the three items A may take first leaves a two-item
+        # state split between A and B, decided by two reads of A's ranks;
+        # then one read of A's final rank per item
+        profile, reads = counting_profile(m, [52, 53])
+        pix = zero_priced_pixep([0, 0, 1])
+        plays = pixep._leaf_plays(pix, profile, m)
+        assert reads == [3 * 2 + 3, 0]
+        assert [((), play) for play in plays] == reference_spe_plays(pix, profile)
+
+    def test_plays_built_only_when_kept(self, monkeypatch):
+        # the choice nodes filter bare plays; an Execution is built only
+        # for a play that spe_outcomes returns
+        m, n = 4, 3
+        row = next(row for row in range_table(m, n) if isinstance(row.primary, tuple))
+        incomes = stratified_incomes(m, n, row.label, seed=1, count=1)[0]
+        _, game = next(candidate_games(row, incomes))
+        built = []
+
+        class CountedExecution(pixep.Execution):
+            def __init__(self, *fields):
+                built.append(fields)
+                super().__init__(*fields)
+
+        monkeypatch.setattr(pixep, "Execution", CountedExecution)
+        dropped = 0
+        for seed in range(10):
+            profile = [random_preference(m, seed=10 * seed + i) for i in range(n)]
+            built.clear()
+            plays = spe_outcomes(game, profile)
+            assert len(built) == len(plays)
+            leaf_plays = sum(len(pixep._leaf_plays(pix, profile, m)) for pix in leaves(game))
+            dropped += leaf_plays - len(plays)
+        assert dropped > 0
 
 
 def _ordered_plays(game, profile):
@@ -321,6 +400,26 @@ class TestSpeOrder:
                     assert _ordered_plays(game, profile) == reference_spe_plays(game, profile)
                     games += 1
         assert games >= 4 * len(range_table(m, n))
+
+
+class TestEveryTwoAgentLeaf:
+    # the plays, in the reference's order, on every leaf game of two agents
+    # and up to three items: each two-item endgame, split or not, is met
+    # from every state the recursion reaches
+
+    @pytest.mark.parametrize("m,orders", [(2, 2), (3, 48)])
+    def test_matches_reference_order(self, m, orders):
+        # every turn sequence of two agents, on every ordered pair of
+        # monotone orders
+        monotone = every_monotone_order(m)
+        assert len(monotone) == orders
+        games = 0
+        for agents in product(range(2), repeat=m):
+            pix = zero_priced_pixep(list(agents))
+            for profile in product(monotone, repeat=2):
+                assert _ordered_plays(pix, profile) == reference_spe_plays(pix, profile)
+                games += 1
+        assert games == 2**m * orders**2
 
 
 class TestExecuteToCE:
