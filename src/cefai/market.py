@@ -18,9 +18,13 @@ common multiple of their denominators, and ``scaled_integers``
 multiplies each value by it, which keeps every sum and comparison exact
 and makes each one an integer operation.  Only this module scales: an
 ``IncomeVector`` keeps its integer form (``integers``) from first read,
-and every layer reads that.  ``scaled_market`` brings the prices over
-one scale with it and prices all ``2^m`` bundles in one subset-sum pass,
-for ``verify_ce`` and the domination audit in ``cefai.repro``;
+and every layer reads that.  A ``PriceVector`` keeps one too: the SPE
+engine (``cefai.pixep``) and the oracle find prices as integers over a
+scale and build them with ``PriceVector.scaled``, which keeps that form,
+while prices written by hand or parsed (``PriceVector.of``) compute it
+on first read.  ``scaled_market`` reads the two forms, brings them over
+one scale and prices all ``2^m`` bundles in one subset-sum pass, for
+``verify_ce`` and the domination audit in ``cefai.repro``;
 ``verify_ce`` builds a ``Fraction`` only for a violation it reports.
 
 The income samplers work the same way.  A draw is a list of integer
@@ -39,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -130,7 +134,12 @@ class Allocation:
 
 @dataclass(frozen=True)
 class PriceVector:
-    """One strictly positive exact price per item."""
+    """One strictly positive exact price per item.
+
+    :meth:`of` reads prices written by hand or parsed; :meth:`scaled`
+    builds them from integers, as the SPE engine and the oracle find them.
+    Equality and hashing read the prices ``p`` alone.
+    """
 
     p: tuple[Fraction, ...]
 
@@ -142,6 +151,27 @@ class PriceVector:
                 raise ValueError(f"price of item {j} must be positive, got {v}")
         return PriceVector(p)
 
+    @staticmethod
+    def scaled(numerators: Sequence[int], scale: int) -> "PriceVector":
+        """The prices ``numerators[j]/scale``, positive ``scale``, with
+        their integer form kept: the numerators and ``scale`` cut by their
+        common divisor, which is what :attr:`integers` computes for the
+        same prices.  Positivity is checked on the integers, with the
+        message of :meth:`of`."""
+        if scale < 1:
+            raise ValueError(f"price scale must be positive, got {scale}")
+        for j, v in enumerate(numerators):
+            if v <= 0:
+                raise ValueError(
+                    f"price of item {j} must be positive, got {Fraction(v, scale)}"
+                )
+        common = gcd(scale, *numerators)
+        scale //= common
+        numerators = tuple(v // common for v in numerators)
+        prices = PriceVector(tuple(Fraction(v, scale) for v in numerators))
+        object.__setattr__(prices, "integers", (scale, numerators))
+        return prices
+
     def __getitem__(self, item: int) -> Fraction:
         return self.p[item]
 
@@ -150,6 +180,13 @@ class PriceVector:
 
     def __iter__(self):
         return iter(self.p)
+
+    @cached_property
+    def integers(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, numerators)``: the prices over their least common
+        denominator, kept from :meth:`scaled` or computed on first read."""
+        scale = common_scale(self.p)
+        return scale, tuple(scaled_integers(self.p, scale))
 
 
 @dataclass(frozen=True)
@@ -199,17 +236,20 @@ def scaled_market(
     prices: PriceVector, incomes: IncomeVector
 ) -> tuple[int, list[int], list[int]]:
     """``(scale, price, income)``: each of the ``2^m`` bundle prices and
-    each agent's income as integers over their least common denominator.
-    Bundle ``b`` costs ``b`` without its lowest item plus that item."""
+    each agent's income as integers over their least common denominator,
+    from the two vectors' integer forms.  Bundle ``b`` costs ``b``
+    without its lowest item plus that item."""
     income_scale, numerators = incomes.integers
-    scale = lcm(common_scale(prices), income_scale)
-    unit = scaled_integers(prices, scale)
+    price_scale, unit = prices.integers
+    scale = lcm(price_scale, income_scale)
+    up = scale // price_scale
+    unit = [v * up for v in unit]
     price = [0] * (1 << len(unit))
     for b in range(1, len(price)):
         low = b & -b
         price[b] = price[b ^ low] + unit[low.bit_length() - 1]
-    up = scale // income_scale
-    return scale, price, [t * up for t in numerators]
+    across = scale // income_scale
+    return scale, price, [t * across for t in numerators]
 
 
 def check_dimensions(

@@ -12,7 +12,9 @@ denominator, the form that ``market`` computes once per income vector
 every condition is a homogeneous linear (in)equality in prices and
 incomes together, so ``(X, p)`` is an equilibrium at incomes ``t`` iff
 ``(X, λp)`` is one at ``λt`` for any ``λ > 0``.  Prices found for the
-scaled incomes are divided back.
+scaled incomes are divided back: they are integers over the incomes'
+scale times the simplex's determinant, and ``PriceVector.scaled`` keeps
+that form for the witness's ``verify_ce``.
 
 Budget equalities and strictly positive prices lose no generality.
 Preferences are strictly monotone (a proper superset is strictly
@@ -85,7 +87,6 @@ so a pair is tested with a few integer operations per item of U
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -395,8 +396,7 @@ def feasible_ce_prices(
     z = {j: s - c[1 + f] * d + reduced[1 + f] for f, j in enumerate(items)}
     for low, rest, t in bundles:
         z[low.bit_length() - 1] = t * d - sum(z[j] for j in items_of(rest))
-    scale = d * rows.scale
-    return PriceVector.of(Fraction(z[j], scale) for j in range(rows.m))
+    return PriceVector.scaled([z[j] for j in range(rows.m)], d * rows.scale)
 
 
 def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:

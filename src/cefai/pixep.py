@@ -23,9 +23,15 @@ incomes).  R1-R3, the cap ``resolve_epsilon`` puts on ε and the prices
 of a played allocation are computed from those integers, brought over
 one denominator with the incomes' integer form (which :mod:`cefai.market`
 computes once per income vector) by one ``lcm`` of the two scales.
-``Fraction``s appear only at the boundary: the ε interval, the ε and the
-price vector handed out, and the texts of errors, which show a price as
-an :class:`AffinePrice`.
+``Fraction``s appear only at the boundary: the two ends of the ε
+interval and the sign-flip bound, which ``resolve_epsilon`` reads back as
+numerators and denominators and compares by cross-multiplying; the ε it
+returns (the interval's midpoint, and the cap only when the cap is
+returned); the prices of a priced play, built by
+:meth:`~cefai.market.PriceVector.scaled` from integer numerators over
+the leaf's scale times ε's denominator, so that ``verify_ce`` reads
+their integer form as built; and the texts of errors, which show a
+price as an :class:`AffinePrice`.
 
 Games are either a single :class:`Pixep` (a leaf) or a sequential
 choice among sub-games (a :class:`ChoiceNode`): the choosing agent may
@@ -187,9 +193,16 @@ class EpsilonInterval:
     hi: Fraction | None
 
     def midpoint(self) -> Fraction:
+        """``(lo + hi)/2``, or ``lo + 1`` when unbounded: one ``Fraction``
+        built from the ends' numerators and denominators."""
+        lo = self.lo
         if self.hi is None:
-            return self.lo + 1
-        return (self.lo + self.hi) / 2
+            return Fraction(lo.numerator + lo.denominator, lo.denominator)
+        hi = self.hi
+        return Fraction(
+            lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+            2 * lo.denominator * hi.denominator,
+        )
 
 
 _Scaled = tuple[int, list[int], list[int]]
@@ -346,14 +359,26 @@ def resolve_epsilon(pix: Pixep, scaled: _Scaled, interval: EpsilonInterval) -> F
     The cap is what makes "holds for every sufficiently small ε > 0"
     checkable at a single concrete value; without it a midpoint deep in
     the interval can make an otherwise-unaffordable bundle affordable.
+
+    The midpoint, the cap and the lower end are compared as integer
+    ratios, by cross-multiplying their numerators and denominators.
+    ``Fraction``s are built only for the sign-flip bound (by
+    :func:`_sign_flip_bound`), the midpoint
+    (:meth:`EpsilonInterval.midpoint`) and the cap when it is the ε
+    returned.
     """
     eps = interval.midpoint()
     flip = _sign_flip_bound(pix, scaled)
-    if flip is not None:
-        eps = min(eps, flip / 2)
-    if eps <= interval.lo:  # only reachable with a positive lower bound
-        eps = interval.midpoint()
-    return eps
+    if flip is None:
+        return eps
+    # the cap flip/2 is cap_num/cap_den
+    cap_num, cap_den = flip.numerator, 2 * flip.denominator
+    if cap_num * eps.denominator >= eps.numerator * cap_den:
+        return eps
+    lo = interval.lo
+    if cap_num * lo.denominator <= lo.numerator * cap_den:
+        return eps  # the cap falls to the lower end: only with a positive one
+    return Fraction(cap_num, cap_den)
 
 
 @dataclass(frozen=True)
@@ -597,9 +622,12 @@ def execute_to_ce(
     (checked up front, before any SPE work); each equilibrium play is
     then priced with its leaf's ε, which :func:`resolve_epsilon` picks
     from the interval checked up front when the leaf's first play is
-    priced, and checked by exact verification; a leaf's position prices
-    at its ε are computed once, from its integers, and a play's
-    :class:`~cefai.market.Allocation` is built when it is priced.  Raises
+    priced, and checked by exact verification.  A leaf's position prices
+    at its ε are computed once, as integers over ``pix.scale`` times ε's
+    denominator; a play's :class:`~cefai.market.PriceVector` is built
+    from them with :meth:`~cefai.market.PriceVector.scaled`, which keeps
+    that integer form for :func:`~cefai.market.verify_ce`, and its
+    :class:`~cefai.market.Allocation` when it is priced.  Raises
     ``NoValidSpeError`` when no play passes.  That is an expected outcome,
     not an internal error: :func:`cefai.solver.solve` catches it to try
     the range's fallback games, and some profiles have no equilibrium at
@@ -610,8 +638,9 @@ def execute_to_ce(
     for pix in leaves(game):
         scaled = _with_incomes(pix, incomes)
         checked[id(pix)] = scaled, check_requirements(pix, incomes, scaled)
-    # Per leaf pixep id: its ε and its position prices at that ε.
-    resolved: dict[int, tuple[Fraction, list[Fraction]]] = {}
+    # Per leaf pixep id: its ε, and its position prices at that ε as
+    # integers over one denominator.
+    resolved: dict[int, tuple[Fraction, list[int], int]] = {}
 
     for execution in spe_outcomes(game, profile):
         pix = execution.pixep
@@ -620,16 +649,14 @@ def execute_to_ce(
             eps = resolve_epsilon(pix, *checked[id(pix)])
             # c0/scale + c1·eps, over scale·eps's denominator
             up = pix.scale * eps.numerator
-            den = pix.scale * eps.denominator
             priced = resolved[id(pix)] = eps, [
-                Fraction(c0 * eps.denominator + c1 * up, den)
-                for c0, c1 in zip(pix.constants, pix.slopes)
-            ]
-        eps, position_prices = priced
-        by_item = [None] * pix.m
+                c0 * eps.denominator + c1 * up for c0, c1 in zip(pix.constants, pix.slopes)
+            ], pix.scale * eps.denominator
+        eps, position_prices, den = priced
+        by_item = [0] * pix.m
         for item, price in zip(execution.items, position_prices):
             by_item[item] = price
-        cand = CEPair(PriceVector.of(by_item), Allocation(pix.m, execution.bundles))
+        cand = CEPair(PriceVector.scaled(by_item, den), Allocation(pix.m, execution.bundles))
         if verify_ce(profile, incomes, cand).valid:
             return execution, eps, cand
     raise NoValidSpeError(

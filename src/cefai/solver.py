@@ -113,11 +113,6 @@ class IncomeRange:
     primary: str | tuple
     fallbacks: tuple[str, ...] = ()
 
-    def holds(self, sorted_incomes: Sequence) -> bool:
-        """True iff every form is positive at the sorted incomes (or at
-        any positive multiple of them)."""
-        return all(_value(form, sorted_incomes) > 0 for form in self.forms)
-
 
 _ABAB_OR_SPLIT = (
     0, ("ABAB", "ABAB"), ("else", (1, ("BAAA", "BAAA"), ("AABB", "AABB")))
@@ -205,25 +200,57 @@ def excluded_hyperplanes(m: int, n: int) -> tuple[Hyperplane, ...]:
     adjacent = [(0,) * k + (1, -1) for k in range(n - 1)]
     planes: dict[tuple[int, ...], Hyperplane] = {}
     for form in adjacent + [form[:n] for row in range_table(m, n) for form in row.forms]:
-        while not form[-1]:
-            form = form[:-1]
-        sign = 1 if next(c for c in form if c) > 0 else -1
-        coeffs = tuple(sign * c for c in form)
+        coeffs, _ = _signed(form)
         planes.setdefault(coeffs, Hyperplane(coeffs))
     return tuple(planes.values())
+
+
+def _signed(form: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """``(coeffs, sign)``: the form without trailing zeros, times the sign
+    that makes its first nonzero coefficient positive."""
+    while not form[-1]:
+        form = form[:-1]
+    sign = 1 if next(c for c in form if c) > 0 else -1
+    return tuple(sign * c for c in form), sign
+
+
+@cache
+def _range_signs(m: int, n: int) -> tuple[tuple[IncomeRange, tuple[tuple[int, int], ...]], ...]:
+    """Per income range of the (m, n) case, in dispatch order: the range
+    and, per form, the index of the excluded hyperplane on its boundary
+    and the sign that turns that hyperplane's form into it.
+
+    The excluded hyperplanes are the distinct forms of the size: every
+    range form restricted to the n incomes is one of them up to its
+    sign, so their values at an income vector decide every range."""
+    index = {hp.coeffs: k for k, hp in enumerate(excluded_hyperplanes(m, n))}
+    table = []
+    for row in range_table(m, n):
+        signs = []
+        for form in row.forms:
+            coeffs, sign = _signed(form[:n])
+            signs.append((index[coeffs], sign))
+        table.append((row, tuple(signs)))
+    return tuple(table)
 
 
 def _range_at(m: int, t: Sequence[int]) -> IncomeRange:
     """The income range at the incomes ``t``: positive integers (incomes
     over a common denominator) sorted descending.
 
-    Raises ``UnsupportedCaseError`` for an unsupported size and
-    ``NotGenericError`` on an excluded hyperplane.
+    Each excluded hyperplane's form is evaluated once; the ranges read
+    those values through ``_range_signs``.  Raises
+    ``UnsupportedCaseError`` for an unsupported size and
+    ``NotGenericError`` on the first excluded hyperplane that holds.
     """
-    offending = next((hp for hp in excluded_hyperplanes(m, len(t)) if hp.contains(t)), None)
-    if offending is not None:
-        raise NotGenericError(offending)
-    matches = [row for row in range_table(m, len(t)) if row.holds(t)]
+    planes = excluded_hyperplanes(m, len(t))
+    values = [_value(hp.coeffs, t) for hp in planes]
+    if 0 in values:
+        raise NotGenericError(planes[values.index(0)])
+    matches = [
+        row for row, signs in _range_signs(m, len(t))
+        if all(sign * values[k] > 0 for k, sign in signs)
+    ]
     if len(matches) != 1:
         raise AssertionError(
             f"{len(matches)} income ranges hold at generic incomes; the range table "

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from cefai.market import EmptyRegionSamplerError, IncomeRegion, IncomeVector
-from cefai.solver import UnsupportedCaseError, excluded_hyperplanes, range_table
+from cefai.solver import IncomeRange, UnsupportedCaseError, excluded_hyperplanes, range_table
 
 # The grids of ``market.IncomeRegion.sample`` and of the two samplers of
 # ``instances``.
@@ -77,6 +77,12 @@ def reference_region_sample(
     )
 
 
+def range_holds(row: IncomeRange, t: Sequence) -> bool:
+    """Whether every form of the income range ``row`` is positive at the
+    incomes ``t``, sorted descending: the range test written out."""
+    return all(sum(c * v for c, v in zip(form, t)) > 0 for form in row.forms)
+
+
 def _on_excluded_plane(incomes: IncomeVector, m: int) -> bool:
     """Whether the exact incomes, sorted descending, lie on one of the
     solver's excluded hyperplanes."""
@@ -91,7 +97,7 @@ def reference_stratified_incomes(
         if _on_excluded_plane(incomes, m):
             return False
         t = sorted(incomes, reverse=True)
-        return [row.label for row in range_table(m, n) if row.holds(t)] == [range_label]
+        return [row.label for row in range_table(m, n) if range_holds(row, t)] == [range_label]
 
     return reference_sample_incomes(
         f"stratified:{m}:{n}:{range_label}:{seed}", [1] * n, [HIGH * GRID] * n, GRID,

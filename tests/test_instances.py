@@ -26,6 +26,7 @@ from cefai.market import IncomeRegion
 from cefai.solver import range_labels, range_table
 
 from conftest import is_generic, satisfies_relations
+from sampler_reference import range_holds
 
 
 class TestCounterexample4x4:
@@ -109,7 +110,7 @@ class TestSamplers:
                 for point in stratified_incomes(m, n, label, seed=1, count=4):
                     assert is_generic(point, m)
                     matches = [
-                        row.label for row in range_table(m, n) if row.holds(point.t)
+                        row.label for row in range_table(m, n) if range_holds(row, point.t)
                     ]
                     assert matches == [label]
 

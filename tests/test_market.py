@@ -1,11 +1,13 @@
 """Exact equilibrium verification and positional domination."""
 
+import ast
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from cefai import fairness, market, oracle, pixep, repro, solver
+from cefai import cli, core, fairness, instances, market, oracle, pixep, repro, solver
 from cefai.core import all_bundles, random_preference
 from cefai.instances import random_generic_incomes
 from cefai.market import (
@@ -129,24 +131,96 @@ class TestIntegerForm:
             assert incomes.integers is incomes.integers
 
     def test_one_solve_and_audit_scale_incomes_once(self, monkeypatch):
+        # one solve, its share audit and an oracle run that returns a
+        # witness scale only the incomes, once, on their first read: the
+        # prices they build carry their integer form into verify_ce
         incomes = random_generic_incomes(4, 3, seed=5)[0]
         profile = [random_preference(4, seed=s) for s in (11, 12, 13)]
-        scalings = []
+        calls = {"common_scale": [], "scaled_integers": []}
 
-        def counted(*vectors):
-            # a call on prices alone scales no income
-            if not all(isinstance(v, PriceVector) for v in vectors):
-                scalings.append(vectors)
+        def counted_scale(*vectors):
+            calls["common_scale"].append(vectors)
             return common_scale(*vectors)
 
-        # wherever a layer binds the name, so a layer that scales on its
+        def counted_integers(values, scale):
+            calls["scaled_integers"].append(values)
+            return scaled_integers(values, scale)
+
+        # wherever a module binds a name, so a layer that scales on its
         # own is counted too
-        for module in (market, solver, pixep, oracle, fairness, repro):
-            if hasattr(module, "common_scale"):
-                monkeypatch.setattr(module, "common_scale", counted)
+        for module in (core, market, solver, pixep, oracle, fairness, repro, instances, cli):
+            for name, counted in (("common_scale", counted_scale),
+                                  ("scaled_integers", counted_integers)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         pair, _ = solver.solve(profile, incomes)
         fairness.audit_ce_fairness(profile, incomes, pair)
-        assert len(scalings) == 1
+        witness = oracle.ce_exists(profile, incomes)
+        assert witness is not None
+        assert calls == {"common_scale": [(incomes.t,)], "scaled_integers": [incomes.t]}
+
+    def test_prices_from_either_constructor(self, rng):
+        # prices read by hand (of) and prices built from integers over any
+        # scale (scaled) are the same vector, with the same integer form
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            p = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(m)]
+            lcd = common_scale(p)
+            scale = lcd * rng.randint(1, 50)
+            by_hand = PriceVector.of(p)
+            built = PriceVector.scaled(scaled_integers(p, scale), scale)
+            assert built.p == by_hand.p == tuple(p)
+            assert all(type(v) is Fraction for v in built)
+            assert built == by_hand and hash(built) == hash(by_hand)
+            allocation = Allocation(m=m, bundles=((1 << m) - 1, 0))
+            assert CEPair(built, allocation) == CEPair(by_hand, allocation)
+            want = (lcd, tuple(scaled_integers(p, lcd)))
+            assert built.integers == by_hand.integers == want
+            incomes = IncomeVector.of(
+                Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(2)
+            )
+            assert market.scaled_market(built, incomes) == market.scaled_market(
+                by_hand, incomes
+            )
+
+    @pytest.mark.parametrize("numerators,scale", [
+        ([0], 1), ([3, 0, 1], 2), ([1, -1], 2), ([-3], 1), ([2, 4, -6], 4),
+    ])
+    def test_scaled_prices_must_be_positive(self, numerators, scale):
+        with pytest.raises(ValueError) as by_hand:
+            PriceVector.of(Fraction(v, scale) for v in numerators)
+        with pytest.raises(ValueError) as built:
+            PriceVector.scaled(numerators, scale)
+        assert "must be positive" in str(built.value)
+        assert str(built.value) == str(by_hand.value)
+
+    @pytest.mark.parametrize("scale", [0, -2])
+    def test_scaled_prices_need_a_positive_scale(self, scale):
+        with pytest.raises(ValueError, match="price scale must be positive"):
+            PriceVector.scaled([1, 2], scale)
+
+
+def test_prices_read_with_of_only_when_parsed():
+    # The SPE engine and the oracle find prices as integers over a scale and
+    # build them with PriceVector.scaled, which keeps that form for
+    # verify_ce; PriceVector.of is for prices the CLI parses, whose integer
+    # form is computed from their Fractions on first read.
+    found = set()
+    for path in sorted(Path(market.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "of"
+                and "PriceVector" in (getattr(node.func.value, "id", None),
+                                      getattr(node.func.value, "attr", None))
+            ):
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                caller = max(around, key=lambda f: f.lineno).name if around else "<module>"
+                found.add((path.stem, caller))
+    assert found == {("cli", "load_candidate")}
 
 
 class TestAllocation:

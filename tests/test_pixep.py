@@ -12,6 +12,7 @@ from cefai import pixep
 from cefai.pixep import (
     ChoiceNode,
     EmptyEpsilonIntervalError,
+    EpsilonInterval,
     NoValidSpeError,
     Pixep,
     R1ViolationError,
@@ -125,6 +126,15 @@ class TestRequirements:
         assert (interval.lo, interval.hi) == (8, 10)
         assert _sign_flip_bound(pix, _with_incomes(pix, incomes)) == 8
         assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == 9
+
+    def test_midpoint_in_fraction_arithmetic(self, rng):
+        # the midpoint built from the ends' integers is (lo + hi)/2, or
+        # lo + 1 when the interval is unbounded
+        for _ in range(300):
+            lo = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**4))
+            hi = lo + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            assert EpsilonInterval(lo, hi).midpoint() == (lo + hi) / 2
+            assert EpsilonInterval(lo, None).midpoint() == lo + 1
 
     def test_empty_interval_when_income_too_small(self):
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3

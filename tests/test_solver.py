@@ -4,6 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +23,7 @@ from cefai.pixep import (
 from cefai.solver import (
     NotGenericError,
     UnsupportedCaseError,
+    _range_at,
     excluded_hyperplanes,
     range_labels,
     range_table,
@@ -37,6 +39,7 @@ from conftest import (
     scaled_incomes,
     violated_hyperplane,
 )
+from sampler_reference import range_holds
 
 X, Y, Z = 0b001, 0b010, 0b100
 
@@ -97,12 +100,46 @@ class TestRanges:
             for label in range_labels(m, n):
                 for incomes in stratified_incomes(m, n, label, seed=2, count=5):
                     matches = [
-                        row.label for row in range_table(m, n) if row.holds(incomes.t)
+                        row.label for row in range_table(m, n) if range_holds(row, incomes.t)
                     ]
                     assert matches == [label]
 
     def test_two_agent_three_item_case_has_single_range(self):
         assert range_labels(3, 2) == ["m3:a>b+c"]
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in (1, 2, 3) for n in range(1, 7)] + [(4, 1), (4, 2), (4, 3)]
+    )
+    def test_dispatch_equals_direct_evaluation(self, m, n):
+        # the dispatch reads each distinct form once; it must give what the
+        # hyperplanes and the ranges give when each is evaluated on its own,
+        # at stratified points of every range and at every small integer
+        # point, which meets each excluded hyperplane
+        def direct(t):
+            on = [hp for hp in excluded_hyperplanes(m, n) if hp.contains(t)]
+            if on:
+                return on[0]
+            (row,) = [row for row in range_table(m, n) if range_holds(row, t)]
+            return row
+
+        def dispatched(t):
+            try:
+                return _range_at(m, t)
+            except NotGenericError as exc:
+                return exc.hyperplane
+
+        points = [
+            sorted(incomes.integers[1], reverse=True)
+            for label in range_labels(m, n)
+            for incomes in stratified_incomes(m, n, label, seed=4, count=5)
+        ]
+        points += [sorted(t, reverse=True) for t in combinations_with_replacement(range(1, 9), n)]
+        met = set()
+        for t in points:
+            want = direct(t)
+            assert dispatched(t) is want
+            met.update(hp for hp in excluded_hyperplanes(m, n) if hp.contains(t))
+        assert met == set(excluded_hyperplanes(m, n))
 
 
 def _table_ranges():
