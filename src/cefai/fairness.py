@@ -109,14 +109,16 @@ def maximin(pref: PreferenceOrder, x: Bundle, l: int, d: int) -> Bundle:
     keeping every part (``l == d``) keeps X, and when X has at most
     ``d - l`` items every partition has at least l empty parts, so the
     adversary can leave the empty bundle.  Raises ``ValueError`` unless
-    ``1 <= l <= d``, ``d <= MAX_MAXIMIN_PARTS`` and the order has at most
-    ``MAX_MAXIMIN_ITEMS`` items.
+    ``1 <= l <= d``, ``d <= MAX_MAXIMIN_PARTS``, the order has at most
+    ``MAX_MAXIMIN_ITEMS`` items and X is a bundle of them, ``0 <= X < 2^m``.
 
     :func:`audit_ce_fairness` decides each share with the same masks
     (see the module docstring) and calls this function only to report the
     bundle of a failing share.
     """
     _check_bounds(pref.m, l, d)
+    if not 0 <= x < 1 << pref.m:
+        raise ValueError(f"bundle {x:#b} is not a bundle of the order's {pref.m} items")
     if l == d:
         return x
     if x.bit_count() <= d - l:

@@ -18,14 +18,15 @@ common multiple of their denominators, and ``scaled_integers``
 multiplies each value by it, which keeps every sum and comparison exact
 and makes each one an integer operation.  Only this module scales: an
 ``IncomeVector`` keeps its integer form (``integers``) from first read,
-and every layer reads that.  A ``PriceVector`` keeps one too: the SPE
-engine (``cefai.pixep``) and the oracle find prices as integers over a
-scale and build them with ``PriceVector.scaled``, which keeps that form,
-while prices written by hand or parsed (``PriceVector.of``) compute it
-on first read.  ``scaled_market`` reads the two forms, brings them over
-one scale and prices all ``2^m`` bundles in one subset-sum pass, for
-``verify_ce`` and the domination audit in ``cefai.repro``;
-``verify_ce`` builds a ``Fraction`` only for a violation it reports.
+and every layer reads that.  A ``PriceVector`` carries one too, set by
+``PriceVector.scaled``, which ``PriceVector.of`` calls over the least
+common denominator of the prices it parses.  ``with_incomes`` brings
+integers over a scale and the incomes' integer form over the ``lcm`` of
+the two scales, for a leaf's prices in ``cefai.pixep`` and for a price
+vector in ``scaled_market``, which then prices all ``2^m`` bundles in
+one subset-sum pass, for ``verify_ce`` and the domination audit in
+``cefai.repro``; ``verify_ce`` builds a ``Fraction`` only for a
+violation it reports.
 
 The income samplers work the same way.  A draw is a list of integer
 numerators over a fixed grid denominator, and the sampler's ``accept``
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -115,6 +116,11 @@ class Allocation:
                 raise ValueError("allocation bundles overlap")
             union |= b
         if union != (1 << self.m) - 1:
+            if union >> self.m > 0:
+                raise ValueError(
+                    f"allocation holds item {union.bit_length() - 1}, "
+                    f"beyond the market's {self.m} items"
+                )
             raise ValueError("allocation does not cover all items")
 
     @property
@@ -134,30 +140,30 @@ class Allocation:
 
 @dataclass(frozen=True)
 class PriceVector:
-    """One strictly positive exact price per item.
+    """One strictly positive exact price per item, and ``integers``, the
+    prices as ``(scale, numerators)`` over their least denominator.
 
-    :meth:`of` reads prices written by hand or parsed; :meth:`scaled`
-    builds them from integers, as the SPE engine and the oracle find them.
-    Equality and hashing read the prices ``p`` alone.
+    :meth:`scaled` builds them from integers, as the SPE engine and the
+    oracle find them, and sets ``integers``; :meth:`of` reads prices
+    written by hand or parsed, through :meth:`scaled`.  Equality and
+    hashing read the prices ``p`` alone.
     """
 
     p: tuple[Fraction, ...]
+    integers: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
 
     @staticmethod
     def of(values: Iterable[Fraction | int | str]) -> "PriceVector":
-        p = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-        for j, v in enumerate(p):
-            if v <= 0:
-                raise ValueError(f"price of item {j} must be positive, got {v}")
-        return PriceVector(p)
+        p = [v if type(v) is Fraction else Fraction(v) for v in values]
+        scale = common_scale(p)
+        return PriceVector.scaled(scaled_integers(p, scale), scale)
 
     @staticmethod
     def scaled(numerators: Sequence[int], scale: int) -> "PriceVector":
         """The prices ``numerators[j]/scale``, positive ``scale``, with
         their integer form kept: the numerators and ``scale`` cut by their
-        common divisor, which is what :attr:`integers` computes for the
-        same prices.  Positivity is checked on the integers, with the
-        message of :meth:`of`."""
+        common divisor.  Raises ``ValueError`` naming the first price that
+        is not positive."""
         if scale < 1:
             raise ValueError(f"price scale must be positive, got {scale}")
         for j, v in enumerate(numerators):
@@ -168,9 +174,7 @@ class PriceVector:
         common = gcd(scale, *numerators)
         scale //= common
         numerators = tuple(v // common for v in numerators)
-        prices = PriceVector(tuple(Fraction(v, scale) for v in numerators))
-        object.__setattr__(prices, "integers", (scale, numerators))
-        return prices
+        return PriceVector(tuple(Fraction(v, scale) for v in numerators), (scale, numerators))
 
     def __getitem__(self, item: int) -> Fraction:
         return self.p[item]
@@ -180,13 +184,6 @@ class PriceVector:
 
     def __iter__(self):
         return iter(self.p)
-
-    @cached_property
-    def integers(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, numerators)``: the prices over their least common
-        denominator, kept from :meth:`scaled` or computed on first read."""
-        scale = common_scale(self.p)
-        return scale, tuple(scaled_integers(self.p, scale))
 
 
 @dataclass(frozen=True)
@@ -232,24 +229,31 @@ class CEReport:
     violations: tuple[CEViolation, ...]
 
 
+def with_incomes(
+    scale: int, numerators: Sequence[int], incomes: IncomeVector
+) -> tuple[int, list[int], list[int]]:
+    """``(common, numerators, income)``: integers over ``scale`` and the
+    incomes' integer form, both brought over ``common``, the ``lcm`` of
+    the two scales."""
+    income_scale, income = incomes.integers
+    common = lcm(scale, income_scale)
+    up, across = common // scale, common // income_scale
+    return common, [v * up for v in numerators], [t * across for t in income]
+
+
 def scaled_market(
     prices: PriceVector, incomes: IncomeVector
 ) -> tuple[int, list[int], list[int]]:
     """``(scale, price, income)``: each of the ``2^m`` bundle prices and
     each agent's income as integers over their least common denominator,
-    from the two vectors' integer forms.  Bundle ``b`` costs ``b``
-    without its lowest item plus that item."""
-    income_scale, numerators = incomes.integers
-    price_scale, unit = prices.integers
-    scale = lcm(price_scale, income_scale)
-    up = scale // price_scale
-    unit = [v * up for v in unit]
+    from the two vectors' integer forms by :func:`with_incomes`.  Bundle
+    ``b`` costs ``b`` without its lowest item plus that item."""
+    scale, unit, income = with_incomes(*prices.integers, incomes)
     price = [0] * (1 << len(unit))
     for b in range(1, len(price)):
         low = b & -b
         price[b] = price[b ^ low] + unit[low.bit_length() - 1]
-    across = scale // income_scale
-    return scale, price, [t * across for t in numerators]
+    return scale, price, income
 
 
 def check_dimensions(
@@ -351,6 +355,8 @@ class IncomeRegion:
         rows: Iterable[Sequence[Fraction | int | str]],
         reference: IncomeVector | None = None,
     ) -> "IncomeRegion":
+        if n < 1:
+            raise ValueError(f"an income region needs at least one agent, got {n}")
         constraints = []
         for row in rows:
             coeffs = tuple(Fraction(v) for v in row)

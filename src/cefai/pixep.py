@@ -21,8 +21,8 @@ position's constant over one common denominator and an integer ε-slope,
 the way the solver's games are written (integer forms in the scaled
 incomes).  R1-R3, the cap ``resolve_epsilon`` puts on ε and the prices
 of a played allocation are computed from those integers, brought over
-one denominator with the incomes' integer form (which :mod:`cefai.market`
-computes once per income vector) by one ``lcm`` of the two scales.
+one denominator with the incomes' integer form by
+:func:`cefai.market.with_incomes`.
 ``Fraction``s appear only at the boundary: the two ends of the ε
 interval and the sign-flip bound, which ``resolve_epsilon`` reads back as
 numerators and denominators and compares by cross-multiplying; the ε it
@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Sequence, Union
 
 from .core import PreferenceOrder
@@ -78,6 +78,7 @@ from .market import (
     IncomeVector,
     PriceVector,
     verify_ce,
+    with_incomes,
 )
 
 
@@ -119,11 +120,12 @@ class Pixep:
     integers.
 
     Position k is taken by ``agents[k]`` at the price
-    ``constants[k]/scale + slopes[k]·ε``, with ``scale`` the least
-    denominator of the constants, so equal prices give equal pixeps;
-    :meth:`scaled` builds one from constants over any denominator.
-    Raises ``ValueError`` when there is no position, the three tuples
-    differ in length, an agent is negative or ``scale`` is not positive.
+    ``constants[k]/scale + slopes[k]·ε``.  The constructor cuts the
+    constants and ``scale`` by their common divisor, so ``scale`` is the
+    least denominator of the constants and equal prices give equal
+    pixeps.  Raises ``ValueError`` when there is no position, the three
+    tuples differ in length, an agent is negative or ``scale`` is not
+    positive.
     """
 
     agents: tuple[int, ...]
@@ -140,21 +142,10 @@ class Pixep:
             raise ValueError(f"pixep agents must be non-negative, got {self.agents}")
         if self.scale < 1:
             raise ValueError(f"pixep scale must be positive, got {self.scale}")
-
-    @staticmethod
-    def scaled(
-        agents: Sequence[int], constants: Sequence[int], scale: int, slopes: Sequence[int]
-    ) -> "Pixep":
-        """The pixep whose position k costs ``constants[k]/scale +
-        slopes[k]·ε``, with the constants and ``scale`` cut by their
-        common divisor."""
-        common = gcd(scale, *constants)
-        return Pixep(
-            tuple(agents),
-            tuple(c // common for c in constants),
-            tuple(slopes),
-            scale // common,
-        )
+        common = gcd(self.scale, *self.constants)
+        if common > 1:
+            object.__setattr__(self, "constants", tuple(c // common for c in self.constants))
+            object.__setattr__(self, "scale", self.scale // common)
 
     @property
     def m(self) -> int:
@@ -205,18 +196,8 @@ class EpsilonInterval:
         )
 
 
+# A leaf's constants and the incomes over one scale, by market.with_incomes.
 _Scaled = tuple[int, list[int], list[int]]
-
-
-def _with_incomes(pix: Pixep, incomes: IncomeVector) -> _Scaled:
-    """``(scale, constants, incomes)``: the pixep's constants and the
-    incomes' integer form over the ``lcm`` of their two scales.
-    :func:`execute_to_ce` computes it once per leaf and hands it to both
-    the requirements check and the ε cap."""
-    income_scale, income = incomes.integers
-    scale = lcm(pix.scale, income_scale)
-    up, across = scale // pix.scale, scale // income_scale
-    return scale, [c * up for c in pix.constants], [t * across for t in income]
 
 
 def _price(pix: Pixep, k: int) -> AffinePrice:
@@ -252,8 +233,8 @@ def check_requirements(
     and each bound on ε kept as an integer ratio.
     ``Fraction``s are built only at the boundary: the two ends of the
     returned interval, and the texts of a raised error.  ``scaled`` is
-    that integer form, ``_with_incomes(pix, incomes)``, for a caller that
-    reads it again; it is computed here when not given.
+    that integer form, ``with_incomes(pix.scale, pix.constants, incomes)``,
+    for a caller that reads it again; it is computed here when not given.
     """
     n = len(incomes)
     agents = pix.agents
@@ -261,7 +242,7 @@ def check_requirements(
         if not 0 <= agent < n:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
-    scale, constants, income = scaled or _with_incomes(pix, incomes)
+    scale, constants, income = scaled or with_incomes(pix.scale, pix.constants, incomes)
     slopes = pix.slopes
     sums: dict[int, list[int]] = {}
     for agent, c0, c1 in zip(agents, constants, slopes):
@@ -318,7 +299,8 @@ def check_requirements(
 
 def _sign_flip_bound(pix: Pixep, scaled: _Scaled) -> Fraction | None:
     """Smallest ε > 0 at which any bundle-price-vs-income comparison
-    changes sign, from the pixep's :func:`_with_incomes` form ``scaled``.
+    changes sign, from the pixep's :func:`~cefai.market.with_incomes`
+    form ``scaled``.
 
     Every bundle priced by an execution costs the sum of some subset of
     position prices, so these are all the affine expressions the
@@ -354,7 +336,7 @@ def resolve_epsilon(pix: Pixep, scaled: _Scaled, interval: EpsilonInterval) -> F
     interval from :func:`check_requirements`, capped at half its sign-flip
     bound so that no bundle-price-vs-income comparison crosses its small-ε
     sign, unless that cap falls to the interval's lower end.  ``scaled``
-    is the pixep's :func:`_with_incomes` form for the incomes.
+    is the pixep's :func:`~cefai.market.with_incomes` form for the incomes.
 
     The cap is what makes "holds for every sufficiently small ε > 0"
     checkable at a single concrete value; without it a midpoint deep in
@@ -636,7 +618,7 @@ def execute_to_ce(
     # Per leaf pixep id: its integer form and its checked ε interval.
     checked: dict[int, tuple[_Scaled, EpsilonInterval]] = {}
     for pix in leaves(game):
-        scaled = _with_incomes(pix, incomes)
+        scaled = with_incomes(pix.scale, pix.constants, incomes)
         checked[id(pix)] = scaled, check_requirements(pix, incomes, scaled)
     # Per leaf pixep id: its ε, and its position prices at that ε as
     # integers over one denominator.

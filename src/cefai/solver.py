@@ -304,11 +304,11 @@ def _leaf(name: str, abc: Sequence[int], scale: int, order: Sequence[int]) -> Pi
         if guard is None or _value(guard, abc) > 0
     )
     a, b, c = abc
-    return Pixep.scaled(
-        [order[_AGENT_LETTERS.index(ch)] for ch in name.rstrip("=")],
-        [ka * a + kb * b + kc * c for ka, kb, kc, _ in positions],
+    return Pixep(
+        tuple(order[_AGENT_LETTERS.index(ch)] for ch in name.rstrip("=")),
+        tuple(ka * a + kb * b + kc * c for ka, kb, kc, _ in positions),
+        tuple(slope for *_, slope in positions),
         scale * denominator,
-        [slope for *_, slope in positions],
     )
 
 

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cefai.instances import stratified_incomes
-from cefai.market import IncomeVector
+from cefai.market import IncomeVector, with_incomes
 from cefai.pixep import (
     Pixep,
     _sign_flip_bound,
-    _with_incomes,
     check_requirements,
     resolve_epsilon,
 )
@@ -80,7 +79,8 @@ def _outcome(fn, pix, incomes):
 
 def resolved(pix, incomes):
     """ε the way ``execute_to_ce`` resolves it: checked, then capped."""
-    return resolve_epsilon(pix, _with_incomes(pix, incomes), check_requirements(pix, incomes))
+    scaled = with_incomes(pix.scale, pix.constants, incomes)
+    return resolve_epsilon(pix, scaled, check_requirements(pix, incomes))
 
 
 def _is_exact(value) -> bool:
@@ -93,7 +93,9 @@ def compare(pix: Pixep, incomes: IncomeVector) -> str:
     got = _outcome(check_requirements, pix, incomes)
     want = _outcome(reference_check_requirements, pix, incomes)
     assert got == want
-    flip = _outcome(lambda p, t: _sign_flip_bound(p, _with_incomes(p, t)), pix, incomes)
+    flip = _outcome(
+        lambda p, t: _sign_flip_bound(p, with_incomes(p.scale, p.constants, t)), pix, incomes
+    )
     assert flip == _outcome(reference_sign_flip_bound, pix, incomes)
     eps = _outcome(resolved, pix, incomes)
     assert eps == _outcome(reference_resolve_epsilon, pix, incomes)

@@ -79,6 +79,14 @@ class TestMaximin:
         with pytest.raises(ValueError, match="1 <= l <= d|at most"):
             maximin(random_preference(m, seed=1), x, l, d)
 
+    @pytest.mark.parametrize("x", [0b100, 0b1100, 0b111, -1])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_bundle_outside_items_refused(self, x, l):
+        # a bundle of items the order does not rank has no maximin bundle,
+        # not even when every part is kept
+        with pytest.raises(ValueError, match=f"bundle {x:#b} is not a bundle"):
+            maximin(random_preference(2, 1), x, l, 2)
+
     def test_additive_three_items_divider(self):
         # values 4,2,1: splitting into 3 singletons leaves the 1-valued item
         pref = additive_preference(3, [4, 2, 1])

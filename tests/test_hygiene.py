@@ -407,9 +407,9 @@ def test_rebound_functions_resolve():
 # IncomeVector.of checks that the incomes are positive and not empty; the
 # bare constructor skips both, so only market, which defines .of, calls it.
 def constructor_calls(source: str, name: str) -> list[int]:
-    """The lines of ``source`` that call the class ``name`` itself, bare
-    or as a module attribute (a static method such as ``name.of`` is not
-    a call of the class)."""
+    """The lines of ``source`` that call the class or function ``name``
+    itself, bare or as a module attribute (a static method such as
+    ``name.of`` is not a call of the class)."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
@@ -434,6 +434,49 @@ def test_only_market_builds_raw_income_vectors():
         p.name: constructor_calls(p.read_text(), "IncomeVector")
         for p in MODULES
         if p.name != "market.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# PriceVector.scaled checks the prices and sets their integer form, which
+# the bare constructor takes unchecked; only market calls that.
+def test_price_vector_scanner_flags_bare_calls_only():
+    source = (
+        "from .market import PriceVector\n"
+        "a = PriceVector((1,), (1, (1,)))\n"
+        "b = PriceVector.of([1, 2])\n"
+        "c = PriceVector.scaled([1, 2], 3)\n"
+        "d = market.PriceVector(a.p, a.integers)\n"
+    )
+    assert constructor_calls(source, "PriceVector") == [2, 5]
+
+
+def test_only_market_builds_raw_price_vectors():
+    found = {
+        p.name: constructor_calls(p.read_text(), "PriceVector")
+        for p in MODULES
+        if p.name != "market.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Two scales meet over their lcm in market alone (market.with_incomes):
+# every other layer hands its integers and the incomes to market.
+def test_lcm_scanner_flags_calls_only():
+    source = (
+        "from math import gcd, lcm\n"
+        "import math\n"
+        "a = lcm(2, 3)\n"
+        "b = math.lcm(a, 4)\n"
+        "c = gcd(a, b)\n"
+        "d = [lcm]\n"
+    )
+    assert constructor_calls(source, "lcm") == [3, 4]
+
+
+def test_only_market_calls_lcm():
+    found = {
+        p.name: constructor_calls(p.read_text(), "lcm") for p in MODULES if p.name != "market.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
 

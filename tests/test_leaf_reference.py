@@ -73,11 +73,11 @@ def test_baaa_on_both_sides_of_its_split(b, c):
     scale = common_scale(incomes)
     abc = scaled_integers(incomes, scale)
     at_tie = {
-        Pixep.scaled(
+        Pixep(
             (1, 0, 0, 0),
-            [ka * abc[0] + kb * abc[1] + kc * abc[2] for ka, kb, kc, _ in prices],
+            tuple(ka * abc[0] + kb * abc[1] + kc * abc[2] for ka, kb, kc, _ in prices),
+            tuple(slope for *_, slope in prices),
             scale * denominator,
-            [slope for *_, slope in prices],
         )
         for _, denominator, prices in _LEAVES["BAAA"]
     }

@@ -203,8 +203,8 @@ class TestIntegerForm:
 def test_prices_read_with_of_only_when_parsed():
     # The SPE engine and the oracle find prices as integers over a scale and
     # build them with PriceVector.scaled, which keeps that form for
-    # verify_ce; PriceVector.of is for prices the CLI parses, whose integer
-    # form is computed from their Fractions on first read.
+    # verify_ce; PriceVector.of is for prices the CLI parses, and reaches
+    # PriceVector.scaled over their least common denominator.
     found = set()
     for path in sorted(Path(market.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -231,6 +231,12 @@ class TestAllocation:
     def test_items_must_be_covered(self):
         with pytest.raises(ValueError):
             Allocation(m=2, bundles=(0b01, 0b00))
+
+    def test_item_beyond_the_market_named(self):
+        with pytest.raises(ValueError, match="holds item 2, beyond the market's 2 items"):
+            Allocation(m=2, bundles=(0b111, 0))
+        with pytest.raises(ValueError, match="holds item 3, beyond"):
+            Allocation(m=2, bundles=(0b1001, 0b10))
 
     def test_prices_positive(self):
         with pytest.raises(ValueError):
@@ -312,6 +318,11 @@ class TestIncomeRegion:
         return IncomeRegion.of(
             2, [(1, -1)], reference=IncomeVector.of([2, 1])
         )  # a > b
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_an_agent(self, n):
+        with pytest.raises(ValueError, match="at least one agent"):
+            IncomeRegion.of(n, [])
 
     def test_contains(self):
         region = self.region()

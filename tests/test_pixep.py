@@ -7,7 +7,7 @@ import pytest
 
 from cefai.core import PreferenceOrder, make_preference, random_preference
 from cefai.instances import counterexample_4x3, stratified_incomes
-from cefai.market import Allocation, DimensionMismatchError, IncomeVector
+from cefai.market import Allocation, DimensionMismatchError, IncomeVector, with_incomes
 from cefai import pixep
 from cefai.pixep import (
     ChoiceNode,
@@ -17,7 +17,6 @@ from cefai.pixep import (
     Pixep,
     R1ViolationError,
     _sign_flip_bound,
-    _with_incomes,
     check_requirements,
     execute_to_ce,
     leaves,
@@ -82,6 +81,10 @@ def every_monotone_order(m):
     return list(extend([], 0))
 
 
+def leaf_form(pix, incomes):
+    return with_incomes(pix.scale, pix.constants, incomes)
+
+
 def aba_pixep(a, b, c):
     return pixep_of(
         [
@@ -100,7 +103,7 @@ class TestRequirements:
         interval = check_requirements(pix, incomes)
         assert interval.lo == 0
         assert interval.hi == 1  # binding: 10 - 3 - eps > 6
-        assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == Fraction(1, 2)
+        assert resolve_epsilon(pix, leaf_form(pix, incomes), interval) == Fraction(1, 2)
 
     def test_single_agent_run_interval(self):
         # prices a-2b-2ε, b+ε, b+ε with incomes 10, 3: run constraint caps ε at 1/3
@@ -114,7 +117,7 @@ class TestRequirements:
         incomes = IncomeVector.of([10, 3])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (0, Fraction(1, 3))
-        assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == Fraction(1, 6)
+        assert resolve_epsilon(pix, leaf_form(pix, incomes), interval) == Fraction(1, 6)
 
     def test_cap_below_lower_bound_falls_back_to_midpoint(self):
         # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
@@ -124,8 +127,8 @@ class TestRequirements:
         incomes = IncomeVector.of([4])
         interval = check_requirements(pix, incomes)
         assert (interval.lo, interval.hi) == (8, 10)
-        assert _sign_flip_bound(pix, _with_incomes(pix, incomes)) == 8
-        assert resolve_epsilon(pix, _with_incomes(pix, incomes), interval) == 9
+        assert _sign_flip_bound(pix, leaf_form(pix, incomes)) == 8
+        assert resolve_epsilon(pix, leaf_form(pix, incomes), interval) == 9
 
     def test_midpoint_in_fraction_arithmetic(self, rng):
         # the midpoint built from the ends' integers is (lo + hi)/2, or
@@ -181,11 +184,20 @@ class TestRequirements:
         with pytest.raises(ValueError, match="at least one position"):
             Pixep((), (), ())
         with pytest.raises(ValueError, match="at least one position"):
-            Pixep.scaled([], [], 1, [])
+            Pixep((), (), (), 2)
 
     def test_negative_agent_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             Pixep((0, -1, 0), (1, 1, 1), (0, 0, 0))
+
+    def test_equal_prices_give_equal_pixeps(self):
+        # the constructor cuts the constants and the scale by their common
+        # divisor, so every pixep holds the least denominator
+        pix = Pixep((0, 1), (4, -2), (0, 1), 6)
+        assert (pix.constants, pix.scale) == ((2, -1), 3)
+        assert Pixep((0,), (2,), (0,), 2) == Pixep((0,), (1,), (0,), 1)
+        assert hash(Pixep((0,), (2,), (0,), 2)) == hash(Pixep((0,), (1,), (0,), 1))
+        assert Pixep((0, 0), (0, 0), (1, -1), 5).scale == 1
 
     @pytest.mark.parametrize("scale", [0, -2])
     def test_non_positive_scale_rejected(self, scale):
@@ -200,7 +212,7 @@ class TestRequirements:
             pix = aba_pixep(a, b, c)
             incomes = IncomeVector.of([a, b, c])
             try:
-                eps = resolve_epsilon(pix, _with_incomes(pix, incomes), check_requirements(pix, incomes))
+                eps = resolve_epsilon(pix, leaf_form(pix, incomes), check_requirements(pix, incomes))
             except EmptyEpsilonIntervalError:
                 continue
             assert all(price.c0 + price.c1 * eps > 0 for _, price in positions(pix))
@@ -485,13 +497,13 @@ class TestExecuteToCE:
         # each leaf's integer form is built once per call and read by both
         # its requirements check and, when a play of it is priced, its cap
         scaled = []
-        original = pixep._with_incomes
+        original = pixep.with_incomes
 
-        def counted(pix, incomes):
-            scaled.append(pix)
-            return original(pix, incomes)
+        def counted(scale, constants, incomes):
+            scaled.append(id(constants))
+            return original(scale, constants, incomes)
 
-        monkeypatch.setattr(pixep, "_with_incomes", counted)
+        monkeypatch.setattr(pixep, "with_incomes", counted)
         games = refused = 0
         for m, n in [(4, 2), (4, 3)]:
             for r_index, row in enumerate(range_table(m, n)):
@@ -500,7 +512,7 @@ class TestExecuteToCE:
                 ):
                     profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
                     for _, game in candidate_games(row, incomes):
-                        order = [id(pix) for pix in leaves(game)]
+                        order = [id(pix.constants) for pix in leaves(game)]
                         scaled.clear()
                         try:
                             execute_to_ce(game, profile, incomes)
@@ -510,7 +522,7 @@ class TestExecuteToCE:
                             order = order[:len(scaled)]
                         except NoValidSpeError:
                             pass
-                        assert [id(pix) for pix in scaled] == order
+                        assert scaled == order
                         games += 1
         assert games > refused > 0
 
