@@ -553,6 +553,9 @@ def cmd_sweep(args) -> int:
         named = args.profile
         inst = NAMED_INSTANCES[named]()
         m, n = inst.m, inst.n
+        for flag, given, size in (("--items", args.items, m), ("--agents", args.agents, n)):
+            if given is not None and given != size:
+                raise ParseError(f"{flag} {given} disagrees with {named!r}, which has {size}")
     else:
         if args.items is None or args.agents is None:
             raise ParseError("--items and --agents are required with --profile random")

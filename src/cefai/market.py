@@ -111,7 +111,9 @@ class Allocation:
 
     def __post_init__(self):
         union = 0
-        for b in self.bundles:
+        for agent, b in enumerate(self.bundles):
+            if b < 0:
+                raise ValueError(f"bundle mask {b} of agent {agent} is negative")
             if union & b:
                 raise ValueError("allocation bundles overlap")
             union |= b
@@ -131,11 +133,11 @@ class Allocation:
         return self.bundles[agent]
 
     def owner_of(self, item: int) -> int:
-        bit = 1 << item
-        for agent, b in enumerate(self.bundles):
-            if b & bit:
-                return agent
-        raise ValueError(f"item {item} not allocated")
+        """The agent holding ``item``; the bundles cover every item of
+        ``0..m-1``, and any other item raises ``ValueError``."""
+        if not 0 <= item < self.m:
+            raise ValueError(f"item {item} is outside 0..{self.m - 1}")
+        return next(agent for agent, b in enumerate(self.bundles) if b >> item & 1)
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,13 @@ midpoint of that interval, and ``execute_to_ce`` prices each leaf at it.
 A :class:`Pixep` holds its prices in one form, as integers: each
 position's constant over one common denominator and an integer ε-slope,
 the way the solver's games are written (integer forms in the scaled
-incomes).  R1-R3, the cap ``resolve_epsilon`` puts on ε and the prices
-of a played allocation are computed from those integers, brought over
-one denominator with the incomes' integer form by
-:func:`cefai.market.with_incomes`.
-``Fraction``s appear only at the boundary: the two ends of the ε
-interval and the sign-flip bound, which ``resolve_epsilon`` reads back as
-numerators and denominators and compares by cross-multiplying; the ε it
-returns (the interval's midpoint, and the cap only when the cap is
-returned); the prices of a priced play, built by
+incomes).  R1-R3, the ε interval they leave, the cap ``resolve_epsilon``
+puts on ε and the prices of a played allocation are computed from those
+integers, brought over one denominator with the incomes' integer form by
+:func:`cefai.market.with_incomes`.  The interval's ends and the cap are
+integer ratios ``(num, den)``, compared by cross-multiplying.
+``Fraction``s appear only at the boundary: the ε that ``resolve_epsilon``
+returns, one per priced leaf; the prices of a priced play, built by
 :meth:`~cefai.market.PriceVector.scaled` from integer numerators over
 the leaf's scale times ε's denominator, so that ``verify_ce`` reads
 their integer form as built; and the texts of errors, which show a
@@ -178,26 +176,21 @@ def leaves(game: GameNode) -> Iterator[Pixep]:
 
 @dataclass(frozen=True)
 class EpsilonInterval:
-    """Open interval (lo, hi) of feasible ε values; hi None means unbounded."""
+    """Open interval (lo, hi) of feasible ε values of one pixep, and the
+    pixep's integer form that decided it.
 
-    lo: Fraction
-    hi: Fraction | None
+    ``lo`` and ``hi`` are integer ratios ``(num, den)`` with ``den > 0``;
+    ``hi`` is None when the interval is unbounded.  ``scale``,
+    ``constants`` and ``income`` are
+    ``with_incomes(pix.scale, pix.constants, incomes)``, which
+    :func:`resolve_epsilon` reads again for the sign-flip cap.
+    """
 
-    def midpoint(self) -> Fraction:
-        """``(lo + hi)/2``, or ``lo + 1`` when unbounded: one ``Fraction``
-        built from the ends' numerators and denominators."""
-        lo = self.lo
-        if self.hi is None:
-            return Fraction(lo.numerator + lo.denominator, lo.denominator)
-        hi = self.hi
-        return Fraction(
-            lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-            2 * lo.denominator * hi.denominator,
-        )
-
-
-# A leaf's constants and the incomes over one scale, by market.with_incomes.
-_Scaled = tuple[int, list[int], list[int]]
+    lo: tuple[int, int]
+    hi: tuple[int, int] | None
+    scale: int
+    constants: list[int]
+    income: list[int]
 
 
 def _price(pix: Pixep, k: int) -> AffinePrice:
@@ -218,9 +211,7 @@ def _describe(pix: Pixep, incomes: IncomeVector, key: tuple[str, int]) -> str:
     return f"positivity of last price {last_price}"
 
 
-def check_requirements(
-    pix: Pixep, incomes: IncomeVector, scaled: _Scaled | None = None
-) -> EpsilonInterval:
+def check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
     """Verify R1 exactly and intersect all R2/R3 constraints on ε.
 
     Also requires the last (cheapest) price to stay positive, so every
@@ -230,11 +221,9 @@ def check_requirements(
 
     R1-R3 are decided on the pixep's integers: the position constants
     and the incomes over one common denominator, the integer ε-slopes,
-    and each bound on ε kept as an integer ratio.
-    ``Fraction``s are built only at the boundary: the two ends of the
-    returned interval, and the texts of a raised error.  ``scaled`` is
-    that integer form, ``with_incomes(pix.scale, pix.constants, incomes)``,
-    for a caller that reads it again; it is computed here when not given.
+    and each bound on ε kept as an integer ratio.  The returned interval
+    keeps its ends as integer ratios and that integer form; ``Fraction``s
+    are built only for the texts of a raised error.
     """
     n = len(incomes)
     agents = pix.agents
@@ -242,7 +231,7 @@ def check_requirements(
         if not 0 <= agent < n:
             raise DimensionMismatchError(f"pixep references agent {agent}, have {n}")
 
-    scale, constants, income = scaled or with_incomes(pix.scale, pix.constants, incomes)
+    scale, constants, income = with_incomes(pix.scale, pix.constants, incomes)
     slopes = pix.slopes
     sums: dict[int, list[int]] = {}
     for agent, c0, c1 in zip(agents, constants, slopes):
@@ -292,31 +281,30 @@ def check_requirements(
             f"empty ε interval: ({lo_desc}) against ({_describe(pix, incomes, hi_key)})"
         )
     return EpsilonInterval(
-        lo=Fraction(lo_num, lo_den * scale),
-        hi=None if hi_key is None else Fraction(hi_num, hi_den * scale),
+        (lo_num, lo_den * scale),
+        None if hi_key is None else (hi_num, hi_den * scale),
+        scale, constants, income,
     )
 
 
-def _sign_flip_bound(pix: Pixep, scaled: _Scaled) -> Fraction | None:
+def _sign_flip_bound(pix: Pixep, interval: EpsilonInterval) -> tuple[int, int] | None:
     """Smallest ε > 0 at which any bundle-price-vs-income comparison
-    changes sign, from the pixep's :func:`~cefai.market.with_incomes`
-    form ``scaled``.
+    changes sign, as an integer ratio ``(num, den)``, from the integer
+    form that ``interval`` keeps.
 
     Every bundle priced by an execution costs the sum of some subset of
     position prices, so these are all the affine expressions the
     equilibrium verification can ever compare against an income.  Below
     the bound, each comparison keeps the sign it has in the small-ε
-    limit.  Computed on the pixep's integers, like
-    :func:`check_requirements`.
+    limit.
     """
-    scale, constants, income = scaled
     sums = {(0, 0)}
-    for c0, c1 in zip(constants, pix.slopes):
+    for c0, c1 in zip(interval.constants, pix.slopes):
         sums |= {(s0 + c0, s1 + c1) for s0, s1 in sums}
     # A subset sum s0 + s1*eps meets income t at eps = (t - s0)/s1, the
     # ratio num/den (den > 0) in units of 1/scale.
     best_num, best_den = 0, 0
-    for t in set(income):
+    for t in set(interval.income):
         for s0, s1 in sums:
             if s1 > 0:
                 num, den = t - s0, s1
@@ -328,39 +316,37 @@ def _sign_flip_bound(pix: Pixep, scaled: _Scaled) -> Fraction | None:
                 best_num, best_den = num, den
     if best_den == 0:
         return None
-    return Fraction(best_num, best_den * scale)
+    return best_num, best_den * interval.scale
 
 
-def resolve_epsilon(pix: Pixep, scaled: _Scaled, interval: EpsilonInterval) -> Fraction:
+def resolve_epsilon(pix: Pixep, interval: EpsilonInterval) -> Fraction:
     """Concrete ε: the midpoint of ``interval``, the pixep's feasible ε
-    interval from :func:`check_requirements`, capped at half its sign-flip
-    bound so that no bundle-price-vs-income comparison crosses its small-ε
-    sign, unless that cap falls to the interval's lower end.  ``scaled``
-    is the pixep's :func:`~cefai.market.with_incomes` form for the incomes.
+    interval from :func:`check_requirements` (``lo + 1`` when it is
+    unbounded), capped at half its sign-flip bound so that no
+    bundle-price-vs-income comparison crosses its small-ε sign, unless
+    that cap falls to the interval's lower end.
 
     The cap is what makes "holds for every sufficiently small ε > 0"
     checkable at a single concrete value; without it a midpoint deep in
     the interval can make an otherwise-unaffordable bundle affordable.
 
-    The midpoint, the cap and the lower end are compared as integer
-    ratios, by cross-multiplying their numerators and denominators.
-    ``Fraction``s are built only for the sign-flip bound (by
-    :func:`_sign_flip_bound`), the midpoint
-    (:meth:`EpsilonInterval.midpoint`) and the cap when it is the ε
-    returned.
+    The midpoint and the cap are integer ratios, compared with each
+    other and with the lower end by cross-multiplying; the one
+    ``Fraction`` built is the ε returned.
     """
-    eps = interval.midpoint()
-    flip = _sign_flip_bound(pix, scaled)
-    if flip is None:
-        return eps
-    # the cap flip/2 is cap_num/cap_den
-    cap_num, cap_den = flip.numerator, 2 * flip.denominator
-    if cap_num * eps.denominator >= eps.numerator * cap_den:
-        return eps
-    lo = interval.lo
-    if cap_num * lo.denominator <= lo.numerator * cap_den:
-        return eps  # the cap falls to the lower end: only with a positive one
-    return Fraction(cap_num, cap_den)
+    lo_num, lo_den = interval.lo
+    if interval.hi is None:
+        num, den = lo_num + lo_den, lo_den
+    else:
+        hi_num, hi_den = interval.hi
+        num, den = lo_num * hi_den + hi_num * lo_den, 2 * lo_den * hi_den
+    flip = _sign_flip_bound(pix, interval)
+    if flip is not None:
+        # the cap flip/2, taken when below the midpoint and above the lower end
+        cap_num, cap_den = flip[0], 2 * flip[1]
+        if cap_num * den < num * cap_den and cap_num * lo_den > lo_num * cap_den:
+            num, den = cap_num, cap_den
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -615,11 +601,8 @@ def execute_to_ce(
     the range's fallback games, and some profiles have no equilibrium at
     all (``counterexample-4x3``), so every game fails on them.
     """
-    # Per leaf pixep id: its integer form and its checked ε interval.
-    checked: dict[int, tuple[_Scaled, EpsilonInterval]] = {}
-    for pix in leaves(game):
-        scaled = with_incomes(pix.scale, pix.constants, incomes)
-        checked[id(pix)] = scaled, check_requirements(pix, incomes, scaled)
+    # Per leaf pixep id: its checked ε interval.
+    checked = {id(pix): check_requirements(pix, incomes) for pix in leaves(game)}
     # Per leaf pixep id: its ε, and its position prices at that ε as
     # integers over one denominator.
     resolved: dict[int, tuple[Fraction, list[int], int]] = {}
@@ -628,7 +611,7 @@ def execute_to_ce(
         pix = execution.pixep
         priced = resolved.get(id(pix))
         if priced is None:
-            eps = resolve_epsilon(pix, *checked[id(pix)])
+            eps = resolve_epsilon(pix, checked[id(pix)])
             # c0/scale + c1·eps, over scale·eps's denominator
             up = pix.scale * eps.numerator
             priced = resolved[id(pix)] = eps, [

@@ -10,7 +10,9 @@ message on random pixeps.
 
 ``pixep_of`` and ``positions`` convert between a :class:`Pixep`'s
 integers and ``AffinePrice`` values, so that tests can write and read
-prices as the paper does.
+prices as the paper does; ``fraction`` reads an integer ratio, as the
+library keeps the ends of an ε interval and the sign-flip bound, as a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from cefai.market import (
 from cefai.pixep import (
     AffinePrice,
     EmptyEpsilonIntervalError,
-    EpsilonInterval,
     Pixep,
     R1ViolationError,
 )
@@ -63,6 +64,16 @@ def positions(pix: Pixep) -> tuple[tuple[int, AffinePrice], ...]:
     )
 
 
+def fraction(ratio: tuple[int, int] | None) -> Fraction | None:
+    """The integer ratio ``(num, den)``, ``den > 0``, as a ``Fraction``;
+    None stays None."""
+    if ratio is None:
+        return None
+    num, den = ratio
+    assert type(num) is int and type(den) is int and den > 0, ratio
+    return Fraction(num, den)
+
+
 def plus(p: AffinePrice, q: AffinePrice) -> AffinePrice:
     return AffinePrice(p.c0 + q.c0, p.c1 + q.c1)
 
@@ -71,8 +82,11 @@ def minus(p: AffinePrice, q: AffinePrice) -> AffinePrice:
     return AffinePrice(p.c0 - q.c0, p.c1 - q.c1)
 
 
-def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonInterval:
-    """Verify R1 exactly and intersect all R2/R3 constraints on ε.
+def reference_check_requirements(
+    pix: Pixep, incomes: IncomeVector
+) -> tuple[Fraction, Fraction | None]:
+    """Verify R1 exactly and intersect all R2/R3 constraints on ε: the
+    open interval ``(lo, hi)`` of feasible ε, ``hi`` None when unbounded.
 
     Also requires the last (cheapest) price to stay positive, so every
     resolved price vector is valid.  Raises ``R1ViolationError`` or
@@ -137,7 +151,7 @@ def reference_check_requirements(pix: Pixep, incomes: IncomeVector) -> EpsilonIn
         raise EmptyEpsilonIntervalError(
             f"empty ε interval: ({lo_desc}) against ({hi_desc})"
         )
-    return EpsilonInterval(lo=lo, hi=hi)
+    return lo, hi
 
 
 def reference_sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | None:
@@ -166,6 +180,11 @@ def reference_sign_flip_bound(pix: Pixep, incomes: IncomeVector) -> Fraction | N
     return bound
 
 
+def midpoint(lo: Fraction, hi: Fraction | None) -> Fraction:
+    """``(lo + hi)/2``, or ``lo + 1`` when the interval is unbounded."""
+    return lo + 1 if hi is None else (lo + hi) / 2
+
+
 def reference_resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:
     """Concrete ε: the midpoint of the feasible interval, capped so that
     no bundle-price-vs-income comparison crosses its small-ε sign.
@@ -174,12 +193,11 @@ def reference_resolve_epsilon(pix: Pixep, incomes: IncomeVector) -> Fraction:
     checkable at a single concrete value; without it a midpoint deep in
     the interval can make an otherwise-unaffordable bundle affordable.
     """
-    interval = reference_check_requirements(pix, incomes)
-    eps = interval.midpoint()
+    lo, hi = reference_check_requirements(pix, incomes)
+    eps = midpoint(lo, hi)
     flip = reference_sign_flip_bound(pix, incomes)
     if flip is not None:
         eps = min(eps, flip / 2)
-    if eps <= interval.lo:  # only reachable with a positive lower bound
-        eps = interval.midpoint()
+    if eps <= lo:  # only reachable with a positive lower bound
+        eps = midpoint(lo, hi)
     return eps
-

@@ -238,6 +238,14 @@ class TestSweepCommand:
         assert doc["existence_count"] == 0
         assert len(doc["no_ce_points"]) == 5
 
+    def test_sizes_that_agree_with_the_profile_accepted(self, capsys):
+        code, doc = run(
+            capsys, "sweep", "--profile", "counterexample-4x3", "--items", "4",
+            "--agents", "3", "--trials", "2", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        assert (doc["items"], doc["agents"], doc["trials"]) == (4, 3, 2)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -245,6 +253,7 @@ class TestSweepCommand:
             ["--items", "3", "--agents", "0"],
             ["--items", "3", "--agents", "2", "--trials", "0"],
             ["--profile", "counterexample-4x3", "--trials", "-1"],
+            ["--profile", "counterexample-4x3", "--items", "9", "--agents", "7"],
         ],
     )
     def test_out_of_range_arguments_rejected(self, capsys, argv):

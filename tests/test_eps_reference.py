@@ -2,12 +2,15 @@
 
 ``check_requirements``, ``_sign_flip_bound`` and ``resolve_epsilon`` must
 give the same interval, flip bound and ε as ``tests/eps_reference.py``,
-as ``Fraction``s, and raise the same exception with the same message.
+and raise the same exception with the same message.  The library's ends
+and flip bound are integer ratios, read as ``Fraction``s by
+``fraction``; its ε is a ``Fraction``.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from cefai.instances import stratified_incomes
 from cefai.market import IncomeVector, with_incomes
 from cefai.pixep import (
+    EpsilonInterval,
     Pixep,
     _sign_flip_bound,
     check_requirements,
@@ -25,6 +29,8 @@ from cefai.solver import _LEAVES, range_labels
 from conftest import leaf_at
 from eps_reference import (
     affine,
+    fraction,
+    midpoint,
     pixep_of,
     positions,
     reference_check_requirements,
@@ -69,42 +75,54 @@ def random_pixep(rng: random.Random) -> tuple[Pixep, IncomeVector]:
     return pixep_of(zip(agents, prices)), IncomeVector.of(incomes)
 
 
+class Raised(NamedTuple):
+    kind: type
+    text: str
+    agent: int | None
+
+
 def _outcome(fn, pix, incomes):
     """What ``fn`` returns, or the type, message and fields of what it raises."""
     try:
         return fn(pix, incomes)
     except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "agent", None)
+        return Raised(type(exc), str(exc), getattr(exc, "agent", None))
+
+
+def interval(pix, incomes):
+    """The checked ε interval as ``(lo, hi)`` in ``Fraction``s."""
+    checked = check_requirements(pix, incomes)
+    return fraction(checked.lo), fraction(checked.hi)
+
+
+def flip_bound(pix, incomes):
+    """The sign-flip bound, which reads only the interval's integer form,
+    so it is taken on every pixep, whether its requirements hold or not."""
+    form = EpsilonInterval((0, 1), None, *with_incomes(pix.scale, pix.constants, incomes))
+    return fraction(_sign_flip_bound(pix, form))
 
 
 def resolved(pix, incomes):
     """ε the way ``execute_to_ce`` resolves it: checked, then capped."""
-    scaled = with_incomes(pix.scale, pix.constants, incomes)
-    return resolve_epsilon(pix, scaled, check_requirements(pix, incomes))
-
-
-def _is_exact(value) -> bool:
-    return value is None or type(value) is Fraction
+    return resolve_epsilon(pix, check_requirements(pix, incomes))
 
 
 def compare(pix: Pixep, incomes: IncomeVector) -> str:
     """Assert that the library and the reference agree on ``pix``; return
     the type and message of the exception raised, or the kind of interval."""
-    got = _outcome(check_requirements, pix, incomes)
     want = _outcome(reference_check_requirements, pix, incomes)
-    assert got == want
-    flip = _outcome(
-        lambda p, t: _sign_flip_bound(p, with_incomes(p.scale, p.constants, t)), pix, incomes
-    )
+    assert _outcome(interval, pix, incomes) == want
+    flip = _outcome(flip_bound, pix, incomes)
     assert flip == _outcome(reference_sign_flip_bound, pix, incomes)
     eps = _outcome(resolved, pix, incomes)
     assert eps == _outcome(reference_resolve_epsilon, pix, incomes)
-    if isinstance(want, tuple):
-        return f"{want[0].__name__}: {want[1]}"
-    assert all(_is_exact(value) for value in (got.lo, got.hi, flip, eps))
-    if got.lo > 0 and eps == got.midpoint() and flip is not None and flip / 2 <= got.lo:
+    if isinstance(want, Raised):
+        return f"{want.kind.__name__}: {want.text}"
+    assert type(eps) is Fraction
+    lo, hi = want
+    if lo > 0 and eps == midpoint(lo, hi) and flip is not None and flip / 2 <= lo:
         return "clamped to the midpoint"
-    return "bounded" if got.hi is not None else "unbounded"
+    return "bounded" if hi is not None else "unbounded"
 
 
 def test_seeded_random_pixeps():

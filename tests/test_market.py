@@ -238,6 +238,18 @@ class TestAllocation:
         with pytest.raises(ValueError, match="holds item 3, beyond"):
             Allocation(m=2, bundles=(0b1001, 0b10))
 
+    def test_negative_mask_and_item_outside_named(self):
+        # the first two cover both items, yet a mask below 0 is no bundle
+        for m, bundles, agent in ((2, (-4, 3), 0), (2, (3, -4), 1), (1, (-1,), 0)):
+            text = f"mask {bundles[agent]} of agent {agent} is negative"
+            with pytest.raises(ValueError, match=text):
+                Allocation(m, bundles)
+        allocation = Allocation(2, (0b10, 0b01))
+        assert [allocation.owner_of(item) for item in range(2)] == [1, 0]
+        for item in (-1, 2):
+            with pytest.raises(ValueError, match=f"item {item} is outside 0..1"):
+                allocation.owner_of(item)
+
     def test_prices_positive(self):
         with pytest.raises(ValueError):
             PriceVector.of([1, 0])

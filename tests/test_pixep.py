@@ -33,7 +33,7 @@ from conftest import (
     random_profile,
     zero_priced_pixep,
 )
-from eps_reference import affine, pixep_of, positions
+from eps_reference import affine, fraction, pixep_of, positions
 from spe_oracle import (
     all_profile_spe_plays,
     count_profiles,
@@ -81,10 +81,6 @@ def every_monotone_order(m):
     return list(extend([], 0))
 
 
-def leaf_form(pix, incomes):
-    return with_incomes(pix.scale, pix.constants, incomes)
-
-
 def aba_pixep(a, b, c):
     return pixep_of(
         [
@@ -101,9 +97,9 @@ class TestRequirements:
         pix = aba_pixep(10, 6, 3)
         incomes = IncomeVector.of([10, 6, 3])
         interval = check_requirements(pix, incomes)
-        assert interval.lo == 0
-        assert interval.hi == 1  # binding: 10 - 3 - eps > 6
-        assert resolve_epsilon(pix, leaf_form(pix, incomes), interval) == Fraction(1, 2)
+        assert fraction(interval.lo) == 0
+        assert fraction(interval.hi) == 1  # binding: 10 - 3 - eps > 6
+        assert resolve_epsilon(pix, interval) == Fraction(1, 2)
 
     def test_single_agent_run_interval(self):
         # prices a-2b-2ε, b+ε, b+ε with incomes 10, 3: run constraint caps ε at 1/3
@@ -116,8 +112,8 @@ class TestRequirements:
         )
         incomes = IncomeVector.of([10, 3])
         interval = check_requirements(pix, incomes)
-        assert (interval.lo, interval.hi) == (0, Fraction(1, 3))
-        assert resolve_epsilon(pix, leaf_form(pix, incomes), interval) == Fraction(1, 6)
+        assert (fraction(interval.lo), fraction(interval.hi)) == (0, Fraction(1, 3))
+        assert resolve_epsilon(pix, interval) == Fraction(1, 6)
 
     def test_cap_below_lower_bound_falls_back_to_midpoint(self):
         # prices 12-ε, -8+ε with income 4: positivity needs ε > 8, the run
@@ -126,18 +122,29 @@ class TestRequirements:
         pix = pixep_of([(0, affine(12, -1)), (0, affine(-8, +1))])
         incomes = IncomeVector.of([4])
         interval = check_requirements(pix, incomes)
-        assert (interval.lo, interval.hi) == (8, 10)
-        assert _sign_flip_bound(pix, leaf_form(pix, incomes)) == 8
-        assert resolve_epsilon(pix, leaf_form(pix, incomes), interval) == 9
+        assert (fraction(interval.lo), fraction(interval.hi)) == (8, 10)
+        assert fraction(_sign_flip_bound(pix, interval)) == 8
+        assert resolve_epsilon(pix, interval) == 9
 
     def test_midpoint_in_fraction_arithmetic(self, rng):
-        # the midpoint built from the ends' integers is (lo + hi)/2, or
-        # lo + 1 when the interval is unbounded
+        # the midpoint formed from the ends' integers, in lowest terms or
+        # not, is (lo + hi)/2, or lo + 1 when the interval is unbounded: a
+        # pixep without ε-slopes has no sign-flip bound to cap it
+        pix = pixep_of([(0, affine(5))])
+        form = with_incomes(pix.scale, pix.constants, IncomeVector.of([5]))
+        assert _sign_flip_bound(pix, EpsilonInterval((0, 1), None, *form)) is None
+
+        def ratio(value):
+            k = rng.randint(1, 9)
+            return value.numerator * k, value.denominator * k
+
         for _ in range(300):
             lo = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**4))
             hi = lo + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
-            assert EpsilonInterval(lo, hi).midpoint() == (lo + hi) / 2
-            assert EpsilonInterval(lo, None).midpoint() == lo + 1
+            bounded = EpsilonInterval(ratio(lo), ratio(hi), *form)
+            assert resolve_epsilon(pix, bounded) == (lo + hi) / 2
+            unbounded = EpsilonInterval(ratio(lo), None, *form)
+            assert resolve_epsilon(pix, unbounded) == lo + 1
 
     def test_empty_interval_when_income_too_small(self):
         # same shape with a = 8 < 3b: the run constraint forces ε ≤ -1/3
@@ -212,7 +219,7 @@ class TestRequirements:
             pix = aba_pixep(a, b, c)
             incomes = IncomeVector.of([a, b, c])
             try:
-                eps = resolve_epsilon(pix, leaf_form(pix, incomes), check_requirements(pix, incomes))
+                eps = resolve_epsilon(pix, check_requirements(pix, incomes))
             except EmptyEpsilonIntervalError:
                 continue
             assert all(price.c0 + price.c1 * eps > 0 for _, price in positions(pix))
@@ -444,6 +451,31 @@ class TestEveryTwoAgentLeaf:
         assert games == 2**m * orders**2
 
 
+def primary_game_runs(m, n, calls):
+    """Run ``execute_to_ce`` on the primary choice game of every m x n
+    range at eight stratified points, clearing ``calls`` before each run,
+    and yield per run the game's leaves and the ids of the leaves it
+    priced: those of the plays up to and including the returned one, or
+    all of them when none verifies."""
+    for r_index, row in enumerate(range_table(m, n)):
+        if not isinstance(row.primary, tuple):
+            continue
+        for k, incomes in enumerate(
+            stratified_incomes(m, n, row.label, seed=3 + r_index, count=8)
+        ):
+            profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
+            _, game = next(candidate_games(row, incomes))
+            plays = spe_outcomes(game, profile)
+            calls.clear()
+            try:
+                execution, _, _ = execute_to_ce(game, profile, incomes)
+                returned = (execution.path, execution.items)
+                plays = plays[:[(e.path, e.items) for e in plays].index(returned) + 1]
+            except NoValidSpeError:
+                pass
+            yield list(leaves(game)), {id(e.pixep) for e in plays}
+
+
 class TestExecuteToCE:
     def test_worked_example_prices(self):
         alice = chain_preference(3, Y | Z, X | Z)
@@ -529,37 +561,39 @@ class TestExecuteToCE:
     @pytest.mark.parametrize("m,n", [(4, 2), (4, 3)])
     def test_sign_flip_bound_only_for_priced_leaves(self, monkeypatch, m, n):
         # on the solver's choice games, the cap is computed at most once per
-        # leaf, and exactly for the leaves of the plays priced: those up to
-        # and including the returned one, or all of them when none verifies
+        # leaf, and exactly for the leaves of the plays priced
         flips = []
         original = pixep._sign_flip_bound
 
-        def counted(pix, scaled):
+        def counted(pix, interval):
             flips.append(pix)
-            return original(pix, scaled)
+            return original(pix, interval)
 
         monkeypatch.setattr(pixep, "_sign_flip_bound", counted)
         skipped = 0
-        for r_index, row in enumerate(range_table(m, n)):
-            if not isinstance(row.primary, tuple):
-                continue
-            for k, incomes in enumerate(
-                stratified_incomes(m, n, row.label, seed=3 + r_index, count=8)
-            ):
-                profile = [random_preference(m, seed=100 * k + i) for i in range(n)]
-                _, game = next(candidate_games(row, incomes))
-                plays = spe_outcomes(game, profile)
-                flips.clear()
-                try:
-                    execution, _, _ = execute_to_ce(game, profile, incomes)
-                    returned = (execution.path, execution.items)
-                    plays = plays[:[(e.path, e.items) for e in plays].index(returned) + 1]
-                except NoValidSpeError:
-                    pass
-                priced = {id(e.pixep) for e in plays}
-                assert len(flips) == len({id(pix) for pix in flips})
-                assert {id(pix) for pix in flips} == priced
-                skipped += len(list(leaves(game))) - len(priced)
+        for game_leaves, priced in primary_game_runs(m, n, flips):
+            assert len(flips) == len({id(pix) for pix in flips})
+            assert {id(pix) for pix in flips} == priced
+            skipped += len(game_leaves) - len(priced)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (4, 3)])
+    def test_one_fraction_per_priced_leaf(self, monkeypatch, m, n):
+        # on the solver's choice games, the ε interval's ends and the cap
+        # stay integer ratios: the one Fraction built per priced leaf is
+        # its ε, and a leaf checked but never priced builds none
+        built = []
+        original = pixep.Fraction
+
+        def counted(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pixep, "Fraction", counted)
+        skipped = 0
+        for game_leaves, priced in primary_game_runs(m, n, built):
+            assert len(built) == len(priced)
+            skipped += len(game_leaves) - len(priced)
         assert skipped > 0
 
     def test_no_valid_play_raises(self):
