@@ -30,8 +30,12 @@ search, exactly.  Write ``r`` for the rank of the agent's own bundle.
   exists, its worst l-union ranks above ``r`` and the maximin bundle is
   at least as good; if the maximin bundle ranks above ``r``, the
   partition that attains it is such a partition.
+- Before the masks, one size test: the l smallest of any d parts of the
+  union hold at most ``l * |union| // d`` items and form an l-union, so if
+  every subset that small is in ``worse``, the share holds.
 
-So a clean pair costs at most one mask test per query and no search.
+So a clean pair costs one size test per query, a mask scan only where
+that test leaves the share open, and no search.
 The same masks give :func:`maximin`: a mask's lowest-ranked bundle is
 its partition's worst l-union, and the best of these is the maximin
 bundle.  The audit calls it only for a failing share, to report its
@@ -52,7 +56,8 @@ MAX_MAXIMIN_ITEMS = 6
 MAX_MAXIMIN_PARTS = 6
 
 # Partitions depend only on the item set and d, not on preferences, so
-# _partitions and _union_masks are cached on their arguments.
+# _partitions, _union_masks and _small_subsets are cached on their
+# arguments.
 @cache
 def _partitions(x: Bundle, d: int) -> tuple[tuple[Bundle, ...], ...]:
     """The distinct partitions of X into d parts, each a sorted tuple."""
@@ -85,6 +90,23 @@ def _union_masks(x: Bundle, l: int, d: int) -> tuple[int, ...]:
             pm |= 1 << u
         masks.add(pm)
     return tuple(pm for pm in masks if not pm & 1)
+
+
+@cache
+def _small_subsets(x: Bundle, k: int) -> int:
+    """The bitset of the subsets of X with at most k items."""
+    return sum(1 << u for u in range(x + 1) if u | x == x and u.bit_count() <= k)
+
+
+@cache
+def _groups(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every non-empty group of n agents with its agent bitmask, by size
+    and then in lexicographic order."""
+    return tuple(
+        (group, sum(1 << i for i in group))
+        for size in range(1, n + 1)
+        for group in combinations(range(n), size)
+    )
 
 
 def _check_bounds(m: int, l: int, d: int) -> None:
@@ -169,30 +191,36 @@ def audit_ce_fairness(
     Shares are counted and decided as the module docstring describes.
     """
     check_dimensions(profile, incomes, ce)
+    if not 1 <= d_max <= MAX_MAXIMIN_PARTS:
+        raise ValueError(f"d_max must be between 1 and {MAX_MAXIMIN_PARTS}, got {d_max}")
     _check_bounds(ce.allocation.m, 1, d_max)
-    agents = range(len(profile))
+    n = len(profile)
     income = incomes.integers[1]
+    bundles = ce.allocation.bundles
     parts = range(1, d_max + 1)
-    groups = []
-    for size in agents:
-        for group in combinations(agents, size + 1):
-            union = 0
-            for i in group:
-                union |= ce.allocation[i]
-            groups.append(
-                (group, union, sum(income[i] for i in group), union.bit_count())
-            )
+    # Group g, an agent bitmask, adds its lowest agent to g without it.
+    unions = [0] * (1 << n)
+    totals = [0] * (1 << n)
+    for g in range(1, 1 << n):
+        low = g & -g
+        i = low.bit_length() - 1
+        unions[g] = unions[g ^ low] | bundles[i]
+        totals[g] = totals[g ^ low] + income[i]
+    groups = [
+        (group, unions[g], totals[g], unions[g].bit_count()) for group, g in _groups(n)
+    ]
+    everything = (1 << (1 << ce.allocation.m)) - 1
     applicable = 0
     violations = []
-    for agent in agents:
-        pref = profile[agent]
+    for agent, pref in enumerate(profile):
         rank = pref.rank
-        own_rank = rank[ce.allocation[agent]]
+        own_rank = rank[bundles[agent]]
         own_income = income[agent]
         worse = 0
         for bundle, r in enumerate(rank):
             if r <= own_rank:
                 worse |= 1 << bundle
+        better = everything ^ worse
         for group, union, group_income, size in groups:
             if d_max * own_income < group_income:
                 continue  # not even l = 1 of d = d_max parts is applicable
@@ -208,6 +236,8 @@ def audit_ce_fairness(
                     continue
                 for l in range(max(1, d - size + 1), top + 1):
                     # Keeping all d parts keeps the union, ranked above r.
+                    if l < d and not better & _small_subsets(union, l * size // d):
+                        continue
                     if l == d or any(
                         not pm & worse for pm in _union_masks(union, l, d)
                     ):

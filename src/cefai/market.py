@@ -18,9 +18,10 @@ common multiple of their denominators, and ``scaled_integers``
 multiplies each value by it, which keeps every sum and comparison exact
 and makes each one an integer operation.  Only this module scales: an
 ``IncomeVector`` keeps its integer form (``integers``) from first read,
-and every layer reads that.  A ``PriceVector`` carries one too, set by
-``PriceVector.scaled``, which ``PriceVector.of`` calls over the least
-common denominator of the prices it parses.  ``with_incomes`` brings
+and every layer reads that.  A ``PriceVector`` keeps its integer form
+alone, set by ``PriceVector.scaled``, which ``PriceVector.of`` calls over
+the least common denominator of the prices it parses, and builds its
+``Fraction``s only when they are read.  ``with_incomes`` brings
 integers over a scale and the incomes' integer form over the ``lcm`` of
 the two scales, for a leaf's prices in ``cefai.pixep`` and for a price
 vector in ``scaled_market``, which then prices all ``2^m`` bundles in
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -142,17 +143,18 @@ class Allocation:
 
 @dataclass(frozen=True)
 class PriceVector:
-    """One strictly positive exact price per item, and ``integers``, the
-    prices as ``(scale, numerators)`` over their least denominator.
+    """One strictly positive exact price per item, kept as ``integers``:
+    ``(scale, numerators)``, the prices over their least denominator.
 
     :meth:`scaled` builds them from integers, as the SPE engine and the
-    oracle find them, and sets ``integers``; :meth:`of` reads prices
-    written by hand or parsed, through :meth:`scaled`.  Equality and
-    hashing read the prices ``p`` alone.
+    oracle find them; :meth:`of` reads prices written by hand or parsed,
+    through :meth:`scaled`.  The ``Fraction``s are built when they are
+    read, by ``[j]`` or iteration, and not kept.  Equality and
+    hashing read ``integers``, which is reduced and so one form per price
+    vector.
     """
 
-    p: tuple[Fraction, ...]
-    integers: tuple[int, tuple[int, ...]] = field(compare=False, repr=False)
+    integers: tuple[int, tuple[int, ...]]
 
     @staticmethod
     def of(values: Iterable[Fraction | int | str]) -> "PriceVector":
@@ -162,10 +164,9 @@ class PriceVector:
 
     @staticmethod
     def scaled(numerators: Sequence[int], scale: int) -> "PriceVector":
-        """The prices ``numerators[j]/scale``, positive ``scale``, with
-        their integer form kept: the numerators and ``scale`` cut by their
-        common divisor.  Raises ``ValueError`` naming the first price that
-        is not positive."""
+        """The prices ``numerators[j]/scale``, positive ``scale``, kept as
+        the numerators and ``scale`` cut by their common divisor.  Raises
+        ``ValueError`` naming the first price that is not positive."""
         if scale < 1:
             raise ValueError(f"price scale must be positive, got {scale}")
         for j, v in enumerate(numerators):
@@ -174,18 +175,18 @@ class PriceVector:
                     f"price of item {j} must be positive, got {Fraction(v, scale)}"
                 )
         common = gcd(scale, *numerators)
-        scale //= common
-        numerators = tuple(v // common for v in numerators)
-        return PriceVector(tuple(Fraction(v, scale) for v in numerators), (scale, numerators))
+        return PriceVector((scale // common, tuple(v // common for v in numerators)))
 
     def __getitem__(self, item: int) -> Fraction:
-        return self.p[item]
+        scale, numerators = self.integers
+        return Fraction(numerators[item], scale)
 
     def __len__(self) -> int:
-        return len(self.p)
+        return len(self.integers[1])
 
     def __iter__(self):
-        return iter(self.p)
+        scale, numerators = self.integers
+        return (Fraction(v, scale) for v in numerators)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from cefai.core import additive_preference, items_of, random_preference
 from cefai.fairness import (
     MAX_MAXIMIN_ITEMS,
     MAX_MAXIMIN_PARTS,
+    _small_subsets,
     _union_masks,
     audit_ce_fairness,
     maximin,
@@ -62,6 +63,43 @@ class TestPartitionCache:
         for key, got in masks.items():
             assert sorted(got) == fresh_union_masks(*key), key
             assert len(set(got)) == len(got), key
+
+
+class TestSizeTest:
+    def test_small_subsets_are_the_subsets_with_at_most_k_items(self):
+        for x in range(1 << 5):
+            for k in range(6):
+                want = 0
+                for size in range(k + 1):
+                    for chosen in combinations(items_of(x), size):
+                        want |= 1 << sum(1 << item for item in chosen)
+                assert _small_subsets(x, k) == want, (x, k)
+
+    def test_small_subsets_settle_only_holding_shares(self):
+        # the l smallest of any d parts of U hold at most l*|U|//d items and
+        # form one of the partition's l-unions: when every subset of U that
+        # small ranks at or below the own bundle, so does one l-union of each
+        # partition, and no union mask misses ``worse``
+        masks = {}
+        settled = 0
+        for m in range(1, 6):
+            for seed in range(3):
+                pref = random_preference(m, seed=seed)
+                worse = 0
+                for bundle in sorted(range(1 << m), key=pref.rank.__getitem__):
+                    worse |= 1 << bundle
+                    for x in range(1 << m):
+                        for d in range(2, MAX_MAXIMIN_PARTS + 1):
+                            for l in range(1, d):
+                                if _small_subsets(x, l * x.bit_count() // d) & ~worse:
+                                    continue
+                                settled += 1
+                                if (x, l, d) not in masks:
+                                    masks[x, l, d] = fresh_union_masks(x, l, d)
+                                assert all(pm & worse for pm in masks[x, l, d]), (
+                                    m, seed, x, l, d, bin(worse)
+                                )
+        assert settled > 0
 
 
 class TestMaximin:
@@ -201,7 +239,7 @@ class TestAudit:
     def test_d_max_bounds_enforced(self, d_max):
         pref = random_preference(3, seed=1)
         pair, _ = solve([pref], IncomeVector.of([5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d_max"):
             audit_ce_fairness([pref], IncomeVector.of([5]), pair, d_max=d_max)
 
     def test_item_count_enforced(self):

@@ -443,10 +443,10 @@ def test_only_market_builds_raw_income_vectors():
 def test_price_vector_scanner_flags_bare_calls_only():
     source = (
         "from .market import PriceVector\n"
-        "a = PriceVector((1,), (1, (1,)))\n"
+        "a = PriceVector((1, (1,)))\n"
         "b = PriceVector.of([1, 2])\n"
         "c = PriceVector.scaled([1, 2], 3)\n"
-        "d = market.PriceVector(a.p, a.integers)\n"
+        "d = market.PriceVector(a.integers)\n"
     )
     assert constructor_calls(source, "PriceVector") == [2, 5]
 

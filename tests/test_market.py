@@ -1,6 +1,8 @@
 """Exact equilibrium verification and positional domination."""
 
 import ast
+import inspect
+import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -169,7 +171,7 @@ class TestIntegerForm:
             scale = lcd * rng.randint(1, 50)
             by_hand = PriceVector.of(p)
             built = PriceVector.scaled(scaled_integers(p, scale), scale)
-            assert built.p == by_hand.p == tuple(p)
+            assert tuple(built) == tuple(by_hand) == tuple(p)
             assert all(type(v) is Fraction for v in built)
             assert built == by_hand and hash(built) == hash(by_hand)
             allocation = Allocation(m=m, bundles=((1 << m) - 1, 0))
@@ -198,6 +200,36 @@ class TestIntegerForm:
     def test_scaled_prices_need_a_positive_scale(self, scale):
         with pytest.raises(ValueError, match="price scale must be positive"):
             PriceVector.scaled([1, 2], scale)
+
+    def test_prices_built_only_when_read(self, monkeypatch):
+        # solve and ce_exists price their pairs with PriceVector.scaled,
+        # which keeps the integer form alone; a price read by [j] is built
+        # then, from that form.  Only the Fractions PriceVector's own code
+        # builds are counted: verify_ce reports a failed candidate's
+        # violations in Fractions.
+        lines, first = inspect.getsourcelines(PriceVector)
+        methods = range(first, first + len(lines))
+        built = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                caller = sys._getframe(1).f_code
+                if caller.co_filename == market.__file__ and caller.co_firstlineno in methods:
+                    built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        profile = [random_preference(3, seed=s) for s in (4, 9)]
+        incomes = IncomeVector.of([Fraction(7, 3), 2])
+        monkeypatch.setattr(market, "Fraction", Counting)
+        pair, _ = solver.solve(profile, incomes)
+        witness = oracle.ce_exists(profile, incomes)
+        assert witness is not None
+        assert built == []
+        for prices in (pair.prices, witness.prices):
+            scale, numerators = prices.integers
+            for j in range(len(prices)):
+                assert prices[j] == Fraction(numerators[j], scale)
+        assert len(built) == 2 * len(pair.prices)
 
 
 def test_prices_read_with_of_only_when_parsed():
@@ -259,8 +291,11 @@ class TestAllocation:
         for values in ([3, "5/2", "1/3"], [Fraction(3), Fraction(5, 2), Fraction(1, 3)],
                        ["3", Fraction(5, 2), "1/3"]):
             prices = PriceVector.of(values)
-            assert prices.p == want
+            assert tuple(prices) == want
             assert all(type(v) is Fraction for v in prices)
+        # one reduced integer form per vector, which equality and hashing read
+        a, b = PriceVector.of([1, 2]), PriceVector.of(["2/2", 2])
+        assert a == b and hash(a) == hash(b) and a.integers == (1, (1, 2))
         for bad in ([Fraction(0)], ["0"], [1, Fraction(-1, 2)], ["-3"], [-1]):
             with pytest.raises(ValueError, match="must be positive"):
                 PriceVector.of(bad)
