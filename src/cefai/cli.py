@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import re
@@ -65,6 +64,12 @@ EXIT_INVALID = 2
 EXIT_NOT_GENERIC = 3
 EXIT_UNSUPPORTED = 4
 EXIT_PARSE = 5
+
+# Upper bounds on work a flag sets: ``sweep`` keeps a payload and a result
+# per trial, and ``repro`` keeps ``round(50 * scale)`` sampled points per
+# income range, all in memory, before anything is printed.
+MAX_TRIALS = 1_000_000
+MAX_SCALE = 100
 
 #: JSON Schema (draft-07 style) of the instance file format.
 INSTANCE_SCHEMA: dict = {
@@ -538,8 +543,8 @@ def _sweep_trial(payload) -> tuple[int, bool, list[str]]:
 
 
 def cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise ParseError("--trials must be at least 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ParseError(f"--trials must be between 1 and {MAX_TRIALS}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ParseError(f"--jobs must be between 1 and {cpus}, the number of CPUs")
@@ -597,8 +602,8 @@ def cmd_instance(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    if not (math.isfinite(args.scale) and args.scale > 0):
-        raise ParseError(f"--scale must be finite and positive, got {args.scale}")
+    if not 0 < args.scale <= MAX_SCALE:  # false for nan too
+        raise ParseError(f"--scale must be above 0 and at most {MAX_SCALE}, got {args.scale}")
     if not 1 <= args.dmax <= MAX_MAXIMIN_PARTS:
         raise ParseError(f"--dmax must be between 1 and {MAX_MAXIMIN_PARTS}")
     report = existence_table(scale=args.scale, seed=args.seed, d_max=args.dmax)
@@ -649,7 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="random",
         help="'random' or a named instance (fixed profile, incomes from its region)",
     )
-    p_sweep.add_argument("--trials", type=int, default=100)
+    p_sweep.add_argument(
+        "--trials", type=int, default=100, help=f"sampled instances, 1 to {MAX_TRIALS}"
+    )
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -659,7 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_instance.set_defaults(func=cmd_instance)
 
     p_repro = sub.add_parser("repro", help="reproduce the existence summary table")
-    p_repro.add_argument("--scale", type=float, default=1.0)
+    p_repro.add_argument(
+        "--scale", type=float, default=1.0,
+        help=f"sample-count multiplier, above 0 and at most {MAX_SCALE}",
+    )
     p_repro.add_argument("--seed", type=int, default=20)
     p_repro.add_argument(
         "--dmax", type=int, default=4, help="share-guarantee audit depth"

@@ -16,26 +16,27 @@ Every money value a caller sees is an exact ``Fraction``.  Inside a
 check the values are scaled to integers: ``common_scale`` is the least
 common multiple of their denominators, and ``scaled_integers``
 multiplies each value by it, which keeps every sum and comparison exact
-and makes each one an integer operation.  Only this module scales: an
-``IncomeVector`` keeps its integer form (``integers``) from first read,
-and every layer reads that.  A ``PriceVector`` keeps its integer form
-alone, set by ``PriceVector.scaled``, which ``PriceVector.of`` calls over
-the least common denominator of the prices it parses, and builds its
-``Fraction``s only when they are read.  ``with_incomes`` brings
-integers over a scale and the incomes' integer form over the ``lcm`` of
-the two scales, for a leaf's prices in ``cefai.pixep`` and for a price
-vector in ``scaled_market``, which then prices all ``2^m`` bundles in
-one subset-sum pass, for ``verify_ce`` and the domination audit in
-``cefai.repro``; ``verify_ce`` builds a ``Fraction`` only for a
-violation it reports.
+and makes each one an integer operation.  Only this module scales.  An
+``IncomeVector`` and a ``PriceVector`` share one implementation of
+strictly positive exact rationals: each keeps its integer form alone
+(``integers``), set by its ``scaled`` constructor, which ``of`` calls
+over the least common denominator of the values it parses, and builds
+its ``Fraction``s only when they are read; every layer reads the
+integer form.  ``with_incomes`` brings integers over a scale and the
+incomes' integer form over the ``lcm`` of the two scales, for a leaf's
+prices in ``cefai.pixep`` and for a price vector in ``scaled_market``,
+which then prices all ``2^m`` bundles in one subset-sum pass, for
+``verify_ce`` and the domination audit in ``cefai.repro``;
+``verify_ce`` builds a ``Fraction`` only for a violation it reports.
 
 The income samplers work the same way.  A draw is a list of integer
 numerators over a fixed grid denominator, and the sampler's ``accept``
 test receives those integers, not incomes: every form it decides is
 homogeneous, so the sign at the numerators is the sign at the incomes.
-``IncomeRegion`` scales its constraint rows to integers once and tests
-each row's product with the draw.  Only an accepted draw becomes an
-``IncomeVector`` of exact ``Fraction``s.
+``IncomeRegion`` keeps each constraint row as integers, scaled when
+the region is built, and tests each row's product with the draw.  An
+accepted draw becomes an ``IncomeVector`` through ``scaled``, from its
+numerators and the grid denominator.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -68,39 +68,6 @@ class DimensionMismatchError(ValueError):
 
 class EmptyRegionSamplerError(RuntimeError):
     """No point of the income region found within the retry budget."""
-
-
-@dataclass(frozen=True)
-class IncomeVector:
-    """Positive incomes, one exact rational per agent."""
-
-    t: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(values: Iterable[Fraction | int | str]) -> "IncomeVector":
-        t = tuple(Fraction(v) for v in values)
-        if not t:
-            raise ValueError("income vector must not be empty")
-        for i, v in enumerate(t):
-            if v <= 0:
-                raise ValueError(f"income of agent {i} must be positive, got {v}")
-        return IncomeVector(t)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.t[i]
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self):
-        return iter(self.t)
-
-    @cached_property
-    def integers(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, numerators)``: the incomes over their least common
-        denominator, computed on first read and kept."""
-        scale = common_scale(self.t)
-        return scale, tuple(scaled_integers(self.t, scale))
 
 
 @dataclass(frozen=True)
@@ -142,44 +109,46 @@ class Allocation:
 
 
 @dataclass(frozen=True)
-class PriceVector:
-    """One strictly positive exact price per item, kept as ``integers``:
-    ``(scale, numerators)``, the prices over their least denominator.
+class _PositiveRationals:
+    """Strictly positive exact rationals, kept as ``integers``:
+    ``(scale, numerators)``, the values over their least denominator.
 
-    :meth:`scaled` builds them from integers, as the SPE engine and the
-    oracle find them; :meth:`of` reads prices written by hand or parsed,
-    through :meth:`scaled`.  The ``Fraction``s are built when they are
-    read, by ``[j]`` or iteration, and not kept.  Equality and
-    hashing read ``integers``, which is reduced and so one form per price
-    vector.
+    :meth:`scaled` builds them from integers, as the samplers, the SPE
+    engine and the oracle find them; :meth:`of` reads values written by
+    hand or parsed, through :meth:`scaled`.  The ``Fraction``s are built
+    when they are read, by ``[k]`` or iteration, and not kept.  Equality
+    and hashing read ``integers``, which is reduced and so one form per
+    vector.  Each subclass names its values for messages: ``_noun`` and
+    ``_entry``, as in "price of item 2".
     """
 
     integers: tuple[int, tuple[int, ...]]
 
-    @staticmethod
-    def of(values: Iterable[Fraction | int | str]) -> "PriceVector":
-        p = [v if type(v) is Fraction else Fraction(v) for v in values]
-        scale = common_scale(p)
-        return PriceVector.scaled(scaled_integers(p, scale), scale)
+    @classmethod
+    def of(cls, values: Iterable[Fraction | int | str]):
+        exact = [v if type(v) is Fraction else Fraction(v) for v in values]
+        scale = common_scale(exact)
+        return cls.scaled(scaled_integers(exact, scale), scale)
 
-    @staticmethod
-    def scaled(numerators: Sequence[int], scale: int) -> "PriceVector":
-        """The prices ``numerators[j]/scale``, positive ``scale``, kept as
+    @classmethod
+    def scaled(cls, numerators: Sequence[int], scale: int):
+        """The values ``numerators[k]/scale``, positive ``scale``, kept as
         the numerators and ``scale`` cut by their common divisor.  Raises
-        ``ValueError`` naming the first price that is not positive."""
+        ``ValueError`` naming the first value that is not positive."""
         if scale < 1:
-            raise ValueError(f"price scale must be positive, got {scale}")
-        for j, v in enumerate(numerators):
+            raise ValueError(f"{cls._noun} scale must be positive, got {scale}")
+        for k, v in enumerate(numerators):
             if v <= 0:
                 raise ValueError(
-                    f"price of item {j} must be positive, got {Fraction(v, scale)}"
+                    f"{cls._noun} of {cls._entry} {k} must be positive, "
+                    f"got {Fraction(v, scale)}"
                 )
         common = gcd(scale, *numerators)
-        return PriceVector((scale // common, tuple(v // common for v in numerators)))
+        return cls((scale // common, tuple(v // common for v in numerators)))
 
-    def __getitem__(self, item: int) -> Fraction:
+    def __getitem__(self, k: int) -> Fraction:
         scale, numerators = self.integers
-        return Fraction(numerators[item], scale)
+        return Fraction(numerators[k], scale)
 
     def __len__(self) -> int:
         return len(self.integers[1])
@@ -187,6 +156,25 @@ class PriceVector:
     def __iter__(self):
         scale, numerators = self.integers
         return (Fraction(v, scale) for v in numerators)
+
+
+class IncomeVector(_PositiveRationals):
+    """Positive incomes, one exact rational per agent, at least one agent."""
+
+    _noun, _entry = "income", "agent"
+
+    @classmethod
+    def scaled(cls, numerators: Sequence[int], scale: int):
+        if not numerators:
+            raise ValueError("income vector must not be empty")
+        return super().scaled(numerators, scale)
+
+
+class PriceVector(_PositiveRationals):
+    """One strictly positive exact price per item; a market of no items
+    has the empty price vector."""
+
+    _noun, _entry = "price", "item"
 
 
 @dataclass(frozen=True)
@@ -344,12 +332,14 @@ class IncomeRegion:
     """An open region of income space cut out by strict linear constraints.
 
     Each constraint row is a coefficient vector ``c`` over the agents,
-    asserting ``sum(c_i * t_i) > 0``.  Positivity of every income is
+    asserting ``sum(c_i * t_i) > 0``, kept as integers: the coefficients
+    times their least common denominator, a positive scaling, so the row
+    keeps its sign at every point.  Positivity of every income is
     implicit, so every row needs a positive coefficient.
     """
 
     n: int
-    constraints: tuple[tuple[Fraction, ...], ...]
+    constraints: tuple[tuple[int, ...], ...]
     reference: IncomeVector | None = None
 
     @staticmethod
@@ -362,7 +352,7 @@ class IncomeRegion:
             raise ValueError(f"an income region needs at least one agent, got {n}")
         constraints = []
         for row in rows:
-            coeffs = tuple(Fraction(v) for v in row)
+            coeffs = [Fraction(v) for v in row]
             if len(coeffs) != n:
                 raise ValueError(f"constraint row has {len(coeffs)} coefficients, expected {n}")
             if all(c <= 0 for c in coeffs):
@@ -371,17 +361,11 @@ class IncomeRegion:
                     f"({', '.join(str(c) for c in coeffs)}) has no positive "
                     "coefficient, so no positive income satisfies it"
                 )
-            constraints.append(coeffs)
+            constraints.append(tuple(scaled_integers(coeffs, common_scale(coeffs))))
         region = IncomeRegion(n=n, constraints=tuple(constraints), reference=reference)
         if reference is not None and not region.contains(reference):
             raise ValueError("reference income point violates the region constraints")
         return region
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each constraint row times its common denominator, kept from first
-        use: a positive scaling, so each row keeps its sign at every point."""
-        return tuple(tuple(scaled_integers(row, common_scale(row))) for row in self.constraints)
 
     def contains(self, incomes: IncomeVector) -> bool:
         """True iff every constraint row is positive at ``incomes``.
@@ -394,7 +378,7 @@ class IncomeRegion:
             raise DimensionMismatchError(
                 f"income vector has {len(incomes)} agents, region expects {self.n}"
             )
-        return _satisfies(self._rows, incomes.integers[1])
+        return _satisfies(self.constraints, incomes.integers[1])
 
     def sample(self, seed: int, count: int) -> list[IncomeVector]:
         """Rejection-sample ``count`` rational points of the region.
@@ -418,7 +402,7 @@ class IncomeRegion:
         else:
             lows = [1] * self.n
             highs = [_REGION_BOX * _REGION_GRID] * self.n
-        rows = self._rows
+        rows = self.constraints
         return _sample_incomes(
             f"region:{seed}", lows, highs, _REGION_GRID,
             descending=False, accept=lambda t: _satisfies(rows, t),
@@ -448,7 +432,7 @@ def _sample_incomes(
     highest first when ``descending``.  ``accept`` decides a draw on its
     integer numerators (sorted when ``descending``), which
     keeps the sign of every homogeneous form of the incomes; only an
-    accepted draw becomes an ``IncomeVector`` of exact ``Fraction``s.
+    accepted draw becomes an ``IncomeVector``, by ``IncomeVector.scaled``.
     A ``count`` of 0 draws nothing; a negative one raises ``ValueError``.
     Raises ``EmptyRegionSamplerError`` when ``budget`` draws do not yield
     ``count`` incomes that ``accept`` admits.
@@ -465,7 +449,7 @@ def _sample_incomes(
         if descending:
             draw.sort(reverse=True)
         if accept(draw):
-            points.append(IncomeVector.of(Fraction(k, denominator) for k in draw))
+            points.append(IncomeVector.scaled(draw, denominator))
             if len(points) == count:
                 return points
     raise EmptyRegionSamplerError(

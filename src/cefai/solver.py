@@ -49,11 +49,13 @@ class UnsupportedCaseError(ValueError):
     def __init__(self, m: int, n: int):
         self.m = m
         self.n = n
-        super().__init__(
-            f"no equilibrium construction covers {m} items with {n} agents: "
-            "for 4 items and 4+ agents, and for 5+ items, there are markets "
-            "with no equilibrium on a positive-measure set of incomes"
+        reason = (
+            "a market needs at least one item and one agent"
+            if m < 1 or n < 1
+            else "for 4 items and 4+ agents, and for 5+ items, there are "
+            "markets with no equilibrium on a positive-measure set of incomes"
         )
+        super().__init__(f"no equilibrium construction covers {m} items with {n} agents: {reason}")
 
 
 class NotGenericError(ValueError):

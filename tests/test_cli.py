@@ -274,6 +274,16 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    # Only values that start no work: the bound is checked before the
+    # payloads are built.
+    def test_trials_above_the_bound_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_trial", None)
+        code = main(["sweep", "--items", "2", "--agents", "2",
+                     "--trials", str(cli.MAX_TRIALS + 1)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err == f"error: --trials must be between 1 and {cli.MAX_TRIALS}\n"
+
 
 class TestReproCommand:
     @pytest.mark.parametrize(
@@ -293,6 +303,32 @@ class TestReproCommand:
         assert code == EXIT_PARSE
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_scale_bound(self, capsys, monkeypatch):
+        # the bound itself passes the check; above it nothing is sampled
+        reached = []
+
+        class Reached(Exception):
+            pass
+
+        def stop(**kwargs):
+            reached.append(kwargs)
+            raise Reached
+
+        monkeypatch.setattr(cli, "existence_table", stop)
+        with pytest.raises(Reached):
+            main(["repro", "--scale", str(cli.MAX_SCALE)])
+        assert reached == [{"scale": cli.MAX_SCALE, "seed": 20, "d_max": 4}]
+        code = main(["repro", "--scale", str(cli.MAX_SCALE + 0.5)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == "" and len(reached) == 1
+        assert f"--scale must be above 0 and at most {cli.MAX_SCALE}" in captured.err
+
+    def test_bounds_in_help(self, capsys):
+        for command, bound in (("sweep", "1 to 1000000"), ("repro", "at most 100")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert bound in " ".join(capsys.readouterr().out.split())
 
 
 class TestInstanceFiles:

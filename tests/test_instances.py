@@ -110,7 +110,7 @@ class TestSamplers:
                 for point in stratified_incomes(m, n, label, seed=1, count=4):
                     assert is_generic(point, m)
                     matches = [
-                        row.label for row in range_table(m, n) if range_holds(row, point.t)
+                        row.label for row in range_table(m, n) if range_holds(row, tuple(point))
                     ]
                     assert matches == [label]
 

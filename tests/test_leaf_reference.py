@@ -26,7 +26,7 @@ def check_leaf(name: str, incomes: IncomeVector) -> None:
     """Assert that leaf ``name`` at ``incomes`` has its reference prices
     and turn order, and survives the round trip through them."""
     pix = leaf_at(name, incomes)
-    abc = (*incomes.t[:3], Fraction(0), Fraction(0))[:3]
+    abc = (*tuple(incomes)[:3], Fraction(0), Fraction(0))[:3]
     assert [(price.c0, price.c1) for _, price in positions(pix)] == list(
         reference_prices(name, abc)
     ), (name, incomes)

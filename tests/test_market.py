@@ -1,6 +1,7 @@
 """Exact equilibrium verification and positional domination."""
 
 import ast
+import dataclasses
 import inspect
 import sys
 from fractions import Fraction
@@ -133,9 +134,10 @@ class TestIntegerForm:
             assert incomes.integers is incomes.integers
 
     def test_one_solve_and_audit_scale_incomes_once(self, monkeypatch):
-        # one solve, its share audit and an oracle run that returns a
-        # witness scale only the incomes, once, on their first read: the
-        # prices they build carry their integer form into verify_ce
+        # the incomes were scaled once, when the sampler built them; one
+        # solve, its share audit and an oracle run that returns a witness
+        # scale nothing more: the prices they build carry their integer
+        # form into verify_ce
         incomes = random_generic_incomes(4, 3, seed=5)[0]
         profile = [random_preference(4, seed=s) for s in (11, 12, 13)]
         calls = {"common_scale": [], "scaled_integers": []}
@@ -159,25 +161,30 @@ class TestIntegerForm:
         fairness.audit_ce_fairness(profile, incomes, pair)
         witness = oracle.ce_exists(profile, incomes)
         assert witness is not None
-        assert calls == {"common_scale": [(incomes.t,)], "scaled_integers": [incomes.t]}
+        assert calls == {"common_scale": [], "scaled_integers": []}
 
     def test_prices_from_either_constructor(self, rng):
-        # prices read by hand (of) and prices built from integers over any
-        # scale (scaled) are the same vector, with the same integer form
+        # prices or incomes read by hand (of) and built from integers over
+        # any scale (scaled) are the same vector, with the same integer form
         for _ in range(300):
             m = rng.randint(1, 6)
             p = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(m)]
             lcd = common_scale(p)
             scale = lcd * rng.randint(1, 50)
+            want = (lcd, tuple(scaled_integers(p, lcd)))
+            for cls in (PriceVector, IncomeVector):
+                by_hand = cls.of(p)
+                built = cls.scaled(scaled_integers(p, scale), scale)
+                assert tuple(built) == tuple(by_hand) == tuple(p)
+                assert all(type(v) is Fraction for v in built)
+                assert built == by_hand and hash(built) == hash(by_hand)
+                assert built.integers == by_hand.integers == want
+            # one form, but a price vector is never an income vector
+            assert PriceVector.of(p) != IncomeVector.of(p)
             by_hand = PriceVector.of(p)
             built = PriceVector.scaled(scaled_integers(p, scale), scale)
-            assert tuple(built) == tuple(by_hand) == tuple(p)
-            assert all(type(v) is Fraction for v in built)
-            assert built == by_hand and hash(built) == hash(by_hand)
             allocation = Allocation(m=m, bundles=((1 << m) - 1, 0))
             assert CEPair(built, allocation) == CEPair(by_hand, allocation)
-            want = (lcd, tuple(scaled_integers(p, lcd)))
-            assert built.integers == by_hand.integers == want
             incomes = IncomeVector.of(
                 Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(2)
             )
@@ -189,25 +196,41 @@ class TestIntegerForm:
         ([0], 1), ([3, 0, 1], 2), ([1, -1], 2), ([-3], 1), ([2, 4, -6], 4),
     ])
     def test_scaled_prices_must_be_positive(self, numerators, scale):
-        with pytest.raises(ValueError) as by_hand:
-            PriceVector.of(Fraction(v, scale) for v in numerators)
-        with pytest.raises(ValueError) as built:
-            PriceVector.scaled(numerators, scale)
-        assert "must be positive" in str(built.value)
-        assert str(built.value) == str(by_hand.value)
+        # and incomes, which share the check and name an agent
+        for cls, entry in ((PriceVector, "price of item"), (IncomeVector, "income of agent")):
+            with pytest.raises(ValueError) as by_hand:
+                cls.of(Fraction(v, scale) for v in numerators)
+            with pytest.raises(ValueError) as built:
+                cls.scaled(numerators, scale)
+            assert str(built.value).startswith(entry)
+            assert "must be positive" in str(built.value)
+            assert str(built.value) == str(by_hand.value)
 
     @pytest.mark.parametrize("scale", [0, -2])
     def test_scaled_prices_need_a_positive_scale(self, scale):
-        with pytest.raises(ValueError, match="price scale must be positive"):
-            PriceVector.scaled([1, 2], scale)
+        for cls, noun in ((PriceVector, "price"), (IncomeVector, "income")):
+            with pytest.raises(ValueError, match=f"^{noun} scale must be positive"):
+                cls.scaled([1, 2], scale)
+
+    def test_integer_form_alone(self):
+        # each vector keeps one field, its integer form, and a region its
+        # rows as integers
+        for cls in (PriceVector, IncomeVector):
+            assert [f.name for f in dataclasses.fields(cls)] == ["integers"]
+        region = IncomeRegion.of(3, [("1/2", "-1/3", 0), (0, 2, "-3/4")])
+        assert region.constraints == ((3, -2, 0), (0, 8, -3))
+        assert all(type(c) is int for row in region.constraints for c in row)
+        with pytest.raises(ValueError, match="income vector must not be empty"):
+            IncomeVector.of([])
+        assert len(PriceVector.of([])) == 0
 
     def test_prices_built_only_when_read(self, monkeypatch):
         # solve and ce_exists price their pairs with PriceVector.scaled,
         # which keeps the integer form alone; a price read by [j] is built
-        # then, from that form.  Only the Fractions PriceVector's own code
-        # builds are counted: verify_ce reports a failed candidate's
-        # violations in Fractions.
-        lines, first = inspect.getsourcelines(PriceVector)
+        # then, from that form.  Only the Fractions the code PriceVector
+        # shares with IncomeVector builds are counted: verify_ce reports a
+        # failed candidate's violations in Fractions.
+        lines, first = inspect.getsourcelines(market._PositiveRationals)
         methods = range(first, first + len(lines))
         built = []
 
@@ -384,18 +407,16 @@ class TestIncomeRegion:
         assert all(region.contains(p) for p in first)
 
     def test_rows_scaled_once(self, monkeypatch):
+        # the rows are scaled when the region is built, and each point
+        # when the sampler builds it from its integer draw
         region = self.region()
         scaled = []
 
-        def counted(values, scale):
-            scaled.append(tuple(values))
-            return scaled_integers(values, scale)
-
-        monkeypatch.setattr(market, "scaled_integers", counted)
+        for name in ("common_scale", "scaled_integers"):
+            monkeypatch.setattr(market, name, lambda *args: scaled.append(args))
         points = region.sample(seed=4, count=10)
         assert all(region.contains(p) for p in points)
-        # only each point's own integer form, read by contains
-        assert scaled == [p.t for p in points]
+        assert scaled == []
 
     def test_reference_checked(self):
         with pytest.raises(ValueError):

@@ -61,10 +61,22 @@ class TestHyperplanes:
         assert "c = d" in labels
 
     def test_unsupported_cases(self):
-        with pytest.raises(UnsupportedCaseError):
+        reason = "there are markets with no equilibrium on a positive-measure set"
+        with pytest.raises(UnsupportedCaseError, match=f"4 items with 4 agents: .*{reason}"):
             excluded_hyperplanes(4, 4)
-        with pytest.raises(UnsupportedCaseError):
+        with pytest.raises(UnsupportedCaseError, match=f"5 items with 2 agents: .*{reason}"):
             excluded_hyperplanes(5, 2)
+
+    @pytest.mark.parametrize("m,n", [(0, 2), (3, 0), (0, 1)])
+    def test_empty_market_unsupported_for_its_own_reason(self, m, n):
+        text = f"{m} items with {n} agents: a market needs at least one item and one agent$"
+        for table in (excluded_hyperplanes, range_table):
+            with pytest.raises(UnsupportedCaseError, match=text):
+                table(m, n)
+        if n:
+            profile = [random_preference(m, seed=s) for s in range(n)]
+            with pytest.raises(UnsupportedCaseError, match=text):
+                solve(profile, IncomeVector.of(range(1, n + 1)))
 
     def test_is_generic_examples(self):
         assert not is_generic(IncomeVector.of([5, 3, 2]), 3)  # a = b + c
@@ -100,7 +112,7 @@ class TestRanges:
             for label in range_labels(m, n):
                 for incomes in stratified_incomes(m, n, label, seed=2, count=5):
                     matches = [
-                        row.label for row in range_table(m, n) if range_holds(row, incomes.t)
+                        row.label for row in range_table(m, n) if range_holds(row, tuple(incomes))
                     ]
                     assert matches == [label]
 
