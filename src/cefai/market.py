@@ -50,6 +50,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .core import Bundle, PreferenceOrder, format_bundle, uniform_below
+from .lp import _check_farkas, _dual_simplex
 
 
 def common_scale(*vectors: Iterable[Fraction]) -> int:
@@ -327,6 +328,23 @@ def _satisfies(rows: Sequence[Sequence[int]], t: Sequence[int]) -> bool:
     return all(sum(map(mul, row, t)) > 0 for row in rows)
 
 
+def _is_empty(n: int, rows: Sequence[Sequence[int]]) -> bool:
+    """True iff no positive incomes make every integer row positive.
+
+    The region is a cone, so it has a point iff the rows ``s <= 1`` (the
+    cap), ``s <= t_i`` for each agent and ``s <= row·t`` admit ``s > 0``;
+    the cap and the agents' rows come first, the starting basis of
+    ``lp``'s simplex.  An empty region's certificate is checked before it
+    counts."""
+    a = [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)] + list(rows)
+    c = [1] + [0] * (n + len(rows))
+    y, reduced, d = _dual_simplex(a, c)
+    if reduced[-1] < 0:  # the largest slack is positive
+        return False
+    _check_farkas(a, c, y, d)
+    return True
+
+
 @dataclass(frozen=True)
 class IncomeRegion:
     """An open region of income space cut out by strict linear constraints.
@@ -335,7 +353,9 @@ class IncomeRegion:
     asserting ``sum(c_i * t_i) > 0``, kept as integers: the coefficients
     times their least common denominator, a positive scaling, so the row
     keeps its sign at every point.  Positivity of every income is
-    implicit, so every row needs a positive coefficient.
+    implicit, so every row needs a positive coefficient, and ``of``
+    rejects rows that no positive incomes satisfy together, decided
+    exactly by ``lp``'s simplex before any point is drawn.
     """
 
     n: int
@@ -362,6 +382,10 @@ class IncomeRegion:
                     "coefficient, so no positive income satisfies it"
                 )
             constraints.append(tuple(scaled_integers(coeffs, common_scale(coeffs))))
+        if _is_empty(n, constraints):
+            raise ValueError(
+                "income region is empty: no positive incomes satisfy every constraint row"
+            )
         region = IncomeRegion(n=n, constraints=tuple(constraints), reference=reference)
         if reference is not None and not region.contains(reference):
             raise ValueError("reference income point violates the region constraints")

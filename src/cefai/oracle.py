@@ -45,12 +45,21 @@ largest ``s`` is found through the dual LP
 
     minimise sum(y_r c_r)  subject to  sum(y_r) = 1,  sum(y_r a_r) = 0,  y >= 0
 
-by an integer simplex: the ``c`` are in scaled incomes, pivots are
-fraction-free (Edmonds-Bareiss, exact division) and follow Bland's
-rule, so the simplex cannot cycle.  A positive optimum gives prices
-through the multipliers of the tight rows.  Otherwise the dual solution
-is a Farkas certificate: every solution has
+by the integer simplex of ``cefai.lp``: the ``c`` are in scaled
+incomes, pivots are fraction-free (Edmonds-Bareiss, exact division) and
+follow Bland's rule, so the simplex cannot cycle.  A positive optimum
+gives prices through the multipliers of the tight rows.  Otherwise the
+dual solution is a Farkas certificate: every solution has
 ``s = sum(y_r s) <= sum(y_r (a_r·z + c_r)) = sum(y_r c_r) <= 0``.
+
+The rows are built target bundle by target bundle: first each
+non-empty bundle's lowest item, in agent order (the positivity rows),
+then each agent's better bundles, read straight off a preference bitset
+(``_MarketRows``) and walked lowest bit first, agent by agent.  The
+simplex's columns are the distinct rows in the order they first appear.
+That order is fixed, not a free choice: Bland's rule reads the columns
+in insertion order, so another order can take another pivot path, and
+with it another certificate and other witness prices.
 
 Most infeasible systems are closed by two rows alone, while the rows
 are still being built: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
@@ -91,6 +100,7 @@ from functools import cache
 from typing import Sequence
 
 from .core import Bundle, PreferenceOrder, items_of
+from .lp import _PAIR_CERTIFICATES, _check_farkas, _dual_simplex
 from .market import (
     Allocation,
     CEPair,
@@ -120,14 +130,12 @@ class _MarketRows:
 
     ``sub[U]`` is the bitset of the subsets of ``U``, and ``blocks[low]``
     the bitset of the bundles that contain the item with bit ``low``;
-    both depend on m alone.
-
-    For each agent and own bundle, ``better`` lists the bundles the agent
-    prefers that do not contain it (a bundle containing the own one costs
-    more than the income anyway).  The lists are built on first use and
-    kept as lists, not tuples: CPython keeps freed tuples of every length
-    up to 20 on free lists that only a full garbage collection empties,
-    and these lists come in many lengths.
+    both depend on m alone.  An agent's better bundles that do not
+    contain its own bundle X (one that does costs more than the income
+    anyway) are the bitset ``above[rank[X]] & ~(sub[full ^ X] << X)``:
+    the supersets of X are X joined with the subsets of its complement,
+    and joining a disjoint X is adding X, a shift of the bitset by X bit
+    positions.  ``_slack_rows`` walks that bitset, lowest bit first.
     """
 
     def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
@@ -142,21 +150,6 @@ class _MarketRows:
         ]
         self.sub, self.blocks = _bundle_sets(self.m)
         self.above = [_above(pref) for pref in profile]
-        self._better: list[dict[Bundle, list[Bundle]]] = [{} for _ in profile]
-
-    def better(self, agent: int, own: Bundle) -> list[Bundle]:
-        bundles = self._better[agent].get(own)
-        if bundles is None:
-            full = (1 << self.m) - 1
-            supersets = self.sub[full ^ own] << own
-            bits = self.above[agent][self.profile[agent].rank[own]] & ~supersets
-            bundles = []
-            while bits:
-                low = bits & -bits
-                bundles.append(low.bit_length() - 1)
-                bits ^= low
-            self._better[agent][own] = bundles
-        return bundles
 
 
 def _above(pref: PreferenceOrder) -> list[int]:
@@ -223,40 +216,46 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
     rows reaches its final ``c``.
     """
     m = rows.m
-    income = rows.income
+    half = (1 << m) - 1
+    sub = rows.sub
     floor = lows = free = 0
     bundles = []
+    # Each agent's better bundles that do not contain its own, as a bitset
+    # over the bundles, and the agent's scaled income.
+    better = []
     # Keyed by the lowest-item bits a bundle y contains (y & lows): the
     # other items of those bundles and the sum of their owners' incomes.
     sums = {0: (0, 0)}
-    for i, own in enumerate(masks):
+    for own, t, pref, above in zip(masks, rows.income, rows.profile, rows.above):
         if own:
             low = own & -own
             rest = own ^ low
-            t = income[i]
             bundles.append((low, rest, t))
+            better.append((above[pref.rank[own]] & ~(sub[half ^ own] << own), t))
             lows |= low
             free |= rest
             sums.update(
                 [(k | low, (inside | rest, c + t)) for k, (inside, c) in sums.items()]
             )
-        elif income[i] > floor:
-            floor = income[i]
+        elif t > floor:
+            floor = t
     items = items_of(free)
 
     # Row key: the items with coefficient +1 in a, then those with -1
     # shifted by m; the cap and the floors go in first, in column order.
     # Negating a swaps the two halves of the key.
-    half = (1 << m) - 1
     best = {0: rows.scale}
     for j in items:
         best[1 << j] = -floor
-    groups = [([low for low, _, _ in bundles], floor)]
-    for i, own in enumerate(masks):
-        if own:
-            groups.append((rows.better(i, own), income[i]))
+    # The targets, as bitsets over the bundles, in the fixed column order
+    # (see the module docstring): each bundle's lowest item in agent
+    # order, then each agent's better bundles.
+    groups = [(1 << low, floor) for low, _, _ in bundles] + better
     for targets, threshold in groups:
-        for y in targets:
+        while targets:
+            bit = targets & -targets
+            targets ^= bit
+            y = bit.bit_length() - 1
             inside, c = sums[y & lows]
             c -= threshold
             key = (y & free & ~inside) | ((inside & ~y) << m)
@@ -270,95 +269,6 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
                     a = _row_vectors(keys, items, m)
                     return items, bundles, a, [best[k] for k in keys], (0, len(keys) - 1)
     return items, bundles, _row_vectors(best, items, m), list(best.values()), None
-
-
-def _dual_simplex(a: list[list[int]], c: list[int]):
-    """Minimise ``sum(y_j c_j)`` subject to ``sum(y_j) = 1``,
-    ``sum(y_j a_j) = 0`` and ``y >= 0``, in integers.
-
-    ``a[0]`` must be the zero vector and ``a[1 + f]`` the unit vector
-    ``e_f``: they form the starting basis, whose inverse is integer.  The
-    tableau holds ``d * B^-1 [A | b]`` with ``d = det B > 0`` and is
-    pivoted fraction-free under Bland's rule.  The search stops at the
-    optimum, or as soon as the objective is at most 0, which already
-    settles the question the oracle asks.
-
-    Returns ``(y, reduced, d)``: the basic columns' multipliers and every
-    column's reduced cost, both times ``d``, with minus ``d`` times the
-    objective appended to ``reduced``.
-    """
-    k = len(a[0])
-    width = len(a)
-    # Row 0 is sum(y) = 1 and row 1 + f the f-th component of sum(y a) = 0,
-    # both multiplied by the starting basis inverse [[1, -1...], [0, I]].
-    table = [[1 - sum(col) for col in a] + [1]]
-    table.extend([col[f] for col in a] + [0] for f in range(k))
-    basis = list(range(k + 1))
-    reduced = [
-        c[j] - sum(c[i] * table[i][j] for i in range(k + 1)) for j in range(width)
-    ]
-    reduced.append(-c[0])
-    d = 1
-    while reduced[-1] < 0:
-        q = next((j for j in range(width) if reduced[j] < 0), None)
-        if q is None:
-            break
-        p = -1
-        for i, row in enumerate(table):
-            if row[q] > 0:
-                if p < 0:
-                    p = i
-                    continue
-                lhs = row[-1] * table[p][q]
-                rhs = table[p][-1] * row[q]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[p]):
-                    p = i
-        if p < 0:
-            # The primal always has solutions (s far below 0), so the dual
-            # is bounded.
-            raise AssertionError(
-                "dual simplex found an unbounded ray; the tableau is broken"
-            )
-        pivot = table[p]
-        e = pivot[q]
-        for i, row in enumerate(table):
-            if i != p:
-                table[i] = _eliminate(row, pivot, q, e, d)
-        reduced = _eliminate(reduced, pivot, q, e, d)
-        basis[p] = q
-        d = e
-    return {basis[i]: row[-1] for i, row in enumerate(table)}, reduced, d
-
-
-def _eliminate(row: list[int], pivot: list[int], q: int, e: int, d: int) -> list[int]:
-    """One fraction-free pivot step on ``row``; every division is exact."""
-    f = row[q]
-    if f == 0:
-        return row if e == d else [e * x // d for x in row]
-    return [(e * x - f * z) // d for x, z in zip(row, pivot)]
-
-
-def _check_farkas(a: list[list[int]], c: list[int], y: dict[int, int], d: int) -> None:
-    """Raise unless ``y / d`` proves that no solution has ``s > 0``:
-    ``y >= 0``, ``sum(y) = d > 0``, ``sum(y a) = 0`` and ``sum(y c) <= 0``."""
-    total = [0] * len(a[0])
-    objective = 0
-    for j, v in y.items():
-        total = [t + v * x for t, x in zip(total, a[j])]
-        objective += v * c[j]
-    if (
-        d <= 0
-        or any(v < 0 for v in y.values())
-        or sum(y.values()) != d
-        or any(total)
-        or objective > 0
-    ):
-        raise AssertionError("Farkas certificate failed its check; the oracle is buggy")
-
-
-# The certificates of a closing pair of rows, y = e_0 + e_1 over d = 2, and
-# of one a = 0 row with c <= 0, y = 2 e_0 over d = 2.
-_PAIR_CERTIFICATES = {(0, 1): {0: 1, 1: 1}, (0, 0): {0: 2}}
 
 
 def feasible_ce_prices(

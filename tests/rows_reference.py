@@ -9,7 +9,8 @@ close early exactly when this reference finds a pair, every row it
 returns must be a row of this system, and a system it does not close
 must equal this one row for row.  Each agent's target bundles come from
 ``reference_better``, a full scan of the ``2^m`` bundles, so that the
-oracle's own ``_MarketRows.better`` can be compared against it too.
+oracle's walk of its preference bitsets is compared against it too,
+order included: the simplex reads the columns in this order.
 """
 
 from __future__ import annotations

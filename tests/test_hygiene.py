@@ -518,3 +518,40 @@ def test_allocations_built_only_for_candidate_pairs():
     }
     allowed = {("pixep", "execute_to_ce"), ("oracle", "ce_exists"), ("cli", "load_candidate")}
     assert found <= allowed
+
+
+# The exact simplex lives in lp alone: every other module solves its linear
+# systems through it.  A fraction-free pivot step divides a difference of
+# two products exactly, ``(e * x - f * z) // d``.
+def pivot_steps(source: str) -> list[int]:
+    """The lines of ``source`` with a floor division of a difference of two
+    products."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (node.left.left, node.left.right)
+        )
+    )
+
+
+def test_pivot_step_scanner_flags_exact_eliminations_only():
+    source = (
+        "row = [(e * x - f * z) // d for x, z in zip(row, pivot)]\n"
+        "half = (a - b) // 2\n"
+        "scaled = e * x // d\n"
+        "cut = (a * b - c) // d\n"
+        "step = (e * x - f * z) / d\n"
+    )
+    assert pivot_steps(source) == [1]
+
+
+def test_only_lp_pivots():
+    found = {p.name: pivot_steps(p.read_text()) for p in MODULES if p.name != "lp.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert pivot_steps((ROOT / "src" / "cefai" / "lp.py").read_text())

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from cefai import cli, core, fairness, instances, market, oracle, pixep, repro, solver
 from cefai.core import all_bundles, random_preference
-from cefai.instances import random_generic_incomes
+from cefai.instances import NAMED_INSTANCES, random_generic_incomes
 from cefai.market import (
     Allocation,
     CEPair,
@@ -428,6 +429,30 @@ class TestIncomeRegion:
         # find a point
         with pytest.raises(ValueError, match=r"constraint row 1 \(.*\) has no positive"):
             IncomeRegion.of(2, [(1, -1), row])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1, -1), (-1, 1)], [(1, -2), (-1, 1)], [("2/3", -1), (-1, "1/2")],
+         [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]],
+    )
+    def test_empty_region_rejected_at_once(self, rows):
+        # every row has a positive coefficient, but no positive incomes
+        # satisfy them together; no draw is made
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="income region is empty"):
+            IncomeRegion.of(len(rows[0]), rows)
+        assert time.perf_counter() - start < 0.01
+
+    def test_boundary_touching_region_accepted(self):
+        # a > b and 2b > a leave the open wedge b < a < 2b
+        region = IncomeRegion.of(2, [(1, -1), (-1, 2)])
+        assert region.contains(IncomeVector.of([3, 2]))
+
+    @pytest.mark.parametrize("name", sorted(NAMED_INSTANCES))
+    def test_named_regions_accepted(self, name):
+        region = NAMED_INSTANCES[name]().region
+        rebuilt = IncomeRegion.of(region.n, region.constraints, region.reference)
+        assert rebuilt == region and rebuilt.contains(region.reference)
 
     def test_reference_below_half_a_grid_step(self):
         region = IncomeRegion.of(

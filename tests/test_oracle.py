@@ -18,10 +18,9 @@ from cefai.market import (
     verify_ce,
 )
 from cefai import oracle, repro
+from cefai.lp import _check_farkas, _dual_simplex
 from cefai.oracle import (
     InstanceTooLargeError,
-    _check_farkas,
-    _dual_simplex,
     _MarketRows,
     _passes_prefilters,
     _slack_rows,
@@ -42,7 +41,7 @@ from conftest import (
 )
 from ce_reference import reference_pareto_improvable, reference_rejecting_rule
 from fm_reference import fm_feasible_ce_prices
-from rows_reference import reference_better, reference_slack_rows
+from rows_reference import reference_slack_rows
 
 
 class TestSingleItem:
@@ -285,7 +284,10 @@ class TestPairCertificate:
 
 class TestRowsAgainstReference:
     """``_slack_rows`` stops at the first pair that closes the system; the
-    reference builds every row first and then looks for a pair."""
+    reference builds every row first and then looks for a pair.  An open
+    system must equal the reference's column for column: its better
+    bundles come from a full scan, in the order the oracle must keep,
+    since Bland's rule reads the columns in that order."""
 
     def test_every_allocation(self, rng):
         seen = Counter()
@@ -296,6 +298,19 @@ class TestRowsAgainstReference:
         # closed on two rows, on one a = 0 row, before some closing row had
         # reached its smallest c, and not closed at all
         assert min(seen[k] for k in ("pair", "zero", "early", "open")) > 0, seen
+
+    @pytest.mark.parametrize("name", sorted(NAMED_INSTANCES))
+    def test_named_instances(self, name):
+        inst = NAMED_INSTANCES[name]()
+        seen = Counter()
+        self.check_market(inst.completed_profile(), inst.reference, seen)
+        assert seen["open"] > 0 and seen["pair"] + seen["zero"] > 0, seen
+
+    def test_six_items(self, rng):
+        seen = Counter()
+        for n in (1, 2, 2, 3):
+            self.check_market(random_profile(rng, 6, n), tied_incomes(rng, n), seen)
+        assert seen["open"] > 0 and seen["pair"] + seen["zero"] > 0, seen
 
     @staticmethod
     def check_market(profile, incomes, seen):
@@ -355,26 +370,6 @@ class TestParetoPrefilter:
                 seen["after 1-2"] += 1
                 seen["n4"] += n == 4
                 seen["tied"] += tied
-
-
-class TestBetterBundles:
-    """``_MarketRows.better`` reads its lists off the preference bitsets;
-    they must be the full scan's, in ascending bitmask order, since an
-    open system reaches the simplex row for row in that order."""
-
-    def test_same_lists_as_a_full_scan(self, rng):
-        markets = [
-            (random_profile(rng, m, n), IncomeVector.of(range(1, n + 1)))
-            for m in range(7)
-            for n in (1, 2, 3)
-        ]
-        for inst in (factory() for factory in NAMED_INSTANCES.values()):
-            markets.append((inst.completed_profile(), inst.reference))
-        for profile, incomes in markets:
-            rows = _MarketRows(profile, incomes)
-            for i, pref in enumerate(profile):
-                for own in range(1 << pref.m):
-                    assert rows.better(i, own) == reference_better(pref, own), (i, own)
 
 
 class TestEnumerationOrder:

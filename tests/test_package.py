@@ -3,7 +3,11 @@ and every docstring example runs as written."""
 
 import doctest
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,7 @@ def test_solve_verify_audit_through_top_level_names():
 
 def test_exports():
     exported = {name for name in vars(cefai) if not name.startswith("_")}
-    submodules = {"cli", "core", "fairness", "instances", "market", "oracle",
+    submodules = {"cli", "core", "fairness", "instances", "lp", "market", "oracle",
                   "pixep", "repro", "solver"}
     assert exported - submodules == {
         "solve", "verify_ce", "ce_exists", "audit_ce_fairness", "NAMED_INSTANCES",
@@ -50,3 +54,15 @@ def test_exports():
 def test_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0
+
+
+def test_runs_as_a_module():
+    # from a checkout, with only the sources on the path
+    src = str(Path(cefai.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "cefai", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: cefai ")
