@@ -210,6 +210,9 @@ def _fraction(value: Any, context: str) -> Fraction:
         raise ParseError(
             f"{context}: floats are not allowed, use exact strings like '27/2'"
         )
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ParseError(f"{context} must be an integer or a string like '27/2', not {kind}")
     text = str(value)
     exponent = _EXPONENT.search(text)
     if exponent:
@@ -218,8 +221,10 @@ def _fraction(value: Any, context: str) -> Fraction:
             raise ParseError(f"{context}: an exponent beyond ±{MAX_DIGITS}")
     try:
         result = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{context}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ParseError(f"{context}: the denominator is zero") from exc
     if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
         raise ParseError(f"{context}: more than {MAX_DIGITS} digits")
     return result
@@ -307,7 +312,9 @@ def load_instance(doc: dict) -> ParsedInstance:
     for i, agent in enumerate(doc["agents"]):
         name = _require_string(agent.get("name", f"agent{i}"), f"the name of agent {i}")
         agent_names.append(name)
-        incomes.append(_fraction(agent.get("income"), f"income of {name}"))
+        if "income" not in agent:
+            raise ParseError(f"agent {name} is missing 'income'")
+        incomes.append(_fraction(agent["income"], f"income of {name}"))
         profile.append(_parse_preference(agent.get("preference"), m, names, name))
     if len(set(agent_names)) != len(agent_names):
         raise ParseError("agent names must be distinct")

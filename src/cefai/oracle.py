@@ -59,7 +59,10 @@ then each agent's better bundles, read straight off a preference bitset
 simplex's columns are the distinct rows in the order they first appear.
 That order is fixed, not a free choice: Bland's rule reads the columns
 in insertion order, so another order can take another pivot path, and
-with it another certificate and other witness prices.
+with it another certificate and other witness prices.  Each row's ``a``
+comes from a table per set of free items (``_row_vectors``, 4^m vectors
+in all), keyed by the item structure alone as ``_bundle_sets`` is: a
+key's vector depends on neither the preferences nor the incomes.
 
 Most infeasible systems are closed by two rows alone, while the rows
 are still being built: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
@@ -78,14 +81,16 @@ rounded, so boundary cases can never be fabricated or lost.
 Three cheap necessary conditions prune allocations before any row is
 built; each is a provable consequence of the full system, so pruning
 never changes the answer, the first witness or its prices.  Two compare
-the scaled integer incomes.  The third is Pareto efficiency, which every
-equilibrium has: no two agents i and j can share ``U = X_i ∪ X_j`` out
-anew so that both gain, and i cannot split U into two halves it both
-prefers to ``X_i`` when j's income is at most i's.  In the oracle's
-terms, every solution with ``s > 0`` prices a subset y of U that i
-prefers at ``s <= p(y) - t_i`` and a ``U - y`` that j prefers at
-``s <= p(U - y) - t_j`` (a row of the system, or implied by the floor
-rows when the bundle holds the own one); the two sum to
+the scaled integer incomes; the first, which needs each item to cost
+more than an empty-handed agent's income, is skipped when no bundle is
+empty, since it then has no income to compare.  The third is Pareto
+efficiency, which every equilibrium has: no two agents i and j can share
+``U = X_i ∪ X_j`` out anew so that both gain, and i cannot split U into
+two halves it both prefers to ``X_i`` when j's income is at most i's.
+In the oracle's terms, every solution with ``s > 0`` prices a subset y
+of U that i prefers at ``s <= p(y) - t_i`` and a ``U - y`` that j
+prefers at ``s <= p(U - y) - t_j`` (a row of the system, or implied by
+the floor rows when the bundle holds the own one); the two sum to
 ``2s <= p(U) - t_i - t_j``, which is at most 0 since the budgets give
 ``p(U) <= t_i + t_j``.  For a split both rows carry ``t_i``, and the sum
 ``2s <= p(U) - 2 t_i`` is at most ``t_j - t_i <= 0``.  Each agent's
@@ -128,14 +133,15 @@ class _MarketRows:
     for bundle ``y``) of those the agent ranks above ``r``.  Agents with
     different item universes are refused.
 
-    ``sub[U]`` is the bitset of the subsets of ``U``, and ``blocks[low]``
-    the bitset of the bundles that contain the item with bit ``low``;
-    both depend on m alone.  An agent's better bundles that do not
-    contain its own bundle X (one that does costs more than the income
-    anyway) are the bitset ``above[rank[X]] & ~(sub[full ^ X] << X)``:
-    the supersets of X are X joined with the subsets of its complement,
-    and joining a disjoint X is adding X, a shift of the bitset by X bit
-    positions.  ``_slack_rows`` walks that bitset, lowest bit first.
+    ``pairs`` lists prefilter (3)'s tests: for each agent i, a re-split
+    with every later agent, then a split with every poorer one.  ``sub``
+    and ``flips`` (``_bundle_sets``) depend on m alone.  An agent's
+    better bundles that do not contain its own bundle X (one that does
+    costs more than the income anyway) are the bitset
+    ``above[rank[X]] & ~(sub[full ^ X] << X)``: the supersets of X are
+    X joined with the subsets of its complement, and joining a disjoint
+    X is adding X, a shift of the bitset by X bit positions.
+    ``_slack_rows`` walks that bitset, lowest bit first.
     """
 
     def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
@@ -148,7 +154,11 @@ class _MarketRows:
             [j for j, t in enumerate(self.income) if j != i and t <= own]
             for i, own in enumerate(self.income)
         ]
-        self.sub, self.blocks = _bundle_sets(self.m)
+        self.pairs = []
+        for i, poorer in enumerate(self.poorer):
+            self.pairs += [(i, j, False) for j in range(i + 1, len(profile))]
+            self.pairs += [(i, j, True) for j in poorer]
+        self.sub, self.flips = _bundle_sets(self.m)
         self.above = [_above(pref) for pref in profile]
 
 
@@ -164,9 +174,10 @@ def _above(pref: PreferenceOrder) -> list[int]:
 
 
 @cache
-def _bundle_sets(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+def _bundle_sets(m: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """``sub[U]``, the bitset of the subsets of U for every bundle U, and
-    ``blocks[1 << g]``, the bitset of the bundles that contain item g.
+    ``flips[U]``, one ``(1 << g, block)`` per item g of U, with ``block``
+    the bitset of the bundles that contain item g.
 
     The subsets of U that contain its highest item g are those of
     ``U - {g}`` shifted up by ``2^g`` bit positions."""
@@ -174,24 +185,19 @@ def _bundle_sets(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     for g in range(m):
         sub += [bits | bits << (1 << g) for bits in sub]
     full = (1 << m) - 1
-    return tuple(sub), {1 << g: sub[full] ^ sub[full ^ 1 << g] for g in range(m)}
+    steps = [(1 << g, sub[full] ^ sub[full ^ 1 << g]) for g in range(m)]
+    return tuple(sub), tuple(tuple(st for st in steps if st[0] & u) for u in range(full + 1))
 
 
-def _flip(bits: int, u: Bundle, blocks: dict[int, int]) -> int:
-    """``{y ^ u : y in bits}``: for each item of u, the bundles holding it
-    swap places with those that lack it, one block shift each."""
-    while u:
-        low = u & -u
-        u ^= low
-        block = blocks[low]
-        bits = (bits & block) >> low | (bits << low) & block
-    return bits
-
-
-def _row_vectors(keys, items: list[int], m: int) -> list[list[int]]:
-    """The vectors ``a`` over the free items of packed row keys: the items
-    with coefficient +1, then those with -1 shifted by m."""
-    return [[(key >> j & 1) - (key >> (m + j) & 1) for j in items] for key in keys]
+@cache
+def _row_vectors(free: Bundle, m: int) -> dict[int, list[int]]:
+    """Each packed row key over the items of ``free`` (+1 items, then -1
+    items shifted by m) and its ``a``, shared: callers must not modify it."""
+    vectors = {0: []}
+    for j in items_of(free):
+        signs = ((0, 0), (1 << j, 1), (1 << (m + j), -1))
+        vectors = {key | bit: [*a, v] for key, a in vectors.items() for bit, v in signs}
+    return vectors
 
 
 def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
@@ -200,16 +206,16 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
 
     Returns ``(items, bundles, a, c, pair)``: the free items ascending,
     the non-empty bundles as (lowest item bit, other items, scaled
-    income), and rows.  Each time a row is added or its ``c`` lowered,
-    its opposite (``a_r = -a_r'``) is looked up.  As soon as the two have
-    ``c_r + c_r' <= 0`` (an ``a = 0`` row with ``c <= 0`` is its own
-    opposite), the build stops: ``a`` and ``c`` hold just those rows and
-    ``pair`` is ``(0, 1)``, or ``(0, 0)`` for one row.  Otherwise ``pair``
-    is None, and ``a`` and ``c`` hold, per distinct ``a``, the vector over
-    the free items with its smallest ``c``.  Column 0 is then ``a = 0``
-    (the cap ``s <= 1`` among others) and column ``1 + f`` is ``a = e_f``
-    (the floor row of the f-th free item), which gives the simplex its
-    starting basis.
+    income), and rows (each ``a`` shared, read-only).  Each time a row is
+    added or its ``c`` lowered, its opposite (``a_r = -a_r'``) is looked
+    up.  As soon as the two have ``c_r + c_r' <= 0`` (an ``a = 0`` row
+    with ``c <= 0`` is its own opposite), the build stops: ``a`` and ``c``
+    hold just those rows and ``pair`` is ``(0, 1)``, or ``(0, 0)`` for one
+    row.  Otherwise ``pair`` is None, and ``a`` and ``c`` hold, per
+    distinct ``a``, the vector over the free items with its smallest
+    ``c``.  Column 0 is then ``a = 0`` (the cap ``s <= 1`` among others)
+    and column ``1 + f`` is ``a = e_f`` (the floor row of the f-th free
+    item), which gives the simplex its starting basis.
 
     No closing pair is missed: a row's ``c`` only ever decreases, so a
     pair that closes the whole system is seen when the later of its two
@@ -240,6 +246,7 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
         elif t > floor:
             floor = t
     items = items_of(free)
+    vectors = _row_vectors(free, m)
 
     # Row key: the items with coefficient +1 in a, then those with -1
     # shifted by m; the cap and the floors go in first, in column order.
@@ -266,9 +273,9 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
                 other = best.get(opposite)
                 if other is not None and c + other <= 0:
                     keys = (key,) if key == opposite else (key, opposite)
-                    a = _row_vectors(keys, items, m)
+                    a = [vectors[k] for k in keys]
                     return items, bundles, a, [best[k] for k in keys], (0, len(keys) - 1)
-    return items, bundles, _row_vectors(best, items, m), list(best.values()), None
+    return items, bundles, [vectors[k] for k in best], list(best.values()), None
 
 
 def feasible_ce_prices(
@@ -327,13 +334,13 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
     for a re-split and to ``2s <= p(U) - 2 t_i <= t_j - t_i <= 0`` for a
     split (the budgets give ``p(U) <= t_i + t_j``), so neither system
     admits ``s > 0``.  ``gain & sub[U]`` is the bitset of the subsets of
-    U an agent prefers to its own bundle, and ``_flip`` maps each y to
-    ``U - y``.
+    U an agent prefers to its own bundle, and the block swaps of
+    ``flips[U]`` map each y to ``U - y``: the bundles holding each item
+    swap places with those that lack it.
     """
     income = rows.income
-    empty = [income[i] for i, own in enumerate(masks) if own == 0]
-    if empty:
-        floor = max(empty)
+    if 0 in masks:
+        floor = max([income[i] for i, own in enumerate(masks) if own == 0])
         for j, own in enumerate(masks):
             if own and income[j] <= own.bit_count() * floor:
                 return False
@@ -345,19 +352,15 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
             if rank[masks[j]] > own_rank:
                 return False
         gains.append(rows.above[i][own_rank])
-    sub = rows.sub
-    blocks = rows.blocks
-    for i, own in enumerate(masks):
-        gain = gains[i]
-        for j in range(i + 1, len(masks)):
-            u = own | masks[j]
-            mine = gain & sub[u]
-            if mine and mine & _flip(gains[j] & sub[u], u, blocks):
-                return False
-        for j in rows.poorer[i]:
-            u = own | masks[j]
-            mine = gain & sub[u]
-            if mine and mine & _flip(mine, u, blocks):
+    sub, flips = rows.sub, rows.flips
+    for i, j, split in rows.pairs:
+        u = masks[i] | masks[j]
+        mine = gains[i] & sub[u]
+        if mine:
+            bits = mine if split else gains[j] & sub[u]
+            for low, block in flips[u]:
+                bits = (bits & block) >> low | (bits << low) & block
+            if mine & bits:
                 return False
     return True
 

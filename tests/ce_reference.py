@@ -282,11 +282,3 @@ def reference_rejecting_rule(
         return 3
     return None
 
-
-def reference_passes_prefilters(
-    profile: Sequence[PreferenceOrder],
-    incomes: IncomeVector,
-    masks: Sequence[Bundle],
-) -> bool:
-    """True iff the allocation passes all three of the oracle's prefilters."""
-    return reference_rejecting_rule(profile, incomes, masks) is None

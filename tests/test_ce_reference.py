@@ -16,7 +16,7 @@ from cefai.oracle import _MarketRows, _passes_prefilters, ce_exists
 from ce_reference import (
     bundle_price,
     reference_audit_ce_fairness,
-    reference_passes_prefilters,
+    reference_rejecting_rule,
     reference_verify_ce,
 )
 from conftest import every_allocation, random_profile, tied_incomes
@@ -121,16 +121,35 @@ def _prefilter_markets():
 
 
 class TestPrefiltersAgainstReference:
+    """``_passes_prefilters`` gives the verdict of rules 1-3 as the
+    reference restates them from the profile, the incomes and the masks
+    alone, on every allocation: one that rejected fewer allocations, or
+    more, fails here, while the answers alone would not show it."""
+
     def test_same_verdict_on_every_allocation(self):
         verdicts = Counter()
-        tied = 0
+        tied = Counter()
+        tied_markets = 0
         for profile, incomes in _prefilter_markets():
             rows = _MarketRows(profile, incomes)
-            tied += len(set(incomes)) < len(incomes)
-            for alloc in every_allocation(profile[0].m, len(profile)):
+            cell = profile[0].m, len(profile)
+            tied_markets += len(set(incomes)) < len(incomes)
+            for alloc in every_allocation(*cell):
                 got = _passes_prefilters(rows, alloc.bundles)
-                want = reference_passes_prefilters(profile, incomes, alloc.bundles)
-                assert got == want, (list(incomes), alloc.bundles)
-                verdicts[got] += 1
-        assert verdicts[True] > 500 and verdicts[False] > 5000
-        assert tied >= 40
+                rule = reference_rejecting_rule(profile, incomes, alloc.bundles)
+                assert got == (rule is None), (list(incomes), alloc.bundles)
+                verdicts[rule, 0 in alloc.bundles] += 1
+                if len(set(incomes)) < len(incomes):
+                    tied[cell, got] += 1
+        passes = verdicts[None, False] + verdicts[None, True]
+        assert passes > 500 and verdicts.total() - passes > 5000, verdicts
+        assert tied_markets >= 40
+        # every rule rejects, and allocations pass, with and without an
+        # empty bundle (rule 1 needs one)
+        assert set(verdicts) == {
+            (rule, empty) for rule in (None, 2, 3) for empty in (False, True)
+        } | {(1, True)}, verdicts
+        assert verdicts[None, False] > 150 and verdicts[None, True] > 150, verdicts
+        # both verdicts under tied incomes in the cells the census reaches
+        for cell in [(3, 4), (4, 3), (4, 4), (5, 2), (5, 3)]:
+            assert tied[cell, True] and tied[cell, False], (cell, tied)

@@ -358,6 +358,40 @@ class TestInstanceFiles:
         with pytest.raises(ParseError):
             load_instance(doc)
 
+    @pytest.mark.parametrize(
+        "value, fault",
+        [
+            (None, " must be an integer or a string like '27/2', not null"),
+            ([16], " must be an integer or a string like '27/2', not an array"),
+            ({"v": 16}, " must be an integer or a string like '27/2', not an object"),
+            (True, " must be an integer or a string like '27/2', not a boolean"),
+            ("16/0", ": the denominator is zero"),
+        ],
+        ids=["null", "array", "object", "boolean", "zero-denominator"],
+    )
+    def test_rational_faults_are_named(self, tmp_path, capsys, value, fault):
+        doc = aba_instance()
+        doc["agents"][0]["income"] = value
+        path = write(tmp_path, "instance.json", doc)
+        assert main(["solve", path]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: income of Alice{fault}\n"
+        doc = aba_instance()
+        doc["agents"][1]["preference"] = {"additive": ["2", value, "1"]}
+        with pytest.raises(ParseError) as info:
+            load_instance(doc)
+        assert str(info.value) == f"agent Bob additive value{fault}"
+        candidate = {"prices": {"x": "6", "y": value, "z": "7/2"},
+                     "allocation": {"Alice": "yz", "Bob": "x"}}
+        with pytest.raises(ParseError) as info:
+            load_candidate(candidate, load_instance(aba_instance()))
+        assert str(info.value) == f"price of y{fault}"
+
+    def test_missing_income_is_named(self, tmp_path, capsys):
+        doc = aba_instance()
+        del doc["agents"][2]["income"]
+        assert main(["solve", write(tmp_path, "instance.json", doc)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: agent Carl is missing 'income'\n"
+
     def test_ranking_and_additive_preferences(self):
         doc = {
             "items": ["x", "y"],

@@ -509,6 +509,33 @@ class TestPinnedWitnesses:
         )
 
 
+_COLUMN_ORDER_CELLS = [(5, 2), (5, 3), (6, 2)]
+
+
+@pytest.fixture(scope="module")
+def column_order_lines():
+    lines = []
+    for m, n in _COLUMN_ORDER_CELLS:
+        rng = random.Random(f"pinned-column-order:{m}:{n}")
+        for _ in range(300):
+            lines.append(_witness_line(m, n, random_profile(rng, m, n), tied_incomes(rng, n)))
+    return lines
+
+
+class TestPinnedColumnOrder:
+    """``ce_exists`` output on a second fixed corpus, large enough that
+    the simplex's column order shows in the witness prices: walking the
+    positivity targets in ascending bundle order instead of agent order
+    keeps every answer and allocation here but changes the prices of five
+    witnesses, which ``TestPinnedWitnesses``' corpus does not show."""
+
+    def test_digest(self, column_order_lines):
+        digest = hashlib.sha256("\n".join(column_order_lines).encode()).hexdigest()
+        assert digest == (
+            "688aeda40594e30eceaca01ae2491586a082b7c0ca5bc41d363fa702930e9d9e"
+        )
+
+
 class TestScaleEquivariance:
     def test_existence_and_scaled_witness(self, rng):
         factor = Fraction(5, 3)
