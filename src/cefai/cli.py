@@ -190,18 +190,20 @@ _JSON_TYPES = {
 }
 
 
+def _json_type(value: Any) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _require_string(value: Any, context: str) -> str:
     if not isinstance(value, str):
-        kind = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise ParseError(f"{context} must be a string, not {kind}")
+        raise ParseError(f"{context} must be a string, not {_json_type(value)}")
     return value
 
 
 def _require_list(value: Any, context: str) -> list:
     # a string would otherwise be read character by character
     if not isinstance(value, list):
-        kind = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise ParseError(f"{context} must be an array, not {kind}")
+        raise ParseError(f"{context} must be an array, not {_json_type(value)}")
     return value
 
 
@@ -211,7 +213,7 @@ def _fraction(value: Any, context: str) -> Fraction:
             f"{context}: floats are not allowed, use exact strings like '27/2'"
         )
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        kind = _json_type(value)
         raise ParseError(f"{context} must be an integer or a string like '27/2', not {kind}")
     text = str(value)
     exponent = _EXPONENT.search(text)
@@ -230,7 +232,7 @@ def _fraction(value: Any, context: str) -> Fraction:
     return result
 
 
-def _chain_element(element: Any, m: int, names: Sequence[str]) -> list[Bundle]:
+def _chain_element(element: Any, m: int, names: Sequence[str], agent: str) -> list[Bundle]:
     if isinstance(element, str):
         return [parse_bundle(element, names)]
     if isinstance(element, list):
@@ -238,13 +240,15 @@ def _chain_element(element: Any, m: int, names: Sequence[str]) -> list[Bundle]:
     if isinstance(element, dict) and "size" in element:
         size = element["size"]
         if type(size) is not int:  # not a bool or a float either
-            raise ParseError("a chain element's size must be an integer such as 2")
+            kind = _json_type(size)
+            raise ParseError(f"agent {agent}: a chain size must be an integer, not {kind}")
         excluded = {
             parse_bundle(text, names)
-            for text in _require_list(element.get("except", []), "'except'")
+            for text in _require_list(element.get("except", []), f"agent {agent}: 'except'")
         }
         return [b for b in subsets_of_size(m, size) if b not in excluded]
-    raise ParseError(f"bad chain element {element!r}")
+    kind = "an object without 'size'" if isinstance(element, dict) else _json_type(element)
+    raise ParseError(f"agent {agent}: a chain element must be a bundle or an array, not {kind}")
 
 
 def _parse_preference(doc: Any, m: int, names: Sequence[str], agent: str) -> PreferenceOrder:
@@ -266,7 +270,7 @@ def _parse_preference(doc: Any, m: int, names: Sequence[str], agent: str) -> Pre
             if not isinstance(spec, dict):
                 raise ParseError(f"agent {agent}: 'partial' must be an object")
             chain = _require_list(spec.get("chain", []), f"agent {agent}: 'chain'")
-            pairs = chain_pairs([_chain_element(e, m, names) for e in chain])
+            pairs = chain_pairs([_chain_element(e, m, names, agent) for e in chain])
             for pair in _require_list(spec.get("pairs", []), f"agent {agent}: 'pairs'"):
                 if len(_require_list(pair, f"agent {agent}: a pair")) != 2:
                     raise ParseError(f"agent {agent}: a pair is [better, worse]")
@@ -277,7 +281,7 @@ def _parse_preference(doc: Any, m: int, names: Sequence[str], agent: str) -> Pre
         raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"agent {agent}: {exc}") from exc
-    raise ParseError(f"agent {agent}: unknown preference kind {set(doc)}")
+    raise ParseError(f"agent {agent}: unknown preference kind {next(iter(doc))!r}")
 
 
 def load_instance(doc: dict) -> ParsedInstance:

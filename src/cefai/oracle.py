@@ -64,8 +64,8 @@ comes from a table per set of free items (``_row_vectors``, 4^m vectors
 in all), keyed by the item structure alone as ``_bundle_sets`` is: a
 key's vector depends on neither the preferences nor the incomes.
 
-Most infeasible systems are closed by two rows alone, while the rows
-are still being built: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
+An infeasible system can close on two rows alone, while the rows are
+still being built: rows ``r`` and ``r'`` with ``a_r = -a_r'`` and
 ``c_r + c_r' <= 0``, or one row with ``a = 0`` and ``c <= 0`` (the same
 row taken twice).  Then ``y = e_r + e_r'`` over ``d = 2`` is a Farkas
 certificate, since every solution has
@@ -79,24 +79,29 @@ integer check before an allocation counts as infeasible, just as
 rounded, so boundary cases can never be fabricated or lost.
 
 Three cheap necessary conditions prune allocations before any row is
-built; each is a provable consequence of the full system, so pruning
-never changes the answer, the first witness or its prices.  Two compare
-the scaled integer incomes; the first, which needs each item to cost
-more than an empty-handed agent's income, is skipped when no bundle is
-empty, since it then has no income to compare.  The third is Pareto
-efficiency, which every equilibrium has: no two agents i and j can share
-``U = X_i ∪ X_j`` out anew so that both gain, and i cannot split U into
-two halves it both prefers to ``X_i`` when j's income is at most i's.
-In the oracle's terms, every solution with ``s > 0`` prices a subset y
-of U that i prefers at ``s <= p(y) - t_i`` and a ``U - y`` that j
-prefers at ``s <= p(U - y) - t_j`` (a row of the system, or implied by
-the floor rows when the bundle holds the own one); the two sum to
-``2s <= p(U) - t_i - t_j``, which is at most 0 since the budgets give
-``p(U) <= t_i + t_j``.  For a split both rows carry ``t_i``, and the sum
-``2s <= p(U) - 2 t_i`` is at most ``t_j - t_i <= 0``.  Each agent's
-preferences are held as one bitset per rank over the ``2^m`` bundles,
-so a pair is tested with a few integer operations per item of U
-(``_passes_prefilters``).
+built (``_passes_prefilters``).  Each has a certificate of one or two
+rows of its own, so pruning never changes the answer, the first witness
+or its prices.  (1) needs each item to cost more than an empty-handed
+agent's income, and is skipped when no bundle is empty.  (2) and (3)
+read the union U of the bundles of an owner set K, which the budgets
+price at ``p(U) <= Σ_K t_k`` (an empty bundle costs nothing).  (2): an
+agent i outside K that prefers U to ``X_i`` has the row
+``s <= p(U) - t_i``, an ``a = 0`` row with ``c <= 0`` if
+``Σ_K t_k <= t_i``.  (3): agents i and j (i = j allowed, and j may hold
+nothing) cannot each gain a part of a split of U if
+``Σ_K t_k <= t_i + t_j``: the row ``s <= p(y) - t_i`` of a part y that
+i prefers to ``X_i`` and the row ``s <= p(U - y) - t_j`` of the rest,
+which j prefers to ``X_j``, sum to ``2s <= Σ_K t_k - t_i - t_j <= 0``.
+Each is a row of the system, or is implied by the floor rows when the
+part holds the agent's own bundle: the part then costs that bundle's
+price plus at least one item, and every item costs at least ``s`` plus
+the floor, which no empty-handed agent's income exceeds.  Pareto
+efficiency is the case ``K = {i, j}``: a re-split, or a split that i
+takes both halves of when ``t_j <= t_i``.  A larger K holds every trade
+of a smaller one for the same i and j, as preferences are monotone, so
+only the largest that fit are tested.  Each agent's preferences are one
+bitset per rank over the ``2^m`` bundles, so a trade is tested with a
+few integer operations per item of U.
 """
 
 from __future__ import annotations
@@ -133,10 +138,12 @@ class _MarketRows:
     for bundle ``y``) of those the agent ranks above ``r``.  Agents with
     different item universes are refused.
 
-    ``pairs`` lists prefilter (3)'s tests: for each agent i, a re-split
-    with every later agent, then a split with every poorer one.  ``sub``
-    and ``flips`` (``_bundle_sets``) depend on m alone.  An agent's
-    better bundles that do not contain its own bundle X (one that does
+    ``joins`` lists rule (2)'s owner sets K (bitsets over the agents) of
+    two or more bundles whose income sum ``cost[K]`` fits, and ``trades``
+    rule (3)'s ``(i, j, K)`` whose K fits and stops fitting with any one
+    more owner (``spare[K]``, the least income outside K).  ``sub``,
+    ``flips`` and ``_trades`` depend on m or n alone.  An agent's better
+    bundles that do not contain its own bundle X (one that does
     costs more than the income anyway) are the bitset
     ``above[rank[X]] & ~(sub[full ^ X] << X)``: the supersets of X are
     X joined with the subsets of its complement, and joining a disjoint
@@ -154,10 +161,18 @@ class _MarketRows:
             [j for j, t in enumerate(self.income) if j != i and t <= own]
             for i, own in enumerate(self.income)
         ]
-        self.pairs = []
-        for i, poorer in enumerate(self.poorer):
-            self.pairs += [(i, j, False) for j in range(i + 1, len(profile))]
-            self.pairs += [(i, j, True) for j in poorer]
+        cost, spare = [0], [sum(self.income)]
+        for t in self.income:
+            cost += [c + t for c in cost]
+            spare = [min(s, t) for s in spare] + spare
+        self.joins = [
+            (i, k) for i, t in enumerate(self.income) for k in range(len(cost))
+            if k & (k - 1) and not k >> i & 1 and cost[k] <= t
+        ]
+        self.trades = [
+            (i, j, k) for i, j, k in _trades(len(profile))
+            if cost[k] <= self.income[i] + self.income[j] < cost[k] + spare[k]
+        ]
         self.sub, self.flips = _bundle_sets(self.m)
         self.above = [_above(pref) for pref in profile]
 
@@ -190,6 +205,17 @@ def _bundle_sets(m: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], 
 
 
 @cache
+def _trades(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Rule (3)'s ``(i, j, K)`` over n agents, i <= j and K not within {i}
+    or {j}, likeliest first: re-splits, then splits of one other bundle."""
+    shapes = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(1, 1 << n)]
+    return tuple(sorted(
+        [(i, j, k) for i, j, k in shapes if k & ~(1 << i) and k & ~(1 << j)],
+        key=lambda s: (s[2] != 1 << s[0] | 1 << s[1], s[0] != s[1] or s[2].bit_count() > 1),
+    ))
+
+
+@cache
 def _row_vectors(free: Bundle, m: int) -> dict[int, list[int]]:
     """Each packed row key over the items of ``free`` (+1 items, then -1
     items shifted by m) and its ``a``, shared: callers must not modify it."""
@@ -219,7 +245,8 @@ def _slack_rows(rows: _MarketRows, masks: Sequence[Bundle]):
 
     No closing pair is missed: a row's ``c`` only ever decreases, so a
     pair that closes the whole system is seen when the later of its two
-    rows reaches its final ``c``.
+    rows reaches its final ``c``.  Behind ``_passes_prefilters`` this is
+    the fallback for the pairs outside its shapes.
     """
     m = rows.m
     half = (1 << m) - 1
@@ -318,25 +345,22 @@ def feasible_ce_prices(
 
 def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
     """Cheap necessary conditions for equilibrium feasibility, decided on
-    the scaled integer incomes and the preference bitsets.
+    the scaled integer incomes and the preference bitsets; the module
+    docstring derives the certificate of each.
 
     (1) every item must cost more than any empty-handed agent's income,
     so a k-item bundle's owner needs an income above k times that;
-    (2) an agent never affords another's bundle priced at a smaller or
-    equal income, so preferring it is immediately fatal (the empty
-    bundle ranks lowest, so it is never preferred); and
-    (3) no two agents i and j can improve on their bundles by sharing
-    ``U = X_i ∪ X_j`` out anew, since every equilibrium is Pareto
-    efficient.  Rejected are a re-split, a subset ``y`` of U that i
-    prefers to ``X_i`` while j prefers ``U - y`` to ``X_j``, and, when
-    ``t_j <= t_i``, a split whose two halves i both prefers to ``X_i``.
-    The two rows these stand for sum to ``2s <= p(U) - t_i - t_j <= 0``
-    for a re-split and to ``2s <= p(U) - 2 t_i <= t_j - t_i <= 0`` for a
-    split (the budgets give ``p(U) <= t_i + t_j``), so neither system
-    admits ``s > 0``.  ``gain & sub[U]`` is the bitset of the subsets of
-    U an agent prefers to its own bundle, and the block swaps of
-    ``flips[U]`` map each y to ``U - y``: the bundles holding each item
-    swap places with those that lack it.
+    (2) no agent prefers to its own bundle the bundle of an agent with at
+    most its income (the empty bundle ranks lowest, so it is never
+    preferred), or the union of ``rows.joins``' owner sets K with
+    ``Σ_K t_k`` at most its income; and
+    (3) for no ``(i, j, K)`` of ``rows.trades`` do i and j each prefer a
+    part of a split of ``U = ∪_K X_k``.  ``gain & sub[U]`` is the bitset
+    of the subsets of U an agent prefers to its own bundle; i needs one
+    besides U, whose rest is empty.  The block swaps of ``flips[U]`` map each
+    y to ``U - y``: the bundles holding each item swap places with those
+    that lack it.  The unions of every agent set are built only for an
+    allocation that passes (1) and (2)'s single bundles.
     """
     income = rows.income
     if 0 in masks:
@@ -352,12 +376,18 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
             if rank[masks[j]] > own_rank:
                 return False
         gains.append(rows.above[i][own_rank])
+    unions = [0]
+    for own in masks:
+        unions += [u | own for u in unions]
+    for i, k in rows.joins:
+        if gains[i] >> unions[k] & 1:
+            return False
     sub, flips = rows.sub, rows.flips
-    for i, j, split in rows.pairs:
-        u = masks[i] | masks[j]
+    for i, j, k in rows.trades:
+        u = unions[k]
         mine = gains[i] & sub[u]
-        if mine:
-            bits = mine if split else gains[j] & sub[u]
+        if mine & (mine - 1):
+            bits = mine if i == j else gains[j] & sub[u]
             for low, block in flips[u]:
                 bits = (bits & block) >> low | (bits << low) & block
             if mine & bits:

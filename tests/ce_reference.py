@@ -229,10 +229,11 @@ def reference_pareto_improvable(
     incomes: IncomeVector,
     masks: Sequence[Bundle],
 ) -> bool:
-    """Prefilter (3): two agents i and j could share ``U = X_i ∪ X_j`` out
-    anew so that i gets a subset y of U it prefers to ``X_i`` and either
-    j gets ``U - y`` and prefers it to ``X_j``, or j's income is at most
-    i's and i also prefers ``U - y`` to ``X_i``."""
+    """Prefilter (3) as it read before unions of whole bundles: two agents
+    i and j could share ``U = X_i ∪ X_j`` out anew so that i gets a subset
+    y of U it prefers to ``X_i`` and either j gets ``U - y`` and prefers it
+    to ``X_j``, or j's income is at most i's and i also prefers ``U - y``
+    to ``X_i``."""
     for i, pref in enumerate(profile):
         own_rank = pref.rank[masks[i]]
         for j, other in enumerate(profile):
@@ -250,35 +251,96 @@ def reference_pareto_improvable(
     return False
 
 
+#: The shapes prefilters (1)-(3) took before unions of whole bundles.
+PARENT_SHAPES = {"floor", "one bundle", "re-split", "split"}
+
+
+def _shapes(profile, incomes, masks):
+    """The oracle's prefilter shapes as (rule, shape, fails), ``fails()``
+    deciding whether the allocation fails the shape.  The shapes of
+    ``PARENT_SHAPES`` come first, so that a later one is the first to
+    fail only where unions of whole bundles alone reject.
+
+    (1) every item must cost more than any empty-handed agent's income,
+    so a k-item bundle's owner needs an income above k times that;
+    (2) an agent i never affords the union of the bundles of an owner set
+    K without i whose incomes sum to at most i's, since the budgets price
+    that union at the sum, so preferring it to ``X_i`` is fatal; and
+    (3) no agents i and j (the same agent, or one that holds nothing,
+    allowed) can each gain a part of a split of such a union, ``y`` for i
+    and ``U - y`` for j, when K's incomes sum to at most ``t_i + t_j``.
+    Each is read from the profile, the incomes and the masks, over every
+    owner set K and every subset y, one comparison at a time.
+    """
+    m, agents = profile[0].m, range(len(masks))
+    owner_sets = [K for size in agents for K in combinations(agents, size + 1)]
+
+    def floor_fails():
+        empty_income = [incomes[i] for i in agents if masks[i] == 0]
+        return bool(empty_income) and any(
+            own and incomes[j] <= own.bit_count() * max(empty_income)
+            for j, own in enumerate(masks)
+        )
+
+    def union(K):
+        return sum(masks[k] for k in K)  # the bundles are disjoint
+
+    def cost(K):
+        return sum((incomes[k] for k in K), Fraction(0))
+
+    def gains(i, y):
+        return profile[i].rank[y] > profile[i].rank[masks[i]]
+
+    def affords_better(K):
+        return any(i not in K and cost(K) <= incomes[i] and gains(i, union(K)) for i in agents)
+
+    def trades(i, j, K):
+        u = union(K)
+        return cost(K) <= incomes[i] + incomes[j] and any(
+            gains(i, y) and gains(j, u & ~y) for y in all_bundles(m) if not y & ~u
+        )
+
+    pairs = [(i, j) for i in agents for j in agents]
+    return [
+        (1, "floor", floor_fails),
+        (2, "one bundle", lambda: any(affords_better((k,)) for k in agents)),
+        (3, "re-split", lambda: any(trades(i, j, (i, j)) for i, j in pairs if i != j)),
+        (3, "split", lambda: any(trades(i, i, (i, k)) for i, k in pairs if i != k)),
+        *[
+            (2, f"union of {size}", lambda size=size: any(
+                affords_better(K) for K in owner_sets if len(K) == size
+            ))
+            for size in (2, 3)
+        ],
+        (3, "split of another bundle", lambda: any(
+            trades(i, i, (k,)) for i, k in pairs if i != k
+        )),
+        (3, "empty-handed", lambda: any(
+            trades(i, j, K) for i, j in pairs for K in owner_sets if i != j and masks[j] == 0
+        )),
+        (3, "other", lambda: any(trades(i, j, K) for i, j in pairs for K in owner_sets)),
+    ]
+
+
+def reference_rejecting_shape(
+    profile: Sequence[PreferenceOrder],
+    incomes: IncomeVector,
+    masks: Sequence[Bundle],
+) -> tuple[int, str] | None:
+    """The first prefilter shape the allocation fails, as (rule, shape),
+    or None; see :func:`_shapes`."""
+    return next(
+        ((rule, shape) for rule, shape, fails in _shapes(profile, incomes, masks) if fails()),
+        None,
+    )
+
+
 def reference_rejecting_rule(
     profile: Sequence[PreferenceOrder],
     incomes: IncomeVector,
     masks: Sequence[Bundle],
 ) -> int | None:
-    """The first of the oracle's prefilters the allocation fails, or None.
-
-    (1) every item must cost more than any empty-handed agent's income,
-    so a k-item bundle's owner needs an income above k times that;
-    (2) an agent never affords another's bundle priced at a smaller or
-    equal income, so preferring it is immediately fatal; and
-    (3) no two agents can both gain, or one gain twice over a poorer
-    one, by sharing their bundles out anew
-    (``reference_pareto_improvable``).
-    """
-    empty_income = [incomes[i] for i in range(len(masks)) if masks[i] == 0]
-    if empty_income:
-        floor = max(empty_income)
-        for j, own in enumerate(masks):
-            if own and incomes[j] <= own.bit_count() * floor:
-                return 1
-    for i, pref in enumerate(profile):
-        own_rank = pref.rank[masks[i]]
-        for j, other in enumerate(masks):
-            if j == i or other == 0:
-                continue
-            if incomes[j] <= incomes[i] and pref.rank[other] > own_rank:
-                return 2
-    if reference_pareto_improvable(profile, incomes, masks):
-        return 3
-    return None
-
+    """The first of the oracle's prefilters (1)-(3) the allocation fails,
+    or None; see :func:`_shapes`."""
+    shapes = sorted(_shapes(profile, incomes, masks), key=lambda shape: shape[0])
+    return next((rule for rule, _, fails in shapes if fails()), None)

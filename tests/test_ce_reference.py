@@ -11,12 +11,14 @@ from cefai.core import item_names
 from cefai.fairness import audit_ce_fairness
 from cefai.market import Allocation, CEPair, IncomeVector, PriceVector, verify_ce
 from cefai.instances import NAMED_INSTANCES
-from cefai.oracle import _MarketRows, _passes_prefilters, ce_exists
+from cefai.lp import _PAIR_CERTIFICATES, _check_farkas, _dual_simplex
+from cefai.oracle import _MarketRows, _passes_prefilters, _slack_rows, ce_exists
 
 from ce_reference import (
+    PARENT_SHAPES,
     bundle_price,
     reference_audit_ce_fairness,
-    reference_rejecting_rule,
+    reference_rejecting_shape,
     reference_verify_ce,
 )
 from conftest import every_allocation, random_profile, tied_incomes
@@ -104,7 +106,7 @@ class TestAgainstReference:
             assert got.violations == want.violations
 
 
-MARKETS_PER_CELL = 12
+MARKETS_PER_CELL = 20
 
 
 def _prefilter_markets():
@@ -128,6 +130,7 @@ class TestPrefiltersAgainstReference:
 
     def test_same_verdict_on_every_allocation(self):
         verdicts = Counter()
+        shapes = Counter()
         tied = Counter()
         tied_markets = 0
         for profile, incomes in _prefilter_markets():
@@ -136,9 +139,10 @@ class TestPrefiltersAgainstReference:
             tied_markets += len(set(incomes)) < len(incomes)
             for alloc in every_allocation(*cell):
                 got = _passes_prefilters(rows, alloc.bundles)
-                rule = reference_rejecting_rule(profile, incomes, alloc.bundles)
-                assert got == (rule is None), (list(incomes), alloc.bundles)
-                verdicts[rule, 0 in alloc.bundles] += 1
+                shape = reference_rejecting_shape(profile, incomes, alloc.bundles)
+                assert got == (shape is None), (list(incomes), alloc.bundles)
+                verdicts[shape and shape[0], 0 in alloc.bundles] += 1
+                shapes[shape and shape[1]] += 1
                 if len(set(incomes)) < len(incomes):
                     tied[cell, got] += 1
         passes = verdicts[None, False] + verdicts[None, True]
@@ -150,6 +154,36 @@ class TestPrefiltersAgainstReference:
             (rule, empty) for rule in (None, 2, 3) for empty in (False, True)
         } | {(1, True)}, verdicts
         assert verdicts[None, False] > 150 and verdicts[None, True] > 150, verdicts
+        # each shape over a union of whole bundles rejects allocations that
+        # the shapes before it pass
+        for shape in ("union of 2", "split of another bundle", "empty-handed"):
+            assert shapes[shape] > 0, shapes
         # both verdicts under tied incomes in the cells the census reaches
         for cell in [(3, 4), (4, 3), (4, 4), (5, 2), (5, 3)]:
             assert tied[cell, True] and tied[cell, False], (cell, tied)
+
+    def test_union_rejections_are_infeasible(self):
+        """Every allocation that the shapes of ``PARENT_SHAPES`` pass and
+        ``_passes_prefilters`` rejects has a system that closes, by a pair
+        of rows or by the simplex, on a certificate that
+        ``_check_farkas`` accepts."""
+        closed = Counter()
+        for profile, incomes in _prefilter_markets():
+            rows = _MarketRows(profile, incomes)
+            for alloc in every_allocation(profile[0].m, len(profile)):
+                masks = alloc.bundles
+                if _passes_prefilters(rows, masks):
+                    continue
+                shape = reference_rejecting_shape(profile, incomes, masks)
+                if shape is not None and shape[1] in PARENT_SHAPES:
+                    continue
+                _, _, a, c, pair = _slack_rows(rows, masks)
+                if pair is not None:
+                    _check_farkas(a, c, _PAIR_CERTIFICATES[pair], 2)
+                else:
+                    y, reduced, d = _dual_simplex(a, c)
+                    assert reduced[-1] >= 0, (list(incomes), masks)
+                    _check_farkas(a, c, y, d)
+                closed["pair" if pair else "simplex", len(profile)] += 1
+        assert closed.total() > 250, closed
+        assert {n for _, n in closed} == {2, 3, 4}, closed

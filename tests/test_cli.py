@@ -392,6 +392,34 @@ class TestInstanceFiles:
         assert main(["solve", write(tmp_path, "instance.json", doc)]) == EXIT_PARSE
         assert capsys.readouterr().err == "error: agent Carl is missing 'income'\n"
 
+    @pytest.mark.parametrize(
+        "preference, fault",
+        [
+            ({"partial": {"chain": ["x", True]}},
+             "a chain element must be a bundle or an array, not a boolean"),
+            ({"partial": {"chain": [None]}},
+             "a chain element must be a bundle or an array, not null"),
+            ({"partial": {"chain": [{"v": 1}]}},
+             "a chain element must be a bundle or an array, not an object without 'size'"),
+            ({"partial": {"chain": [3]}},
+             "a chain element must be a bundle or an array, not a number"),
+            ({"partial": {"chain": [{"size": "2"}]}},
+             "a chain size must be an integer, not a string"),
+            ({"partial": {"chain": [{"size": 2, "except": "xy"}]}},
+             "'except' must be an array, not a string"),
+            ({"foo": 1}, "unknown preference kind 'foo'"),
+        ],
+        ids=["chain-true", "chain-null", "chain-object", "chain-number", "size-string",
+             "except-string", "unknown-kind"],
+    )
+    def test_preference_faults_name_the_agent_and_the_json_type(
+        self, tmp_path, capsys, preference, fault
+    ):
+        doc = aba_instance()
+        doc["agents"][1]["preference"] = preference
+        assert main(["solve", write(tmp_path, "instance.json", doc)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: agent Bob: {fault}\n"
+
     def test_ranking_and_additive_preferences(self):
         doc = {
             "items": ["x", "y"],

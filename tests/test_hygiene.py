@@ -555,3 +555,78 @@ def test_only_lp_pivots():
     found = {p.name: pivot_steps(p.read_text()) for p in MODULES if p.name != "lp.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert pivot_steps((ROOT / "src" / "cefai" / "lp.py").read_text())
+
+
+# perfbench repeats its cases, so a cache keyed on a profile or on incomes
+# would answer a repeat from memory and flatter the benchmark.  The
+# package's caches are keyed by sizes and item structure alone.
+MARKET_TYPES = ("PreferenceOrder", "IncomeVector")
+MARKET_NAMES = {"profile", "pref", "incomes"}
+
+
+def cached_functions(source: str) -> dict[str, list[str]]:
+    """Each function of ``source`` under ``cache`` or ``lru_cache`` (bare,
+    called or as a ``functools`` attribute), with its parameters that are
+    named like a profile or incomes or annotated with a preference order or
+    an income vector."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(
+            getattr(d, "id", getattr(d, "attr", None)) in ("cache", "lru_cache")
+            for d in decorators
+        ):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        found[node.name] = [
+            p.arg for p in params
+            if p.arg in MARKET_NAMES
+            or p.annotation is not None
+            and any(kind in ast.unparse(p.annotation) for kind in MARKET_TYPES)
+        ]
+    return found
+
+
+def test_cache_scanner_flags_market_parameters():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def by_size(m: int): ...\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def by_order(pref: 'PreferenceOrder', m): ...\n"
+        "@lru_cache\n"
+        "def by_profile(m, profile): ...\n"
+        "@functools.cache\n"
+        "def by_incomes(t: IncomeVector, *, scale=1): ...\n"
+        "class Box:\n"
+        "    @cache\n"
+        "    def by_orders(self, *orders: Sequence[PreferenceOrder]): ...\n"
+        "def uncached(profile: Sequence[PreferenceOrder]): ...\n"
+        "@staticmethod\n"
+        "def plain(incomes): ...\n"
+    )
+    assert cached_functions(source) == {
+        "by_size": [],
+        "by_order": ["pref"],
+        "by_profile": ["profile"],
+        "by_incomes": ["t"],
+        "by_orders": ["orders"],
+    }
+
+
+def test_no_cache_keyed_on_a_market():
+    found = {p.stem: cached_functions(p.read_text()) for p in MODULES}
+    keyed = {
+        (module, name): params
+        for module, functions in found.items()
+        for name, params in functions.items()
+        if params
+    }
+    assert keyed == {}
+    # the scanner sees the oracle's tables
+    assert {"_bundle_sets", "_row_vectors", "_trades"} <= set(found["oracle"])
