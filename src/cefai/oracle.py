@@ -61,7 +61,7 @@ That order is fixed, not a free choice: Bland's rule reads the columns
 in insertion order, so another order can take another pivot path, and
 with it another certificate and other witness prices.  Each row's ``a``
 comes from a table per set of free items (``_row_vectors``, 4^m vectors
-in all), keyed by the item structure alone as ``_bundle_sets`` is: a
+in all), keyed by the item structure alone as ``_subsets`` is: a
 key's vector depends on neither the preferences nor the incomes.
 
 An infeasible system can close on two rows alone, while the rows are
@@ -97,11 +97,12 @@ part holds the agent's own bundle: the part then costs that bundle's
 price plus at least one item, and every item costs at least ``s`` plus
 the floor, which no empty-handed agent's income exceeds.  Pareto
 efficiency is the case ``K = {i, j}``: a re-split, or a split that i
-takes both halves of when ``t_j <= t_i``.  A larger K holds every trade
-of a smaller one for the same i and j, as preferences are monotone, so
-only the largest that fit are tested.  Each agent's preferences are one
-bitset per rank over the ``2^m`` bundles, so a trade is tested with a
-few integer operations per item of U.
+takes both halves of when ``t_j <= t_i``.  K need only range over the
+owners of non-empty bundles: an empty bundle adds its owner's income to
+the sum and nothing to U.  So an allocation has at most ``2^m`` unions,
+whatever the number of agents.  Each agent's preferences are one bitset
+per rank over the ``2^m`` bundles, and one over their complements, so a
+trade is tested with a few integer operations.
 """
 
 from __future__ import annotations
@@ -132,23 +133,20 @@ class InstanceTooLargeError(ValueError):
 
 class _MarketRows:
     """What every allocation of one market shares: the incomes' integer
-    form (``income`` over ``scale``); for each agent, the other
-    agents whose income is at most its own (prefilter (2)); and for each
-    agent and rank ``r`` the bitset over the ``2^m`` bundles (bit ``y``
-    for bundle ``y``) of those the agent ranks above ``r``.  Agents with
-    different item universes are refused.
+    form (``income`` over ``scale``); for each agent, the other agents
+    whose income is at most its own (prefilter (2)); twice the largest
+    income, ``top``, which no union tested by (2) or (3) costs more than;
+    and for each agent and rank ``r`` two bitsets over the ``2^m``
+    bundles: ``above[r]`` with bit ``y`` for each bundle y the agent
+    ranks above r, and ``rests[r]`` with bit ``full ^ y`` for each.
+    Agents with different item universes are refused.
 
-    ``joins`` lists rule (2)'s owner sets K (bitsets over the agents) of
-    two or more bundles whose income sum ``cost[K]`` fits, and ``trades``
-    rule (3)'s ``(i, j, K)`` whose K fits and stops fitting with any one
-    more owner (``spare[K]``, the least income outside K).  ``sub``,
-    ``flips`` and ``_trades`` depend on m or n alone.  An agent's better
-    bundles that do not contain its own bundle X (one that does
-    costs more than the income anyway) are the bitset
-    ``above[rank[X]] & ~(sub[full ^ X] << X)``: the supersets of X are
-    X joined with the subsets of its complement, and joining a disjoint
-    X is adding X, a shift of the bitset by X bit positions.
-    ``_slack_rows`` walks that bitset, lowest bit first.
+    ``sub`` depends on m alone.  An agent's better bundles that do not
+    contain its own bundle X (one that does costs more than the income
+    anyway) are the bitset ``above[rank[X]] & ~(sub[full ^ X] << X)``:
+    the supersets of X are X joined with the subsets of its complement,
+    and joining a disjoint X is adding X, a shift of the bitset by X bit
+    positions.  ``_slack_rows`` walks that bitset, lowest bit first.
     """
 
     def __init__(self, profile: Sequence[PreferenceOrder], incomes: IncomeVector):
@@ -161,58 +159,35 @@ class _MarketRows:
             [j for j, t in enumerate(self.income) if j != i and t <= own]
             for i, own in enumerate(self.income)
         ]
-        cost, spare = [0], [sum(self.income)]
-        for t in self.income:
-            cost += [c + t for c in cost]
-            spare = [min(s, t) for s in spare] + spare
-        self.joins = [
-            (i, k) for i, t in enumerate(self.income) for k in range(len(cost))
-            if k & (k - 1) and not k >> i & 1 and cost[k] <= t
-        ]
-        self.trades = [
-            (i, j, k) for i, j, k in _trades(len(profile))
-            if cost[k] <= self.income[i] + self.income[j] < cost[k] + spare[k]
-        ]
-        self.sub, self.flips = _bundle_sets(self.m)
-        self.above = [_above(pref) for pref in profile]
+        self.top = 2 * max(self.income)
+        self.sub = _subsets(self.m)
+        self.above, self.rests = zip(*[_above(pref) for pref in profile])
 
 
-def _above(pref: PreferenceOrder) -> list[int]:
-    """For each rank r, the bitset of the bundles ``pref`` ranks above r."""
+def _above(pref: PreferenceOrder) -> tuple[list[int], list[int]]:
+    """For each rank r, the bitset of the bundles ``pref`` ranks above r,
+    and the bitset of their complements."""
     ranking = pref.ranking()
-    above = [0] * len(ranking)
-    bits = 0
-    for r in range(len(ranking) - 1, -1, -1):
-        above[r] = bits
+    full = len(ranking) - 1
+    above, rests = [0] * len(ranking), [0] * len(ranking)
+    bits = flipped = 0
+    for r in range(full, -1, -1):
+        above[r], rests[r] = bits, flipped
         bits |= 1 << ranking[r]
-    return above
+        flipped |= 1 << (full ^ ranking[r])
+    return above, rests
 
 
 @cache
-def _bundle_sets(m: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """``sub[U]``, the bitset of the subsets of U for every bundle U, and
-    ``flips[U]``, one ``(1 << g, block)`` per item g of U, with ``block``
-    the bitset of the bundles that contain item g.
+def _subsets(m: int) -> tuple[int, ...]:
+    """``sub[U]``, the bitset of the subsets of U, for every bundle U.
 
     The subsets of U that contain its highest item g are those of
     ``U - {g}`` shifted up by ``2^g`` bit positions."""
     sub = [1]
     for g in range(m):
         sub += [bits | bits << (1 << g) for bits in sub]
-    full = (1 << m) - 1
-    steps = [(1 << g, sub[full] ^ sub[full ^ 1 << g]) for g in range(m)]
-    return tuple(sub), tuple(tuple(st for st in steps if st[0] & u) for u in range(full + 1))
-
-
-@cache
-def _trades(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Rule (3)'s ``(i, j, K)`` over n agents, i <= j and K not within {i}
-    or {j}, likeliest first: re-splits, then splits of one other bundle."""
-    shapes = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(1, 1 << n)]
-    return tuple(sorted(
-        [(i, j, k) for i, j, k in shapes if k & ~(1 << i) and k & ~(1 << j)],
-        key=lambda s: (s[2] != 1 << s[0] | 1 << s[1], s[0] != s[1] or s[2].bit_count() > 1),
-    ))
+    return tuple(sub)
 
 
 @cache
@@ -349,18 +324,21 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
     docstring derives the certificate of each.
 
     (1) every item must cost more than any empty-handed agent's income,
-    so a k-item bundle's owner needs an income above k times that;
-    (2) no agent prefers to its own bundle the bundle of an agent with at
-    most its income (the empty bundle ranks lowest, so it is never
-    preferred), or the union of ``rows.joins``' owner sets K with
-    ``Σ_K t_k`` at most its income; and
-    (3) for no ``(i, j, K)`` of ``rows.trades`` do i and j each prefer a
-    part of a split of ``U = ∪_K X_k``.  ``gain & sub[U]`` is the bitset
-    of the subsets of U an agent prefers to its own bundle; i needs one
-    besides U, whose rest is empty.  The block swaps of ``flips[U]`` map each
-    y to ``U - y``: the bundles holding each item swap places with those
-    that lack it.  The unions of every agent set are built only for an
-    allocation that passes (1) and (2)'s single bundles.
+    so a k-item bundle's owner needs an income above k times that.  For
+    each union ``U = ∪_K X_k`` of non-empty bundles with income sum
+    ``c <= rows.top``: (2) no agent i with ``c <= t_i`` prefers U to its
+    own bundle (so i is not in K, as incomes are positive), and (3) no
+    agents i and j with ``c <= t_i + t_j`` each prefer a part of a split
+    of U.  (2)'s single bundles reject most allocations, so they are
+    tested first, through ``rows.poorer``.  The unions are then built
+    owner by owner and tested as they are made; a union dearer than
+    ``top`` is dropped with every union that would contain it.
+
+    ``gain & sub[U]`` is the bitset of the subsets of U an agent prefers
+    to its own bundle; it takes part in (3) only when it prefers one
+    besides U, whose rest is empty.  Agent j prefers ``U - y`` iff its
+    ``rests`` bitset holds ``full ^ (U - y)``, that is ``(full ^ U) + y``
+    for y within U.  So ``rest >> (full ^ U)`` has bit y for every such y.
     """
     income = rows.income
     if 0 in masks:
@@ -368,30 +346,38 @@ def _passes_prefilters(rows: _MarketRows, masks: Sequence[Bundle]) -> bool:
         for j, own in enumerate(masks):
             if own and income[j] <= own.bit_count() * floor:
                 return False
-    gains = []
+    agents = []
     for i, pref in enumerate(rows.profile):
         rank = pref.rank
         own_rank = rank[masks[i]]
         for j in rows.poorer[i]:
             if rank[masks[j]] > own_rank:
                 return False
-        gains.append(rows.above[i][own_rank])
-    unions = [0]
-    for own in masks:
-        unions += [u | own for u in unions]
-    for i, k in rows.joins:
-        if gains[i] >> unions[k] & 1:
-            return False
-    sub, flips = rows.sub, rows.flips
-    for i, j, k in rows.trades:
-        u = unions[k]
-        mine = gains[i] & sub[u]
-        if mine & (mine - 1):
-            bits = mine if i == j else gains[j] & sub[u]
-            for low, block in flips[u]:
-                bits = (bits & block) >> low | (bits << low) & block
-            if mine & bits:
-                return False
+        agents.append((rows.above[i][own_rank], rows.rests[i][own_rank], income[i]))
+    sub, top = rows.sub, rows.top
+    full = len(sub) - 1
+    unions = [(0, 0)]
+    for own, cost in zip(masks, income):
+        if not own:
+            continue
+        for u, c in unions[:]:
+            c += cost
+            if c > top:
+                continue
+            u |= own
+            unions.append((u, c))
+            subsets, outside = sub[u], full ^ u
+            parts = []
+            for gain, rest, t in agents:
+                mine = gain & subsets
+                if mine:
+                    if c <= t and mine >> u & 1:
+                        return False
+                    if mine & (mine - 1):
+                        parts.append((t, rest >> outside))
+                        for other, theirs in parts:
+                            if c <= t + other and mine & theirs:
+                                return False
     return True
 
 

@@ -629,4 +629,4 @@ def test_no_cache_keyed_on_a_market():
     }
     assert keyed == {}
     # the scanner sees the oracle's tables
-    assert {"_bundle_sets", "_row_vectors", "_trades"} <= set(found["oracle"])
+    assert {"_subsets", "_row_vectors"} <= set(found["oracle"])

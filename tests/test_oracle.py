@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -619,3 +620,36 @@ class TestLimits:
         profile = [random_preference(7, seed=0)]
         with pytest.raises(InstanceTooLargeError):
             ce_exists(profile, IncomeVector.of([1]))
+
+    def test_many_agents_few_items(self, rng):
+        """Twenty agents and one or two items: the prefilters' unions range
+        over the owners of non-empty bundles, at most m of them, so no
+        table or list grows like 2^n.  The answer is the unfiltered walk's
+        first witness, or None."""
+        n = 20
+        answers = Counter()
+        for m in (1, 2):
+            for k in range(8):
+                incomes = [Fraction(rng.randint(20, 40), rng.randint(1, 2)) for _ in range(3)]
+                incomes += [Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(n - 3)]
+                if k % 2:
+                    incomes[1] = incomes[0]
+                rng.shuffle(incomes)
+                incomes = IncomeVector.of(incomes)
+                profile = [random_preference(m, seed=rng.randrange(10**6)) for _ in range(n)]
+                tracemalloc.start()
+                try:
+                    fast = ce_exists(profile, incomes)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 256 * 1024, peak
+                slow = None
+                for alloc in every_allocation(m, n):
+                    prices = feasible_ce_prices(profile, incomes, alloc)
+                    if prices is not None:
+                        slow = CEPair(prices=prices, allocation=alloc)
+                        break
+                assert fast == slow
+                answers[m, fast is not None] += 1
+        assert set(answers) == {(1, True), (1, False), (2, True), (2, False)}, answers
